@@ -4,7 +4,7 @@ The sharded backend (`repro/scheduling/sharded_engine.py`) splits a single
 synchronous run's node set across shared-memory workers after a BFS
 locality pass, exchanging only boundary-crossing letters per round.  The
 default smoke half verifies the contract cheaply — bitwise parity with the
-unsharded counter-rng run plus the partition counters tagged into
+unsharded run plus the partition counters tagged into
 ``extra_info`` for the perf-trajectory log.  The large half (gated behind
 ``REPRO_BENCH_LARGE=1``, CI's benchmark-smoke leg) times ``shards=4``
 against ``shards=1`` on a ``2**17``-node graph with a soft ≥ 2× target,

@@ -4,7 +4,7 @@ The async sharded backend (`repro/scheduling/sharded_async_engine.py`)
 splits the node set of one asynchronous run across shared-memory workers
 and exchanges only cut-edge deliveries at bucket boundaries.  The default
 smoke half verifies the contract cheaply — bitwise parity with the
-unsharded counter-rng run plus partition counters in ``extra_info``.  The
+unsharded run plus partition counters in ``extra_info``.  The
 large half (gated behind ``REPRO_BENCH_LARGE=1``, CI's benchmark-smoke
 leg) times ``shards=4`` against ``shards=1`` under the synchronous
 adversary — the widest buckets, i.e. the best case the bucket contract

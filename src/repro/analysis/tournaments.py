@@ -132,14 +132,17 @@ class MISTrace:
         }
 
     def edge_decay(self) -> list[int]:
-        """``[|E^1|, |E^2|, ...]`` until the virtual graph runs out of edges."""
+        """``[|E^1|, |E^2|, ...]`` until the virtual graph runs out of edges.
+
+        The list always ends with that first edgeless ``|E^i| = 0`` — also
+        when no node reaches tournament ``i`` at all (the last competing
+        neighbours finished in the same tournament).
+        """
         sizes: list[int] = []
         index = 1
         while True:
             nodes = self.nodes_reaching_tournament(index)
             edges = sum(1 for u, v in self.graph.edges if u in nodes and v in nodes)
-            if index > 1 and edges == 0 and not nodes:
-                break
             sizes.append(edges)
             if edges == 0:
                 break

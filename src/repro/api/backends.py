@@ -8,9 +8,9 @@ opinions about lazy tables.  Adding the compiled-kernel tier made that
 string soup untenable, so selection is now data plus one function:
 
 * :class:`BackendSpec` — what one execution tier *is*: which environments
-  it serves, which table flavours it executes, whether it can shard, draw
-  from the counter rng stream, or host per-transition observers, and
-  whether it needs compiled kernels present at import time.
+  it serves, which table flavours it executes, whether it can shard or
+  host per-transition observers, and whether it needs compiled kernels
+  present at import time.
 * :data:`BACKENDS` — the registry mapping tier name to spec.  Third-party
   tiers would register here; everything downstream (negotiation, the CLI
   census, the docs table) is derived from it.
@@ -26,7 +26,7 @@ The legacy strings (``"python"``, ``"vectorized"``, ``"auto"``) remain
 valid aliases with unchanged semantics — no deprecation churn; this module
 redesigns *selection*, not the parameter surface.  Strict requests fail
 fast: an impossible combination (``backend="kernel"`` without numba,
-``backend="python"`` with ``shards=``) raises here, with the same message
+``backend="python"`` with ``shards >= 2``) raises here, with the same message
 the engines used to raise, instead of deep inside an engine constructor.
 
 Capability mismatches that only the compile step can discover (a protocol
@@ -76,9 +76,6 @@ class BackendSpec:
     supports_sharding:
         Whether ``shards=`` (intra-run shared-memory workers) composes
         with the tier.
-    supports_counter_rng:
-        Whether the tier can draw from the shard-invariant counter rng
-        stream (``rng_mode="counter"``).
     requires_compiled_kernels:
         Whether availability depends on the numba import probe of
         :mod:`repro.scheduling.kernels`.
@@ -91,7 +88,6 @@ class BackendSpec:
     tabulation_modes: tuple[str, ...]
     observer_environments: tuple[str, ...]
     supports_sharding: bool
-    supports_counter_rng: bool
     requires_compiled_kernels: bool = False
 
     def availability(self) -> tuple[bool, str]:
@@ -120,7 +116,6 @@ BACKENDS: dict[str, BackendSpec] = {
         tabulation_modes=("interpreted",),
         observer_environments=("sync", "async", "dynamic"),
         supports_sharding=False,
-        supports_counter_rng=False,
     ),
     "vectorized": BackendSpec(
         name="vectorized",
@@ -130,7 +125,6 @@ BACKENDS: dict[str, BackendSpec] = {
         tabulation_modes=("eager", "lazy"),
         observer_environments=("sync", "dynamic"),
         supports_sharding=True,
-        supports_counter_rng=True,
     ),
     "kernel": BackendSpec(
         name="kernel",
@@ -140,7 +134,6 @@ BACKENDS: dict[str, BackendSpec] = {
         tabulation_modes=("eager",),
         observer_environments=("sync", "dynamic"),
         supports_sharding=True,
-        supports_counter_rng=True,
         requires_compiled_kernels=True,
     ),
 }
@@ -230,7 +223,7 @@ def _tier_rejection(
                 "per-transition observers; use backend='python'"
             ),
         )
-    if strict and workload.shards is not None and not spec.supports_sharding:
+    if strict and (workload.shards or 1) >= 2 and not spec.supports_sharding:
         # Under "auto" the shard preference degrades by *dropping shards*,
         # not by ruling the interpreter out as the last-resort tier.
         return (
@@ -299,7 +292,6 @@ def backend_census() -> list[dict]:
                 "environments": list(spec.environments),
                 "tabulation_modes": list(spec.tabulation_modes),
                 "supports_sharding": spec.supports_sharding,
-                "supports_counter_rng": spec.supports_counter_rng,
             }
         )
     return rows

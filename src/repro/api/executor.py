@@ -64,11 +64,11 @@ from repro.scheduling.sync_engine import _precompile_tables_with_reason
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Environment variable consulted when a spec does not set ``shards=``:
-#: ``REPRO_SHARDS=2 pytest`` runs every shardable synchronous spec through
-#: intra-run sharded execution, which is how CI exercises the sharded code
-#: paths.  Note that opting in switches those runs onto the counter rng
-#: stream (deterministic, but different draws from the legacy serial
-#: stream), so golden-output tests must not run under it wholesale.
+#: ``REPRO_SHARDS=2 pytest`` runs every shardable spec (sync rounds, async
+#: event buckets, dynamic segments) through intra-run sharded execution,
+#: which is how CI exercises the sharded code paths.  Sharding changes no
+#: result, so every test — golden values and interpreter parity included —
+#: must hold under it.
 SHARDS_ENV = "REPRO_SHARDS"
 
 
@@ -91,8 +91,7 @@ def effective_shards(shards: int | None) -> int | None:
     """Resolve a ``shards`` argument: explicit value, else the environment.
 
     ``None`` falls back to :data:`SHARDS_ENV`; an unset/unusable environment
-    stays ``None`` (legacy serial rng, no sharding).  Explicit values are
-    clamped to at least 1.
+    stays ``None`` (no sharding).  Explicit values are clamped to at least 1.
     """
     if shards is not None:
         return max(int(shards), 1)
@@ -115,10 +114,9 @@ def effective_shards(shards: int | None) -> int | None:
 def resolve_spec_shards(spec: RunSpec) -> RunSpec:
     """Apply the :data:`SHARDS_ENV` default to *spec* where it is legal.
 
-    Resolution must happen *before* any store lookup — the store hash
-    canonicalizes over the shard count but distinguishes sharded
-    (counter-rng) from unsharded (serial-rng) executions, so a spec must
-    carry its effective ``shards`` value when hashed.  All three
+    Resolution happens once, before dispatch, so the core-budget guard and
+    every pooled cell see the effective value (the store hash ignores the
+    shard count altogether — sharding changes no result).  All three
     environments shard (sync rounds, async event buckets, dynamic
     segments); only specs that cannot shard at all (interpreted backend)
     are returned unchanged rather than failing the validation the explicit

@@ -59,17 +59,18 @@ def _annotated_sync_run(
     the session did the precompiling, the reason captured at that moment
     (eager/lazy choice, or an ``"auto"`` downgrade) is the authoritative one
     and replaces the engine's label — on timeout errors' partial results too.
-    Shard-aware runs (``"shard_count"`` in the metadata) keep the engine's
-    reason: the sharded selection explains partitioning and rng stream, which
-    the precompile-time label knows nothing about.  ``runner`` swaps the
+    A ``shards >= 2`` request keeps the engine's reason: it explains the
+    partitioning (or why the run stayed on one process), which the
+    precompile-time label knows nothing about.  ``runner`` swaps the
     execution primitive (the dynamic environment passes
     :func:`~repro.scheduling.dynamic_engine._run_dynamic`).
     """
     if runner is None:
         runner = _run_synchronous
+    sharded = (kwargs.get("shards") or 1) >= 2
 
     def _stamp(metadata) -> None:
-        if reason is not None and "shard_count" not in metadata:
+        if reason is not None and not sharded:
             metadata["backend_reason"] = reason
 
     try:
@@ -301,12 +302,12 @@ class Simulation:
 
     @property
     def shard_stats(self) -> dict[str, int]:
-        """Counters over runs executed with ``shards=`` on this session.
+        """Counters over ``shards >= 2`` runs executed on this session.
 
-        ``runs`` counts every execution that went through the shard-aware
-        path (including ``shards=1`` and fallbacks — any run on the counter
-        rng stream); ``cut_edges`` and ``halo_bytes_per_round`` accumulate
-        the partition statistics those runs reported.  Pooled dispatch folds
+        ``runs`` counts every execution of a ``shards >= 2`` request
+        (including fallbacks to one process, which report one shard);
+        ``cut_edges`` and ``halo_bytes_per_round`` accumulate the partition
+        statistics those runs reported.  Pooled dispatch folds
         worker-side counters in through :meth:`absorb_worker_shards`.
         """
         return dict(self._shard_stats)
@@ -471,8 +472,8 @@ class Simulation:
         by hand).  Explicit ``compiled``/``table`` arguments win over the
         cache.
 
-        ``shards`` opts the run into intra-run sharded execution on the
-        counter rng stream — synchronous rounds through
+        ``shards`` splits the run across shard workers without changing
+        its result — synchronous rounds through
         :mod:`repro.scheduling.sharded_engine`, asynchronous event buckets
         through :mod:`repro.scheduling.sharded_async_engine`.
         """
@@ -543,8 +544,8 @@ class Simulation:
         Seeds are derived by :meth:`SeedPolicy.repetition_seed` (``base_seed
         + i``, the historical rule) and the compile step is paid once: all
         repetitions share one eager table, or one lazy table that
-        repetition 1 warms up for repetitions 2..n.  ``shards`` opts every
-        repetition into intra-run sharded execution.
+        repetition 1 warms up for repetitions 2..n.  ``shards`` splits
+        every repetition across shard workers.
         """
         policy = SeedPolicy(base_seed)
         if precompiled is None:

@@ -90,12 +90,12 @@ class RunSpec:
         shared-memory workers per run — synchronous rounds (see
         :mod:`repro.scheduling.sharded_engine`), asynchronous event buckets
         (:mod:`repro.scheduling.sharded_async_engine`) and the dynamic
-        environment's synchronous segments all shard.  ``None`` (the
-        default) keeps the legacy serial rng stream; any integer ``>= 1``
-        opts into the shard-invariant counter rng stream — ``shards=1``
-        runs it unsharded and is bitwise identical to every larger shard
-        count.  Requires a shardable backend (``"vectorized"``, ``"kernel"``
-        or ``"auto"``).
+        environment's synchronous segments all shard.  A pure performance
+        knob: every engine draws from the same counter pick stream, so
+        ``None`` (the default) and ``1`` are the same unsharded run and
+        every larger shard count is bitwise identical to it.  ``shards >=
+        2`` requires a shardable backend (``"vectorized"``, ``"kernel"`` or
+        ``"auto"``).
     churn:
         Name of a registered churn policy (see :data:`repro.api.registry.
         CHURN_POLICIES`); required by — and only legal in — the
@@ -156,7 +156,7 @@ class RunSpec:
                 raise SpecError(
                     f"shards must be a positive integer or None, got {self.shards!r}"
                 )
-            if self.backend == "python":
+            if self.shards >= 2 and self.backend == "python":
                 raise SpecError(
                     "shards= requires a vectorized-capable backend "
                     "('vectorized', 'kernel' or 'auto'), not backend='python'"

@@ -75,7 +75,12 @@ from repro.core.results import ExecutionResult
 #: unsharded (``None``) hashes apart — but sharded async/dynamic specs
 #: that version 4 rejected now produce entries, so the version fences
 #: stores written before those streams existed.
-STORE_SCHEMA_VERSION = 5
+#: Version 6: every engine draws from the one counter pick stream, so
+#: ``shards`` canonicalizes away entirely, like ``backend`` — sharded and
+#: unsharded runs of a spec share one address.  Seeded results changed
+#: (the interpreters and ``shards=None`` runs no longer draw from
+#: ``random.Random``), so older entries must miss.
+STORE_SCHEMA_VERSION = 6
 
 #: Reserved tag keys of the canonical payload encoding.
 _TAGS = frozenset({"$t", "$s", "$d", "$f", "$b", "$o"})
@@ -266,16 +271,11 @@ def canonical_spec_payload(spec: RunSpec | Mapping[str, Any]) -> dict[str, Any]:
         raise StorePayloadError(
             f"cannot hash {type(spec).__name__}; expected a RunSpec or a mapping"
         )
-    # Sharded execution is shard-count-invariant by contract (the counter
-    # rng stream is a pure function of seed, round and node id), so any
-    # shards >= 1 canonicalizes to 1 and shares one cache entry; ``None``
-    # (the legacy serial rng stream) is a different random process and
-    # keeps its own address.
-    if data.get("shards") is not None:
-        data["shards"] = 1
-    # Backend tiers are bitwise-identical for the same seeds (the kernel
-    # parity contract), so the requested tier canonicalizes away entirely
-    # and a result computed on any tier warms every other tier's lookups.
+    # Neither the shard count nor the backend tier changes a result (every
+    # engine draws from the one counter pick stream; the tiers are
+    # parity-locked), so both canonicalize away and a result computed any
+    # way warms every other way's lookups.
+    data["shards"] = None
     data["backend"] = "auto"
     return {
         "schema": STORE_SCHEMA_VERSION,

@@ -26,13 +26,13 @@ scan a literal rLBA would perform (this affects only the step count, not the
 space bound — the substitution is recorded in DESIGN.md).  The class exposes
 :meth:`space_report` so the experiments can verify the O(1)-cells-per-entry
 claim, and its executions are bit-for-bit identical to the synchronous
-engine's when given the same seed, which is how the tests establish
-faithfulness.
+engine's when given the same seed — both draw their coins from the counter
+pick stream of :mod:`repro.scheduling.picks` — which is how the tests
+establish faithfulness.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -42,6 +42,7 @@ from repro.core.errors import ExecutionError
 from repro.core.protocol import ExtendedProtocol, Protocol
 from repro.core.results import ExecutionResult
 from repro.graphs.graph import Graph
+from repro.scheduling.picks import counter_pick, counter_round_key, resolve_pick_seed
 
 
 #: Marker stored in a pending-emission cell when the node transmits nothing.
@@ -96,8 +97,8 @@ class LinearSpaceNetworkSimulator:
         self._graph = graph
         self._protocol = protocol
         self._multi_letter = isinstance(protocol, ExtendedProtocol)
-        self._rng = random.Random(seed)
         self._seed = seed
+        self._pick_seed = resolve_pick_seed(seed)
         inputs = dict(inputs or {})
 
         # Tape layout: for every node, in node order:
@@ -158,6 +159,7 @@ class LinearSpaceNetworkSimulator:
     def _first_sweep(self) -> None:
         """Sweep 1 of Lemma 6.1: compute next states and pending letters."""
         protocol = self._protocol
+        round_key = counter_round_key(self._pick_seed, self._round)
         for node in self._graph.nodes:
             state = self.tape[self._state_cell(node)]
             ports = [self.tape[cell] for cell in self._port_cells(node)]
@@ -171,7 +173,10 @@ class LinearSpaceNetworkSimulator:
                 raw = sum(1 for content in ports if content == letter)
                 choices = protocol.options(state, protocol.bounding(raw))
             choices = protocol.validate_option_set(choices)
-            chosen = choices[0] if len(choices) == 1 else choices[self._rng.randrange(len(choices))]
+            if len(choices) == 1:
+                chosen = choices[0]
+            else:
+                chosen = choices[counter_pick(round_key, node, len(choices))]
             self.tape[self._state_cell(node)] = chosen.state
             self.tape[self._pending_cell(node)] = (
                 NO_EMISSION if is_epsilon(chosen.emit) else chosen.emit

@@ -195,8 +195,7 @@ def _print_backend_list(as_json: bool) -> int:
         print(
             f"      environments={','.join(row['environments'])} "
             f"tables={','.join(row['tabulation_modes'])} "
-            f"sharding={'yes' if row['supports_sharding'] else 'no'} "
-            f"counter-rng={'yes' if row['supports_counter_rng'] else 'no'}"
+            f"sharding={'yes' if row['supports_sharding'] else 'no'}"
         )
     return 0
 
@@ -536,8 +535,8 @@ def _add_run_arguments(
                         help="split each run across this many shared-memory "
                              "shard workers — sync rounds, async event "
                              "buckets and dynamic segments all shard "
-                             "(counter rng stream; identical results for "
-                             "any shard count >= 1; composes with --workers "
+                             "(identical results for any shard count; "
+                             "composes with --workers "
                              "under a core budget; default: $REPRO_SHARDS "
                              "or off)")
     parser.add_argument("--store", metavar="DIR", default=None,

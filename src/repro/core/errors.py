@@ -57,9 +57,8 @@ class ShardingUnavailableError(ExecutionError):
     lazy (incrementally grown) table, or a platform without POSIX shared
     memory.  The backend selection in :func:`repro.scheduling.sync_engine.
     run_synchronous` catches it and falls back to the *unsharded* vectorized
-    engine with the same counter rng stream, recording the reason in result
-    metadata — results are identical either way, only the parallelism is
-    lost.
+    engine, recording the reason in result metadata — results are identical
+    either way, only the parallelism is lost.
     """
 
 

@@ -57,6 +57,7 @@ from repro.scheduling.adversary import (
     SynchronousAdversary,
     derive_adversary_seed,
 )
+from repro.scheduling.picks import async_counter_pick, async_pick_base, resolve_pick_seed
 
 TransitionObserver = Callable[[TransitionRecord], None]
 """Callback invoked after every applied node transition."""
@@ -90,7 +91,9 @@ class AsynchronousEngine:
         step lengths and delivery delays (default: the benign synchronous
         adversary).
     seed:
-        Seed for the protocol's random choices.
+        Seed for the protocol's random choices (uniform draws from the
+        asynchronous counter pick stream of :mod:`repro.scheduling.picks`;
+        ``None`` draws fresh randomness).
     adversary_seed:
         Separate seed for the adversary's random stream, keeping the
         adversary oblivious to the protocol's coins as the model requires.
@@ -122,7 +125,7 @@ class AsynchronousEngine:
         self._graph = graph
         self._protocol = protocol
         self._seed = seed
-        self._rng = random.Random(seed)
+        self._pick_base = async_pick_base(resolve_pick_seed(seed))
         adversary = adversary if adversary is not None else SynchronousAdversary()
         adversary_rng = random.Random(
             adversary_seed if adversary_seed is not None else derive_adversary_seed(seed)
@@ -201,7 +204,10 @@ class AsynchronousEngine:
         choices = protocol.validate_option_set(
             protocol.options(old_state, protocol.bounding(raw))
         )
-        chosen = choices[0] if len(choices) == 1 else choices[self._rng.randrange(len(choices))]
+        if len(choices) == 1:
+            chosen = choices[0]
+        else:
+            chosen = choices[async_counter_pick(self._pick_base, node, step, len(choices))]
         self._state.states[node] = chosen.state
         self._state.steps_taken[node] += 1
         self._non_output += int(protocol.is_output_state(old_state)) - int(
@@ -311,187 +317,67 @@ def _run_asynchronous(
     engine — supplying one forces ``backend="python"`` semantics under
     ``"auto"`` (and is rejected by the batched tiers).
 
-    ``shards`` opts into intra-run sharded execution of the time-bucketed
-    engine (see :mod:`repro.scheduling.sharded_async_engine`) *and* the
-    counter rng stream for the protocol's multi-option draws — a different
-    deterministic sequence from the legacy serial stream, identical for
-    every shard count ≥ 1 (``shards=1`` runs the unsharded counter engine,
-    the parity reference).  The size heuristic of ``"auto"`` does not apply:
-    a shard request always runs batched when the protocol and the adversary
-    allow it, and ``backend="python"`` with ``shards=`` is an error.
+    ``shards`` is a pure performance knob: ``None`` and ``1`` are the same
+    run, and ``shards >= 2`` runs the time-bucketed engine sharded (see
+    :mod:`repro.scheduling.sharded_async_engine`) whenever a batched engine
+    is chosen — the choice itself ignores ``shards``, so the size heuristic
+    of ``"auto"`` applies to every shard count.  A ``shards >= 2`` request
+    that runs on one process records why, plus one-shard partition
+    statistics, in ``result.metadata``; ``backend="python"`` with
+    ``shards >= 2`` is an error.  Under ``"auto"``, a batched run whose
+    table refuses the protocol mid-run is rerun on the interpreter.
     """
     record_engine_run("async")
     if backend not in ASYNC_BACKENDS:
         raise ExecutionError(
             f"unknown backend {backend!r}; expected one of {ASYNC_BACKENDS}"
         )
+    if shards is not None:
+        shards = int(shards)
+        if shards < 1:
+            raise ExecutionError(f"shards must be >= 1, got {shards}")
+    sharded = shards is not None and shards >= 2
     from repro.api.backends import Workload, negotiate_backend
 
     negotiation = negotiate_backend(
         Workload(
-            environment="async", observer=observer is not None, shards=shards
+            environment="async",
+            observer=observer is not None,
+            shards=shards if sharded else None,
         ),
         backend,
     )
-    if shards is not None:
-        return _run_sharded_asynchronous(
-            graph,
-            protocol,
-            adversary=adversary,
-            seed=seed,
-            adversary_seed=adversary_seed,
-            inputs=inputs,
-            max_events=max_events,
-            raise_on_timeout=raise_on_timeout,
-            observer=observer,
-            backend=backend,
-            table=table,
-            shards=shards,
-            negotiation=negotiation,
-        )
     use_kernel = negotiation.chosen == "kernel"
     note = negotiation.rejection_note()
-    vectorize = backend in ("vectorized", "kernel") or (
-        backend == "auto"
-        and graph.num_nodes >= AUTO_VECTORIZE_MIN_NODES
-        and negotiation.chosen != "python"
-    )
+    dropped = f" (shards={shards} dropped)" if sharded else ""
+    common = dict(adversary=adversary, seed=seed, adversary_seed=adversary_seed, inputs=inputs)
+    engine = None
     reason = None
-    if vectorize and observer is None:
-        from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
-
-        try:
-            engine = VectorizedAsynchronousEngine(
-                graph,
-                protocol,
-                adversary=adversary,
-                seed=seed,
-                adversary_seed=adversary_seed,
-                inputs=inputs,
-                table=table,
-                use_kernel=use_kernel,
-            )
-            result = engine.run(max_events=max_events, raise_on_timeout=raise_on_timeout)
-            batched_reason = "protocol and adversary support event batching"
-            if use_kernel:
-                batched_reason += "; compiled kernels"
-            if note:
-                batched_reason += f" ({note})"
-            result.metadata.setdefault("backend_reason", batched_reason)
-            return result
-        except ProtocolNotVectorizableError as exc:
-            if backend != "auto":
-                raise
-            reason = f"auto fell back to the interpreter: {exc}"
-    if reason is None:
-        if backend == "python":
-            reason = "backend='python' requested"
-        elif observer is not None:
-            reason = "per-transition observers require the interpreted engine"
-        else:
-            reason = (
-                f"auto stayed interpreted: n < {AUTO_VECTORIZE_MIN_NODES} "
-                "(batching overhead dominates on small networks)"
-            )
-    engine = AsynchronousEngine(
-        graph,
-        protocol,
-        adversary=adversary,
-        seed=seed,
-        adversary_seed=adversary_seed,
-        inputs=inputs,
-        observer=observer,
+    unsharded = None  # why a shards >= 2 request runs on one process
+    # Partition statistics of a shards >= 2 request that runs on one process.
+    one_process: dict[str, Any] = (
+        dict(shard_count=1, cut_edges=0, halo_bytes_per_bucket=0, partition_strategy="none")
+        if sharded
+        else {}
     )
-    result = engine.run(max_events=max_events, raise_on_timeout=raise_on_timeout)
-    result.metadata.setdefault("backend_reason", reason)
-    return result
-
-
-def _run_sharded_asynchronous(
-    graph: Graph,
-    protocol: Protocol,
-    *,
-    adversary: AdversaryPolicy | None,
-    seed: int | None,
-    adversary_seed: int | None,
-    inputs: Mapping[int, Any] | None,
-    max_events: int,
-    raise_on_timeout: bool,
-    observer: TransitionObserver | None,
-    backend: str,
-    table,
-    shards: int,
-    negotiation,
-) -> ExecutionResult:
-    """Run an asynchronous ``shards=`` request.
-
-    ``shards >= 2`` builds a :class:`~repro.scheduling.sharded_async_engine.
-    ShardedAsyncEngine`; workloads it cannot take (no shared memory, empty
-    graphs) fall back to the *unsharded* vectorized engine on the same
-    counter rng stream — results are identical either way, so the fallback
-    only costs parallelism and is recorded loudly in the selection reason.
-    ``shards == 1`` runs the unsharded counter-rng engine directly: the
-    parity reference for every larger shard count.  A non-batch-capable
-    custom adversary raises :class:`ProtocolNotVectorizableError` under a
-    strict backend request and drops to the interpreter (shards dropped,
-    reason recorded) under ``"auto"``.
-    """
-    from repro.core.errors import ShardingUnavailableError
-    from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
-
-    shards = int(shards)
-    if shards < 1:
-        raise ExecutionError(f"shards must be >= 1, got {shards}")
-    use_kernel = negotiation.chosen == "kernel"
-    note = negotiation.rejection_note()
-    note_suffix = f" ({note})" if note else ""
-    kernel_suffix = "; compiled kernels" if use_kernel else ""
-
-    def _interpreted(reason: str) -> ExecutionResult:
-        engine = AsynchronousEngine(
-            graph,
-            protocol,
-            adversary=adversary,
-            seed=seed,
-            adversary_seed=adversary_seed,
-            inputs=inputs,
-            observer=observer,
-        )
-        result = engine.run(max_events=max_events, raise_on_timeout=raise_on_timeout)
-        result.metadata.setdefault("backend_reason", reason)
-        return result
-
-    if negotiation.chosen == "python":
-        # "auto" degraded to the interpreter (observer supplied, or the
-        # batched tiers are unavailable): the shard request is dropped, not
-        # silently honoured on a serial engine.
-        return _interpreted(
-            f"auto stayed interpreted (shards={shards} dropped)"
-            f"{note_suffix or ': batched tiers unavailable'}"
-        )
-
-    fallback_note = None
-    if shards >= 2:
+    annotation = one_process
+    batched = negotiation.chosen != "python" and (
+        backend != "auto" or graph.num_nodes >= AUTO_VECTORIZE_MIN_NODES
+    )
+    if batched and sharded:
+        from repro.core.errors import ShardingUnavailableError
         from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
 
         try:
-            engine = ShardedAsyncEngine(
-                graph,
-                protocol,
-                adversary=adversary,
-                seed=seed,
-                adversary_seed=adversary_seed,
-                inputs=inputs,
-                shards=shards,
-            )
+            engine = ShardedAsyncEngine(graph, protocol, shards=shards, **common)
         except ShardingUnavailableError as exc:
-            fallback_note = str(exc)
+            unsharded = str(exc)
         except ProtocolNotVectorizableError as exc:
             if backend != "auto":
                 raise
-            return _interpreted(
-                f"auto fell back to the interpreter (shards={shards} dropped): {exc}"
-            )
+            # The unsharded batched engine would refuse the same adversary.
+            batched = False
+            reason = f"auto fell back to the interpreter{dropped}: {exc}"
         else:
             info = engine.shard_info
             annotation = dict(
@@ -500,62 +386,70 @@ def _run_sharded_asynchronous(
                 cut_edges=info["cut_edges"],
                 halo_bytes_per_bucket=info["halo_bytes_per_bucket"],
                 partition_strategy=info["partition_strategy"],
-                backend_reason=(
-                    f"async buckets sharded over {info['shard_count']} workers "
-                    f"({info['partition_strategy']} partition, "
-                    f"cut={info['cut_edges']}); counter rng{note_suffix}"
-                ),
             )
-            try:
-                result = engine.run(
-                    max_events=max_events, raise_on_timeout=raise_on_timeout
-                )
-            except OutputNotReachedError as exc:
-                if exc.result is not None:
-                    exc.result.metadata.update(annotation)
+            reason = (
+                f"async buckets sharded over {info['shard_count']} workers "
+                f"({info['partition_strategy']} partition, cut={info['cut_edges']})"
+            )
+    if batched and engine is None:
+        from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
+
+        try:
+            engine = VectorizedAsynchronousEngine(
+                graph, protocol, table=table, use_kernel=use_kernel, **common
+            )
+        except ProtocolNotVectorizableError as exc:
+            if backend != "auto":
                 raise
-            finally:
-                engine.close()
-            result.metadata.update(annotation)
-            return result
+            reason = f"auto fell back to the interpreter{dropped}: {exc}"
+        else:
+            reason = "protocol and adversary support event batching"
+            if use_kernel:
+                reason += "; compiled kernels"
+    if engine is None:
+        if reason is None:  # chosen up front, not fallen back to
+            if backend == "python":
+                reason = "backend='python' requested"
+            elif observer is not None:
+                reason = f"per-transition observers require the interpreted engine{dropped}"
+            elif negotiation.chosen == "python":
+                reason = f"auto stayed interpreted{dropped}: {note}"
+            else:
+                reason = (
+                    f"auto stayed interpreted{dropped}: n < {AUTO_VECTORIZE_MIN_NODES} "
+                    "(batching overhead dominates on small networks)"
+                )
+        engine = AsynchronousEngine(graph, protocol, observer=observer, **common)
+    else:
+        if note:
+            reason += f" ({note})"
+        if unsharded is not None:
+            reason = f"shards={shards} requested but {unsharded}; ran unsharded ({reason})"
+
+    def execute(chosen) -> ExecutionResult:
+        try:
+            result = chosen.run(max_events=max_events, raise_on_timeout=raise_on_timeout)
+        except OutputNotReachedError as exc:
+            if exc.result is not None:
+                exc.result.metadata.update(annotation, backend_reason=reason)
+            raise
+        finally:
+            close = getattr(chosen, "close", None)
+            if close is not None:  # sharded engines own workers + segments
+                close()
+        result.metadata.update(annotation, backend_reason=reason)
+        return result
 
     try:
-        engine = VectorizedAsynchronousEngine(
-            graph,
-            protocol,
-            adversary=adversary,
-            seed=seed,
-            adversary_seed=adversary_seed,
-            inputs=inputs,
-            table=table,
-            use_kernel=use_kernel,
-            rng_mode="counter",
-        )
+        return execute(engine)
     except ProtocolNotVectorizableError as exc:
-        if backend != "auto":
+        # A lazy table can refuse the protocol mid-run (state budget, a
+        # failing cell evaluation); "auto" then reruns on the interpreter.
+        if backend != "auto" or isinstance(engine, AsynchronousEngine):
             raise
-        return _interpreted(
-            f"auto fell back to the interpreter (shards={shards} dropped): {exc}"
-        )
-    if fallback_note is not None:
-        reason = (
-            f"shards={shards} requested but {fallback_note}; ran unsharded "
-            f"(counter rng{kernel_suffix}){note_suffix}"
-        )
-    else:
-        reason = (
-            f"shards=1: unsharded async run on the counter rng stream"
-            f"{kernel_suffix}{note_suffix}"
-        )
-    result = engine.run(max_events=max_events, raise_on_timeout=raise_on_timeout)
-    result.metadata.update(
-        shard_count=1,
-        cut_edges=0,
-        halo_bytes_per_bucket=0,
-        partition_strategy="none",
-    )
-    result.metadata.setdefault("backend_reason", reason)
-    return result
+        annotation = one_process
+        reason = f"auto fell back to the interpreter{dropped}: {exc}"
+        return execute(AsynchronousEngine(graph, protocol, observer=observer, **common))
 
 
 def run_asynchronous(

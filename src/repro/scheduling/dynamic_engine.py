@@ -91,13 +91,12 @@ def _run_dynamic(
       tuples;
     * ``"restart_counts"`` — how many nodes each disturbance restarted.
 
-    ``shards`` opts every segment into intra-run sharded execution (see
-    :mod:`repro.scheduling.sharded_engine`) on the counter rng stream;
-    warm-start configurations are carried into the shard workers, so a
-    sharded dynamic run is bitwise-identical to ``shards=1`` and to the
-    unsharded counter-rng run.  The partition statistics of the *first*
-    segment are recorded in the result metadata (later segments re-partition
-    each churned snapshot).
+    ``shards`` splits every segment across shard workers (see
+    :mod:`repro.scheduling.sharded_engine`); warm-start configurations are
+    carried into the shard workers, so a sharded dynamic run is
+    bitwise-identical to the unsharded one.  The partition statistics of
+    the *first* segment are recorded in the result metadata (later segments
+    re-partition each churned snapshot).
     """
     if not isinstance(churn, ChurnPolicy):
         raise ExecutionError(

@@ -13,13 +13,12 @@ This module compiles the same loops to native code with numba's
 tier of the backend ladder (python → vectorized → kernel) negotiated by
 :func:`repro.api.backends.negotiate_backend`:
 
-* :func:`sync_run_counter` — the fully fused synchronous round loop on the
-  counter rng stream (census → table lookup → SplitMix64 pick → letter
-  write, repeated until an output configuration or the round bound), used
-  when no per-round observer is attached;
+* :func:`sync_run_counter` — the fully fused synchronous round loop
+  (census → table lookup → SplitMix64 pick → letter write, repeated until
+  an output configuration or the round bound), used when no per-round
+  observer is attached;
 * :func:`sync_census_cells` / :func:`sync_apply` — the two-stage split of
-  one round, used when the pick stream must be drawn in Python between the
-  stages (``rng_mode="python"`` interpreter parity, per-round observers);
+  one round, used when a per-round observer must see every round;
 * :func:`shard_round` — the per-worker round body of
   :class:`~repro.scheduling.sharded_engine.ShardedVectorizedEngine`,
   operating on a ``lo:hi`` row slice of the shared-memory state;
@@ -66,11 +65,8 @@ from repro.core.errors import (
     OutputNotReachedError,
     ProtocolNotVectorizableError,
 )
-from repro.scheduling.vectorized_engine import (
-    DEFAULT_MAX_ROUNDS,
-    VectorizedEngine,
-    counter_base_key,
-)
+from repro.scheduling.picks import counter_base_key
+from repro.scheduling.vectorized_engine import DEFAULT_MAX_ROUNDS, VectorizedEngine
 
 #: Detail string reported (and asserted by tests) when numba is missing.
 KERNEL_UNAVAILABLE_REASON = "numba is not installed"
@@ -237,13 +233,13 @@ def sync_run_counter(
     start_round,
     max_rounds,
 ):
-    """The fully fused synchronous round loop on the counter rng stream.
+    """The fully fused synchronous round loop.
 
     Runs rounds in place until every node sits in an output state or the
     round bound is hit; returns ``(round_index, messages_sent, reached)``.
-    Picks are drawn exactly as :func:`repro.scheduling.vectorized_engine.
-    counter_picks` draws them: ``SplitMix64(round_key ^ node_key) mod k``
-    for multi-option nodes, index 0 (no draw) otherwise.
+    Picks are drawn exactly as :func:`repro.scheduling.picks.counter_picks`
+    draws them: ``SplitMix64(round_key ^ node_key) mod k`` for multi-option
+    nodes, index 0 (no draw) otherwise.
     """
     n = state.shape[0]
     num_edges = edge_src.shape[0]
@@ -428,11 +424,10 @@ class KernelVectorizedEngine(VectorizedEngine):
     :class:`ProtocolNotVectorizableError` (``backend="auto"`` then settles
     on the vectorized tier — recorded, never silent).
 
-    On the counter rng stream with no per-round observer attached, ``run``
-    executes the whole round loop in one :func:`sync_run_counter` call;
-    every other configuration steps through the two-stage
-    :func:`sync_census_cells`/:func:`sync_apply` pair so the Python-replay
-    pick stream (interpreter bitwise parity) still interleaves correctly.
+    With no per-round observer attached, ``run`` executes the whole round
+    loop in one :func:`sync_run_counter` call; an observed run steps through
+    the two-stage :func:`sync_census_cells`/:func:`sync_apply` pair so the
+    observer sees every round.
     """
 
     def __init__(
@@ -441,12 +436,10 @@ class KernelVectorizedEngine(VectorizedEngine):
         protocol,
         *,
         seed=None,
-        rng=None,
         inputs=None,
         observer=None,
         compiled=None,
         table=None,
-        rng_mode="python",
         rng_node_keys=None,
         initial_states=None,
         initial_letters=None,
@@ -467,11 +460,9 @@ class KernelVectorizedEngine(VectorizedEngine):
             graph,
             protocol,
             seed=seed,
-            rng=rng,
             inputs=inputs,
             observer=observer,
             compiled=compiled,
-            rng_mode=rng_mode,
             rng_node_keys=rng_node_keys,
             initial_states=initial_states,
             initial_letters=initial_letters,
@@ -516,7 +507,7 @@ class KernelVectorizedEngine(VectorizedEngine):
         *,
         raise_on_timeout: bool = False,
     ):
-        if self._rng_mode != "counter" or self._observer is not None:
+        if self._observer is not None:
             return super().run(
                 max_rounds=max_rounds, raise_on_timeout=raise_on_timeout
             )
@@ -535,7 +526,7 @@ class KernelVectorizedEngine(VectorizedEngine):
             compiled.option_emit,
             compiled.output_mask,
             self._node_keys,
-            np.uint64(counter_base_key(self._seed)),
+            np.uint64(counter_base_key(self._pick_seed)),
             compiled.tabulation.bounding,
             compiled.num_letters,
             self._round,

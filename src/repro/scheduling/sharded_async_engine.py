@@ -42,15 +42,13 @@ workers then commit only the steps at or before it.  Ordinary buckets
 in one phase with two barriers, exactly like the synchronous shards.
 
 Determinism contract.  Sharded asynchronous execution is **bitwise
-identical** to the unsharded vectorized engine running
-``rng_mode="counter"`` — for every shard count, including 1.  The
-multi-option picks are pure hashes of ``(seed, original node id, step)``
-(:func:`~repro.scheduling.vectorized_async_engine.async_counter_pick`),
-the adversary draws are pure counter functions, and every remaining
-bucket computation is per-node arithmetic that slicing cannot change.
-The legacy serial ``random.Random`` stream (``shards=None``) cannot be
-partitioned; requesting ``shards=`` opts into the counter stream, and
-``shards=1`` runs it unsharded as the parity reference.
+identical** to the unsharded engines — the vectorized engine and the
+interpreter alike — for every shard count.  The multi-option picks are
+pure hashes of ``(seed, original node id, step)``
+(:func:`~repro.scheduling.picks.async_counter_pick`), the adversary draws
+are pure counter functions, and every remaining bucket computation is
+per-node arithmetic that slicing cannot change.  The parent resolves the
+run's pick key once and hands it to every worker.
 """
 
 from __future__ import annotations
@@ -105,10 +103,7 @@ from repro.scheduling.sharded_engine import (
     _release_segment,
     sharding_supported,
 )
-from repro.scheduling.vectorized_async_engine import (
-    async_counter_picks,
-    async_pick_base,
-)
+from repro.scheduling.picks import async_counter_picks, async_pick_base, resolve_pick_seed
 
 import os
 import weakref
@@ -145,7 +140,7 @@ class _AsyncShardWorker:
         dyn,
         lo,
         hi,
-        seed,
+        pick_base,
         protocol,
         schedule,
         inputs,
@@ -175,7 +170,7 @@ class _AsyncShardWorker:
 
         self.schedule = schedule
         self.static_bound = static_bound
-        self.pick_base = async_pick_base(seed)
+        self.pick_base = pick_base
         self.table = LazyStrictTable(protocol, max_states=max_states)
         # Cross-worker letter-id consistency: the table pre-interns the
         # declared alphabet in a fixed order, so alphabet letter ids agree
@@ -465,7 +460,7 @@ def _worker_loop(
     dynamic_layout,
     lo,
     hi,
-    seed,
+    pick_base,
     protocol,
     schedule,
     inputs,
@@ -486,7 +481,7 @@ def _worker_loop(
         dyn,
         lo,
         hi,
-        seed,
+        pick_base,
         protocol,
         schedule,
         inputs,
@@ -514,7 +509,7 @@ def _shard_worker_main(
     dynamic_layout,
     lo,
     hi,
-    seed,
+    pick_base,
     protocol,
     schedule,
     inputs,
@@ -538,7 +533,7 @@ def _shard_worker_main(
             dynamic_layout,
             lo,
             hi,
-            seed,
+            pick_base,
             protocol,
             schedule,
             inputs,
@@ -736,6 +731,7 @@ class ShardedAsyncEngine:
         self._queue = self._ctx.Queue()
 
         inputs_map = dict(inputs or {})
+        pick_base = async_pick_base(resolve_pick_seed(seed))
         self._worker_args = [
             (
                 s,
@@ -745,7 +741,7 @@ class ShardedAsyncEngine:
                 self._dynamic_layout,
                 int(bounds[s]),
                 int(bounds[s + 1]),
-                seed,
+                pick_base,
                 protocol,
                 schedule,
                 inputs_map,
@@ -767,7 +763,6 @@ class ShardedAsyncEngine:
             # per bucket, double-buffered across bucket parity.
             "halo_bytes_per_bucket": halo_size * 16,
             "partition_strategy": self._partition.strategy,
-            "rng": "counter",
         }
 
     # ------------------------------------------------------------------ #
@@ -799,16 +794,9 @@ class ShardedAsyncEngine:
             raise ExecutionError(f"shard worker(s) died mid-run: {codes}")
 
     def _abort(self) -> None:
-        for barrier in (
-            self._start_barrier,
-            self._mid_barrier,
-            self._resume_barrier,
-            self._done_barrier,
-        ):
-            try:
-                barrier.abort()
-            except Exception:
-                pass
+        # Terminate rather than abort the barriers: a worker killed inside a
+        # barrier wait dies holding the barrier's lock, so ``abort()`` would
+        # block this process forever.
         for worker in self._workers:
             if worker.is_alive():
                 worker.terminate()

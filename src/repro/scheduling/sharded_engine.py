@@ -13,7 +13,7 @@ Memory layout (two POSIX shared-memory segments, zero-copy)::
       strides, state_base, cell_offset, cell_count,
       option_next, option_emit, output_mask
                          the dense CompiledProtocol tables
-      node_keys          original node id of each permuted node (rng keys)
+      node_keys          original node id of each permuted node (pick keys)
 
     dynamic segment (slice-owned per worker)
       state              per-node state ids, permuted order
@@ -43,17 +43,14 @@ cross shard boundaries.  Each round is fenced by two barriers::
     worker:                   start barrier ──▶ compute slice ──▶ done barrier
 
 Determinism contract.  Sharded execution is **bitwise identical** to the
-unsharded vectorized engine running ``rng_mode="counter"`` — for every
-shard count, including 1.  Two ingredients make that true: the per-node
+unsharded engines — the vectorized engine and the interpreter alike — for
+every shard count.  Two ingredients make that true: the per-node
 census/transition math is pure integer array arithmetic (slicing it by rows
-changes nothing), and the rng stream is *partitioned per node, not per
+changes nothing), and the pick stream is *partitioned per node, not per
 worker draw order* — each pick is a pure hash of ``(seed, round, original
-node id)`` (:func:`repro.scheduling.vectorized_engine.counter_picks`), so
-neither the BFS relabelling nor the worker count can shift anyone's draws.
-The legacy ``rng_mode="python"`` stream is inherently serial (one generator
-advanced in node order) and cannot be partitioned; requesting ``shards=``
-therefore *opts into* the counter stream, and ``shards=1`` runs it without
-any worker machinery as the parity reference.
+node id)`` (:func:`repro.scheduling.picks.counter_picks`), so neither the
+BFS relabelling nor the worker count can shift anyone's draws.  The parent
+resolves an unseeded run's pick seed once and hands it to every worker.
 """
 
 from __future__ import annotations
@@ -89,12 +86,8 @@ from repro.core.results import ExecutionResult, build_synchronous_result
 from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_graph, permute_csr
 from repro.scheduling.compiled import CompiledProtocol, compile_protocol
-from repro.scheduling.vectorized_engine import (
-    DEFAULT_MAX_ROUNDS,
-    _require_numpy,
-    counter_picks,
-    counter_round_key,
-)
+from repro.scheduling.picks import counter_picks, counter_round_key, resolve_pick_seed
+from repro.scheduling.vectorized_engine import DEFAULT_MAX_ROUNDS, _require_numpy
 
 #: Control words written by the parent before releasing the start barrier.
 _RUN = 1
@@ -200,7 +193,7 @@ def _worker_loop(
     dynamic_layout,
     lo,
     hi,
-    seed,
+    pick_seed,
     bounding,
     num_letters,
     use_kernel,
@@ -214,8 +207,8 @@ def _worker_loop(
 
     With ``use_kernel`` the round body runs as the compiled
     :func:`repro.scheduling.kernels.shard_round` kernel instead of the NumPy
-    expression below; both are bitwise-identical on the counter rng stream,
-    so the choice never changes a result.
+    expression below; both are bitwise-identical, so the choice never
+    changes a result.
     """
     tables = _attach_views(static, static_layout)
     dyn = _attach_views(dynamic, dynamic_layout)
@@ -267,7 +260,7 @@ def _worker_loop(
                 option_next,
                 option_emit,
                 node_keys,
-                np.uint64(counter_round_key(seed, round_index)),
+                np.uint64(counter_round_key(pick_seed, round_index)),
                 bounding,
                 num_letters,
             )
@@ -282,7 +275,7 @@ def _worker_loop(
             obs_id = (saturated * strides[local_state]).sum(axis=1)
             cell = state_base[local_state] + obs_id
             option_count = cell_count[cell]
-            pick = counter_picks(seed, round_index, node_keys, option_count)
+            pick = counter_picks(pick_seed, round_index, node_keys, option_count)
             selected = cell_offset[cell] + pick
             new_state = option_next[selected]
             emitted = option_emit[selected]
@@ -303,7 +296,7 @@ def _shard_worker_main(
     dynamic_layout,
     lo: int,
     hi: int,
-    seed,
+    pick_seed: int,
     bounding: int,
     num_letters: int,
     use_kernel: bool,
@@ -322,7 +315,7 @@ def _shard_worker_main(
             dynamic_layout,
             lo,
             hi,
-            seed,
+            pick_seed,
             bounding,
             num_letters,
             use_kernel,
@@ -361,7 +354,7 @@ class ShardedVectorizedEngine:
     lazy table grows under a parent-side lock and would serialize every
     round — so protocols hinting ``"lazy"`` raise
     :class:`~repro.core.errors.ShardingUnavailableError` (callers fall back
-    to the unsharded counter-rng engine; results are identical).
+    to the unsharded engine; results are identical).
 
     Engines own kernel resources: call :meth:`close` (or use the engine as
     a context manager) to release workers and shared-memory segments.  The
@@ -519,6 +512,7 @@ class ShardedVectorizedEngine:
         self._done_barrier = self._ctx.Barrier(num_shards + 1)
 
         bounds = self._partition.bounds
+        pick_seed = resolve_pick_seed(seed)
         self._worker_args = [
             (
                 s,
@@ -528,7 +522,7 @@ class ShardedVectorizedEngine:
                 self._dynamic_layout,
                 int(bounds[s]),
                 int(bounds[s + 1]),
-                seed,
+                pick_seed,
                 int(compiled.tabulation.bounding),
                 int(compiled.num_letters),
                 bool(use_kernel),
@@ -545,7 +539,6 @@ class ShardedVectorizedEngine:
             "halo_bytes_per_round": directed_cut
             * np.dtype(np.int64).itemsize,
             "partition_strategy": self._partition.strategy,
-            "rng": "counter",
         }
 
     # ------------------------------------------------------------------ #
@@ -640,11 +633,9 @@ class ShardedVectorizedEngine:
             raise ExecutionError(f"shard worker(s) died mid-run: {codes}")
 
     def _abort(self) -> None:
-        for barrier in (self._start_barrier, self._done_barrier):
-            try:
-                barrier.abort()
-            except Exception:
-                pass
+        # Terminate rather than abort the barriers: a worker killed inside a
+        # barrier wait dies holding the barrier's lock, so ``abort()`` would
+        # block this process forever.
         for worker in self._workers:
             if worker.is_alive():
                 worker.terminate()

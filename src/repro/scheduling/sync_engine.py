@@ -16,7 +16,6 @@ validate Theorem 3.1.
 
 from __future__ import annotations
 
-import random
 import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from repro.core.network import NetworkState
 from repro.core.protocol import ExtendedProtocol, Protocol, State
 from repro.core.results import ExecutionResult, build_synchronous_result
 from repro.graphs.graph import Graph
+from repro.scheduling.picks import counter_pick, counter_round_key, resolve_pick_seed
 
 RoundObserver = Callable[[int, tuple[State, ...]], None]
 """Callback invoked after every round with ``(round_index, states)``."""
@@ -56,7 +56,8 @@ class SynchronousEngine:
         :class:`Protocol` (single query letter per state).
     seed:
         Seed for the protocol's random choices (uniform draws from the option
-        sets of the transition function).
+        sets of the transition function, taken from the counter pick stream
+        of :mod:`repro.scheduling.picks`; ``None`` draws fresh randomness).
     inputs:
         Optional mapping from node to input value, forwarded to
         ``protocol.initial_state``.
@@ -79,7 +80,6 @@ class SynchronousEngine:
         protocol: ExtendedProtocol | Protocol,
         *,
         seed: int | None = None,
-        rng: random.Random | None = None,
         inputs: Mapping[int, Any] | None = None,
         observer: RoundObserver | None = None,
         initial_states: Sequence[State] | None = None,
@@ -92,8 +92,8 @@ class SynchronousEngine:
             raise ExecutionError(
                 f"cannot execute object of type {type(protocol).__name__}"
             )
-        self._rng = rng if rng is not None else random.Random(seed)
         self._seed = seed
+        self._pick_seed = resolve_pick_seed(seed)
         self._observer = observer
         inputs = dict(inputs or {})
         if initial_states is None:
@@ -102,6 +102,11 @@ class SynchronousEngine:
             ]
         else:
             initial_states = list(initial_states)
+        if initial_letters is not None and len(initial_letters) != graph.num_nodes:
+            raise ExecutionError(
+                "initial_letters must hold one letter per node "
+                f"(expected {graph.num_nodes}, got {len(initial_letters)})"
+            )
         self._state = NetworkState(graph, initial_states, protocol.initial_letter)
         self._last = [protocol.initial_letter] * graph.num_nodes
         if initial_letters is not None:
@@ -150,7 +155,7 @@ class SynchronousEngine:
     # ------------------------------------------------------------------ #
     # Execution                                                           #
     # ------------------------------------------------------------------ #
-    def _decide(self, node: int) -> tuple[State, Any]:
+    def _decide(self, node: int, round_key: int) -> tuple[State, Any]:
         """Compute one node's transition from the current port contents."""
         protocol = self._protocol
         state = self._state.states[node]
@@ -168,12 +173,13 @@ class SynchronousEngine:
         if len(choices) == 1:
             chosen = choices[0]
         else:
-            chosen = choices[self._rng.randrange(len(choices))]
+            chosen = choices[counter_pick(round_key, node, len(choices))]
         return chosen.state, chosen.emit
 
     def step_round(self) -> None:
         """Execute one fully synchronous round for all nodes."""
-        decisions = [self._decide(node) for node in self._graph.nodes]
+        round_key = counter_round_key(self._pick_seed, self._round)
+        decisions = [self._decide(node, round_key) for node in self._graph.nodes]
         emitters = []
         for node, (new_state, emit) in enumerate(decisions):
             self._state.states[node] = new_state
@@ -261,169 +267,6 @@ class BackendSelection:
     rejected: tuple[tuple[str, str], ...] = ()
 
 
-def _make_sharded_engine(
-    graph: Graph,
-    protocol: ExtendedProtocol | Protocol,
-    *,
-    backend: str,
-    seed: int | None,
-    inputs: Mapping[int, Any] | None,
-    observer: RoundObserver | None,
-    compiled,
-    table,
-    shards: int,
-    negotiation,
-    initial_states=None,
-    initial_letters=None,
-):
-    """Instantiate the engine for a ``shards=`` request.
-
-    ``shards >= 2`` builds a :class:`~repro.scheduling.sharded_engine.
-    ShardedVectorizedEngine`; workloads the sharded backend cannot take
-    (lazy tables, empty graphs) fall back to the *unsharded* vectorized
-    engine on the same counter rng stream — results are identical either
-    way, so the fallback only costs parallelism and is recorded in the
-    selection reason.  ``shards == 1`` runs the unsharded counter-rng
-    engine directly: the parity reference for every larger shard count.
-
-    When the negotiated tier is ``"kernel"`` the shard workers (and the
-    unsharded fallback engine) execute the compiled round kernels — the
-    counter rng stream is a pure hash, so results are bitwise-identical
-    to the plain vectorized workers either way.
-    """
-    from repro.core.errors import ShardingUnavailableError
-    from repro.scheduling.vectorized_engine import VectorizedEngine
-
-    shards = int(shards)
-    if shards < 1:
-        raise ExecutionError(f"shards must be >= 1, got {shards}")
-
-    use_kernel = negotiation.chosen == "kernel"
-    rejected = tuple(negotiation.rejected)
-    tier = "kernel" if use_kernel else "vectorized"
-    kernel_suffix = "; compiled kernels" if use_kernel else ""
-    note = negotiation.rejection_note()
-    note_suffix = f" ({note})" if note else ""
-
-    fallback_note = None
-    if shards >= 2 and table is not None:
-        fallback_note = (
-            "a lazy table was supplied (sharding requires the eager closure)"
-        )
-    elif shards >= 2:
-        from repro.scheduling.sharded_engine import ShardedVectorizedEngine
-
-        try:
-            engine = ShardedVectorizedEngine(
-                graph,
-                protocol,
-                seed=seed,
-                inputs=inputs,
-                observer=observer,
-                compiled=compiled,
-                shards=shards,
-                use_kernel=use_kernel,
-                initial_states=initial_states,
-                initial_letters=initial_letters,
-            )
-        except ShardingUnavailableError as exc:
-            fallback_note = str(exc)
-        except ProtocolNotVectorizableError as exc:
-            if backend != "auto":
-                raise
-            reason = (
-                f"auto fell back to the interpreter (shards={shards} "
-                f"dropped): {exc}"
-            )
-            engine = SynchronousEngine(
-                graph,
-                protocol,
-                seed=seed,
-                inputs=inputs,
-                observer=observer,
-                initial_states=initial_states,
-                initial_letters=initial_letters,
-            )
-            return engine, BackendSelection(
-                backend,
-                "python",
-                "interpreted",
-                reason,
-                rejected + ((tier, str(exc)),),
-            )
-        else:
-            info = engine.shard_info
-            reason = (
-                f"eager table sharded over {info['shard_count']} workers "
-                f"({info['partition_strategy']} partition, "
-                f"cut={info['cut_edges']}); counter rng"
-                f"{kernel_suffix}{note_suffix}"
-            )
-            return engine, BackendSelection(
-                backend, tier, "sharded", reason, rejected
-            )
-
-    engine_cls = VectorizedEngine
-    if use_kernel:
-        from repro.scheduling.kernels import KernelVectorizedEngine
-
-        engine_cls = KernelVectorizedEngine
-    try:
-        engine = engine_cls(
-            graph,
-            protocol,
-            seed=seed,
-            inputs=inputs,
-            observer=observer,
-            compiled=compiled,
-            table=table,
-            rng_mode="counter",
-            initial_states=initial_states,
-            initial_letters=initial_letters,
-        )
-    except ProtocolNotVectorizableError as exc:
-        if backend != "auto":
-            raise
-        reason = (
-            f"auto fell back to the interpreter (shards={shards} dropped): {exc}"
-        )
-        engine = SynchronousEngine(
-            graph,
-            protocol,
-            seed=seed,
-            inputs=inputs,
-            observer=observer,
-            initial_states=initial_states,
-            initial_letters=initial_letters,
-        )
-        return engine, BackendSelection(
-            backend,
-            "python",
-            "interpreted",
-            reason,
-            rejected + ((tier, str(exc)),),
-        )
-    mode = engine.tabulation_mode
-    if fallback_note is not None:
-        reason = (
-            f"shards={shards} requested but {fallback_note}; ran unsharded "
-            f"({mode} table, counter rng{kernel_suffix}){note_suffix}"
-        )
-    else:
-        reason = (
-            f"shards=1: unsharded {tier} run on the counter rng stream "
-            f"({mode} table){note_suffix}"
-        )
-    engine.shard_info = {
-        "shard_count": 1,
-        "cut_edges": 0,
-        "halo_bytes_per_round": 0,
-        "partition_strategy": "none",
-        "rng": "counter",
-    }
-    return engine, BackendSelection(backend, tier, mode, reason, rejected)
-
-
 def _make_engine(
     graph: Graph,
     protocol: ExtendedProtocol | Protocol,
@@ -452,16 +295,25 @@ def _make_engine(
     available tier and recording why each skipped tier was ruled out.  All
     paths produce bitwise-identical results for the same seed.
 
-    ``shards`` opts into intra-run sharded execution (and the counter rng
-    stream — a *different* deterministic sequence from the default serial
-    stream; see :mod:`repro.scheduling.sharded_engine`).  It composes with
-    the table-driven tiers only: the interpreter is serial by
-    construction, so ``backend="python"`` with ``shards=`` is an error.
+    ``shards`` is a pure performance knob: ``None`` and ``1`` are the same
+    run, and ``shards >= 2`` first tries a :class:`~repro.scheduling.
+    sharded_engine.ShardedVectorizedEngine` on the negotiated table tier.
+    Workloads it cannot take (lazy tables, empty graphs) run unsharded with
+    the reason recorded.  The interpreter is serial by construction, so
+    ``backend="python"`` with ``shards >= 2`` is an error and ``"auto"``
+    drops the request when it falls back to it.  The engine of a
+    ``shards >= 2`` request carries a ``shard_info`` dict for the result
+    metadata (one shard when it runs on one process).
     """
     if backend not in BACKENDS:
         raise ExecutionError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
+    if shards is not None:
+        shards = int(shards)
+        if shards < 1:
+            raise ExecutionError(f"shards must be >= 1, got {shards}")
+    sharded = shards is not None and shards >= 2
     from repro.api.backends import Workload, negotiate_backend
 
     if table is not None:
@@ -474,74 +326,77 @@ def _make_engine(
         Workload(
             environment="sync",
             tabulation=tabulation,
-            shards=shards,
+            shards=shards if sharded else None,
             observer=observer is not None,
         ),
         backend,
     )
-    if shards is not None:
-        return _make_sharded_engine(
-            graph,
-            protocol,
-            backend=backend,
-            seed=seed,
-            inputs=inputs,
-            observer=observer,
-            compiled=compiled,
-            table=table,
-            shards=shards,
-            negotiation=negotiation,
-            initial_states=initial_states,
-            initial_letters=initial_letters,
-        )
+    common = dict(
+        seed=seed,
+        inputs=inputs,
+        observer=observer,
+        initial_states=initial_states,
+        initial_letters=initial_letters,
+    )
+    tiers = negotiation.tiers
     rejected = list(negotiation.rejected)
-    for tier in negotiation.tiers:
-        if tier == "kernel":
-            from repro.scheduling.kernels import KernelVectorizedEngine
+    engine = None
+    unsharded = None  # why a shards >= 2 request runs on one process
+    if sharded and tiers[0] != "python":
+        if table is not None:
+            unsharded = "a lazy table was supplied (sharding requires the eager closure)"
+        else:
+            from repro.core.errors import ShardingUnavailableError
+            from repro.scheduling.sharded_engine import ShardedVectorizedEngine
 
             try:
-                engine = KernelVectorizedEngine(
+                engine = ShardedVectorizedEngine(
                     graph,
                     protocol,
-                    seed=seed,
-                    inputs=inputs,
-                    observer=observer,
                     compiled=compiled,
-                    initial_states=initial_states,
-                    initial_letters=initial_letters,
+                    shards=shards,
+                    use_kernel=tiers[0] == "kernel",
+                    **common,
                 )
+            except ShardingUnavailableError as exc:
+                unsharded = str(exc)
             except ProtocolNotVectorizableError as exc:
                 if backend != "auto":
                     raise
-                rejected.append(("kernel", str(exc)))
-                continue
-            origin = (
-                "caller-supplied" if compiled is not None
-                else "reachable closure enumerated"
-            )
-            reason = f"{origin}; eager table; compiled kernels"
-            return engine, BackendSelection(
-                backend, "kernel", "eager", reason, tuple(rejected)
-            )
-        if tier == "vectorized":
-            from repro.scheduling.vectorized_engine import VectorizedEngine
-
-            try:
-                engine = VectorizedEngine(
-                    graph,
-                    protocol,
-                    seed=seed,
-                    inputs=inputs,
-                    observer=observer,
-                    compiled=compiled,
-                    table=table,
-                    initial_states=initial_states,
-                    initial_letters=initial_letters,
+                # Every table tier needs the same closure: fall straight
+                # through to the interpreter instead of compiling again.
+                rejected.append((tiers[0], str(exc)))
+                tiers = ("python",)
+            else:
+                tier, mode = tiers[0], "sharded"
+                info = engine.shard_info
+                reason = (
+                    f"eager table sharded over {info['shard_count']} workers "
+                    f"({info['partition_strategy']} partition, "
+                    f"cut={info['cut_edges']})"
                 )
+
+    if engine is None:
+        for tier in tiers:
+            if tier == "python":  # the unconditional last resort
+                engine = SynchronousEngine(graph, protocol, **common)
+                mode = "interpreted"
+                if backend == "python":
+                    reason = "backend='python' requested"
+                else:
+                    dropped = f" (shards={shards} dropped)" if sharded else ""
+                    reason = f"auto fell back to the interpreter{dropped}: {rejected[-1][1]}"
+                break
+            if tier == "kernel":
+                from repro.scheduling.kernels import KernelVectorizedEngine as engine_cls
+            else:
+                from repro.scheduling.vectorized_engine import VectorizedEngine as engine_cls
+            try:
+                engine = engine_cls(graph, protocol, compiled=compiled, table=table, **common)
             except ProtocolNotVectorizableError as exc:
                 if backend != "auto":
                     raise
-                rejected.append(("vectorized", str(exc)))
+                rejected.append((tier, str(exc)))
                 continue
             mode = engine.tabulation_mode
             if table is not None or compiled is not None:
@@ -551,30 +406,20 @@ def _make_engine(
             else:
                 origin = "reachable closure enumerated"
             reason = f"{origin}; {mode} table"
-            note = "; ".join(f"{name} tier skipped: {why}" for name, why in rejected)
-            if note:
-                reason = f"{reason} ({note})"
-            return engine, BackendSelection(
-                backend, "vectorized", mode, reason, tuple(rejected)
-            )
-        # tier == "python": the unconditional last resort.
-        if backend == "python":
-            reason = "backend='python' requested"
-        else:
-            reason = f"auto fell back to the interpreter: {rejected[-1][1]}"
-        engine = SynchronousEngine(
-            graph,
-            protocol,
-            seed=seed,
-            inputs=inputs,
-            observer=observer,
-            initial_states=initial_states,
-            initial_letters=initial_letters,
+            break
+    if mode != "interpreted":
+        if tier == "kernel":
+            reason += "; compiled kernels"
+        skipped = "; ".join(f"{name} tier skipped: {why}" for name, why in rejected)
+        if skipped:
+            reason = f"{reason} ({skipped})"
+    if unsharded is not None:
+        reason = f"shards={shards} requested but {unsharded}; ran unsharded ({reason})"
+    if sharded and mode != "sharded":
+        engine.shard_info = dict(
+            shard_count=1, cut_edges=0, halo_bytes_per_round=0, partition_strategy="none"
         )
-        return engine, BackendSelection(
-            backend, "python", "interpreted", reason, tuple(rejected)
-        )
-    raise AssertionError("unreachable: negotiation always yields a tier")
+    return engine, BackendSelection(backend, tier, mode, reason, tuple(rejected))
 
 
 def select_backend(
@@ -718,10 +563,10 @@ def _run_synchronous(
     the table was built from an equivalent protocol — the engine only
     cross-checks that the initial states are present.
 
-    ``shards`` opts into intra-run sharded execution (see
-    :mod:`repro.scheduling.sharded_engine`); the partition statistics are
-    recorded under ``"shard_count"``, ``"cut_edges"``,
-    ``"halo_bytes_per_round"`` and ``"partition_strategy"``.
+    ``shards`` splits the run across shard workers (see
+    :mod:`repro.scheduling.sharded_engine`) without changing its result; the
+    partition statistics are recorded under ``"shard_count"``,
+    ``"cut_edges"``, ``"halo_bytes_per_round"`` and ``"partition_strategy"``.
     """
     record_engine_run("sync")
     engine, selection = _make_engine(

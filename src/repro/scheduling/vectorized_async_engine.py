@@ -31,17 +31,15 @@ canonical event order exactly:
    first visit, cells evaluated on first use), so synchronizer-compiled
    protocols whose reachable closure is far too large to tabulate eagerly
    still run vectorized.
-4. **Replayed randomness** — nodes with multi-option transitions draw from
-   ``random.Random`` in bucket order, which is exactly the interpreted
-   engine's draw order; together with the pure adversary schedules this
-   makes terminating runs **identical** between the two backends: same
-   outputs, same final states, same step/message counts, same normalised
-   run-time.  ``rng_mode="counter"`` replaces the serial stream with pure
-   SplitMix64 hashes of ``(seed, original node id, step index)`` — a
-   different (but equally uniform) random process whose draws need no
-   shared generator, which is what makes intra-run sharding
-   (:mod:`repro.scheduling.sharded_async_engine`) bitwise-invariant in the
-   shard count.
+4. **Counter randomness** — nodes with multi-option transitions draw from
+   the asynchronous pick stream of :mod:`repro.scheduling.picks`, a pure
+   hash of ``(seed, original node id, step index)`` that the interpreted
+   engine draws one step at a time.  Together with the pure adversary
+   schedules this makes terminating runs **identical** between the two
+   backends — same outputs, same final states, same step/message counts,
+   same normalised run-time — and, since the draws need no shared
+   generator, intra-run sharding (:mod:`repro.scheduling.
+   sharded_async_engine`) changes nothing either.
 
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
@@ -70,12 +68,9 @@ from repro.core.protocol import Protocol, State
 from repro.core.results import ExecutionResult, build_asynchronous_result
 from repro.graphs.graph import Graph
 from repro.scheduling.adversary import (
-    _MASK64,
-    _mix64_np,
     AdversaryPolicy,
     SynchronousAdversary,
     derive_adversary_seed,
-    mix64,
 )
 from repro.scheduling.async_engine import DEFAULT_MAX_EVENTS
 from repro.scheduling.compiled import (
@@ -83,51 +78,17 @@ from repro.scheduling.compiled import (
     LazyStrictTable,
     _require_numpy,
 )
-from repro.scheduling.vectorized_engine import counter_base_key
+from repro.scheduling.picks import (
+    async_counter_pick,
+    async_counter_picks,
+    async_pick_base,
+    resolve_pick_seed,
+)
 
 #: Buckets at or below this many steps run through the scalar table path —
 #: the fixed cost of an array operation needs roughly this many elements to
 #: amortise.  Both paths implement the same canonical semantics.
 SCALAR_BUCKET_CUTOFF = 12
-
-#: Stream tag separating the asynchronous option-pick draws from the
-#: synchronous counter stream (and both from the adversary draw streams).
-_ASYNC_PICK_STREAM = 0x4153_5049_434B  # "ASPICK"
-
-
-def async_pick_base(seed: int | None) -> int:
-    """Seed-level base key of the asynchronous counter pick stream.
-
-    Derived from the synchronous :func:`~repro.scheduling.vectorized_engine.
-    counter_base_key` but tagged apart, so a sync and an async run under the
-    same seed never share draws.
-    """
-    return mix64(counter_base_key(seed) ^ _ASYNC_PICK_STREAM)
-
-
-def async_counter_pick(base: int, node_key: int, step: int, n_options: int) -> int:
-    """One multi-option pick — a pure function of ``(base, node_key, step)``.
-
-    The asynchronous engine draws per *node step*, not per round, so the
-    counter coordinate is the node's 1-based step index.  Keyed by the
-    original node id, the stream is invariant under node permutations and
-    shard counts — the determinism contract of sharded execution.
-    """
-    return mix64(mix64(base ^ (node_key & _MASK64)) ^ (step & _MASK64)) % n_options
-
-
-def async_counter_picks(base, node_keys, steps, option_count):
-    """Batch variant of :func:`async_counter_pick`, bitwise-identical to it."""
-    pick = np.zeros(option_count.shape[0], dtype=np.int64)
-    multi = option_count > 1
-    if multi.any():
-        hashed = _mix64_np(np.uint64(base) ^ node_keys[multi])
-        hashed = _mix64_np(hashed ^ steps[multi].astype(np.uint64))
-        pick[multi] = (hashed % option_count[multi].astype(np.uint64)).astype(
-            np.int64
-        )
-    return pick
-
 
 class VectorizedAsynchronousEngine:
     """Executes a strict protocol under adversarial timing in event batches.
@@ -156,7 +117,6 @@ class VectorizedAsynchronousEngine:
         table: LazyStrictTable | None = None,
         max_states: int = DEFAULT_MAX_LAZY_STATES,
         use_kernel: bool = False,
-        rng_mode: str = "python",
         rng_node_keys=None,
     ) -> None:
         _require_numpy()
@@ -166,11 +126,6 @@ class VectorizedAsynchronousEngine:
             require_kernels()
             self._kernel_call = _call
         self._use_kernel = bool(use_kernel)
-        if rng_mode not in ("python", "counter"):
-            raise ExecutionError(f"unknown rng_mode {rng_mode!r}")
-        if rng_node_keys is not None and rng_mode != "counter":
-            raise ExecutionError("rng_node_keys= requires rng_mode='counter'")
-        self._rng_mode = rng_mode
         if not isinstance(protocol, Protocol):
             raise ExecutionError(
                 "the asynchronous engine executes strict protocols only; "
@@ -191,26 +146,18 @@ class VectorizedAsynchronousEngine:
         self._schedule = schedule
         self._adversary_name = adversary.name
         self._seed = seed
-        self._rng = random.Random(seed)
-        if rng_mode == "counter":
-            # Counter mode: every multi-option pick is a pure SplitMix64 hash
-            # of (seed, original node id, step index) — no generator state —
-            # so any partition of the node set draws its slice independently.
-            self._pick_base = async_pick_base(seed)
-            if rng_node_keys is None:
-                self._node_keys = np.arange(graph.num_nodes, dtype=np.uint64)
-            else:
-                self._node_keys = np.ascontiguousarray(
-                    np.asarray(rng_node_keys, dtype=np.uint64)
-                )
-                if self._node_keys.shape != (graph.num_nodes,):
-                    raise ExecutionError(
-                        "rng_node_keys must hold one key per node "
-                        f"(expected {graph.num_nodes}, got {self._node_keys.shape})"
-                    )
+        self._pick_base = async_pick_base(resolve_pick_seed(seed))
+        # Pick keys are original node ids; a permuted run passes the inverse
+        # permutation so each node keeps drawing under its original identity.
+        if rng_node_keys is None:
+            self._node_keys = np.arange(graph.num_nodes, dtype=np.uint64)
         else:
-            self._pick_base = None
-            self._node_keys = None
+            self._node_keys = np.ascontiguousarray(rng_node_keys, dtype=np.uint64)
+            if self._node_keys.shape != (graph.num_nodes,):
+                raise ExecutionError(
+                    "rng_node_keys must hold one key per node "
+                    f"(expected {graph.num_nodes}, got {self._node_keys.shape})"
+                )
         self._table = table if table is not None else LazyStrictTable(
             protocol, max_states=max_states
         )
@@ -446,12 +393,10 @@ class VectorizedAsynchronousEngine:
         Below :data:`SCALAR_BUCKET_CUTOFF` steps the fixed per-array-op cost
         dominates, so tiny buckets (small networks, or near-continuous timing
         policies whose minimum delays shrink the safe window) run through
-        plain indexing instead.  The semantics — event order, draw order,
+        plain indexing instead.  The semantics — event order, draws,
         accounting — are identical to the array path.
         """
         table = self._table
-        rng = self._rng
-        counter = self._rng_mode == "counter"
         pick_base = self._pick_base
         node_keys = self._node_keys
         schedule = self._schedule
@@ -491,12 +436,9 @@ class VectorizedAsynchronousEngine:
             step_executed = int(self._step[node])
             offset, n_options = table.cell(state_id, count)
             if n_options > 1:
-                if counter:
-                    pick = async_counter_pick(
-                        pick_base, int(node_keys[node]), step_executed, n_options
-                    )
-                else:
-                    pick = rng.randrange(n_options)
+                pick = async_counter_pick(
+                    pick_base, int(node_keys[node]), step_executed, n_options
+                )
             else:
                 pick = 0
             new_state, emit = table.option(offset + pick)
@@ -548,7 +490,6 @@ class VectorizedAsynchronousEngine:
         """Process event buckets until the first output configuration."""
         events_processed = 0
         b1 = self._b1
-        rng = self._rng
         while self._graph.num_nodes and self._output_time is None:
             if events_processed >= max_events:
                 break
@@ -598,31 +539,16 @@ class VectorizedAsynchronousEngine:
             offsets = cell_offset[cell]
             n_options = cell_count[cell]
 
-            # Optimistic apply: draw the multi-option picks in bucket order
-            # (exactly the interpreted engine's draw order) and transition the
-            # whole bucket with array lookups.  Termination is possible only
-            # when the non-output count fits inside the bucket; in that rare
-            # case (at most once per run) a prefix scan locates the exact step
-            # completing the configuration and the random stream is rewound so
-            # the discarded suffix consumes no draws.  Counter mode needs no
-            # rewind: its draws are stateless, so a discarded suffix never
-            # consumed anything.
+            # Optimistic apply: draw every multi-option pick and transition
+            # the whole bucket with array lookups.  Termination is possible
+            # only when the non-output count fits inside the bucket; in that
+            # rare case (at most once per run) a prefix scan locates the
+            # exact step completing the configuration and the suffix is
+            # discarded — the draws are stateless, so it consumed nothing.
             may_terminate = self._non_output <= len(batch)
-            if self._rng_mode == "counter":
-                picks = async_counter_picks(
-                    self._pick_base,
-                    self._node_keys[batch],
-                    self._step[batch],
-                    n_options,
-                )
-                multi = []
-                rng_snapshot = None
-            else:
-                picks = np.zeros(len(batch), dtype=np.int64)
-                multi = np.flatnonzero(n_options > 1).tolist()
-                rng_snapshot = rng.getstate() if may_terminate and multi else None
-                for i in multi:
-                    picks[i] = rng.randrange(int(n_options[i]))
+            picks = async_counter_picks(
+                self._pick_base, self._node_keys[batch], self._step[batch], n_options
+            )
             if self._use_kernel:
                 # Transitions + running-counter termination scan in one
                 # compiled pass; bitwise the gather/cumsum block below.
@@ -645,12 +571,6 @@ class VectorizedAsynchronousEngine:
                 terminated = bool(terminated)
                 if terminated:
                     self._non_output = 0
-                    if rng_snapshot is not None:
-                        rng.setstate(rng_snapshot)
-                        for i in multi:
-                            if i >= processed:
-                                break
-                            rng.randrange(int(n_options[i]))
                     batch = batch[:processed]
                     batch_times = batch_times[:processed]
                     new_states = new_states[:processed]
@@ -674,12 +594,6 @@ class VectorizedAsynchronousEngine:
                         processed = int(completing[0]) + 1
                         terminated = True
                         self._non_output = 0
-                        if rng_snapshot is not None:
-                            rng.setstate(rng_snapshot)
-                            for i in multi:
-                                if i >= processed:
-                                    break
-                                rng.randrange(int(n_options[i]))
                         batch = batch[:processed]
                         batch_times = batch_times[:processed]
                         new_states = new_states[:processed]

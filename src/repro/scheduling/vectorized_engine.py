@@ -21,17 +21,11 @@ the CSR adjacency of the graph:
    observation id with a per-state stride matrix (states only pay for the
    letters they actually query, see ``queried_letters``);
 3. **Option selection** — nodes whose option set has a single element take
-   it; the remaining nodes draw uniformly.  With ``rng_mode="python"``
-   (the default) the draws replay ``random.Random.randrange`` in ascending
-   node order, which makes the execution *bitwise identical* to the
-   interpreted engine for the same seed.  With ``rng_mode="numpy"`` the
-   draws come from a seeded :class:`numpy.random.Generator` in one
-   vectorized call — faster on option-heavy protocols, but a different
-   (still reproducible) random sequence.  With ``rng_mode="counter"`` each
-   draw is a pure hash of ``(seed, round, node id)`` — see
-   :func:`counter_picks` — which costs no generator state and is invariant
-   under node permutations and shard counts; it is the stream of sharded
-   execution (:mod:`repro.scheduling.sharded_engine`);
+   it; the remaining nodes draw uniformly from the counter pick stream of
+   :mod:`repro.scheduling.picks` — a pure hash of ``(seed, round, node
+   id)`` that the interpreted engine draws one node at a time, so the two
+   engines are *bitwise identical* for the same seed, and that shard
+   workers draw slice by slice (:mod:`repro.scheduling.sharded_engine`);
 4. **Delivery** — emitting nodes overwrite their last-letter slot and the
    message counter advances; output configurations are detected with a
    boolean mask over the state vector.
@@ -61,7 +55,6 @@ run_synchronous` catches it and falls back to the interpreted engine
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from typing import Any
 
@@ -78,7 +71,6 @@ from repro.core.errors import (
 from repro.core.protocol import ExtendedProtocol, Protocol, State
 from repro.core.results import ExecutionResult, build_synchronous_result
 from repro.graphs.graph import Graph
-from repro.scheduling.adversary import _MASK64, _mix64_np, mix64
 
 # The table machinery lives in the shared compiled-execution core; the
 # re-exports keep the historical import path working.
@@ -88,55 +80,9 @@ from repro.scheduling.compiled import (  # noqa: F401
     _require_numpy,
     compile_protocol,
 )
+from repro.scheduling.picks import counter_picks, resolve_pick_seed
 
 DEFAULT_MAX_ROUNDS = 100_000
-
-#: Stream tag keeping option-pick draws independent of the adversary streams.
-_PICK_STREAM = 0x5049_434B  # "PICK"
-#: Fixed base mixed in for unseeded runs so counter mode stays a pure function.
-_UNSEEDED_PICK_BASE = 0x5EED_C0DE_0BAD_F00D
-
-
-def counter_base_key(seed: int | None) -> int:
-    """The seed-level base key of the counter rng stream.
-
-    Factored out of :func:`counter_round_key` so the compiled kernels
-    (:mod:`repro.scheduling.kernels`) can mix the per-round component
-    natively while staying on the exact same stream.
-    """
-    return _UNSEEDED_PICK_BASE if seed is None else (seed & _MASK64) ^ _PICK_STREAM
-
-
-def counter_round_key(seed: int | None, round_index: int) -> int:
-    """The per-round base key of the counter rng stream.
-
-    A pure function of ``(seed, round_index)`` — no generator state — so any
-    partition of the node set can draw its slice of the round's randomness
-    independently.  Unseeded runs use a fixed base: counter mode is *always*
-    deterministic (unlike ``rng_mode="python"`` with ``seed=None``).
-    """
-    return mix64(mix64(counter_base_key(seed)) ^ (round_index & _MASK64))
-
-
-def counter_picks(seed, round_index, node_keys, option_count):
-    """Per-node uniform option picks from the counter rng stream.
-
-    ``pick[i] = SplitMix64(round_key ^ node_keys[i]) mod option_count[i]``
-    for every node with more than one option (single-option nodes take
-    index 0 without consuming randomness).  Because each draw depends only
-    on ``(seed, round_index, node_key)``, the stream is invariant under node
-    permutations and shard counts as long as ``node_keys`` carries the
-    *original* node ids — the determinism contract of sharded execution.
-    """
-    pick = np.zeros(option_count.shape[0], dtype=np.int64)
-    multi = option_count > 1
-    if multi.any():
-        key = np.uint64(counter_round_key(seed, round_index))
-        hashed = _mix64_np(key ^ node_keys[multi])
-        pick[multi] = (hashed % option_count[multi].astype(np.uint64)).astype(
-            np.int64
-        )
-    return pick
 
 
 class VectorizedEngine:
@@ -158,12 +104,10 @@ class VectorizedEngine:
         protocol: ExtendedProtocol | Protocol,
         *,
         seed: int | None = None,
-        rng: random.Random | None = None,
         inputs: Mapping[int, Any] | None = None,
         observer=None,
         compiled: CompiledProtocol | None = None,
         table: LazyExtendedTable | None = None,
-        rng_mode: str = "python",
         rng_node_keys=None,
         initial_states=None,
         initial_letters=None,
@@ -173,10 +117,6 @@ class VectorizedEngine:
             raise ExecutionError(
                 f"cannot execute object of type {type(protocol).__name__}"
             )
-        if rng_mode not in ("python", "numpy", "counter"):
-            raise ExecutionError(f"unknown rng_mode {rng_mode!r}")
-        if rng_node_keys is not None and rng_mode != "counter":
-            raise ExecutionError("rng_node_keys= requires rng_mode='counter'")
         if compiled is not None and table is not None:
             raise ExecutionError(
                 "pass either compiled= (eager table) or table= (lazy table), "
@@ -186,26 +126,19 @@ class VectorizedEngine:
         self._protocol = protocol
         self._seed = seed
         self._observer = observer
-        self._rng_mode = rng_mode
-        self._rng = rng if rng is not None else random.Random(seed)
-        self._np_rng = np.random.default_rng(seed) if rng_mode == "numpy" else None
-        if rng_mode == "counter":
-            # The per-node keys of the counter stream: original node ids by
-            # default; a permuted run passes the inverse permutation so each
-            # node keeps drawing under its original identity.
-            if rng_node_keys is None:
-                self._node_keys = np.arange(graph.num_nodes, dtype=np.uint64)
-            else:
-                self._node_keys = np.ascontiguousarray(
-                    rng_node_keys, dtype=np.uint64
-                )
-                if self._node_keys.shape != (graph.num_nodes,):
-                    raise ExecutionError(
-                        "rng_node_keys must hold one key per node "
-                        f"(expected {graph.num_nodes}, got {self._node_keys.shape})"
-                    )
+        self._pick_seed = resolve_pick_seed(seed)
+        # The per-node keys of the pick stream: original node ids by
+        # default; a permuted run passes the inverse permutation so each
+        # node keeps drawing under its original identity.
+        if rng_node_keys is None:
+            self._node_keys = np.arange(graph.num_nodes, dtype=np.uint64)
         else:
-            self._node_keys = None
+            self._node_keys = np.ascontiguousarray(rng_node_keys, dtype=np.uint64)
+            if self._node_keys.shape != (graph.num_nodes,):
+                raise ExecutionError(
+                    "rng_node_keys must hold one key per node "
+                    f"(expected {graph.num_nodes}, got {self._node_keys.shape})"
+                )
         #: Populated by the sharded front end; surfaces in result metadata.
         self.shard_info: dict[str, Any] | None = None
 
@@ -345,22 +278,7 @@ class VectorizedEngine:
     # ------------------------------------------------------------------ #
     def _draw_picks(self, option_count) -> "np.ndarray":
         """Per-node option indices; multi-option nodes draw uniform randoms."""
-        if self._rng_mode == "counter":
-            return counter_picks(
-                self._seed, self._round, self._node_keys, option_count
-            )
-        pick = np.zeros(len(option_count), dtype=np.int64)
-        multi = option_count > 1
-        if multi.any():
-            if self._rng_mode == "python":
-                # Replay random.Random in ascending node order: exactly the
-                # draw sequence of the interpreted engine (bitwise parity).
-                randrange = self._rng.randrange
-                nodes = np.flatnonzero(multi)
-                pick[nodes] = [randrange(int(k)) for k in option_count[nodes]]
-            else:
-                pick[multi] = self._np_rng.integers(0, option_count[multi])
-        return pick
+        return counter_picks(self._pick_seed, self._round, self._node_keys, option_count)
 
     def step_round(self) -> None:
         """Execute one fully synchronous round for all nodes as array ops."""
@@ -482,7 +400,6 @@ def run_vectorized(
     raise_on_timeout: bool = True,
     compiled: CompiledProtocol | None = None,
     table: LazyExtendedTable | None = None,
-    rng_mode: str = "python",
     rng_node_keys=None,
 ) -> ExecutionResult:
     """Convenience wrapper: compile, build a :class:`VectorizedEngine`, run it.
@@ -500,7 +417,6 @@ def run_vectorized(
         observer=observer,
         compiled=compiled,
         table=table,
-        rng_mode=rng_mode,
         rng_node_keys=rng_node_keys,
     )
     return engine.run(max_rounds=max_rounds, raise_on_timeout=raise_on_timeout)

@@ -2,7 +2,7 @@
 
 The vectorized asynchronous engine replays the interpreted engine's
 canonical event order (deliveries before steps at equal instants, steps by
-node id) and its ``random.Random`` draw sequence, and the shipped adversary
+node id), both draw the same counter picks, and the shipped adversary
 schedules are pure functions of the draw coordinates — so for every
 (policy, protocol, graph, seed) combination a *terminating* run must produce
 identical results on both backends: outputs, reached_output, final states,

@@ -1,15 +1,16 @@
 """Sharded asynchronous execution parity matrix and shared-memory hygiene.
 
 The asynchronous sharding contract mirrors the synchronous one: for any
-shard count ``>= 1``, a sharded time-bucketed run produces exactly the
-result of the unsharded vectorized engine on the counter rng stream — same
-final states, same outputs, same step/message counts, same normalised
-run-time, node for node.  Every adversary schedule is a pure counter
-function of ``(seed, node, step)``, so the event timeline never depends on
-which shard computes it; this module pins that across the full matrix of
-protocols × all six registered adversary policies × shard counts × seeds,
-and checks that no ``/dev/shm`` segment outlives an engine — including
-when a worker process is killed mid-run.
+``shards`` value, a time-bucketed run produces exactly the result of the
+unsharded vectorized engine — same final states, same outputs, same
+step/message counts, same normalised run-time, node for node — and every
+terminating run equals the python interpreter too.  Every adversary
+schedule and every protocol pick is a pure counter function of ``(seed,
+node, step)``, so the event timeline never depends on which shard computes
+it; this module pins that across the full matrix of protocols × all six
+registered adversary policies × shard counts × seeds, and checks that no
+``/dev/shm`` segment outlives an engine — including when a worker process
+is killed mid-run.
 """
 
 import glob
@@ -99,22 +100,35 @@ def _identity(result) -> tuple:
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
 def test_sharded_matches_unsharded_counter_run(protocol, adversary):
-    """The shards × seeds matrix for one protocol × adversary cell."""
+    """The shards × seeds matrix for one protocol × adversary cell.
+
+    Every shard count reproduces the default run.  ``"auto"`` keeps a
+    network this small on the interpreter whatever ``shards`` says, so the
+    sharded engine is checked under ``backend="vectorized"`` against the
+    unsharded batched run (most cells stop at the event budget, and a
+    truncated batched run stops at bucket granularity).
+    """
     session = Simulation()
     for seed in SEEDS:
-        reference = session.simulate(
-            _spec(protocol, adversary, seed, shards=1), raise_on_timeout=False
-        )
-        assert reference.metadata["shard_count"] == 1
-        assert reference.metadata["halo_bytes_per_bucket"] == 0
+        spec = _spec(protocol, adversary, seed)
+        reference = session.simulate(spec, raise_on_timeout=False)
+        for shards in SHARD_COUNTS[1:]:
+            candidate = session.simulate(
+                spec.replace(shards=shards), raise_on_timeout=False
+            )
+            assert _identity(candidate) == _identity(reference), (
+                f"{protocol}/{adversary}/seed={seed}: shards={shards} "
+                f"diverged from the default run"
+            )
+        batched = spec.replace(backend="vectorized", shards=1)
+        unsharded = session.simulate(batched, raise_on_timeout=False)
         for shards in SHARD_COUNTS[1:]:
             sharded = session.simulate(
-                _spec(protocol, adversary, seed, shards=shards),
-                raise_on_timeout=False,
+                batched.replace(shards=shards), raise_on_timeout=False
             )
-            assert _identity(sharded) == _identity(reference), (
+            assert _identity(sharded) == _identity(unsharded), (
                 f"{protocol}/{adversary}/seed={seed}: shards={shards} "
-                f"diverged from the unsharded counter run"
+                f"diverged from the unsharded run"
             )
             assert sharded.metadata["backend_mode"] == "sharded"
             assert sharded.metadata["shard_count"] == shards
@@ -125,9 +139,23 @@ def test_sharded_matches_unsharded_counter_run(protocol, adversary):
     assert not _leaked_segments()
 
 
+def test_auto_stays_interpreted_on_small_networks_for_every_shard_count():
+    """A truncated ``"auto"`` run below the batching threshold is the same
+    interpreted run with or without ``shards=``."""
+    session = Simulation()
+    spec = _spec("mis", "uniform", 11, max_events=500)
+    unsharded = session.simulate(spec.replace(shards=None), raise_on_timeout=False)
+    sharded = session.simulate(spec.replace(shards=2), raise_on_timeout=False)
+    assert not unsharded.reached_output
+    assert _identity(sharded) == _identity(unsharded)
+    assert sharded.metadata["backend"] == "python"
+    assert sharded.metadata["shard_count"] == 1
+    assert "shards=2 dropped" in sharded.metadata["backend_reason"]
+
+
 def test_deterministic_protocol_matches_the_interpreter_bitwise():
     """Where the protocol never draws (single-option transitions), the
-    sharded run equals the *interpreter* too — rng mode is irrelevant."""
+    sharded run equals the *interpreter* too."""
     session = Simulation()
     base = _spec("broadcast", "uniform", 3, max_events=2_000_000)
     interpreted = session.simulate(
@@ -138,27 +166,26 @@ def test_deterministic_protocol_matches_the_interpreter_bitwise():
     assert _identity(sharded) == _identity(interpreted)
 
 
-def test_counter_stream_differs_from_legacy_serial_stream(monkeypatch):
-    """shards= selects a *different* (but internally consistent) rng stream."""
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)  # a true legacy run
+@pytest.mark.parametrize("adversary", ["synchronous", "uniform"])
+def test_draw_bearing_protocol_matches_the_interpreter_bitwise(adversary):
+    """Compiled MIS draws a coin on most steps; with one pick stream in every
+    engine a terminating run equals the interpreter for every shards value."""
     session = Simulation()
-    base = _spec("mis", "uniform", 11, max_events=2_000_000)
-    legacy = session.simulate(base, raise_on_timeout=False)
-    counter = session.simulate(base.replace(shards=1), raise_on_timeout=False)
-    # Both are valid MIS executions; equality of the full summary would mean
-    # the streams coincided — possible in principle, vanishingly unlikely.
-    assert legacy.reached_output and counter.reached_output
-    assert "shard_count" not in legacy.metadata
-    assert counter.metadata["shard_count"] == 1
-    assert _identity(legacy) != _identity(counter)
+    base = _spec("mis", adversary, 7, nodes=8, max_events=2_000_000)
+    interpreted = session.simulate(base.replace(backend="python"))
+    assert interpreted.reached_output
+    for shards in (None, 1, 2):
+        batched = session.simulate(base.replace(backend="vectorized", shards=shards))
+        assert _identity(batched) == _identity(interpreted), f"shards={shards}"
 
 
 def test_shard_count_capped_at_node_count():
     session = Simulation()
-    small = _spec("mis", "uniform", 1, nodes=3, max_events=100_000)
+    small = _spec("mis", "uniform", 1, nodes=3, max_events=100_000, backend="vectorized")
     result = session.simulate(small.replace(shards=16), raise_on_timeout=False)
     reference = session.simulate(small.replace(shards=1), raise_on_timeout=False)
     assert _identity(result) == _identity(reference)
+    assert result.metadata["backend_mode"] == "sharded"
     assert result.metadata["shard_count"] <= 3
     assert not _leaked_segments()
 
@@ -167,9 +194,9 @@ def test_engine_direct_parity_and_context_manager():
     """Engine-level check without the session: same arrays, same everything."""
     graph = generators.gnp_random_graph(NODES, 0.12, seed=5)
     protocol = compile_to_asynchronous(MISProtocol())
-    reference = VectorizedAsynchronousEngine(
-        graph, protocol, seed=17, rng_mode="counter"
-    ).run(max_events=2_000_000, raise_on_timeout=False)
+    reference = VectorizedAsynchronousEngine(graph, protocol, seed=17).run(
+        max_events=2_000_000, raise_on_timeout=False
+    )
     with ShardedAsyncEngine(graph, protocol, seed=17, shards=3) as engine:
         sharded = engine.run(max_events=2_000_000, raise_on_timeout=False)
     assert _identity(sharded) == _identity(reference)

@@ -1,13 +1,13 @@
 """Seed-for-seed equivalence of the interpreted and vectorized backends.
 
-The vectorized engine replays the interpreter's ``random.Random`` draw
-sequence (one ``randrange`` per node with a multi-option transition, in
-ascending node order), so for every (graph, protocol, seed) triple the two
-backends must produce *identical* :class:`ExecutionResult` fields: final
-states, outputs, rounds, total node steps, message counts and the seed
-itself.  This is the contract that makes ``backend="auto"`` safe to use
-everywhere — this module pins it across the paper's protocols and the graph
-families of the scaling experiments.
+Both engines draw from the one counter pick stream (a pure hash of seed,
+round and node id for every node with a multi-option transition), so for
+every (graph, protocol, seed) triple the two backends must produce
+*identical* :class:`ExecutionResult` fields: final states, outputs,
+rounds, total node steps, message counts and the seed itself.  This is the
+contract that makes ``backend="auto"`` safe to use everywhere — this
+module pins it across the paper's protocols and the graph families of the
+scaling experiments.
 """
 
 import pytest
@@ -258,7 +258,7 @@ def test_sync_kernel_parity(kernel_tier, proto, family, seed):
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
 def test_sync_kernel_sharded_parity(kernel_tier, family, seed):
     """kernel × shards: the fused shard-round kernel against the NumPy
-    shard loop (both on the counter rng stream), plus shard-count
+    shard loop, plus shard-count
     invariance of the kernel path itself."""
     graph = KERNEL_GRAPHS[family](seed)
     kernel, vectorized = _kernel_run_pair(graph, MISProtocol, seed, shards=2)

@@ -163,7 +163,7 @@ class TestStoreReplay:
 class TestShardedDynamicParity:
     """shards= composes with churn: every segment runs sharded, warm starts
     are carried into the shard workers, and the result is bitwise identical
-    to the unsharded counter-rng run for any shard count >= 1."""
+    to the unsharded run and to the interpreter for every shard count."""
 
     @pytest.mark.parametrize(
         "protocol,family,churn,params",
@@ -175,14 +175,17 @@ class TestShardedDynamicParity:
     )
     def test_shard_counts_agree_bitwise(self, protocol, family, churn, params):
         session = Simulation()
+        spec = _spec(protocol, family, churn, params, 23)
+        reference = session.simulate(spec.replace(backend="python"))
         results = {
-            shards: session.simulate(
-                _spec(protocol, family, churn, params, 23).replace(shards=shards)
-            )
-            for shards in (1, 2, 4)
+            shards: session.simulate(spec.replace(shards=shards))
+            for shards in (None, 1, 2, 4)
         }
-        reference = results[1]
-        assert reference.metadata["shard_count"] == 1
+        for shards in (None, 1):
+            candidate = results[shards]
+            assert candidate.summary_fields() == reference.summary_fields()
+            for key in DYNAMIC_METADATA_KEYS:
+                assert candidate.metadata[key] == reference.metadata[key], key
         for shards in (2, 4):
             candidate = results[shards]
             assert candidate.summary_fields() == reference.summary_fields()
@@ -196,9 +199,9 @@ class TestShardedDynamicParity:
             assert candidate.metadata["halo_bytes_per_round"] >= 0
 
     def test_deterministic_protocol_matches_the_interpreter_bitwise(self):
-        """Broadcast never draws (single-option transitions), so the rng
-        stream is irrelevant and a sharded dynamic run must equal the
-        python interpreter exactly — segments, metadata and all."""
+        """A sharded dynamic run equals the python interpreter exactly —
+        segments, metadata and all — here for broadcast, whose transitions
+        never draw."""
         session = Simulation()
         spec = RunSpec(
             protocol="broadcast",

@@ -1,10 +1,10 @@
 """Sharded execution parity matrix and shared-memory hygiene.
 
-The sharded backend's headline contract is *bitwise seed-identity*: for any
-shard count ``>= 1``, a sharded run produces exactly the result of the
-unsharded vectorized engine on the counter rng stream — same final states,
-same outputs, same round and message counts, node for node.  This module
-pins that contract across the full matrix of registered protocols ×
+The sharded backend's headline contract is *bitwise seed-identity*: every
+engine draws from the one counter pick stream, so for any ``shards`` value
+a run produces exactly the result of the python interpreter — same final
+states, same outputs, same round and message counts, node for node.  This
+module pins that contract across the full matrix of registered protocols ×
 registered graph families × shard counts × seeds, and checks that no
 ``/dev/shm`` segment outlives an engine — including when a worker process
 is killed mid-run.
@@ -13,6 +13,7 @@ is killed mid-run.
 import glob
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -63,7 +64,8 @@ def _run(spec: RunSpec, session=None):
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sharded_matches_unsharded_counter_run(protocol, family):
-    """The full shards × seeds matrix for one protocol × family cell."""
+    """The full shards × seeds matrix for one protocol × family cell, each
+    cell checked against the interpreter and the default unsharded run."""
     session = Simulation()
     for seed in SEEDS:
         base = RunSpec(
@@ -74,13 +76,15 @@ def test_sharded_matches_unsharded_counter_run(protocol, family):
             max_rounds=MATRIX_MAX_ROUNDS,
             **PROTOCOL_SPECS[protocol],
         )
-        reference = _run(base.replace(shards=1), session)
-        assert reference.metadata["shard_count"] == 1
+        reference = _run(base.replace(backend="python"), session)
+        assert _run(base, session).summary_fields() == reference.summary_fields()
+        one_shard = _run(base.replace(shards=1), session)
+        assert one_shard.summary_fields() == reference.summary_fields()
         for shards in SHARD_COUNTS[1:]:
             sharded = _run(base.replace(shards=shards), session)
             assert sharded.summary_fields() == reference.summary_fields(), (
                 f"{protocol}/{family}/seed={seed}: shards={shards} diverged "
-                f"from the unsharded counter run"
+                f"from the interpreter"
             )
             assert sharded.metadata["backend_mode"] == "sharded"
             assert sharded.metadata["shard_count"] == shards
@@ -134,6 +138,41 @@ def test_worker_crash_surfaces_and_leaks_nothing():
     assert not _leaked_segments()
 
 
+def _exit_holding(barrier) -> None:
+    barrier._cond.acquire()  # and never release it
+    os._exit(0)
+
+
+def test_abort_needs_no_lock_a_dead_worker_held():
+    """A worker killed inside a barrier wait dies holding the barrier's lock;
+    the abort path must still finish (it used to block on that lock)."""
+    engine = ShardedVectorizedEngine(path_graph(16), MISProtocol(), seed=1, shards=2)
+    try:
+        engine.step_round()
+        holder = engine._ctx.Process(target=_exit_holding, args=(engine._start_barrier,))
+        holder.start()
+        holder.join(timeout=10.0)
+        assert holder.exitcode == 0
+        os.kill(engine._workers[0].pid, signal.SIGKILL)
+        engine._workers[0].join(timeout=10.0)
+        errors = []
+
+        def step():
+            try:
+                engine.step_round()
+            except ExecutionError as exc:
+                errors.append(exc)
+
+        stepper = threading.Thread(target=step, daemon=True)
+        stepper.start()
+        stepper.join(timeout=30.0)
+        assert not stepper.is_alive(), "abort blocked on a dead worker's barrier lock"
+        assert errors and "shard worker" in str(errors[0])
+    finally:
+        engine.close()
+    assert not _leaked_segments()
+
+
 def test_lazy_protocol_falls_back_to_unsharded_counter_run():
     """A lazy-tabulation workload cannot shard; the fallback is recorded."""
     from repro.compilers.multiquery import lower_to_single_query
@@ -159,26 +198,10 @@ def test_sharded_runs_are_deterministic_across_calls():
     assert not _leaked_segments()
 
 
-def test_counter_stream_differs_from_legacy_serial_stream(monkeypatch):
-    """shards= selects a *different* (but internally consistent) rng stream."""
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)  # a true legacy run
-    legacy = _run(RunSpec(protocol="mis", nodes=NODES, graph="gnp_sparse", seed=11))
-    counter = _run(
-        RunSpec(protocol="mis", nodes=NODES, graph="gnp_sparse", seed=11, shards=1)
-    )
-    # Both are valid MIS executions; equality of the full summary would mean
-    # the streams coincided — possible in principle, vanishingly unlikely.
-    assert legacy.reached_output and counter.reached_output
-    assert "shard_count" not in legacy.metadata
-    assert counter.metadata["shard_count"] == 1
-
-
 def test_sharded_engine_direct_parity_with_vectorized_counter_engine():
     """Engine-level check without the session: same arrays, same everything."""
     graph = path_graph(48)
-    reference = VectorizedEngine(
-        graph, MISProtocol(), seed=17, rng_mode="counter"
-    ).run(max_rounds=1000)
+    reference = VectorizedEngine(graph, MISProtocol(), seed=17).run(max_rounds=1000)
     engine = ShardedVectorizedEngine(graph, MISProtocol(), seed=17, shards=3)
     try:
         sharded = engine.run(max_rounds=1000)

@@ -61,7 +61,6 @@ class TestRegistry:
             assert {
                 "name", "rank", "available", "detail", "description",
                 "environments", "tabulation_modes", "supports_sharding",
-                "supports_counter_rng",
             } <= set(row)
 
     def test_census_reports_kernel_unavailability_detail(self, numba_absent):

@@ -71,7 +71,7 @@ class TestGenericRunCommand:
         "problem": "maximal independent set",
         "graph": "gnp_sparse n=16 m=29",
         "mode": "synchronous",
-        "cost": "17.0 rounds",
+        "cost": "14.0 rounds",
         "mis size": 6,
         "backend": "vectorized (eager table)",
         "backend reason": (

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.experiments import _StretchedProtocol
 from repro.compilers.multiquery import SingleQueryProtocol, lower_to_single_query
 from repro.core.errors import CompilationError
 from repro.graphs import gnp_random_graph
@@ -74,9 +75,15 @@ class TestLowering:
 class TestLoweredExecution:
     def test_lowered_mis_is_correct_and_costs_sigma_times_more(self):
         graph = gnp_random_graph(24, 0.2, seed=5)
-        base_result = run_synchronous(graph, MISProtocol(), seed=9)
+        # Picks are keyed by round, so the base run takes the lowering's clock
+        # to draw the same coins: |Sigma| rounds per base round.
+        base_result = run_synchronous(graph, _StretchedProtocol(MISProtocol()), seed=9)
         lowered_result = run_synchronous(
             graph, SingleQueryProtocol(MISProtocol()), seed=9, max_rounds=200_000
         )
         assert is_maximal_independent_set(graph, mis_from_result(lowered_result))
-        assert lowered_result.rounds == base_result.rounds * len(MISProtocol().alphabet)
+        sigma = len(MISProtocol().alphabet)
+        base_rounds, remainder = divmod(base_result.rounds, sigma)
+        assert remainder == 0
+        assert lowered_result.rounds == base_rounds * sigma
+        assert lowered_result.outputs == base_result.outputs

@@ -179,9 +179,7 @@ def test_counter_stream_reproduces_runs_on_the_permuted_graph(graph, seed):
     reproduce the original execution exactly (modulo the relabelling).
     """
     p = partition_graph(graph, 2)
-    original = VectorizedEngine(
-        graph, MISProtocol(), seed=seed, rng_mode="counter"
-    ).run(max_rounds=500)
+    original = VectorizedEngine(graph, MISProtocol(), seed=seed).run(max_rounds=500)
     permuted_graph = Graph(
         graph.num_nodes,
         [(int(p.perm[u]), int(p.perm[v])) for u, v in graph.edges],
@@ -190,7 +188,6 @@ def test_counter_stream_reproduces_runs_on_the_permuted_graph(graph, seed):
         permuted_graph,
         MISProtocol(),
         seed=seed,
-        rng_mode="counter",
         rng_node_keys=np.asarray(p.inv, dtype=np.uint64),
     ).run(max_rounds=500)
     assert permuted.rounds == original.rounds

@@ -289,6 +289,25 @@ def test_unseeded_specs_bypass_the_store(tmp_path):
     assert stats["hits"] == stats["misses"] == 0
 
 
+@pytest.mark.parametrize("environment, adversary", [("sync", None), ("async", "uniform")])
+def test_unseeded_runs_draw_fresh_randomness(tmp_path, environment, adversary):
+    """seed=None means fresh picks per run — why unseeded specs bypass the
+    store — on a fixed graph, in the synchronous and asynchronous engines."""
+    session = Simulation(store=tmp_path / "store")
+    spec = RunSpec(
+        protocol="mis",
+        graph="random_tree",
+        nodes=64,
+        seed=None,
+        graph_seed=5,
+        environment=environment,
+        adversary=adversary,
+    )
+    finals = {session.simulate(spec).final_states for _ in range(5)}
+    assert len(finals) >= 2
+    assert session.store.stats()["bypasses"] == 5
+
+
 def test_cached_timeout_reraises_identically(tmp_path):
     hopeless = SPEC.replace(max_rounds=1)
     cold = Simulation(store=tmp_path / "store")

@@ -176,6 +176,19 @@ class TestEngineMechanics:
         with pytest.raises(ExecutionError):
             run_synchronous(path_graph(2), BroadcastProtocol(), seed=0, backend="gpu")
 
+    @pytest.mark.parametrize("engine", ["python", "vectorized"])
+    def test_warm_start_rejects_a_letter_vector_of_the_wrong_length(self, engine):
+        if engine == "python":
+            engine_cls = SynchronousEngine
+        else:
+            pytest.importorskip("numpy")
+            from repro.scheduling.vectorized_engine import VectorizedEngine as engine_cls
+        protocol = MISProtocol()
+        with pytest.raises(ExecutionError, match="initial_letters must hold one letter per node"):
+            engine_cls(
+                path_graph(6), protocol, seed=1, initial_letters=[protocol.initial_letter] * 3
+            )
+
 
 class TestBackendSelection:
     def test_run_records_selection_metadata(self):

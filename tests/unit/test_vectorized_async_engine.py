@@ -20,7 +20,11 @@ from repro.scheduling.adversary import (
     UniformRandomAdversary,
     default_adversary_suite,
 )
-from repro.scheduling.async_engine import run_asynchronous
+from repro.scheduling.async_engine import (
+    AUTO_VECTORIZE_MIN_NODES,
+    _run_asynchronous,
+    run_asynchronous,
+)
 from repro.scheduling.compiled import LazyStrictTable
 from repro.scheduling.vectorized_async_engine import (
     VectorizedAsynchronousEngine,
@@ -106,6 +110,24 @@ class TestEngineContract:
         )
         assert result.reached_output
         assert result.metadata["backend"] == "python"
+
+    def test_auto_backend_reruns_a_mid_run_table_refusal_on_the_interpreter(self):
+        """A lazy table can refuse the protocol only once the run discovers
+        a state past its budget; ``"auto"`` then reruns on the interpreter."""
+        graph = path_graph(AUTO_VECTORIZE_MIN_NODES)
+        protocol = BroadcastProtocol()
+        run = dict(seed=1, adversary_seed=2, inputs=broadcast_inputs(0))
+        table = LazyStrictTable(protocol, max_states=2)
+        engine = VectorizedAsynchronousEngine(graph, protocol, table=table, **run)
+        with pytest.raises(ProtocolNotVectorizableError):
+            engine.run()
+        table = LazyStrictTable(protocol, max_states=2)
+        result = _run_asynchronous(graph, protocol, backend="auto", table=table, **run)
+        reference = _run_asynchronous(graph, protocol, backend="python", **run)
+        assert result.metadata["backend"] == "python"
+        assert result.metadata["backend_reason"].startswith("auto fell back to the interpreter")
+        assert result.summary_fields() == reference.summary_fields()
+        assert result.time_units == reference.time_units
 
     def test_vectorized_backend_rejects_observers(self):
         with pytest.raises(ExecutionError):

@@ -1,7 +1,5 @@
 """Unit tests for state/letter interning and the vectorized batch engine."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from repro.core.errors import (
     ProtocolNotVectorizableError,
 )
 from repro.core.interning import Interner, tabulate_protocol
-from repro.graphs import Graph, cycle_graph, gnp_random_graph, path_graph, random_tree
+from repro.graphs import Graph, cycle_graph, path_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MIS_STATES, MISProtocol
@@ -137,10 +135,6 @@ class TestVectorizedEngine:
         with pytest.raises(ExecutionError):
             VectorizedEngine(path_graph(2), object())
 
-    def test_rejects_unknown_rng_mode(self):
-        with pytest.raises(ExecutionError):
-            VectorizedEngine(path_graph(2), BroadcastProtocol(), rng_mode="jax")
-
     def test_round_budget_can_raise_with_partial_result(self):
         graph = cycle_graph(9)
         with pytest.raises(OutputNotReachedError) as excinfo:
@@ -167,13 +161,6 @@ class TestVectorizedEngine:
             for state in states
         )
 
-    def test_numpy_rng_mode_is_reproducible(self):
-        graph = gnp_random_graph(64, 0.1, seed=2)
-        first = run_vectorized(graph, MISProtocol(), seed=5, rng_mode="numpy")
-        second = run_vectorized(graph, MISProtocol(), seed=5, rng_mode="numpy")
-        assert first.summary_fields() == second.summary_fields()
-        assert first.reached_output
-
     def test_shared_compiled_table_can_be_reused_across_graphs(self):
         compiled = compile_protocol(MISProtocol())
         for n in (6, 10, 15):
@@ -182,14 +169,6 @@ class TestVectorizedEngine:
             )
             reference = run_synchronous(cycle_graph(n), MISProtocol(), seed=n)
             assert result.summary_fields() == reference.summary_fields()
-
-    def test_external_rng_matches_seeded_interpreter(self):
-        graph = random_tree(40, seed=8)
-        result = VectorizedEngine(graph, MISProtocol(), rng=random.Random(9)).run()
-        reference = run_synchronous(graph, MISProtocol(), seed=9)
-        # Same draw sequence, but the engine cannot know the seed number.
-        assert result.final_states == reference.final_states
-        assert result.rounds == reference.rounds
 
     def test_isolated_nodes_count_messages_like_the_interpreter(self):
         # A graph with an isolated node: its transmissions go nowhere but
