@@ -24,15 +24,12 @@ import pytest
 
 from repro.analysis.reporting import ExperimentReport
 from repro.api import RunSpec, Simulation
-from repro.scheduling.kernels import kernel_availability
 from repro.scheduling.sharded_engine import sharding_supported
 
 from speedup import soft_assert_speedup
 
 SHARD_SPEEDUP_TARGET = 2.0
-KERNEL_SPEEDUP_TARGET = 3.0
 SMOKE_NODES = 512
-KERNEL_NODES = 1025
 LARGE_NODES = 2**17
 HUGE_NODES = 10**6
 
@@ -68,66 +65,6 @@ def test_bench_sharded_run_smoke(benchmark):
         "halo_bytes_per_round"
     ]
     benchmark.extra_info["rounds"] = result.rounds
-
-
-@pytest.mark.skipif(
-    not kernel_availability()[0],
-    reason="kernel tier unavailable (numba is not installed)",
-)
-def test_bench_kernel_vs_vectorized(experiment_recorder):
-    """Compiled kernels vs the NumPy round loop at n=1025: soft >= 3x.
-
-    Each backend gets its own warmed session — the first run pays the
-    table build (and, for the kernel tier, the one-time numba JIT, cached
-    on disk across processes) so the timed runs measure the round loops
-    alone.  Parity is asserted on every timed seed: the kernel tier buys
-    time, never different numbers.
-    """
-    repetitions = 3
-    times: dict[str, float] = {}
-    results: dict[tuple[str, int], object] = {}
-    for backend in ("vectorized", "kernel"):
-        session = Simulation()
-        spec = RunSpec(
-            protocol="mis", nodes=KERNEL_NODES, graph="gnp_sparse",
-            seed=1, backend=backend,
-        )
-        session.simulate(spec)  # warm: tabulation + JIT outside the clock
-        start = time.perf_counter()
-        for seed in range(2, 2 + repetitions):
-            results[backend, seed] = session.simulate(spec.replace(seed=seed))
-        times[backend] = time.perf_counter() - start
-
-    for seed in range(2, 2 + repetitions):
-        assert (
-            results["kernel", seed].summary_fields()
-            == results["vectorized", seed].summary_fields()
-        )
-        assert results["kernel", seed].metadata["backend"] == "kernel"
-
-    ratio = times["vectorized"] / times["kernel"]
-    report = ExperimentReport(
-        experiment_id="KERNEL",
-        title="Compiled kernel tier vs vectorized NumPy rounds",
-        paper_claim="the negotiated tier ladder is pure speedup per rank",
-        headers=["nodes", "reps", "numpy s", "kernel s", "speedup"],
-    )
-    report.add_row(
-        KERNEL_NODES,
-        repetitions,
-        round(times["vectorized"], 3),
-        round(times["kernel"], 3),
-        round(ratio, 2),
-    )
-    report.conclusion = (
-        f"n={KERNEL_NODES}: {times['vectorized']:.3f}s NumPy vs "
-        f"{times['kernel']:.3f}s compiled ({ratio:.2f}x), bitwise-identical"
-    )
-    report.passed = True
-    experiment_recorder(report)
-    soft_assert_speedup(
-        ratio, f"kernel tier at n={KERNEL_NODES}", KERNEL_SPEEDUP_TARGET
-    )
 
 
 @pytest.mark.skipif(

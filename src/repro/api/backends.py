@@ -1,33 +1,25 @@
 """Capability-negotiated backend selection: one registry, one negotiation.
 
-Before this module, every engine owned a private slice of backend policy:
-:mod:`repro.scheduling.sync_engine` knew which strings were legal and when
-to fall back, :mod:`repro.scheduling.async_engine` re-implemented the same
-climb with different constants, and the sharded front end had its own
-opinions about lazy tables.  Adding the compiled-kernel tier made that
-string soup untenable, so selection is now data plus one function:
+Selection is data plus one function, shared by every engine:
 
 * :class:`BackendSpec` — what one execution tier *is*: which environments
-  it serves, which table flavours it executes, whether it can shard or
-  host per-transition observers, and whether it needs compiled kernels
-  present at import time.
-* :data:`BACKENDS` — the registry mapping tier name to spec.  Third-party
-  tiers would register here; everything downstream (negotiation, the CLI
-  census, the docs table) is derived from it.
+  it serves, which table flavours it executes, and whether it can shard or
+  host per-transition observers.
+* :data:`BACKENDS` — the registry mapping tier name to spec.  A new tier
+  registers here; everything downstream (the accepted ``backend=`` tokens,
+  the auto climb order, negotiation, the CLI census) is derived from it.
 * :func:`negotiate_backend` — the single decision point.  Given a
   :class:`Workload` description and the requested ``backend=`` string it
   returns a :class:`BackendNegotiation`: the ordered tiers to attempt and
   every (tier, reason) pair that was ruled out.  ``backend="auto"`` climbs
-  python → vectorized → kernel and *degrades loudly*: each skipped tier's
-  reason rides along into ``BackendSelection.rejected`` and ultimately
+  python → vectorized and *degrades loudly*: each skipped tier's reason
+  rides along into ``BackendSelection.rejected`` and ultimately
   ``result.metadata["backend_reason"]``.
 
-The legacy strings (``"python"``, ``"vectorized"``, ``"auto"``) remain
-valid aliases with unchanged semantics — no deprecation churn; this module
-redesigns *selection*, not the parameter surface.  Strict requests fail
-fast: an impossible combination (``backend="kernel"`` without numba,
-``backend="python"`` with ``shards >= 2``) raises here, with the same message
-the engines used to raise, instead of deep inside an engine constructor.
+Strict requests fail fast: an impossible combination (``backend="python"``
+with ``shards >= 2``, ``backend="vectorized"`` with an asynchronous
+per-transition observer) raises here, with the same message the engines
+used to raise, instead of deep inside an engine constructor.
 
 Capability mismatches that only the compile step can discover (a protocol
 whose closure does not enumerate) are *not* negotiated here — the attempt
@@ -40,13 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ExecutionError, ProtocolNotVectorizableError
-
-#: Every value the ``backend=`` execution parameter accepts.
-BACKEND_TOKENS = ("python", "vectorized", "kernel", "auto")
-
-#: The climb order of ``backend="auto"``: best tier first.
-AUTO_CLIMB_ORDER = ("kernel", "vectorized", "python")
-
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -76,9 +61,6 @@ class BackendSpec:
     supports_sharding:
         Whether ``shards=`` (intra-run shared-memory workers) composes
         with the tier.
-    requires_compiled_kernels:
-        Whether availability depends on the numba import probe of
-        :mod:`repro.scheduling.kernels`.
     """
 
     name: str
@@ -88,14 +70,9 @@ class BackendSpec:
     tabulation_modes: tuple[str, ...]
     observer_environments: tuple[str, ...]
     supports_sharding: bool
-    requires_compiled_kernels: bool = False
 
     def availability(self) -> tuple[bool, str]:
         """Whether this tier can run on this host, plus a detail string."""
-        if self.requires_compiled_kernels:
-            from repro.scheduling.kernels import kernel_availability
-
-            return kernel_availability()
         if self.name == "python":
             return True, "always available (stdlib interpreter)"
         try:
@@ -126,17 +103,15 @@ BACKENDS: dict[str, BackendSpec] = {
         observer_environments=("sync", "dynamic"),
         supports_sharding=True,
     ),
-    "kernel": BackendSpec(
-        name="kernel",
-        rank=2,
-        description="numba @njit(cache=True) compiled round/bucket loops",
-        environments=("sync", "async", "dynamic"),
-        tabulation_modes=("eager",),
-        observer_environments=("sync", "dynamic"),
-        supports_sharding=True,
-        requires_compiled_kernels=True,
-    ),
 }
+
+
+#: The climb order of ``backend="auto"``: the registered tiers, best
+#: (highest rank) first.
+AUTO_CLIMB_ORDER = tuple(sorted(BACKENDS, key=lambda name: -BACKENDS[name].rank))
+
+#: Every value the ``backend=`` execution parameter accepts.
+BACKEND_TOKENS = (*AUTO_CLIMB_ORDER[::-1], "auto")
 
 
 @dataclass(frozen=True)
@@ -246,11 +221,11 @@ def negotiate_backend(workload: Workload, requested: str = "auto") -> BackendNeg
     :class:`ProtocolNotVectorizableError` for table-flavour conflicts, so
     existing ``try/except`` call sites keep working).
     """
-    if requested not in BACKEND_TOKENS:
+    strict = requested != "auto"
+    if strict and requested not in BACKENDS:
         raise ExecutionError(
             f"unknown backend {requested!r}; expected one of {BACKEND_TOKENS}"
         )
-    strict = requested != "auto"
     candidates = (requested,) if strict else AUTO_CLIMB_ORDER
     tiers: list[str] = []
     rejected: list[tuple[str, str]] = []

@@ -5,7 +5,7 @@ through a scatter of free functions (``run_synchronous``,
 ``run_asynchronous``, ``repeat_synchronous``, ``sweep_protocol``):
 
 * **backend selection** — specs say
-  ``"python" | "vectorized" | "kernel" | "auto"`` once; the engines
+  ``"python" | "vectorized" | "auto"`` once; the engines
   negotiate the tier through :func:`repro.api.backends.negotiate_backend`
   and record what actually ran (and why) in ``result.metadata``;
 * **compiled-table caching** — the synchronizer/multiquery compile step and

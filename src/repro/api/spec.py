@@ -18,13 +18,10 @@ from typing import Any
 
 from repro.core.errors import SpecError
 from repro.api import registry as _registry
+from repro.api.backends import BACKEND_TOKENS
 
 #: Recognised execution environments.
 ENVIRONMENTS = ("sync", "async", "dynamic")
-
-#: Recognised backend tokens (mirrors the engines' ``BACKENDS`` and the
-#: registry of :mod:`repro.api.backends`).
-SPEC_BACKENDS = ("python", "vectorized", "kernel", "auto")
 
 DEFAULT_MAX_ROUNDS = 100_000
 DEFAULT_MAX_EVENTS = 5_000_000
@@ -60,10 +57,10 @@ class RunSpec:
         over a churning topology (requires ``churn``) and measures
         re-convergence after every disturbance.
     backend:
-        ``"python"``, ``"vectorized"``, ``"kernel"`` or ``"auto"`` —
-        forwarded to the engines, which negotiate the tier (see
-        :mod:`repro.api.backends`) and record the selection and its reason
-        in ``result.metadata``.
+        One of :data:`repro.api.backends.BACKEND_TOKENS` (``"python"``,
+        ``"vectorized"`` or ``"auto"``) — forwarded to the engines, which
+        negotiate the tier (see :mod:`repro.api.backends`) and record the
+        selection and its reason in ``result.metadata``.
     seed:
         Protocol seed of a single :meth:`~repro.api.Simulation.simulate`
         run, and the *base* seed :class:`~repro.api.SeedPolicy` derives
@@ -94,8 +91,7 @@ class RunSpec:
         knob: every engine draws from the same counter pick stream, so
         ``None`` (the default) and ``1`` are the same unsharded run and
         every larger shard count is bitwise identical to it.  ``shards >=
-        2`` requires a shardable backend (``"vectorized"``, ``"kernel"`` or
-        ``"auto"``).
+        2`` requires a shardable backend (``"vectorized"`` or ``"auto"``).
     churn:
         Name of a registered churn policy (see :data:`repro.api.registry.
         CHURN_POLICIES`); required by — and only legal in — the
@@ -133,9 +129,9 @@ class RunSpec:
             raise SpecError(
                 f"unknown environment {self.environment!r}; expected one of {ENVIRONMENTS}"
             )
-        if self.backend not in SPEC_BACKENDS:
+        if self.backend not in BACKEND_TOKENS:
             raise SpecError(
-                f"unknown backend {self.backend!r}; expected one of {SPEC_BACKENDS}"
+                f"unknown backend {self.backend!r}; expected one of {BACKEND_TOKENS}"
             )
         if self.adversary is not None and self.environment != "async":
             raise SpecError(
@@ -159,7 +155,7 @@ class RunSpec:
             if self.shards >= 2 and self.backend == "python":
                 raise SpecError(
                     "shards= requires a vectorized-capable backend "
-                    "('vectorized', 'kernel' or 'auto'), not backend='python'"
+                    "('vectorized' or 'auto'), not backend='python'"
                 )
         for name in (
             "protocol_params",

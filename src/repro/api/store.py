@@ -63,8 +63,8 @@ from repro.core.results import ExecutionResult
 #: are shard-count-invariant — but sharded (counter-rng) and unsharded
 #: (legacy serial rng) runs draw different random streams and hash apart.
 #: Version 3: the ``backend`` field is canonicalized away entirely — every
-#: tier (python, vectorized, kernel, auto) is bitwise-identical for the
-#: same seeds by the parity contract, so warm stores replay across tiers.
+#: tier is bitwise-identical for the same seeds by the parity contract, so
+#: warm stores replay across tiers.
 #: Version 4: the dynamic environment joins the spec (``churn``,
 #: ``churn_seed``, ``churn_params`` fields) and result payloads may carry
 #: re-convergence metadata; entries written under earlier schemas miss

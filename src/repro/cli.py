@@ -13,7 +13,6 @@ flags and executes it through a :class:`repro.api.Simulation` session::
     python -m repro run mis --repetitions 8 --workers 4   # pooled repeats
     python -m repro run --list                    # registry census
     python -m repro run --list-backends           # backend tier ladder
-    python -m repro run mis --backend kernel      # compiled-kernel tier
     python -m repro run --spec workload.json      # serialized RunSpec
     python -m repro run mis -r 6 --store cache/   # content-addressed results
     python -m repro experiment E1 --quick --workers 4
@@ -53,6 +52,7 @@ from typing import Any
 from repro.analysis.experiments import ALL_EXPERIMENTS
 from repro.api import (
     ADVERSARIES,
+    BACKEND_TOKENS,
     CHURN_POLICIES,
     GRAPH_FAMILIES,
     PROTOCOLS,
@@ -317,8 +317,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 entry.validator is None or entry.validator(check_graph, result)
             )
     except StoneAgeError as error:
-        # Strict backend requests the host cannot honour (e.g. --backend
-        # kernel without numba) fail loudly but cleanly.
+        # Strict backend requests the workload cannot honour (e.g.
+        # --backend vectorized for a protocol whose closure does not
+        # enumerate) fail loudly but cleanly.
         print(f"error: {error}", file=sys.stderr)
         return 2
     payload["valid"] = valid
@@ -511,12 +512,11 @@ def _add_run_arguments(
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--max-rounds", type=int, default=100_000)
     parser.add_argument("--backend",
-                        choices=("python", "vectorized", "kernel", "auto"),
+                        choices=BACKEND_TOKENS,
                         default="auto",
                         help="execution backend (synchronous and asynchronous "
                              "runs alike): the interpreted reference engine, "
-                             "the vectorized NumPy engine, the compiled "
-                             "kernel tier (requires numba), or automatic "
+                             "the vectorized NumPy engine, or automatic "
                              "selection (default: %(default)s); all backends "
                              "give identical results for a seed "
                              "(see `run --list-backends`)")

@@ -4,9 +4,11 @@ The content-addressable result store's headline guarantee — a warm store
 serves a repeated seeded workload with *zero* engine executions — is only
 testable if engine executions are counted somewhere the harness can read.
 Every synchronous and asynchronous execution funnels through exactly one
-primitive (``_run_synchronous`` / ``_run_asynchronous``), and each primitive
-records itself here, so ``engine_runs()`` deltas measure real engine work
-regardless of backend, session, or entry point.
+primitive (``_run_synchronous`` / ``_run_asynchronous`` / ``_run_dynamic``),
+and each primitive records itself here once it has built an engine — a
+request refused during backend negotiation counts nothing — so
+``engine_runs()`` deltas measure real engine work regardless of backend,
+session, or entry point.
 
 The counters are per-process: pooled workers count their own executions and
 those counts die with the pool.  That is the right scope for the store's
@@ -22,7 +24,7 @@ _ENGINE_RUNS: Counter[str] = Counter()
 
 
 def record_engine_run(environment: str) -> None:
-    """Count one engine execution in *environment* (``"sync"``/``"async"``)."""
+    """Count one engine execution in *environment* (``"sync"``/``"async"``/``"dynamic"``)."""
     _ENGINE_RUNS[environment] += 1
 
 

@@ -11,12 +11,9 @@ adversarial timing      :class:`AsynchronousEngine` :class:`VectorizedAsynchrono
 ======================  ==========================  ============================
 
 Both :func:`run_synchronous` and :func:`run_asynchronous` take
-``backend="python" | "vectorized" | "kernel" | "auto"``; for any given
-seed every backend of an environment produces identical results
-(terminating runs).  The ``kernel`` tier
-(:class:`KernelVectorizedEngine`, :mod:`repro.scheduling.kernels`) runs
-numba-compiled round/bucket loops when numba is installed; ``auto``
-resolves the ladder through
+``backend="python" | "vectorized" | "auto"``; for any given seed every
+backend of an environment produces identical results (terminating runs).
+``auto`` resolves the ladder through
 :func:`repro.api.backends.negotiate_backend` and degrades loudly (the
 skipped tier and reason land in ``metadata["backend_reason"]``).
 
@@ -42,7 +39,6 @@ from repro.scheduling.adversary import (
     derive_adversary_seed,
 )
 from repro.scheduling.async_engine import (
-    ASYNC_BACKENDS,
     AsynchronousEngine,
     run_asynchronous,
 )
@@ -52,12 +48,7 @@ from repro.scheduling.compiled import (
     LazyStrictTable,
     compile_protocol,
 )
-from repro.scheduling.kernels import (
-    KernelVectorizedEngine,
-    kernel_availability,
-)
 from repro.scheduling.sync_engine import (
-    BACKENDS,
     BackendSelection,
     SynchronousEngine,
     precompile_tables,
@@ -75,17 +66,14 @@ from repro.scheduling.vectorized_engine import (
 )
 
 __all__ = [
-    "ASYNC_BACKENDS",
     "AdversaryPolicy",
     "AdversarySchedule",
     "AsynchronousEngine",
-    "BACKENDS",
     "BackendSelection",
     "BurstyAdversary",
     "CompiledProtocol",
     "CounterBasedSchedule",
     "ExponentialAdversary",
-    "KernelVectorizedEngine",
     "LazyExtendedTable",
     "LazyStrictTable",
     "SkewedRatesAdversary",
@@ -98,7 +86,6 @@ __all__ = [
     "compile_protocol",
     "default_adversary_suite",
     "derive_adversary_seed",
-    "kernel_availability",
     "precompile_tables",
     "repeat_synchronous",
     "run_asynchronous",

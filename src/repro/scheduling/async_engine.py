@@ -64,10 +64,6 @@ TransitionObserver = Callable[[TransitionRecord], None]
 
 DEFAULT_MAX_EVENTS = 5_000_000
 
-#: Recognised values of the asynchronous ``backend`` execution parameter (the
-#: attempt order and capability rules live in :mod:`repro.api.backends`).
-ASYNC_BACKENDS = ("python", "vectorized", "kernel", "auto")
-
 #: Below this network size ``backend="auto"`` stays on the interpreter: the
 #: per-bucket array overhead only amortises once buckets hold enough steps.
 #: Results are backend-independent, so the cutoff is purely a speed heuristic.
@@ -301,14 +297,13 @@ def _run_asynchronous(
     ``backend`` selects the execution strategy — ``"python"`` (the
     interpreted reference engine), ``"vectorized"`` (time-bucketed event
     batches over lazily compiled tables, see :mod:`repro.scheduling.
-    vectorized_async_engine`), ``"kernel"`` (the same event batching with
-    the bucket census/apply loops compiled, see :mod:`repro.scheduling.
-    kernels`) or ``"auto"`` (the best available batched tier when the
+    vectorized_async_engine`) or ``"auto"`` (the batched engine when the
     protocol and the adversary support it *and* the network has at least
     :data:`AUTO_VECTORIZE_MIN_NODES` nodes — below that the interpreter is
     faster; interpreted otherwise).  The attempt order comes from one
-    :func:`repro.api.backends.negotiate_backend` call.  Terminating runs
-    produce identical results for the same seeds on every backend.
+    :func:`repro.api.backends.negotiate_backend` call, which also rejects
+    an unknown token.  Terminating runs produce identical results for the
+    same seeds on every backend.
 
     ``table`` optionally supplies a pre-warmed
     :class:`~repro.scheduling.compiled.LazyStrictTable` so repeated runs of
@@ -325,13 +320,9 @@ def _run_asynchronous(
     that runs on one process records why, plus one-shard partition
     statistics, in ``result.metadata``; ``backend="python"`` with
     ``shards >= 2`` is an error.  Under ``"auto"``, a batched run whose
-    table refuses the protocol mid-run is rerun on the interpreter.
+    table refuses the protocol mid-run is rerun on the interpreter; that
+    rerun still counts as one engine run.
     """
-    record_engine_run("async")
-    if backend not in ASYNC_BACKENDS:
-        raise ExecutionError(
-            f"unknown backend {backend!r}; expected one of {ASYNC_BACKENDS}"
-        )
     if shards is not None:
         shards = int(shards)
         if shards < 1:
@@ -347,7 +338,6 @@ def _run_asynchronous(
         ),
         backend,
     )
-    use_kernel = negotiation.chosen == "kernel"
     note = negotiation.rejection_note()
     dropped = f" (shards={shards} dropped)" if sharded else ""
     common = dict(adversary=adversary, seed=seed, adversary_seed=adversary_seed, inputs=inputs)
@@ -395,17 +385,13 @@ def _run_asynchronous(
         from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
 
         try:
-            engine = VectorizedAsynchronousEngine(
-                graph, protocol, table=table, use_kernel=use_kernel, **common
-            )
+            engine = VectorizedAsynchronousEngine(graph, protocol, table=table, **common)
         except ProtocolNotVectorizableError as exc:
             if backend != "auto":
                 raise
             reason = f"auto fell back to the interpreter{dropped}: {exc}"
         else:
             reason = "protocol and adversary support event batching"
-            if use_kernel:
-                reason += "; compiled kernels"
     if engine is None:
         if reason is None:  # chosen up front, not fallen back to
             if backend == "python":
@@ -425,6 +411,7 @@ def _run_asynchronous(
             reason += f" ({note})"
         if unsharded is not None:
             reason = f"shards={shards} requested but {unsharded}; ran unsharded ({reason})"
+    record_engine_run("async")
 
     def execute(chosen) -> ExecutionResult:
         try:

@@ -102,7 +102,6 @@ def _run_dynamic(
         raise ExecutionError(
             f"churn= must be a ChurnPolicy, got {type(churn).__name__}"
         )
-    record_engine_run("dynamic")
     key = derive_churn_seed(seed) if churn_seed is None else churn_seed
     dynamic = DynamicGraph(graph, churn.start(graph.num_nodes, key))
     inputs = dict(inputs or {})
@@ -140,7 +139,8 @@ def _run_dynamic(
             initial_states=states,
             initial_letters=letters,
         )
-        if annotation is None:
+        if annotation is None:  # first segment: count the run once an engine exists
+            record_engine_run("dynamic")
             annotation = dict(
                 backend=selection.backend,
                 backend_mode=selection.mode,

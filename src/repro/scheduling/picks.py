@@ -3,9 +3,9 @@
 In the paper's model a randomized node picks uniformly at random from its
 transition's option set.  Every engine realizes that coin with the same
 pure function — a SplitMix64 hash of the run's seed and the pick's
-coordinates — so the interpreters, the array engines, the compiled kernels
-and the shard workers all draw bitwise-identical picks with no generator
-state to share, replay or rewind:
+coordinates — so the interpreters, the array engines and the shard workers
+all draw bitwise-identical picks with no generator state to share, replay
+or rewind:
 
 * synchronous picks are keyed on ``(seed, round, original node id)``:
   :func:`counter_round_key` mixes the per-round key once, then
@@ -55,9 +55,8 @@ def resolve_pick_seed(seed: int | None) -> int:
 def counter_base_key(seed: int) -> int:
     """The seed-level base key of the synchronous pick stream.
 
-    Factored out of :func:`counter_round_key` so the compiled kernels
-    (:mod:`repro.scheduling.kernels`) can mix the per-round component
-    natively while staying on the exact same stream.
+    Shared by :func:`counter_round_key` and :func:`async_pick_base`, so the
+    two streams derive from one seed mix.
     """
     return (seed & _MASK64) ^ _PICK_STREAM
 

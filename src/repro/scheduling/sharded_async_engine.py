@@ -569,8 +569,8 @@ class ShardedAsyncEngine:
     Mirrors :class:`~repro.scheduling.vectorized_async_engine.
     VectorizedAsynchronousEngine`'s ``run()`` contract; a sharded engine is
     single-run (the final-state collection retires the workers).  Engines
-    own kernel resources: call :meth:`close` (or use the engine as a
-    context manager) to release workers and shared-memory segments.
+    own worker processes and shared-memory segments: call :meth:`close` (or
+    use the engine as a context manager) to release them.
     """
 
     def __init__(

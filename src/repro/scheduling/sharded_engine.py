@@ -86,7 +86,7 @@ from repro.core.results import ExecutionResult, build_synchronous_result
 from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_graph, permute_csr
 from repro.scheduling.compiled import CompiledProtocol, compile_protocol
-from repro.scheduling.picks import counter_picks, counter_round_key, resolve_pick_seed
+from repro.scheduling.picks import counter_picks, resolve_pick_seed
 from repro.scheduling.vectorized_engine import DEFAULT_MAX_ROUNDS, _require_numpy
 
 #: Control words written by the parent before releasing the start barrier.
@@ -196,7 +196,6 @@ def _worker_loop(
     pick_seed,
     bounding,
     num_letters,
-    use_kernel,
     start_barrier,
     done_barrier,
 ) -> None:
@@ -204,11 +203,6 @@ def _worker_loop(
 
     Kept in its own frame so that every NumPy view over the shared segments
     dies when it returns — the caller can then detach cleanly.
-
-    With ``use_kernel`` the round body runs as the compiled
-    :func:`repro.scheduling.kernels.shard_round` kernel instead of the NumPy
-    expression below; both are bitwise-identical, so the choice never
-    changes a result.
     """
     tables = _attach_views(static, static_layout)
     dyn = _attach_views(dynamic, dynamic_layout)
@@ -232,9 +226,6 @@ def _worker_loop(
     degrees = indptr[lo + 1 : hi + 1] - indptr[lo:hi]
     edge_src = np.repeat(np.arange(span, dtype=np.int64), degrees)
 
-    if use_kernel:
-        from repro.scheduling.kernels import _call
-
     round_index = 0
     while True:
         start_barrier.wait()
@@ -243,46 +234,23 @@ def _worker_loop(
 
         read = letters[round_index % 2]
         write = letters[(round_index + 1) % 2]
-        if use_kernel:
-            sent = _call(
-                "shard_round",
-                state,
-                read,
-                write,
-                lo,
-                hi,
-                edge_src,
-                edge_dst,
-                strides,
-                state_base,
-                cell_offset,
-                cell_count,
-                option_next,
-                option_emit,
-                node_keys,
-                np.uint64(counter_round_key(pick_seed, round_index)),
-                bounding,
-                num_letters,
-            )
-            messages[worker_id] += int(sent)
-        else:
-            # Identical op sequence to VectorizedEngine._step_round_eager,
-            # restricted to rows lo:hi — the determinism contract.
-            keys = edge_src * num_letters + read[edge_dst]
-            counts = np.bincount(keys, minlength=span * num_letters)
-            saturated = np.minimum(counts.reshape(span, num_letters), bounding)
-            local_state = state[lo:hi]
-            obs_id = (saturated * strides[local_state]).sum(axis=1)
-            cell = state_base[local_state] + obs_id
-            option_count = cell_count[cell]
-            pick = counter_picks(pick_seed, round_index, node_keys, option_count)
-            selected = cell_offset[cell] + pick
-            new_state = option_next[selected]
-            emitted = option_emit[selected]
-            transmitting = emitted >= 0
-            write[lo:hi] = np.where(transmitting, emitted, read[lo:hi])
-            state[lo:hi] = new_state
-            messages[worker_id] += int(transmitting.sum())
+        # Identical op sequence to VectorizedEngine._step_round_eager,
+        # restricted to rows lo:hi — the determinism contract.
+        keys = edge_src * num_letters + read[edge_dst]
+        counts = np.bincount(keys, minlength=span * num_letters)
+        saturated = np.minimum(counts.reshape(span, num_letters), bounding)
+        local_state = state[lo:hi]
+        obs_id = (saturated * strides[local_state]).sum(axis=1)
+        cell = state_base[local_state] + obs_id
+        option_count = cell_count[cell]
+        pick = counter_picks(pick_seed, round_index, node_keys, option_count)
+        selected = cell_offset[cell] + pick
+        new_state = option_next[selected]
+        emitted = option_emit[selected]
+        transmitting = emitted >= 0
+        write[lo:hi] = np.where(transmitting, emitted, read[lo:hi])
+        state[lo:hi] = new_state
+        messages[worker_id] += int(transmitting.sum())
         round_index += 1
 
         done_barrier.wait()
@@ -299,7 +267,6 @@ def _shard_worker_main(
     pick_seed: int,
     bounding: int,
     num_letters: int,
-    use_kernel: bool,
     start_barrier,
     done_barrier,
 ) -> None:
@@ -318,7 +285,6 @@ def _shard_worker_main(
             pick_seed,
             bounding,
             num_letters,
-            use_kernel,
             start_barrier,
             done_barrier,
         )
@@ -356,9 +322,8 @@ class ShardedVectorizedEngine:
     :class:`~repro.core.errors.ShardingUnavailableError` (callers fall back
     to the unsharded engine; results are identical).
 
-    Engines own kernel resources: call :meth:`close` (or use the engine as
-    a context manager) to release workers and shared-memory segments.  The
-    convenience wrapper :func:`run_sharded` does this automatically.
+    Engines own worker processes and shared-memory segments: call
+    :meth:`close` (or use the engine as a context manager) to release them.
     """
 
     def __init__(
@@ -372,17 +337,12 @@ class ShardedVectorizedEngine:
         compiled: CompiledProtocol | None = None,
         shards: int = 2,
         partition_strategy: str = "bfs",
-        use_kernel: bool = False,
         initial_states=None,
         initial_letters=None,
         mp_context=None,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
         _require_numpy()
-        if use_kernel:
-            from repro.scheduling.kernels import require_kernels
-
-            require_kernels()
         if shared_memory is None:  # pragma: no cover - POSIX-less platforms
             raise ShardingUnavailableError(
                 "sharded execution requires multiprocessing.shared_memory"
@@ -525,7 +485,6 @@ class ShardedVectorizedEngine:
                 pick_seed,
                 int(compiled.tabulation.bounding),
                 int(compiled.num_letters),
-                bool(use_kernel),
                 self._start_barrier,
                 self._done_barrier,
             )
@@ -746,34 +705,3 @@ def _finalize_segments(static_shm, dynamic_shm) -> None:
     """GC safety net: reclaim segments if the engine was never closed."""
     _release_segment(static_shm, unlink=True)
     _release_segment(dynamic_shm, unlink=True)
-
-
-def run_sharded(
-    graph: Graph,
-    protocol: ExtendedProtocol | Protocol,
-    *,
-    seed: int | None = None,
-    inputs: Mapping[int, Any] | None = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    observer=None,
-    raise_on_timeout: bool = True,
-    compiled: CompiledProtocol | None = None,
-    shards: int = 2,
-    partition_strategy: str = "bfs",
-) -> ExecutionResult:
-    """Convenience wrapper: build a :class:`ShardedVectorizedEngine`, run it,
-    and always release workers and shared memory."""
-    engine = ShardedVectorizedEngine(
-        graph,
-        protocol,
-        seed=seed,
-        inputs=inputs,
-        observer=observer,
-        compiled=compiled,
-        shards=shards,
-        partition_strategy=partition_strategy,
-    )
-    try:
-        return engine.run(max_rounds=max_rounds, raise_on_timeout=raise_on_timeout)
-    finally:
-        engine.close()

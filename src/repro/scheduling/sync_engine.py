@@ -39,10 +39,6 @@ RoundObserver = Callable[[int, tuple[State, ...]], None]
 
 DEFAULT_MAX_ROUNDS = 100_000
 
-#: Recognised values of the ``backend`` execution parameter (the attempt
-#: order and capability rules live in :mod:`repro.api.backends`).
-BACKENDS = ("python", "vectorized", "kernel", "auto")
-
 
 class SynchronousEngine:
     """Executes a protocol in fully synchronous rounds.
@@ -245,8 +241,7 @@ class BackendSelection:
     requested:
         The ``backend`` argument the caller passed.
     backend:
-        The engine that actually ran: ``"python"``, ``"vectorized"`` or
-        ``"kernel"``.
+        The engine that actually ran: ``"python"`` or ``"vectorized"``.
     mode:
         How the transition relation is evaluated: ``"interpreted"`` (the
         object-level protocol API), ``"eager"`` (full reachable closure
@@ -257,7 +252,7 @@ class BackendSelection:
     rejected:
         ``(tier, reason)`` pairs for every higher tier that was ruled out
         or failed its attempt — how an ``"auto"`` climb that stopped short
-        of the kernel tier stays loud instead of silent.
+        of the vectorized tier stays loud instead of silent.
     """
 
     requested: str
@@ -289,11 +284,11 @@ def _make_engine(
     ``"python"`` always interprets; ``"vectorized"`` compiles the protocol
     to dense tables (eager or lazy, per the protocol's
     ``tabulation_hint``) and raises :class:`ProtocolNotVectorizableError`
-    when it cannot; ``"kernel"`` additionally runs the round loop as
-    compiled kernels (and requires numba plus the eager closure);
-    ``"auto"`` climbs python → vectorized → kernel, settling on the best
-    available tier and recording why each skipped tier was ruled out.  All
-    paths produce bitwise-identical results for the same seed.
+    when it cannot; ``"auto"`` climbs python → vectorized, settling on the
+    best tier that takes the workload and recording why each skipped tier
+    was ruled out.  An unknown token raises :class:`ExecutionError` from
+    the negotiation.  All paths produce bitwise-identical results for the
+    same seed.
 
     ``shards`` is a pure performance knob: ``None`` and ``1`` are the same
     run, and ``shards >= 2`` first tries a :class:`~repro.scheduling.
@@ -305,10 +300,6 @@ def _make_engine(
     ``shards >= 2`` request carries a ``shard_info`` dict for the result
     metadata (one shard when it runs on one process).
     """
-    if backend not in BACKENDS:
-        raise ExecutionError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     if shards is not None:
         shards = int(shards)
         if shards < 1:
@@ -355,7 +346,6 @@ def _make_engine(
                     protocol,
                     compiled=compiled,
                     shards=shards,
-                    use_kernel=tiers[0] == "kernel",
                     **common,
                 )
             except ShardingUnavailableError as exc:
@@ -377,6 +367,8 @@ def _make_engine(
                 )
 
     if engine is None:
+        from repro.scheduling.vectorized_engine import VectorizedEngine
+
         for tier in tiers:
             if tier == "python":  # the unconditional last resort
                 engine = SynchronousEngine(graph, protocol, **common)
@@ -387,12 +379,10 @@ def _make_engine(
                     dropped = f" (shards={shards} dropped)" if sharded else ""
                     reason = f"auto fell back to the interpreter{dropped}: {rejected[-1][1]}"
                 break
-            if tier == "kernel":
-                from repro.scheduling.kernels import KernelVectorizedEngine as engine_cls
-            else:
-                from repro.scheduling.vectorized_engine import VectorizedEngine as engine_cls
             try:
-                engine = engine_cls(graph, protocol, compiled=compiled, table=table, **common)
+                engine = VectorizedEngine(
+                    graph, protocol, compiled=compiled, table=table, **common
+                )
             except ProtocolNotVectorizableError as exc:
                 if backend != "auto":
                     raise
@@ -408,8 +398,6 @@ def _make_engine(
             reason = f"{origin}; {mode} table"
             break
     if mode != "interpreted":
-        if tier == "kernel":
-            reason += "; compiled kernels"
         skipped = "; ".join(f"{name} tier skipped: {why}" for name, why in rejected)
         if skipped:
             reason = f"{reason} ({skipped})"
@@ -500,8 +488,8 @@ def _precompile_tables_with_reason(
     )
 
     hint = getattr(protocol, "tabulation_hint", lambda: "eager")()
-    # Strict impossibilities (kernel without numba, kernel over a lazy
-    # tabulation) raise here, before any table is built.
+    # Strict impossibilities (an unknown token, a tier that cannot take the
+    # protocol's tabulation) raise here, before any table is built.
     negotiation = negotiate_backend(
         Workload(environment="sync", tabulation=hint), backend
     )
@@ -513,11 +501,8 @@ def _precompile_tables_with_reason(
                 "protocol hints a lazy tabulation; lazy table (session-precompiled)"
                 + suffix
             )
-        kernels = "; compiled kernels" if negotiation.chosen == "kernel" else ""
         return backend, compile_protocol(protocol), None, (
-            "reachable closure enumerated; eager table (session-precompiled)"
-            + kernels
-            + suffix
+            "reachable closure enumerated; eager table (session-precompiled)" + suffix
         )
     except ProtocolNotVectorizableError as exc:
         if backend != "auto":
@@ -568,7 +553,6 @@ def _run_synchronous(
     partition statistics are recorded under ``"shard_count"``,
     ``"cut_edges"``, ``"halo_bytes_per_round"`` and ``"partition_strategy"``.
     """
-    record_engine_run("sync")
     engine, selection = _make_engine(
         graph,
         protocol,
@@ -580,6 +564,7 @@ def _run_synchronous(
         table=table,
         shards=shards,
     )
+    record_engine_run("sync")
     annotation = dict(
         backend=selection.backend,
         backend_mode=selection.mode,

@@ -116,16 +116,8 @@ class VectorizedAsynchronousEngine:
         inputs: Mapping[int, Any] | None = None,
         table: LazyStrictTable | None = None,
         max_states: int = DEFAULT_MAX_LAZY_STATES,
-        use_kernel: bool = False,
-        rng_node_keys=None,
     ) -> None:
         _require_numpy()
-        if use_kernel:
-            from repro.scheduling.kernels import _call, require_kernels
-
-            require_kernels()
-            self._kernel_call = _call
-        self._use_kernel = bool(use_kernel)
         if not isinstance(protocol, Protocol):
             raise ExecutionError(
                 "the asynchronous engine executes strict protocols only; "
@@ -147,17 +139,6 @@ class VectorizedAsynchronousEngine:
         self._adversary_name = adversary.name
         self._seed = seed
         self._pick_base = async_pick_base(resolve_pick_seed(seed))
-        # Pick keys are original node ids; a permuted run passes the inverse
-        # permutation so each node keeps drawing under its original identity.
-        if rng_node_keys is None:
-            self._node_keys = np.arange(graph.num_nodes, dtype=np.uint64)
-        else:
-            self._node_keys = np.ascontiguousarray(rng_node_keys, dtype=np.uint64)
-            if self._node_keys.shape != (graph.num_nodes,):
-                raise ExecutionError(
-                    "rng_node_keys must hold one key per node "
-                    f"(expected {graph.num_nodes}, got {self._node_keys.shape})"
-                )
         self._table = table if table is not None else LazyStrictTable(
             protocol, max_states=max_states
         )
@@ -398,7 +379,6 @@ class VectorizedAsynchronousEngine:
         """
         table = self._table
         pick_base = self._pick_base
-        node_keys = self._node_keys
         schedule = self._schedule
         static = self._static_bound is not None
         indptr = self._indptr
@@ -436,9 +416,7 @@ class VectorizedAsynchronousEngine:
             step_executed = int(self._step[node])
             offset, n_options = table.cell(state_id, count)
             if n_options > 1:
-                pick = async_counter_pick(
-                    pick_base, int(node_keys[node]), step_executed, n_options
-                )
+                pick = async_counter_pick(pick_base, node, step_executed, n_options)
             else:
                 pick = 0
             new_state, emit = table.option(offset + pick)
@@ -510,25 +488,11 @@ class VectorizedAsynchronousEngine:
                 seg, edges = self._ragged_edges(batch, lens)
                 events_processed += self._apply_deliveries(seg, edges, batch_times)
                 query, _, *_ = self._table.arrays()
-                if self._use_kernel:
-                    # Counts + bounding clamp in one compiled pass; bitwise
-                    # the bincount/minimum pair below.
-                    self._kernel_call(
-                        "async_bucket_census",
-                        self._port,
-                        edges,
-                        seg,
-                        query[self._state[batch]],
-                        self._b,
-                        counts,
-                    )
-                else:
-                    matches = self._port[edges] == query[self._state[batch]][seg]
-                    counts = np.bincount(
-                        seg, weights=matches, minlength=len(batch)
-                    ).astype(np.int64)
-            if not self._use_kernel:
-                counts = np.minimum(counts, self._b)
+                matches = self._port[edges] == query[self._state[batch]][seg]
+                counts = np.bincount(
+                    seg, weights=matches, minlength=len(batch)
+                ).astype(np.int64)
+            counts = np.minimum(counts, self._b)
 
             state_batch = self._state[batch]
             self._table.ensure_cells(state_batch, counts)
@@ -547,61 +511,32 @@ class VectorizedAsynchronousEngine:
             # discarded — the draws are stateless, so it consumed nothing.
             may_terminate = self._non_output <= len(batch)
             picks = async_counter_picks(
-                self._pick_base, self._node_keys[batch], self._step[batch], n_options
+                self._pick_base, batch.astype(np.uint64), self._step[batch], n_options
             )
-            if self._use_kernel:
-                # Transitions + running-counter termination scan in one
-                # compiled pass; bitwise the gather/cumsum block below.
-                new_states = np.empty(len(batch), dtype=np.int64)
-                emits = np.empty(len(batch), dtype=np.int64)
-                processed, running_end, terminated = self._kernel_call(
-                    "async_bucket_apply",
-                    offsets,
-                    picks,
-                    option_next,
-                    option_emit,
-                    output_mask,
-                    state_batch,
-                    self._non_output,
-                    may_terminate,
-                    new_states,
-                    emits,
+            selected = offsets + picks
+            new_states = option_next[selected]
+            emits = option_emit[selected]
+            old_output = output_mask[state_batch]
+            new_output = output_mask[new_states]
+            processed = len(batch)
+            terminated = False
+            if may_terminate:
+                running = self._non_output + np.cumsum(
+                    old_output.astype(np.int64) - new_output.astype(np.int64)
                 )
-                processed = int(processed)
-                terminated = bool(terminated)
-                if terminated:
+                completing = np.flatnonzero(running == 0)
+                if completing.size:
+                    processed = int(completing[0]) + 1
+                    terminated = True
                     self._non_output = 0
                     batch = batch[:processed]
                     batch_times = batch_times[:processed]
                     new_states = new_states[:processed]
                     emits = emits[:processed]
                 else:
-                    self._non_output = int(running_end)
+                    self._non_output = int(running[-1])
             else:
-                selected = offsets + picks
-                new_states = option_next[selected]
-                emits = option_emit[selected]
-                old_output = output_mask[state_batch]
-                new_output = output_mask[new_states]
-                processed = len(batch)
-                terminated = False
-                if may_terminate:
-                    running = self._non_output + np.cumsum(
-                        old_output.astype(np.int64) - new_output.astype(np.int64)
-                    )
-                    completing = np.flatnonzero(running == 0)
-                    if completing.size:
-                        processed = int(completing[0]) + 1
-                        terminated = True
-                        self._non_output = 0
-                        batch = batch[:processed]
-                        batch_times = batch_times[:processed]
-                        new_states = new_states[:processed]
-                        emits = emits[:processed]
-                    else:
-                        self._non_output = int(running[-1])
-                else:
-                    self._non_output += int(old_output.sum()) - int(new_output.sum())
+                self._non_output += int(old_output.sum()) - int(new_output.sum())
             self._state[batch] = new_states
 
             self._steps_taken[batch] += 1
@@ -646,7 +581,7 @@ class VectorizedAsynchronousEngine:
             total_messages=self._messages,
             seed=self._seed,
             adversary_name=self._adversary_name,
-            backend="kernel" if self._use_kernel else "vectorized",
+            backend="vectorized",
         )
 
 

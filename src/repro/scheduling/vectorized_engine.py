@@ -400,7 +400,6 @@ def run_vectorized(
     raise_on_timeout: bool = True,
     compiled: CompiledProtocol | None = None,
     table: LazyExtendedTable | None = None,
-    rng_node_keys=None,
 ) -> ExecutionResult:
     """Convenience wrapper: compile, build a :class:`VectorizedEngine`, run it.
 
@@ -417,6 +416,5 @@ def run_vectorized(
         observer=observer,
         compiled=compiled,
         table=table,
-        rng_node_keys=rng_node_keys,
     )
     return engine.run(max_rounds=max_rounds, raise_on_timeout=raise_on_timeout)

@@ -263,6 +263,36 @@ def test_service_rejects_malformed_specs(service_url):
     assert _get(f"{base}/healthz")[1] == {"ok": True}
 
 
+def test_kernel_backend_is_refused_everywhere_cold_or_warm(service_url, tmp_path):
+    """``backend="kernel"`` names no tier: the spec, the CLI and the service
+    all refuse it up front.  The spec hash ignores ``backend``, so a store
+    warmed by the ``"auto"`` twin of the spec must not serve it either."""
+    from repro.cli import main
+    from repro.core.errors import SpecError
+
+    base, _ = service_url
+    fields = {"protocol": "mis", "nodes": 32, "seed": 3}
+    with pytest.raises(SpecError, match="unknown backend 'kernel'"):
+        RunSpec(**fields, backend="kernel")
+
+    store = tmp_path / "cli-store"
+    run = ["run", "mis", "--nodes", "32", "--seed", "3", "--store", str(store)]
+    spec_file = tmp_path / "kernel.json"
+    spec_file.write_text(json.dumps({**fields, "backend": "kernel"}))
+    for warm in (False, True):
+        if warm:  # the auto twin fills the CLI store and the service store
+            assert main(run) == 0
+            _, submitted = _post(f"{base}/jobs", fields)
+            assert _wait_done(base, submitted["job"])["status"] == "done"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*run, "--backend", "kernel"])
+        assert exit_info.value.code == 2
+        assert main(["run", "--spec", str(spec_file), "--store", str(store)]) == 2
+        code, body = _post(f"{base}/jobs", {**fields, "backend": "kernel"})
+        assert code == 400
+        assert "unknown backend 'kernel'" in body["error"]
+
+
 def _wait_service_done(service, job_id, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

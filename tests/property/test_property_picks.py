@@ -1,8 +1,8 @@
 """Property-based tests for the protocol-pick stream (hypothesis).
 
 Every engine draws its coins from :mod:`repro.scheduling.picks`: the
-interpreters one scalar pick at a time, the array engines, kernels and
-shard workers a whole round or bucket at once.  Interpreter ≡ vectorized ≡
+interpreters one scalar pick at a time, the array engines and shard
+workers a whole round or bucket at once.  Interpreter ≡ vectorized ≡
 sharded parity rests on the scalar and the batch draws agreeing bitwise,
 which these properties pin over the full coordinate ranges.
 """

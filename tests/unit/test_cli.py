@@ -64,9 +64,7 @@ class TestProtocolCommands:
 class TestGenericRunCommand:
     #: Full golden payload of one deterministic run: the generic command's
     #: JSON contract, asserted key for key so accidental schema or seed
-    #: drift is caught immediately.  The kernel-tier probe is pinned to
-    #: "absent" by the autouse fixture below, so the payload (including the
-    #: loud degradation note) is identical on hosts with and without numba.
+    #: drift is caught immediately.
     GOLDEN_MIS_JSON = {
         "problem": "maximal independent set",
         "graph": "gnp_sparse n=16 m=29",
@@ -74,18 +72,9 @@ class TestGenericRunCommand:
         "cost": "14.0 rounds",
         "mis size": 6,
         "backend": "vectorized (eager table)",
-        "backend reason": (
-            "reachable closure enumerated; eager table (session-precompiled) "
-            "(kernel tier skipped: numba is not installed)"
-        ),
+        "backend reason": "reachable closure enumerated; eager table (session-precompiled)",
         "valid": True,
     }
-
-    @pytest.fixture(autouse=True)
-    def _kernel_tier_absent(self, monkeypatch):
-        from repro.scheduling import kernels
-
-        monkeypatch.setattr(kernels, "_FORCE_MODE", "absent")
 
     def test_golden_json_output(self, capsys):
         exit_code = main(["run", "mis", "--nodes", "16", "--seed", "1", "--json"])
@@ -126,29 +115,24 @@ class TestGenericRunCommand:
         exit_code = main(["run", "--list-backends", "--json"])
         census = json.loads(capsys.readouterr().out)
         assert exit_code == 0
-        assert [row["name"] for row in census] == ["python", "vectorized", "kernel"]
-        assert [row["rank"] for row in census] == [0, 1, 2]
+        assert [row["name"] for row in census] == ["python", "vectorized"]
+        assert [row["rank"] for row in census] == [0, 1]
         by_name = {row["name"]: row for row in census}
         assert by_name["python"]["available"] is True
         assert by_name["vectorized"]["available"] is True
-        # The fixture pins the kernel probe to "absent".
-        assert by_name["kernel"]["available"] is False
-        assert by_name["kernel"]["detail"] == "numba is not installed"
-        assert by_name["kernel"]["supports_sharding"] is True
+        assert by_name["python"]["supports_sharding"] is False
+        assert by_name["vectorized"]["supports_sharding"] is True
 
-    def test_list_backends_human_readable(self, capsys):
+    def test_list_backends_human_readable(self, capsys, turbo_missing):
         exit_code = main(["run", "--list-backends"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "backends" in output and "kernel" in output
-        assert "UNAVAILABLE" in output  # the pinned-absent kernel tier
-
-    def test_strict_kernel_request_fails_cleanly_without_numba(self, capsys):
-        exit_code = main(["run", "mis", "--nodes", "8", "--backend", "kernel"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "kernel tier is unavailable" in captured.err
-        assert "numba is not installed" in captured.err
+        assert "backends" in output
+        assert "[0] python" in output and "[1] vectorized" in output
+        # The test-local tier reports itself unavailable, with its reason.
+        assert "[2] turbo" in output
+        assert "UNAVAILABLE" in output
+        assert turbo_missing in output
 
     def test_registered_baseline_is_runnable(self, capsys):
         exit_code = main(["run", "luby", "--nodes", "32", "--seed", "2", "--json"])

@@ -325,6 +325,32 @@ def test_cached_timeout_reraises_identically(tmp_path):
     assert warm_error.value.result == cold_error.value.result
 
 
+def test_refused_requests_count_no_engine_run():
+    """A request refused during backend negotiation never builds an engine,
+    so it adds nothing to the counter the zero-execution checks read; a
+    successful run adds exactly one."""
+    from repro.compilers import compile_to_asynchronous
+    from repro.core.errors import ExecutionError
+    from repro.graphs.generators import path_graph
+    from repro.protocols.mis import MISProtocol
+
+    session = Simulation()
+    before = engine_runs()
+    with pytest.raises(ExecutionError, match="per-transition observers"):
+        session.run_protocol(
+            path_graph(8),
+            compile_to_asynchronous(MISProtocol()),
+            environment="async",
+            backend="vectorized",
+            observer=lambda record: None,
+        )
+    with pytest.raises(ExecutionError, match="cannot shard"):
+        session.run_protocol(path_graph(8), MISProtocol(), backend="python", shards=2)
+    assert engine_runs() == before
+    session.run_protocol(path_graph(8), MISProtocol(), seed=0)
+    assert engine_runs() == before + 1
+
+
 def test_stash_fetch_round_trip_preserves_result(tmp_path):
     session = Simulation()
     result = session.simulate(SPEC)

@@ -164,15 +164,15 @@ def test_hash_is_shard_count_invariant(spec, shards_a, shards_b):
 @COMMON
 @given(
     spec=specs,
-    backend_a=st.sampled_from(["python", "vectorized", "kernel", "auto"]),
-    backend_b=st.sampled_from(["python", "vectorized", "kernel", "auto"]),
+    backend_a=st.sampled_from(["python", "vectorized", "auto"]),
+    backend_b=st.sampled_from(["python", "vectorized", "auto"]),
 )
 def test_hash_is_backend_invariant(spec, backend_a, backend_b):
     """Every backend tier is bitwise-identical, so the hash ignores it.
 
     The store addresses *results*, and the whole point of the parity-locked
-    tier ladder is that ``python``, ``vectorized`` and ``kernel`` produce
-    the same result for the same spec — one cache entry serves them all.
+    tier ladder is that ``python`` and ``vectorized`` produce the same
+    result for the same spec — one cache entry serves them all.
     """
     if "python" in (backend_a, backend_b) and spec.shards is not None:
         spec = spec.replace(shards=None)  # sharding rejects the python tier

@@ -199,9 +199,7 @@ class TestBackendSelection:
             inputs=broadcast_inputs(0),
             backend="auto",
         )
-        # auto lands on the kernel tier when numba is present, the
-        # vectorized tier otherwise — both are eager-table backends.
-        assert result.metadata["backend"] in ("vectorized", "kernel")
+        assert result.metadata["backend"] == "vectorized"
         assert result.metadata["backend_mode"] == "eager"
         assert result.metadata["backend_reason"]
 
@@ -231,7 +229,7 @@ class TestBackendSelection:
         selection = select_backend(
             path_graph(4), BroadcastProtocol(), "auto", inputs=broadcast_inputs(0)
         )
-        assert selection.backend in ("vectorized", "kernel")
+        assert selection.backend == "vectorized"
 
     def test_precompile_tables_shapes(self):
         from repro.compilers import compile_to_asynchronous

@@ -5,6 +5,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core.counters import engine_runs
 from repro.core.errors import (
     ExecutionError,
     OutputNotReachedError,
@@ -122,7 +123,9 @@ class TestEngineContract:
         with pytest.raises(ProtocolNotVectorizableError):
             engine.run()
         table = LazyStrictTable(protocol, max_states=2)
+        before = engine_runs()
         result = _run_asynchronous(graph, protocol, backend="auto", table=table, **run)
+        assert engine_runs() == before + 1  # the rerun is part of the one run
         reference = _run_asynchronous(graph, protocol, backend="python", **run)
         assert result.metadata["backend"] == "python"
         assert result.metadata["backend_reason"].startswith("auto fell back to the interpreter")
