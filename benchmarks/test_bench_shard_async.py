@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.reporting import ExperimentReport
 from repro.api import RunSpec, Simulation
-from repro.scheduling.sharded_async_engine import sharding_supported
+from repro.scheduling.shard_pool import sharding_supported
 
 from speedup import soft_assert_speedup
 

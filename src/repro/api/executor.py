@@ -148,21 +148,6 @@ def budget_workers(workers: int, shards: int | None) -> int:
     return max(1, min(workers, cores // int(shards)))
 
 
-def _pool_context():
-    """The multiprocessing start method used for worker pools.
-
-    ``fork`` (where available) inherits the parent's registries, so even
-    protocols registered at runtime — test doubles, plugins — stay
-    spec-addressable inside workers.  Platforms without ``fork`` fall back
-    to ``spawn``, where workers re-import :mod:`repro.api` and therefore see
-    the built-in registrations only.
-    """
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 # ---------------------------------------------------------------------- #
 # Workload sharding                                                       #
 # ---------------------------------------------------------------------- #
@@ -344,9 +329,9 @@ def _worker_adopt_tables(segment_name: str) -> None:
     Any failure leaves the worker on the legacy compile-on-first-use path.
     """
     try:
-        from repro.scheduling.sharded_engine import _attach_segment
+        from repro.scheduling.shard_pool import attach_segment
 
-        shm = _attach_segment(segment_name)
+        shm = attach_segment(segment_name)
         try:
             size = int.from_bytes(bytes(shm.buf[:8]), "little")
             bundles = pickle.loads(bytes(shm.buf[8 : 8 + size]))
@@ -473,6 +458,8 @@ def _execute_pooled(tasks: Sequence[SpecTask], workers: int, session) -> list[An
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    from repro.scheduling.shard_pool import mp_context
+
     shm = _publish_tables(_published_sync_bundles(tasks, session))
     pool_kwargs: dict[str, Any] = {}
     if shm is not None:
@@ -482,7 +469,7 @@ def _execute_pooled(tasks: Sequence[SpecTask], workers: int, session) -> list[An
     try:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
-            mp_context=_pool_context(),
+            mp_context=mp_context(),
             **pool_kwargs,
         ) as pool:
             outcomes = list(pool.map(run_task, tasks))

@@ -370,13 +370,8 @@ def _run_asynchronous(
             reason = f"auto fell back to the interpreter{dropped}: {exc}"
         else:
             info = engine.shard_info
-            annotation = dict(
-                backend_mode="sharded",
-                shard_count=info["shard_count"],
-                cut_edges=info["cut_edges"],
-                halo_bytes_per_bucket=info["halo_bytes_per_bucket"],
-                partition_strategy=info["partition_strategy"],
-            )
+            annotation = dict(backend_mode="sharded")
+            annotation.update(info)
             reason = (
                 f"async buckets sharded over {info['shard_count']} workers "
                 f"({info['partition_strategy']} partition, cut={info['cut_edges']})"

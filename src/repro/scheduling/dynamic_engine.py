@@ -148,14 +148,7 @@ def _run_dynamic(
                     selection.reason if reason_override is None else reason_override
                 ),
             )
-            shard_info = getattr(engine, "shard_info", None)
-            if shard_info is not None:
-                annotation.update(
-                    shard_count=shard_info["shard_count"],
-                    cut_edges=shard_info["cut_edges"],
-                    halo_bytes_per_round=shard_info["halo_bytes_per_round"],
-                    partition_strategy=shard_info["partition_strategy"],
-                )
+            annotation.update(engine.shard_info)
         try:
             result = engine.run(
                 max_rounds=max_rounds - total_rounds, raise_on_timeout=False

@@ -1,0 +1,334 @@
+"""One lifecycle for the shard workers of both sharded engines.
+
+:class:`ShardPool` owns what the sharded synchronous engine
+(:mod:`repro.scheduling.sharded_engine`) and the sharded asynchronous
+engine (:mod:`repro.scheduling.sharded_async_engine`) have in common: the
+BFS partition and the permuted CSR, two POSIX shared-memory segments, the
+fence barriers and the worker processes.  An engine supplies its arrays
+and its worker loop; the pool does the rest::
+
+    ShardPool(graph, shards, fences=k)   checks, BFS partition
+    pool.permuted_csr()                  the CSR relabelled by the partition
+    pool.allocate(static, dynamic, loop, *args)
+                                         segments (released if this fails)
+    pool.wait(fence)                     lazy start, health check, wait
+    pool.close() / pool.abort()          STOP handshake / terminate; unlink
+
+Worker ``s`` runs ``loop(s, lo, hi, tables, dyn, fences, *args)`` over its
+contiguous permuted node range ``lo:hi``, where ``tables`` and ``dyn`` are
+NumPy views over the static and dynamic segments.  Fence 0 is the start
+fence: past it, a worker reads ``dyn["control"][0]`` and returns on
+:data:`STOP`, which is how :meth:`ShardPool.close` retires healthy workers.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import threading
+import traceback
+import weakref
+
+try:  # NumPy is an optional dependency of the library as a whole.
+    import numpy as np
+
+    from repro.graphs.partition import partition_graph, permute_csr
+except ImportError:  # pragma: no cover - exercised only on minimal installs
+    np = None
+
+try:
+    import multiprocessing
+    from multiprocessing import resource_tracker, shared_memory
+except ImportError:  # pragma: no cover - platforms without POSIX shm
+    multiprocessing = None
+    shared_memory = None
+
+from repro.core.errors import ExecutionError, ShardingUnavailableError
+from repro.graphs.graph import Graph
+
+#: Control word that retires a worker at the start fence.
+STOP = 0
+
+#: Per-wait ceiling on fence synchronisation.  A worker's round or bucket is
+#: a few array ops — seconds, not minutes, even at n = 10^6 — so a stuck
+#: fence means a dead or wedged worker and the pool aborts instead of
+#: hanging.
+DEFAULT_BARRIER_TIMEOUT = 60.0
+
+#: Shared-memory segment name prefix; the teardown tests glob for leaks.
+SEGMENT_PREFIX = "repro_shard"
+
+_segment_counter = itertools.count()
+
+
+def sharding_supported() -> bool:
+    """Whether this platform can run the sharded backends at all."""
+    return np is not None and shared_memory is not None
+
+
+def mp_context():
+    """The multiprocessing start method of every worker this package starts.
+
+    ``fork`` (where available) inherits the parent's registries, so even
+    protocols registered at runtime — test doubles, plugins — stay
+    spec-addressable inside pool workers.  Platforms without ``fork`` fall
+    back to ``spawn``, where workers re-import :mod:`repro.api` and
+    therefore see the built-in registrations only.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+# --------------------------------------------------------------------- #
+# Shared-memory segments                                                 #
+# --------------------------------------------------------------------- #
+def _segment_layout(arrays):
+    """``{name: (offset, shape, dtype_str)}`` plus the total byte size."""
+    layout = {}
+    offset = 0
+    for name, arr in arrays.items():
+        offset = (offset + 63) & ~63  # 64-byte alignment per array
+        layout[name] = (offset, arr.shape, arr.dtype.str)
+        offset += arr.nbytes
+    return layout, max(offset, 1)
+
+
+def _attach_views(shm, layout):
+    """NumPy views over *shm* for every array in *layout* (zero-copy)."""
+    views = {}
+    for name, (offset, shape, dtype_str) in layout.items():
+        dtype = np.dtype(dtype_str)
+        count = 1
+        for dim in shape:
+            count *= dim
+        views[name] = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=offset).reshape(shape)
+    return views
+
+
+def attach_segment(name: str):
+    """Attach to an existing segment without adopting cleanup duties.
+
+    Attaching registers the segment with this process's resource tracker,
+    which would unlink it again at worker exit even though the parent owns
+    cleanup.  Under the fork start method the tracker (and its registration
+    set) is *shared* with the parent, so the duplicate registration is a
+    no-op and unregistering here would strip the parent's own entry; under
+    spawn the tracker is fresh, so the registration must be removed.  3.11
+    has no ``track=False`` yet — detect which case we are in by whether a
+    live tracker was inherited before the attach.
+    """
+    inherited = getattr(resource_tracker._resource_tracker, "_fd", None) is not None
+    shm = shared_memory.SharedMemory(name=name)
+    if not inherited:
+        try:
+            resource_tracker.unregister(shm._name, "shared_memory")
+        except Exception:
+            pass
+    return shm
+
+
+def _release_segment(shm, *, unlink: bool) -> None:
+    try:
+        shm.close()
+    except BufferError:  # stray views: leak the map, still reclaim the file
+        pass
+    if unlink:
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+
+
+def _reclaim(workers, segments) -> None:
+    """Terminate live workers, then unlink the segments.
+
+    The last step of :meth:`ShardPool.abort` and :meth:`ShardPool.close`,
+    and the GC backstop of a pool that was never closed.
+    """
+    for worker in workers:
+        if worker.is_alive():
+            worker.terminate()
+    for worker in workers:
+        worker.join(timeout=5.0)
+    for shm in segments:
+        _release_segment(shm, unlink=True)
+
+
+# --------------------------------------------------------------------- #
+# Worker process                                                         #
+# --------------------------------------------------------------------- #
+def _worker_main(loop, worker_id, lo, hi, segments, fences, args) -> None:
+    """Worker entry point: attach, run *loop*, detach; crash loudly."""
+    attached = [(attach_segment(name), layout) for name, layout in segments]
+    try:
+        # The views exist only as *loop*'s arguments, so they die with its
+        # frame and the segments detach cleanly below.
+        loop(
+            worker_id,
+            lo,
+            hi,
+            *(_attach_views(shm, layout) for shm, layout in attached),
+            fences,
+            *args,
+        )
+    except threading.BrokenBarrierError:
+        pass  # the parent aborted the run; exit quietly
+    except BaseException:
+        # Unblock the parent (and siblings): a broken fence is the crash
+        # signal the parent's timeout path expects.  Exit without running
+        # interpreter finalizers — the traceback pins shared-memory views,
+        # and a noisy BufferError cascade would bury the real error.
+        for fence in fences:
+            try:
+                fence.abort()
+            except Exception:
+                pass
+        traceback.print_exc()
+        os._exit(1)
+    finally:
+        for shm, _ in attached:
+            _release_segment(shm, unlink=False)
+
+
+# --------------------------------------------------------------------- #
+# Parent side                                                            #
+# --------------------------------------------------------------------- #
+class ShardPool:
+    """Shard workers, their shared-memory segments and their fences.
+
+    ``partition`` and ``num_shards`` describe the split, and
+    :meth:`permuted_csr` relabels the graph by it; ``dyn`` holds the
+    parent's views of the dynamic segment once :meth:`allocate` ran.  A
+    pool is owned by one engine, which calls :meth:`close`; a pool dropped
+    unclosed is reclaimed by a GC backstop.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        shards: int,
+        *,
+        fences: int,
+        barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
+    ) -> None:
+        if shared_memory is None:  # pragma: no cover - POSIX-less platforms
+            raise ShardingUnavailableError(
+                "sharded execution requires multiprocessing.shared_memory"
+            )
+        if shards < 1:
+            raise ExecutionError(f"shards must be >= 1, got {shards}")
+        if graph.num_nodes == 0:
+            raise ShardingUnavailableError("cannot shard an empty graph")
+        self.num_shards = min(int(shards), graph.num_nodes)
+        self.partition = partition_graph(graph, self.num_shards)
+        self._graph = graph
+        self.barrier_timeout = barrier_timeout
+        self.ctx = mp_context()
+        self.fences = tuple(self.ctx.Barrier(self.num_shards + 1) for _ in range(fences))
+        self.workers: list = []
+        self.dyn = None
+        self.closed = False
+        self._segments: list = []
+        self._target = None
+        self._reclaim = weakref.finalize(self, _reclaim, self.workers, self._segments)
+
+    def permuted_csr(self):
+        """The graph's CSR adjacency ``(indptr, indices)`` in permuted order."""
+        indptr, indices = self._graph.csr_adjacency()
+        return permute_csr(indptr, indices, self.partition.perm, self.partition.inv)
+
+    def allocate(self, static: dict, dynamic: dict, loop, *args) -> None:
+        """Share *static* and *dynamic* and fix what every worker runs.
+
+        ``dynamic`` must hold the ``"control"`` word array.  A failure
+        releases the segments already created before it propagates.
+        """
+        try:
+            static_segment = self._share(static)[0]  # its views die here
+            dynamic_segment, self.dyn = self._share(dynamic)
+        except BaseException:
+            self.abort()
+            raise
+        self._target = (loop, (static_segment, dynamic_segment), args)
+
+    def _share(self, arrays):
+        layout, size = _segment_layout(arrays)
+        name = f"{SEGMENT_PREFIX}_{os.getpid()}_{next(_segment_counter)}"
+        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
+        self._segments.append(shm)
+        views = _attach_views(shm, layout)
+        for key, arr in arrays.items():
+            views[key][...] = arr
+        return (name, layout), views
+
+    def _start(self) -> None:
+        loop, segments, args = self._target
+        bounds = self.partition.bounds
+        for s in range(self.num_shards):
+            worker = self.ctx.Process(
+                target=_worker_main,
+                args=(loop, s, int(bounds[s]), int(bounds[s + 1]), segments, self.fences, args),
+                name=f"repro-shard-{s}",
+                daemon=True,
+            )
+            worker.start()
+            self.workers.append(worker)
+
+    def check_health(self) -> None:
+        """Abort and raise :class:`ExecutionError` if a worker has exited."""
+        dead = [w for w in self.workers if w.exitcode is not None]
+        if dead:
+            codes = {w.name: w.exitcode for w in dead}
+            self.abort()
+            raise ExecutionError(f"shard worker(s) died mid-run: {codes}")
+
+    def wait(self, fence: int) -> None:
+        """Meet the workers at fence number *fence*, starting them first if
+        they have not started yet.
+
+        Worker health is checked before the wait.  A dead worker or a
+        broken fence aborts the pool and raises :class:`ExecutionError`.
+        """
+        if self.closed:
+            raise ExecutionError("engine is closed")
+        if not self.workers:
+            self._start()
+        self.check_health()
+        try:
+            self.fences[fence].wait(timeout=self.barrier_timeout)
+        except threading.BrokenBarrierError:
+            self.check_health()  # raises with exit codes if it can
+            self.abort()
+            raise ExecutionError("shard barrier broke (worker wedged or killed)") from None
+
+    def join(self) -> None:
+        """Reap workers that are exiting on their own."""
+        for worker in self.workers:
+            worker.join(timeout=5.0)
+
+    def abort(self) -> None:
+        """Terminate the workers and release the segments.
+
+        Never touches a fence: a worker killed inside a fence wait dies
+        holding the fence's lock, so ``Barrier.abort()`` would block this
+        process forever.
+        """
+        self.closed = True
+        self.dyn = None
+        self._reclaim()
+
+    def close(self) -> None:
+        """Stop the workers and release the segments (idempotent)."""
+        if self.closed:
+            return
+        self.closed = True
+        try:
+            if self.workers and all(w.exitcode is None for w in self.workers):
+                self.dyn["control"][0] = STOP
+                try:
+                    self.fences[0].wait(timeout=min(5.0, self.barrier_timeout))
+                except threading.BrokenBarrierError:
+                    pass
+                self.join()
+        finally:
+            self.abort()

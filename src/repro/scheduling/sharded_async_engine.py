@@ -54,8 +54,7 @@ run's pick key once and hands it to every worker.
 from __future__ import annotations
 
 import random
-import threading
-import traceback
+from collections import deque
 from collections.abc import Mapping
 from queue import Empty
 from typing import Any
@@ -65,53 +64,31 @@ try:  # NumPy is an optional dependency of the library as a whole.
 except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None
 
-try:
-    import multiprocessing
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - platforms without POSIX shm
-    multiprocessing = None
-    shared_memory = None
-
-from collections import deque
-
 from repro.core.errors import (
     ExecutionError,
     OutputNotReachedError,
     ProtocolNotVectorizableError,
-    ShardingUnavailableError,
 )
 from repro.core.protocol import Protocol
 from repro.core.results import ExecutionResult, build_asynchronous_result
 from repro.graphs.graph import Graph
-from repro.graphs.partition import partition_graph, permute_csr
 from repro.scheduling.adversary import (
     AdversaryPolicy,
     SynchronousAdversary,
     derive_adversary_seed,
 )
 from repro.scheduling.async_engine import DEFAULT_MAX_EVENTS
-from repro.scheduling.compiled import (
-    DEFAULT_MAX_LAZY_STATES,
-    LazyStrictTable,
-    _require_numpy,
-)
-from repro.scheduling.sharded_engine import (
-    DEFAULT_BARRIER_TIMEOUT,
-    _attach_segment,
-    _attach_views,
-    _new_segment,
-    _release_segment,
-    sharding_supported,
-)
+from repro.scheduling.compiled import LazyStrictTable, _require_numpy
 from repro.scheduling.picks import async_counter_picks, async_pick_base, resolve_pick_seed
+from repro.scheduling.shard_pool import DEFAULT_BARRIER_TIMEOUT, STOP, ShardPool
 
-import os
-import weakref
-
-#: Control words written by the parent before releasing the start barrier.
-_STOP = 0
+#: Control words written by the parent before releasing the start fence
+#: (the pool writes STOP).
 _RUN = 1
 _COLLECT = 2
+
+#: Fence numbers of a bucket.
+_START, _MID, _RESUME, _DONE = range(4)
 
 #: Bucket modes (control word 1).
 _NORMAL = 0
@@ -145,7 +122,6 @@ class _AsyncShardWorker:
         schedule,
         inputs,
         static_bound,
-        max_states,
     ) -> None:
         self.id = worker_id
         self.lo, self.hi = lo, hi
@@ -171,7 +147,7 @@ class _AsyncShardWorker:
         self.schedule = schedule
         self.static_bound = static_bound
         self.pick_base = pick_base
-        self.table = LazyStrictTable(protocol, max_states=max_states)
+        self.table = LazyStrictTable(protocol)
         # Cross-worker letter-id consistency: the table pre-interns the
         # declared alphabet in a fixed order, so alphabet letter ids agree
         # between workers.  Locally interned extras must never cross a
@@ -211,7 +187,7 @@ class _AsyncShardWorker:
         self.halo_arrival = dyn["halo_arrival"]
         self.halo_letter = dyn["halo_letter"]
         self.stats = dyn
-        self.control_i = dyn["control_i"]
+        self.control = dyn["control"]
         self.control_f = dyn["control_f"]
 
         self._refresh(np.arange(self.span, dtype=np.int64))
@@ -426,7 +402,7 @@ class _AsyncShardWorker:
 
     def bucket_step(self, mid_barrier, resume_barrier) -> None:
         horizon = float(self.control_f[0])
-        mode = int(self.control_i[1])
+        mode = int(self.control[1])
         computed = self._compute(horizon)
         if mode == _TWO_PHASE:
             idx, times, _, _, old_output, new_output = computed
@@ -437,7 +413,7 @@ class _AsyncShardWorker:
             if cutoff_time == np.inf:
                 mask = None
             else:
-                cutoff_key = int(self.control_i[2])
+                cutoff_key = int(self.control[2])
                 mask = (times < cutoff_time) | (
                     (times == cutoff_time) & (self.orig[idx] <= cutoff_key)
                 )
@@ -452,112 +428,36 @@ class _AsyncShardWorker:
         return [decode(int(ident)) for ident in self.state]
 
 
-def _worker_loop(
+def _bucket_loop(
     worker_id,
-    static,
-    static_layout,
-    dynamic,
-    dynamic_layout,
     lo,
     hi,
+    tables,
+    dyn,
+    fences,
     pick_base,
     protocol,
     schedule,
     inputs,
     static_bound,
-    max_states,
-    start_barrier,
-    mid_barrier,
-    resume_barrier,
-    done_barrier,
     queue,
 ) -> None:
-    """Init, then the bucket loop.  Own frame so shm views die on return."""
-    tables = _attach_views(static, static_layout)
-    dyn = _attach_views(dynamic, dynamic_layout)
+    """Init, then the bucket loop over permuted nodes ``lo:hi``."""
+    start_fence, mid_fence, resume_fence, done_fence = fences
     worker = _AsyncShardWorker(
-        worker_id,
-        tables,
-        dyn,
-        lo,
-        hi,
-        pick_base,
-        protocol,
-        schedule,
-        inputs,
-        static_bound,
-        max_states,
+        worker_id, tables, dyn, lo, hi, pick_base, protocol, schedule, inputs, static_bound
     )
-    done_barrier.wait()  # init round: states, margins and stats published
+    done_fence.wait()  # init round: states, margins and stats published
     while True:
-        start_barrier.wait()
-        command = int(worker.control_i[0])
-        if command == _STOP:
+        start_fence.wait()
+        command = int(worker.control[0])
+        if command == STOP:
             return
         if command == _COLLECT:
             queue.put((worker_id, worker.decoded_states()))
             return
-        worker.bucket_step(mid_barrier, resume_barrier)
-        done_barrier.wait()
-
-
-def _shard_worker_main(
-    worker_id,
-    static_name,
-    static_layout,
-    dynamic_name,
-    dynamic_layout,
-    lo,
-    hi,
-    pick_base,
-    protocol,
-    schedule,
-    inputs,
-    static_bound,
-    max_states,
-    start_barrier,
-    mid_barrier,
-    resume_barrier,
-    done_barrier,
-    queue,
-) -> None:
-    """Worker entry point: attach, loop buckets, detach; crash loudly."""
-    static = _attach_segment(static_name)
-    dynamic = _attach_segment(dynamic_name)
-    try:
-        _worker_loop(
-            worker_id,
-            static,
-            static_layout,
-            dynamic,
-            dynamic_layout,
-            lo,
-            hi,
-            pick_base,
-            protocol,
-            schedule,
-            inputs,
-            static_bound,
-            max_states,
-            start_barrier,
-            mid_barrier,
-            resume_barrier,
-            done_barrier,
-            queue,
-        )
-    except threading.BrokenBarrierError:
-        pass  # the parent aborted the run; exit quietly
-    except BaseException:
-        for barrier in (start_barrier, mid_barrier, resume_barrier, done_barrier):
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-        traceback.print_exc()
-        os._exit(1)
-    finally:
-        _release_segment(static, unlink=False)
-        _release_segment(dynamic, unlink=False)
+        worker.bucket_step(mid_fence, resume_fence)
+        done_fence.wait()
 
 
 # --------------------------------------------------------------------- #
@@ -583,25 +483,15 @@ class ShardedAsyncEngine:
         adversary_seed: int | None = None,
         inputs: Mapping[int, Any] | None = None,
         shards: int = 2,
-        partition_strategy: str = "bfs",
-        max_states: int = DEFAULT_MAX_LAZY_STATES,
-        mp_context=None,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
         _require_numpy()
-        if shared_memory is None:  # pragma: no cover - POSIX-less platforms
-            raise ShardingUnavailableError(
-                "sharded execution requires multiprocessing.shared_memory"
-            )
         if not isinstance(protocol, Protocol):
             raise ExecutionError(
                 "the asynchronous engine executes strict protocols only; "
                 "lower multi-letter protocols through repro.compilers first"
             )
-        if shards < 1:
-            raise ExecutionError(f"shards must be >= 1, got {shards}")
-        if graph.num_nodes == 0:
-            raise ShardingUnavailableError("cannot shard an empty graph")
+        pool = ShardPool(graph, shards, fences=4, barrier_timeout=barrier_timeout)
         adversary = adversary if adversary is not None else SynchronousAdversary()
         adversary_rng = random.Random(
             adversary_seed
@@ -619,28 +509,16 @@ class ShardedAsyncEngine:
         self._protocol = protocol
         self._seed = seed
         self._adversary_name = adversary.name
-        self._barrier_timeout = barrier_timeout
-        self._closed = False
-        self._started = False
+        self._pool = pool
         self._ran = False
-        self._collected = False
-        self._workers: list = []
         self._now = 0.0
         self._output_time: float | None = None
 
         n = graph.num_nodes
-        num_shards = min(int(shards), n)
-        self._partition = partition_graph(
-            graph, num_shards, strategy=partition_strategy
-        )
-        indptr, indices = graph.csr_adjacency()
-        perm_indptr, perm_indices = permute_csr(
-            indptr, indices, self._partition.perm, self._partition.inv
-        )
+        num_shards = pool.num_shards
+        perm_indptr, perm_indices = pool.permuted_csr()
         m = len(perm_indices)
-        perm_row = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(perm_indptr)
-        )
+        perm_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(perm_indptr))
         # reverse[e]: slot of the opposite direction of edge e.  The
         # permuted CSR keeps the *original* intra-row neighbour order, so
         # rows are not column-sorted and the unsharded engine's single
@@ -652,11 +530,8 @@ class ShardedAsyncEngine:
         reverse = np.empty(m, dtype=np.int64)
         reverse[forward] = backward
 
-        bounds = np.asarray(self._partition.bounds, dtype=np.int64)
-        shard_of = (
-            np.searchsorted(bounds, np.arange(n, dtype=np.int64), side="right")
-            - 1
-        )
+        bounds = np.asarray(pool.partition.bounds, dtype=np.int64)
+        shard_of = np.searchsorted(bounds, np.arange(n, dtype=np.int64), side="right") - 1
         cut_eids = np.flatnonzero(shard_of[perm_row] != shard_of[perm_indices])
         halo_size = int(cut_eids.size)
         halo_index = np.full(m, -1, dtype=np.int64)
@@ -672,7 +547,7 @@ class ShardedAsyncEngine:
         # and pure counter draws; the parent makes them once, identically to
         # the unsharded engine's constructor (min/median are exact over any
         # ordering of the same multiset).
-        inv = np.asarray(self._partition.inv, dtype=np.int64)
+        inv = np.asarray(pool.partition.inv, dtype=np.int64)
         lengths = schedule.step_lengths(inv, np.ones(n, dtype=np.int64))
         self._init_max_parameter = float(lengths.max())
         bound = schedule.delay_lower_bound()
@@ -681,8 +556,8 @@ class ShardedAsyncEngine:
             static_bound = float(bound)
 
         static_arrays = {
-            "indptr": np.asarray(perm_indptr, dtype=np.int64),
-            "indices": np.asarray(perm_indices, dtype=np.int64),
+            "indptr": perm_indptr,
+            "indices": perm_indices,
             "reverse": reverse,
             "node_keys": inv.astype(np.uint64),
             "halo_index": halo_index,
@@ -707,119 +582,31 @@ class ShardedAsyncEngine:
             "tp_node": np.zeros(n, dtype=np.int64),
             "tp_time": np.zeros(n),
             "tp_delta": np.zeros(n, dtype=np.int64),
-            "control_i": np.zeros(8, dtype=np.int64),
+            "control": np.zeros(8, dtype=np.int64),
             "control_f": np.zeros(4),
         }
-        self._static_shm, self._static_layout, _ = _new_segment(static_arrays)
-        self._dynamic_shm, self._dynamic_layout, self._dyn = _new_segment(
-            dynamic_arrays
+        self._queue = pool.ctx.Queue()
+        pool.allocate(
+            static_arrays,
+            dynamic_arrays,
+            _bucket_loop,
+            async_pick_base(resolve_pick_seed(seed)),
+            protocol,
+            schedule,
+            dict(inputs or {}),
+            static_bound,
+            self._queue,
         )
-        self._finalizer = weakref.finalize(
-            self, _finalize_async_segments, self._static_shm, self._dynamic_shm
-        )
 
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._ctx = mp_context
-        self._start_barrier = self._ctx.Barrier(num_shards + 1)
-        self._mid_barrier = self._ctx.Barrier(num_shards + 1)
-        self._resume_barrier = self._ctx.Barrier(num_shards + 1)
-        self._done_barrier = self._ctx.Barrier(num_shards + 1)
-        self._queue = self._ctx.Queue()
-
-        inputs_map = dict(inputs or {})
-        pick_base = async_pick_base(resolve_pick_seed(seed))
-        self._worker_args = [
-            (
-                s,
-                self._static_shm.name,
-                self._static_layout,
-                self._dynamic_shm.name,
-                self._dynamic_layout,
-                int(bounds[s]),
-                int(bounds[s + 1]),
-                pick_base,
-                protocol,
-                schedule,
-                inputs_map,
-                static_bound,
-                int(max_states),
-                self._start_barrier,
-                self._mid_barrier,
-                self._resume_barrier,
-                self._done_barrier,
-                self._queue,
-            )
-            for s in range(num_shards)
-        ]
-
+        #: Exactly the partition fields of the result metadata.
         self.shard_info: dict[str, Any] = {
             "shard_count": num_shards,
-            "cut_edges": self._partition.cut_edges,
+            "cut_edges": pool.partition.cut_edges,
             # One (arrival f64, letter i64) halo slot per directed cut edge
             # per bucket, double-buffered across bucket parity.
             "halo_bytes_per_bucket": halo_size * 16,
-            "partition_strategy": self._partition.strategy,
+            "partition_strategy": pool.partition.strategy,
         }
-
-    # ------------------------------------------------------------------ #
-    # Worker lifecycle                                                    #
-    # ------------------------------------------------------------------ #
-    def _ensure_workers(self) -> None:
-        if self._started:
-            return
-        if self._closed:
-            raise ExecutionError("engine is closed")
-        self._workers = [
-            self._ctx.Process(
-                target=_shard_worker_main,
-                args=args,
-                name=f"repro-async-shard-{args[0]}",
-                daemon=True,
-            )
-            for args in self._worker_args
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._started = True
-
-    def _check_worker_health(self) -> None:
-        dead = [w for w in self._workers if w.exitcode is not None]
-        if dead:
-            codes = {w.name: w.exitcode for w in dead}
-            self._abort()
-            raise ExecutionError(f"shard worker(s) died mid-run: {codes}")
-
-    def _abort(self) -> None:
-        # Terminate rather than abort the barriers: a worker killed inside a
-        # barrier wait dies holding the barrier's lock, so ``abort()`` would
-        # block this process forever.
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        self._release_segments()
-        self._closed = True
-
-    def _release_segments(self) -> None:
-        self._dyn = None
-        self._finalizer.detach()
-        _release_segment(self._static_shm, unlink=True)
-        _release_segment(self._dynamic_shm, unlink=True)
-
-    def _wait(self, barrier) -> None:
-        try:
-            barrier.wait(timeout=self._barrier_timeout)
-        except threading.BrokenBarrierError:
-            self._check_worker_health()  # raises with exit codes if it can
-            self._abort()
-            raise ExecutionError(
-                "sharded bucket barrier broke (worker wedged or killed)"
-            ) from None
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
@@ -831,41 +618,37 @@ class ShardedAsyncEngine:
         raise_on_timeout: bool = False,
     ) -> ExecutionResult:
         """Drive all shards bucket by bucket to the first output config."""
-        if self._closed:
-            raise ExecutionError("engine is closed")
+        pool = self._pool
         if self._ran:
-            raise ExecutionError(
-                "a ShardedAsyncEngine is single-run; build a fresh engine"
-            )
+            raise ExecutionError("a ShardedAsyncEngine is single-run; build a fresh engine")
         self._ran = True
-        self._ensure_workers()
-        self._wait(self._done_barrier)  # init round
+        pool.wait(_DONE)  # init round
 
-        dyn = self._dyn
+        dyn = pool.dyn
         next_time = dyn["next_time"]
         margin = dyn["margin"]
-        control_i = dyn["control_i"]
+        control = dyn["control"]
         control_f = dyn["control_f"]
-        inv = np.asarray(self._partition.inv, dtype=np.int64)
-        while self._graph.num_nodes and self._output_time is None:
+        inv = np.asarray(pool.partition.inv, dtype=np.int64)
+        while self._output_time is None:
             if int(dyn["events"].sum()) >= max_events:
                 break
             horizon = float((next_time + margin).min())
             batch_size = int((next_time < horizon).sum())
             non_output = int(dyn["non_output"].sum())
             two_phase = non_output <= batch_size
-            control_i[0] = _RUN
-            control_i[1] = _TWO_PHASE if two_phase else _NORMAL
+            control[0] = _RUN
+            control[1] = _TWO_PHASE if two_phase else _NORMAL
             control_f[0] = horizon
-            self._wait(self._start_barrier)
+            pool.wait(_START)
             cutoff_time = np.inf
             if two_phase:
-                self._wait(self._mid_barrier)
+                pool.wait(_MID)
                 cutoff_time, cutoff_key = self._merge_cutoff(non_output, inv)
                 control_f[1] = cutoff_time
-                control_i[2] = cutoff_key
-                self._wait(self._resume_barrier)
-            self._wait(self._done_barrier)
+                control[2] = cutoff_key
+                pool.wait(_RESUME)
+            pool.wait(_DONE)
             self._now = float(dyn["last_time"].max())
             if cutoff_time != np.inf:
                 self._now = float(cutoff_time)
@@ -879,9 +662,7 @@ class ShardedAsyncEngine:
             states,
             reached=reached,
             elapsed=self._output_time if reached else self._now,
-            max_parameter=max(
-                self._init_max_parameter, float(dyn["maxparam"].max())
-            ),
+            max_parameter=max(self._init_max_parameter, float(dyn["maxparam"].max())),
             total_node_steps=int(dyn["steps"].sum()),
             total_messages=int(dyn["messages"].sum()),
             seed=self._seed,
@@ -901,9 +682,9 @@ class ShardedAsyncEngine:
         exactly the unsharded engine's sorted bucket — so the prefix sum of
         output deltas pins the same completing step on every shard count.
         """
-        dyn = self._dyn
+        dyn = self._pool.dyn
         counts = dyn["tp_count"]
-        bounds = np.asarray(self._partition.bounds, dtype=np.int64)
+        bounds = np.asarray(self._pool.partition.bounds, dtype=np.int64)
         pieces_node = []
         pieces_time = []
         pieces_delta = []
@@ -926,30 +707,28 @@ class ShardedAsyncEngine:
         return float(times[winner]), int(orig[winner])
 
     def _collect_states(self) -> tuple:
-        """Retire the workers, gathering their decoded state slices."""
-        dyn = self._dyn
-        dyn["control_i"][0] = _COLLECT
-        self._wait(self._start_barrier)
+        """Retire the workers, gathering their decoded state slices.
+
+        The workers exit on their own after reporting, so they are reaped
+        here: :meth:`close` then finds none left to stop.
+        """
+        pool = self._pool
+        pool.dyn["control"][0] = _COLLECT
+        pool.wait(_START)
         pieces: dict[int, list] = {}
-        for _ in range(len(self._workers)):
+        for _ in range(pool.num_shards):
             try:
-                worker_id, states = self._queue.get(
-                    timeout=self._barrier_timeout
-                )
+                worker_id, states = self._queue.get(timeout=pool.barrier_timeout)
             except Empty:
-                self._check_worker_health()
-                self._abort()
-                raise ExecutionError(
-                    "shard worker failed to report final states"
-                ) from None
+                pool.check_health()
+                pool.abort()
+                raise ExecutionError("shard worker failed to report final states") from None
             pieces[worker_id] = states
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        self._collected = True
+        pool.join()
         permuted: list = []
-        for s in range(len(self._workers)):
+        for s in range(pool.num_shards):
             permuted.extend(pieces[s])
-        perm = np.asarray(self._partition.perm, dtype=np.int64)
+        perm = np.asarray(pool.partition.perm, dtype=np.int64)
         return tuple(permuted[perm[i]] for i in range(self._graph.num_nodes))
 
     # ------------------------------------------------------------------ #
@@ -957,27 +736,7 @@ class ShardedAsyncEngine:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Stop workers and release shared-memory segments (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._started and not self._collected:
-                if all(w.exitcode is None for w in self._workers):
-                    self._dyn["control_i"][0] = _STOP
-                    try:
-                        self._start_barrier.wait(
-                            timeout=min(5.0, self._barrier_timeout)
-                        )
-                    except threading.BrokenBarrierError:
-                        pass
-                for worker in self._workers:
-                    worker.join(timeout=5.0)
-                for worker in self._workers:
-                    if worker.is_alive():
-                        worker.terminate()
-                        worker.join(timeout=5.0)
-        finally:
-            self._release_segments()
+        self._pool.close()
 
     def __enter__(self) -> "ShardedAsyncEngine":
         return self
@@ -985,17 +744,5 @@ class ShardedAsyncEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # best-effort safety net
-        try:
-            self.close()
-        except Exception:
-            pass
 
-
-def _finalize_async_segments(static_shm, dynamic_shm) -> None:
-    """GC safety net: reclaim segments if the engine was never closed."""
-    _release_segment(static_shm, unlink=True)
-    _release_segment(dynamic_shm, unlink=True)
-
-
-__all__ = ["ShardedAsyncEngine", "sharding_supported"]
+__all__ = ["ShardedAsyncEngine"]

@@ -112,6 +112,8 @@ class SynchronousEngine:
                     self._state.ports.broadcast(node, letter)
         self._round = 0
         self._messages = 0
+        #: Partition fields for the result metadata; set on a shards >= 2 request.
+        self.shard_info: dict[str, Any] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #
@@ -570,14 +572,7 @@ def _run_synchronous(
         backend_mode=selection.mode,
         backend_reason=selection.reason,
     )
-    shard_info = getattr(engine, "shard_info", None)
-    if shard_info is not None:
-        annotation.update(
-            shard_count=shard_info["shard_count"],
-            cut_edges=shard_info["cut_edges"],
-            halo_bytes_per_round=shard_info["halo_bytes_per_round"],
-            partition_strategy=shard_info["partition_strategy"],
-        )
+    annotation.update(engine.shard_info)
     try:
         result = engine.run(max_rounds=max_rounds, raise_on_timeout=raise_on_timeout)
     except OutputNotReachedError as exc:

@@ -139,8 +139,8 @@ class VectorizedEngine:
                     "rng_node_keys must hold one key per node "
                     f"(expected {graph.num_nodes}, got {self._node_keys.shape})"
                 )
-        #: Populated by the sharded front end; surfaces in result metadata.
-        self.shard_info: dict[str, Any] | None = None
+        #: Partition fields for the result metadata; set on a shards >= 2 request.
+        self.shard_info: dict[str, Any] = {}
 
         inputs = dict(inputs or {})
         if initial_states is None:

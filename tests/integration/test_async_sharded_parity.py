@@ -29,11 +29,8 @@ from repro.compilers import compile_to_asynchronous
 from repro.core.errors import ExecutionError
 from repro.graphs import generators
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.sharded_engine import SEGMENT_PREFIX
-from repro.scheduling.sharded_async_engine import (
-    ShardedAsyncEngine,
-    sharding_supported,
-)
+from repro.scheduling.shard_pool import SEGMENT_PREFIX, sharding_supported
+from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
 from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
 
 pytestmark = pytest.mark.skipif(
@@ -225,10 +222,10 @@ def test_worker_crash_surfaces_and_leaks_nothing():
 
     def _assassinate():
         deadline = time.monotonic() + 10.0
-        while not engine._workers and time.monotonic() < deadline:
+        while not engine._pool.workers and time.monotonic() < deadline:
             time.sleep(0.01)
-        if engine._workers:
-            os.kill(engine._workers[0].pid, signal.SIGKILL)
+        if engine._pool.workers:
+            os.kill(engine._pool.workers[0].pid, signal.SIGKILL)
 
     killer = threading.Thread(target=_assassinate)
     killer.start()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import RunSpec, Simulation
 from repro.core import counters
-from repro.scheduling.sharded_engine import sharding_supported
+from repro.scheduling.shard_pool import sharding_supported
 from repro.protocols.coloring import coloring_from_result
 from repro.protocols.mis import mis_from_result
 from repro.verification.checkers import (

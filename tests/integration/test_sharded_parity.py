@@ -10,11 +10,13 @@ registered graph families × shard counts × seeds, and checks that no
 is killed mid-run.
 """
 
+import errno
 import glob
 import os
 import signal
 import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -22,14 +24,13 @@ import pytest
 np_available = np  # imported eagerly; engines require numpy anyway
 
 from repro.api import RunSpec, Simulation
+from repro.compilers import compile_to_asynchronous
 from repro.core.errors import ExecutionError
 from repro.graphs.generators import path_graph
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.sharded_engine import (
-    SEGMENT_PREFIX,
-    ShardedVectorizedEngine,
-    sharding_supported,
-)
+from repro.scheduling.shard_pool import SEGMENT_PREFIX, ShardPool, sharding_supported
+from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
+from repro.scheduling.sharded_engine import ShardedVectorizedEngine
 from repro.scheduling.vectorized_engine import VectorizedEngine
 
 pytestmark = pytest.mark.skipif(
@@ -125,7 +126,7 @@ def test_worker_crash_surfaces_and_leaks_nothing():
     )
     try:
         engine.step_round()  # starts the workers
-        victim = engine._workers[0]
+        victim = engine._pool.workers[0]
         os.kill(victim.pid, signal.SIGKILL)
         deadline = time.monotonic() + 10.0
         while victim.exitcode is None and time.monotonic() < deadline:
@@ -149,12 +150,12 @@ def test_abort_needs_no_lock_a_dead_worker_held():
     engine = ShardedVectorizedEngine(path_graph(16), MISProtocol(), seed=1, shards=2)
     try:
         engine.step_round()
-        holder = engine._ctx.Process(target=_exit_holding, args=(engine._start_barrier,))
+        holder = engine._pool.ctx.Process(target=_exit_holding, args=(engine._pool.fences[0],))
         holder.start()
         holder.join(timeout=10.0)
         assert holder.exitcode == 0
-        os.kill(engine._workers[0].pid, signal.SIGKILL)
-        engine._workers[0].join(timeout=10.0)
+        os.kill(engine._pool.workers[0].pid, signal.SIGKILL)
+        engine._pool.workers[0].join(timeout=10.0)
         errors = []
 
         def step():
@@ -170,6 +171,82 @@ def test_abort_needs_no_lock_a_dead_worker_held():
         assert errors and "shard worker" in str(errors[0])
     finally:
         engine.close()
+    assert not _leaked_segments()
+
+
+def _fence_walk(worker_id, lo, hi, tables, dyn, fences) -> None:
+    """A worker loop that meets the parent at every fence in turn, forever."""
+    while True:
+        for fence in fences:
+            fence.wait()
+
+
+@pytest.mark.parametrize(
+    "num_fences,held",
+    [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2), (4, 3)],
+    ids=["round-start", "round-done", "bucket-start", "bucket-mid", "bucket-resume", "bucket-done"],
+)
+def test_pool_wait_needs_no_lock_a_dead_worker_held(num_fences, held):
+    """The same hazard on every fence of both engines' fence sets (two per
+    synchronous round, four per asynchronous bucket): the parent's next
+    wait must check worker health before it touches the dead worker's lock."""
+    pool = ShardPool(path_graph(16), 2, fences=num_fences)
+    pool.allocate({"unused": np.zeros(1)}, {"control": np.zeros(1, dtype=np.int64)}, _fence_walk)
+    try:
+        for fence in range(num_fences + held):  # workers now wait at fence `held`
+            pool.wait(fence % num_fences)
+        holder = pool.ctx.Process(target=_exit_holding, args=(pool.fences[held],))
+        holder.start()
+        holder.join(timeout=10.0)
+        assert holder.exitcode == 0
+        os.kill(pool.workers[0].pid, signal.SIGKILL)
+        pool.workers[0].join(timeout=10.0)
+        errors = []
+
+        def wait():
+            try:
+                pool.wait(held)
+            except ExecutionError as exc:
+                errors.append(exc)
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        waiter.join(timeout=30.0)
+        assert not waiter.is_alive(), "wait blocked on a dead worker's fence lock"
+        assert errors and "shard worker" in str(errors[0])
+    finally:
+        pool.close()
+    assert not _leaked_segments()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda graph: ShardedVectorizedEngine(graph, MISProtocol(), seed=1, shards=2),
+        lambda graph: ShardedAsyncEngine(
+            graph, compile_to_asynchronous(MISProtocol()), seed=1, shards=2
+        ),
+    ],
+    ids=["sync", "async"],
+)
+def test_failed_construction_leaks_no_segment(monkeypatch, build):
+    """Creating the second (dynamic) segment fails after the first exists:
+    the error propagates and the first segment is released with it."""
+    real = shared_memory.SharedMemory
+    creates = []
+
+    def second_create_fails(*args, **kwargs):
+        if kwargs.get("create"):
+            creates.append(kwargs.get("name"))
+            if len(creates) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", second_create_fails)
+    with pytest.raises(OSError) as info:
+        build(path_graph(16))
+    assert info.value.errno == errno.ENOSPC
+    assert len(creates) == 2
     assert not _leaked_segments()
 
 
