@@ -75,7 +75,6 @@ from repro.scheduling import (
     default_adversary_suite,
     run_asynchronous,
     run_synchronous,
-    run_vectorized,
     select_backend,
 )
 from repro.verification import (
@@ -141,7 +140,6 @@ __all__ = [
     "register_protocol",
     "run_asynchronous",
     "run_synchronous",
-    "run_vectorized",
     "select_backend",
     "star_graph",
     "synchronize",

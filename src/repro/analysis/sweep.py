@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.seeds import SeedPolicy
+from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.protocol import ExtendedProtocol, Protocol
 from repro.core.results import ExecutionResult
 from repro.graphs.graph import Graph
@@ -113,7 +114,7 @@ def _sweep(
     *,
     repetitions: int = 3,
     base_seed: int = 0,
-    max_rounds: int = 100_000,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     validator: Validator | None = None,
     inputs_for: Callable[[Graph], Mapping[int, Any]] | None = None,
     extra_metrics: Callable[[Graph, ExecutionResult], dict[str, Any]] | None = None,
@@ -180,7 +181,7 @@ def sweep_protocol(
     *,
     repetitions: int = 3,
     base_seed: int = 0,
-    max_rounds: int = 100_000,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     validator: Validator | None = None,
     inputs_for: Callable[[Graph], Mapping[int, Any]] | None = None,
     extra_metrics: Callable[[Graph, ExecutionResult], dict[str, Any]] | None = None,
@@ -227,7 +228,7 @@ def run_many(
     *,
     repetitions: int = 3,
     base_seed: int = 0,
-    max_rounds: int = 100_000,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     validator: Validator | None = None,
     backend: str = "auto",
 ) -> SweepResult:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.graphs.graph import Graph
 from repro.protocols.mis import ACTIVE_STATES, DOWN1, MISProtocol
 from repro.scheduling.sync_engine import SynchronousEngine
@@ -160,7 +161,7 @@ class MISTrace:
 
 
 def trace_mis_execution(
-    graph: Graph, *, seed: int | None = None, max_rounds: int = 100_000
+    graph: Graph, *, seed: int | None = None, max_rounds: int = DEFAULT_MAX_ROUNDS
 ) -> tuple[MISTrace, "SynchronousEngine"]:
     """Run the MIS protocol capturing the full state history.
 

@@ -33,6 +33,7 @@ from typing import Any
 from repro.api import executor as _executor
 from repro.api.seeds import SeedPolicy
 from repro.api.spec import RunSpec
+from repro.core.budgets import DEFAULT_MAX_EVENTS, DEFAULT_MAX_ROUNDS
 from repro.core.errors import (
     OutputNotReachedError,
     ProtocolNotVectorizableError,
@@ -40,10 +41,9 @@ from repro.core.errors import (
 )
 from repro.core.results import ExecutionResult
 from repro.graphs.graph import Graph
-from repro.scheduling.async_engine import DEFAULT_MAX_EVENTS, _run_asynchronous
+from repro.scheduling.async_engine import _run_asynchronous
 from repro.scheduling.dynamic_engine import _run_dynamic
 from repro.scheduling.sync_engine import (
-    DEFAULT_MAX_ROUNDS,
     _precompile_tables_with_reason,
     _run_synchronous,
     precompile_tables,

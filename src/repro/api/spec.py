@@ -16,15 +16,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.budgets import DEFAULT_MAX_EVENTS, DEFAULT_MAX_ROUNDS
 from repro.core.errors import SpecError
 from repro.api import registry as _registry
 from repro.api.backends import BACKEND_TOKENS
 
 #: Recognised execution environments.
 ENVIRONMENTS = ("sync", "async", "dynamic")
-
-DEFAULT_MAX_ROUNDS = 100_000
-DEFAULT_MAX_EVENTS = 5_000_000
 
 
 def _freeze(value: Any) -> Any:

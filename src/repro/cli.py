@@ -61,6 +61,7 @@ from repro.api import (
 )
 from repro.automata.languages import SAMPLE_LANGUAGES
 from repro.automata.lba_to_nfsm import decide_word_on_path
+from repro.core.budgets import DEFAULT_MAX_EVENTS, DEFAULT_MAX_ROUNDS
 from repro.core.errors import SpecError, StoneAgeError
 
 #: Experiment workloads used with ``--quick`` (id -> keyword arguments).
@@ -242,7 +243,7 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         protocol_params=_parse_params(getattr(args, "param", None), "--param"),
         inputs=inputs,
         max_rounds=args.max_rounds,
-        max_events=getattr(args, "max_events", 5_000_000),
+        max_events=getattr(args, "max_events", DEFAULT_MAX_EVENTS),
         shards=getattr(args, "shards", None),
     )
 
@@ -510,7 +511,7 @@ def _add_run_arguments(
                         help="graph family to generate (default: the protocol's own)")
     parser.add_argument("--nodes", "-n", type=int, default=64, help="number of nodes")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--max-rounds", type=int, default=100_000)
+    parser.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     parser.add_argument("--backend",
                         choices=BACKEND_TOKENS,
                         default="auto",
@@ -555,7 +556,7 @@ def _add_run_arguments(
                             help="compile with the synchronizer and run under an adversary")
         parser.add_argument("--adversary", choices=sorted(ADVERSARIES.names()),
                             default="uniform")
-        parser.add_argument("--max-events", type=int, default=5_000_000)
+        parser.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
         parser.add_argument("--churn", choices=sorted(CHURN_POLICIES.names()),
                             default=None,
                             help="run in the dynamic environment under this "

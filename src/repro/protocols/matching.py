@@ -24,6 +24,7 @@ their own finite state machines.  This substitution is recorded in DESIGN.md.
 
 from __future__ import annotations
 
+from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.results import ExecutionResult
 from repro.graphs.graph import Graph
 from repro.protocols.mis import MISProtocol, mis_from_result
@@ -34,7 +35,7 @@ def maximal_matching_via_line_graph(
     graph: Graph,
     *,
     seed: int | None = None,
-    max_rounds: int = 100_000,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     backend: str = "auto",
     shards: int | None = None,
 ) -> tuple[list[tuple[int, int]], ExecutionResult | None]:

@@ -56,14 +56,8 @@ from repro.scheduling.sync_engine import (
     run_synchronous,
     select_backend,
 )
-from repro.scheduling.vectorized_async_engine import (
-    VectorizedAsynchronousEngine,
-    run_vectorized_asynchronous,
-)
-from repro.scheduling.vectorized_engine import (
-    VectorizedEngine,
-    run_vectorized,
-)
+from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
+from repro.scheduling.vectorized_engine import VectorizedEngine
 
 __all__ = [
     "AdversaryPolicy",
@@ -90,7 +84,5 @@ __all__ = [
     "repeat_synchronous",
     "run_asynchronous",
     "run_synchronous",
-    "run_vectorized",
-    "run_vectorized_asynchronous",
     "select_backend",
 ]

@@ -38,6 +38,7 @@ from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.core.alphabet import is_epsilon
+from repro.core.budgets import DEFAULT_MAX_EVENTS
 from repro.core.counters import record_engine_run
 from repro.core.errors import (
     ExecutionError,
@@ -61,8 +62,6 @@ from repro.scheduling.picks import async_counter_pick, async_pick_base, resolve_
 
 TransitionObserver = Callable[[TransitionRecord], None]
 """Callback invoked after every applied node transition."""
-
-DEFAULT_MAX_EVENTS = 5_000_000
 
 #: Below this network size ``backend="auto"`` stays on the interpreter: the
 #: per-bucket array overhead only amortises once buckets hold enough steps.

@@ -40,17 +40,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
+from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.counters import record_engine_run
 from repro.core.errors import ExecutionError, OutputNotReachedError
 from repro.core.protocol import ExtendedProtocol, Protocol
 from repro.core.results import ExecutionResult, build_synchronous_result
 from repro.graphs.dynamic import ChurnPolicy, DynamicGraph, derive_churn_seed, derive_segment_seed
 from repro.graphs.graph import Graph
-from repro.scheduling.sync_engine import (
-    DEFAULT_MAX_ROUNDS,
-    _make_engine,
-    _precompile_tables_with_reason,
-)
+from repro.scheduling.sync_engine import _make_engine, _precompile_tables_with_reason
 
 
 def _run_dynamic(

@@ -43,8 +43,14 @@ in one phase with two barriers, exactly like the synchronous shards.
 
 Determinism contract.  Sharded asynchronous execution is **bitwise
 identical** to the unsharded engines — the vectorized engine and the
-interpreter alike — for every shard count.  The multi-option picks are
-pure hashes of ``(seed, original node id, step)``
+interpreter alike — for every shard count.  Every worker runs the unsharded
+engine's own :class:`~repro.scheduling.vectorized_async_engine.BucketSlice`
+over its range, with the halo as its emission sink, and the parent is the
+unsharded engine with the bucket replaced by the fence exchange: the
+initial timing, ``run()`` and the result are inherited, and the completing
+step is located by the same :func:`~repro.scheduling.
+vectorized_async_engine.completing_step`.  The multi-option picks are pure
+hashes of ``(seed, original node id, step)``
 (:func:`~repro.scheduling.picks.async_counter_pick`), the adversary draws
 are pure counter functions, and every remaining bucket computation is
 per-node arithmetic that slicing cannot change.  The parent resolves the
@@ -53,8 +59,6 @@ run's pick key once and hands it to every worker.
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from collections.abc import Mapping
 from queue import Empty
 from typing import Any
@@ -64,23 +68,20 @@ try:  # NumPy is an optional dependency of the library as a whole.
 except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None
 
-from repro.core.errors import (
-    ExecutionError,
-    OutputNotReachedError,
-    ProtocolNotVectorizableError,
-)
+from repro.core.budgets import DEFAULT_MAX_EVENTS
+from repro.core.errors import ExecutionError
 from repro.core.protocol import Protocol
-from repro.core.results import ExecutionResult, build_asynchronous_result
+from repro.core.results import ExecutionResult
 from repro.graphs.graph import Graph
-from repro.scheduling.adversary import (
-    AdversaryPolicy,
-    SynchronousAdversary,
-    derive_adversary_seed,
-)
-from repro.scheduling.async_engine import DEFAULT_MAX_EVENTS
-from repro.scheduling.compiled import LazyStrictTable, _require_numpy
-from repro.scheduling.picks import async_counter_picks, async_pick_base, resolve_pick_seed
+from repro.scheduling.adversary import AdversaryPolicy
+from repro.scheduling.compiled import LazyStrictTable
 from repro.scheduling.shard_pool import DEFAULT_BARRIER_TIMEOUT, STOP, ShardPool
+from repro.scheduling.vectorized_async_engine import (
+    BucketSlice,
+    VectorizedAsynchronousEngine,
+    bucket_tables,
+    completing_step,
+)
 
 #: Control words written by the parent before releasing the start fence
 #: (the pool writes STOP).
@@ -94,338 +95,66 @@ _START, _MID, _RESUME, _DONE = range(4)
 _NORMAL = 0
 _TWO_PHASE = 1
 
+#: Per-worker counters a worker publishes after every bucket, named after
+#: the :class:`BucketSlice` attributes they copy.
+_STATS = ("non_output", "events", "steps_taken", "messages", "max_parameter", "last_time")
+
 
 # --------------------------------------------------------------------- #
-# Worker-side engine slice                                               #
+# Worker side                                                            #
 # --------------------------------------------------------------------- #
-class _AsyncShardWorker:
-    """One worker's slice of the bucketed engine state.
+class _Halo:
+    """The cross-shard emission sink of one worker's slice.
 
-    All node indices are *local* (0..span), all edge slots are local to the
-    worker's CSR row range; translation to original ids happens only at the
-    adversary/pick draw coordinates (``orig``/``node_keys``) and at the tp
-    publication (global permuted ids).  The arithmetic per bucket mirrors
-    :class:`~repro.scheduling.vectorized_async_engine.
-    VectorizedAsynchronousEngine`'s array path op for op — the determinism
-    contract.
+    Each directed cut edge owns one slot per bucket parity: the sender's
+    worker writes it during bucket ``k`` and the receiver's worker folds it
+    into its FIFOs at the start of bucket ``k+1`` — exactly when the
+    unsharded engine's immediate append would first become observable.
     """
 
-    def __init__(
-        self,
-        worker_id,
-        tables,
-        dyn,
-        lo,
-        hi,
-        pick_base,
-        protocol,
-        schedule,
-        inputs,
-        static_bound,
-    ) -> None:
-        self.id = worker_id
-        self.lo, self.hi = lo, hi
-        self.span = hi - lo
-        indptr = tables["indptr"]
-        self.edge_lo = int(indptr[lo])
-        self.edge_hi = int(indptr[hi])
-        self.lindptr = (indptr[lo : hi + 1] - self.edge_lo).astype(np.int64)
-        self.lcol = tables["indices"][self.edge_lo : self.edge_hi]
-        self.degrees = np.diff(self.lindptr)
-        self.reverse = tables["reverse"]
-        self.halo_index = tables["halo_index"][self.edge_lo : self.edge_hi]
-        recv_bounds = tables["halo_recv_bounds"]
-        self.recv_lo = int(recv_bounds[worker_id])
-        self.recv_hi = int(recv_bounds[worker_id + 1])
-        self.halo_recv_hid = tables["halo_recv_hid"]
-        self.halo_recv_slot = tables["halo_recv_slot"]
-        keys = tables["node_keys"]
-        self.node_keys = keys[lo:hi]  # uint64, the pick-stream coordinates
-        self.orig = keys[lo:hi].astype(np.int64)  # adversary coordinates
-        self.orig_all = keys.astype(np.int64)
-
-        self.schedule = schedule
-        self.static_bound = static_bound
-        self.pick_base = pick_base
-        self.table = LazyStrictTable(protocol)
-        # Cross-worker letter-id consistency: the table pre-interns the
-        # declared alphabet in a fixed order, so alphabet letter ids agree
-        # between workers.  Locally interned extras must never cross a
-        # shard boundary (guarded in _emit).
-        self.alphabet_size = self.table.alphabet_size
-        self.b = protocol.bounding.value
-        self.b1 = self.b + 1
-
-        states = [
-            protocol.initial_state(inputs.get(int(key))) for key in self.orig
-        ]
-        self.state = np.asarray(
-            [self.table.state_id(state) for state in states], dtype=np.int64
-        )
-        _, output_mask, *_ = self.table.arrays()
-        self.non_output = int(self.span - output_mask[self.state].sum())
-
-        m = self.edge_hi - self.edge_lo
-        self.port = np.full(m, self.table.initial_letter_id, dtype=np.int64)
-        self.pending: list[deque] = [deque() for _ in range(m)]
-        self.pend_head = np.full(m, np.inf)
-        self.last_arrival = np.zeros(m)
-        self.pending_delay = np.zeros(m)
-        self.step = np.ones(self.span, dtype=np.int64)
-        self.next_length = np.zeros(self.span)
-        self.steps_taken = 0
-        self.messages = 0
-        self.events = 0
-        self.max_parameter = 0.0
+    def __init__(self, worker_id, edge_lo, edge_hi, tables, dyn, alphabet_size) -> None:
+        self.index = tables["halo_index"][edge_lo:edge_hi]
+        recv_lo, recv_hi = tables["halo_recv_bounds"][worker_id : worker_id + 2]
+        self.recv_hid = tables["halo_recv_hid"][recv_lo:recv_hi].tolist()
+        self.recv_slot = (tables["halo_recv_slot"][recv_lo:recv_hi] - edge_lo).tolist()
+        self.arrival = dyn["halo_arrival"]
+        self.letter = dyn["halo_letter"]
+        # Cross-worker letter-id consistency: every worker's table
+        # pre-interns the declared alphabet in a fixed order, so alphabet
+        # letter ids agree between workers.  Locally interned extras must
+        # never cross a shard boundary.
+        self.alphabet_size = alphabet_size
         self.bucket = 0
-        self.last_bucket_time = -np.inf
 
-        # Shared views (the parent reads; this worker writes only its slice
-        # of next_time/margin, its stats slots, and its halo write slots).
-        self.next_time = dyn["next_time"]
-        self.margin = dyn["margin"]
-        self.halo_arrival = dyn["halo_arrival"]
-        self.halo_letter = dyn["halo_letter"]
-        self.stats = dyn
-        self.control = dyn["control"]
-        self.control_f = dyn["control_f"]
+    def send(self, edges, arrivals, letters):
+        """Write the deliveries over cut edges into this bucket's slots;
+        return the mask of the deliveries that stay in the range."""
+        slots = self.index[edges]
+        cut = slots >= 0
+        if cut.any():
+            outside = letters[cut][letters[cut] >= self.alphabet_size]
+            if outside.size:
+                raise ExecutionError(
+                    "cross-shard emission of a letter outside the declared "
+                    f"alphabet (id {int(outside[0])} >= {self.alphabet_size}); letter "
+                    "ids are only shard-consistent for declared alphabet letters"
+                )
+            self.arrival[self.bucket % 2, slots[cut]] = arrivals[cut]
+            self.letter[self.bucket % 2, slots[cut]] = letters[cut]
+        return ~cut
 
-        self._refresh(np.arange(self.span, dtype=np.int64))
-        self._publish_stats()
-
-    # -- helpers ------------------------------------------------------- #
-    def _ragged(self, idx, lens):
-        total = int(lens.sum())
-        seg = np.repeat(np.arange(len(idx)), lens)
-        ends = np.cumsum(lens)
-        offsets = np.arange(total) - np.repeat(ends - lens, lens)
-        edges = np.repeat(self.lindptr[idx], lens) + offsets
-        return seg, edges
-
-    def _refresh(self, idx) -> None:
-        """Local mirror of ``_refresh_lookahead`` (original-id coordinates)."""
-        if idx.size == 0:
-            return
-        steps = self.step[idx]
-        next_lengths = self.schedule.step_lengths(self.orig[idx], steps + 1)
-        self.next_length[idx] = next_lengths
-        if self.static_bound is not None:
-            self.margin[self.lo + idx] = np.minimum(
-                next_lengths, self.static_bound
-            )
-            return
-        lens = self.degrees[idx]
-        min_delay = np.full(idx.size, np.inf)
-        total = int(lens.sum())
-        if total:
-            seg, edges = self._ragged(idx, lens)
-            delays = self.schedule.delivery_delays(
-                np.repeat(self.orig[idx], lens),
-                np.repeat(steps, lens),
-                self.orig_all[self.lcol[edges]],
-            )
-            self.pending_delay[edges] = delays
-            has_edges = lens > 0
-            starts = (np.cumsum(lens) - lens)[has_edges]
-            min_delay[has_edges] = np.minimum.reduceat(delays, starts)
-        self.margin[self.lo + idx] = np.minimum(min_delay, next_lengths)
-
-    def _apply_deliveries(self, seg, edges, batch_times) -> int:
-        ready = np.flatnonzero(self.pend_head[edges] <= batch_times[seg])
-        applied = 0
-        for k in ready.tolist():
-            edge = int(edges[k])
-            step_time = batch_times[int(seg[k])]
-            queue = self.pending[edge]
-            letter = -1
-            while queue and queue[0][0] <= step_time:
-                letter = queue.popleft()[1]
-                applied += 1
-            self.port[edge] = letter
-            self.pend_head[edge] = queue[0][0] if queue else np.inf
-        return applied
-
-    def _ingest_halo(self) -> None:
-        """Fold the previous bucket's cross-shard deliveries into my FIFOs."""
-        read_buf = (self.bucket + 1) % 2
-        arrivals = self.halo_arrival[read_buf]
-        letters = self.halo_letter[read_buf]
-        for j in range(self.recv_lo, self.recv_hi):
-            h = int(self.halo_recv_hid[j])
+    def receive(self, part: BucketSlice) -> None:
+        """Fold the previous bucket's cross-shard deliveries into the FIFOs."""
+        arrivals = self.arrival[(self.bucket + 1) % 2]
+        letters = self.letter[(self.bucket + 1) % 2]
+        for h, slot in zip(self.recv_hid, self.recv_slot):
             arrival = float(arrivals[h])
             if arrival == np.inf:
                 continue
-            slot = int(self.halo_recv_slot[j]) - self.edge_lo
-            self.pending[slot].append((arrival, int(letters[h])))
-            if arrival < self.pend_head[slot]:
-                self.pend_head[slot] = arrival
+            part.pending[slot].append((arrival, int(letters[h])))
+            if arrival < part.pend_head[slot]:
+                part.pend_head[slot] = arrival
             arrivals[h] = np.inf
-
-    def _emit(self, senders_idx, letters, times, steps) -> None:
-        """Local mirror of the engine's ``_emit`` with halo routing."""
-        self.messages += len(senders_idx)
-        lens = self.degrees[senders_idx]
-        if not int(lens.sum()):
-            return
-        seg, edges = self._ragged(senders_idx, lens)
-        if self.static_bound is not None:
-            delays = self.schedule.delivery_delays(
-                np.repeat(self.orig[senders_idx], lens),
-                np.repeat(steps, lens),
-                self.orig_all[self.lcol[edges]],
-            )
-        else:
-            delays = self.pending_delay[edges]
-        self.max_parameter = max(self.max_parameter, float(delays.max()))
-        arrivals = np.maximum(times[seg] + delays, self.last_arrival[edges])
-        self.last_arrival[edges] = arrivals
-        letters_rep = letters[seg]
-        halo_idx = self.halo_index[edges]
-        targets = self.reverse[edges + self.edge_lo]
-        write_arrival = self.halo_arrival[self.bucket % 2]
-        write_letter = self.halo_letter[self.bucket % 2]
-        pending = self.pending
-        pend_head = self.pend_head
-        for k in range(len(edges)):
-            arrival = float(arrivals[k])
-            letter = int(letters_rep[k])
-            h = int(halo_idx[k])
-            if h >= 0:
-                if letter >= self.alphabet_size:
-                    raise ExecutionError(
-                        "cross-shard emission of a letter outside the "
-                        f"declared alphabet (id {letter} >= "
-                        f"{self.alphabet_size}); letter ids are only "
-                        "shard-consistent for declared alphabet letters"
-                    )
-                write_arrival[h] = arrival
-                write_letter[h] = letter
-            else:
-                slot = int(targets[k]) - self.edge_lo
-                pending[slot].append((arrival, letter))
-                if arrival < pend_head[slot]:
-                    pend_head[slot] = arrival
-
-    def _publish_stats(self) -> None:
-        stats = self.stats
-        wid = self.id
-        stats["non_output"][wid] = self.non_output
-        stats["events"][wid] = self.events
-        stats["steps"][wid] = self.steps_taken
-        stats["messages"][wid] = self.messages
-        stats["maxparam"][wid] = self.max_parameter
-        stats["last_time"][wid] = self.last_bucket_time
-
-    # -- bucket protocol ----------------------------------------------- #
-    def _compute(self, horizon):
-        """Phase 1: drains, census, transitions — nothing is committed yet
-        except the (harmless, last-bucket-only-destructive) port drains."""
-        self._ingest_halo()
-        local_times = self.next_time[self.lo : self.hi]
-        idx = np.flatnonzero(local_times < horizon)
-        times = local_times[idx].copy()
-        if idx.size > 1:
-            order = np.argsort(times, kind="stable")
-            idx = idx[order]
-            times = times[order]
-        counts = np.zeros(idx.size, dtype=np.int64)
-        if idx.size:
-            lens = self.degrees[idx]
-            if int(lens.sum()):
-                seg, edges = self._ragged(idx, lens)
-                self.events += self._apply_deliveries(seg, edges, times)
-                query, *_ = self.table.arrays()
-                matches = self.port[edges] == query[self.state[idx]][seg]
-                counts = np.bincount(
-                    seg, weights=matches, minlength=idx.size
-                ).astype(np.int64)
-            counts = np.minimum(counts, self.b)
-            state_batch = self.state[idx]
-            self.table.ensure_cells(state_batch, counts)
-            _, output_mask, cell_offset, cell_count, option_next, option_emit = (
-                self.table.arrays()
-            )
-            cell = state_batch * self.b1 + counts
-            n_options = cell_count[cell]
-            picks = async_counter_picks(
-                self.pick_base, self.node_keys[idx], self.step[idx], n_options
-            )
-            selected = cell_offset[cell] + picks
-            new_states = option_next[selected]
-            emits = option_emit[selected]
-            old_output = output_mask[state_batch].astype(np.int64)
-            new_output = output_mask[new_states].astype(np.int64)
-        else:
-            new_states = np.zeros(0, dtype=np.int64)
-            emits = np.zeros(0, dtype=np.int64)
-            old_output = np.zeros(0, dtype=np.int64)
-            new_output = np.zeros(0, dtype=np.int64)
-        return idx, times, new_states, emits, old_output, new_output
-
-    def _publish_tp(self, idx, times, old_output, new_output) -> None:
-        stats = self.stats
-        count = idx.size
-        stats["tp_count"][self.id] = count
-        base = self.lo
-        stats["tp_node"][base : base + count] = self.lo + idx
-        stats["tp_time"][base : base + count] = times
-        stats["tp_delta"][base : base + count] = old_output - new_output
-
-    def _commit(self, computed, mask) -> None:
-        idx, times, new_states, emits, old_output, new_output = computed
-        if mask is not None:
-            idx = idx[mask]
-            times = times[mask]
-            new_states = new_states[mask]
-            emits = emits[mask]
-            old_output = old_output[mask]
-            new_output = new_output[mask]
-        if idx.size == 0:
-            self.last_bucket_time = -np.inf
-            return
-        self.non_output += int(old_output.sum()) - int(new_output.sum())
-        self.state[idx] = new_states
-        self.steps_taken += idx.size
-        self.events += idx.size
-        emitting = np.flatnonzero(emits >= 0)
-        if emitting.size:
-            senders = idx[emitting]
-            self._emit(
-                senders, emits[emitting], times[emitting], self.step[senders]
-            )
-        lengths = self.next_length[idx]
-        self.max_parameter = max(self.max_parameter, float(lengths.max()))
-        self.next_time[self.lo + idx] = times + lengths
-        self.step[idx] += 1
-        self._refresh(idx)
-        self.last_bucket_time = float(times[-1])
-
-    def bucket_step(self, mid_barrier, resume_barrier) -> None:
-        horizon = float(self.control_f[0])
-        mode = int(self.control[1])
-        computed = self._compute(horizon)
-        if mode == _TWO_PHASE:
-            idx, times, _, _, old_output, new_output = computed
-            self._publish_tp(idx, times, old_output, new_output)
-            mid_barrier.wait()
-            resume_barrier.wait()
-            cutoff_time = float(self.control_f[1])
-            if cutoff_time == np.inf:
-                mask = None
-            else:
-                cutoff_key = int(self.control[2])
-                mask = (times < cutoff_time) | (
-                    (times == cutoff_time) & (self.orig[idx] <= cutoff_key)
-                )
-            self._commit(computed, mask)
-        else:
-            self._commit(computed, None)
-        self.bucket += 1
-        self._publish_stats()
-
-    def decoded_states(self) -> list:
-        decode = self.table.state_value
-        return [decode(int(ident)) for ident in self.state]
 
 
 def _bucket_loop(
@@ -444,33 +173,63 @@ def _bucket_loop(
 ) -> None:
     """Init, then the bucket loop over permuted nodes ``lo:hi``."""
     start_fence, mid_fence, resume_fence, done_fence = fences
-    worker = _AsyncShardWorker(
-        worker_id, tables, dyn, lo, hi, pick_base, protocol, schedule, inputs, static_bound
+    control, control_f = dyn["control"], dyn["control_f"]
+    table = LazyStrictTable(protocol)
+    indptr = tables["indptr"]
+    halo = _Halo(worker_id, int(indptr[lo]), int(indptr[hi]), tables, dyn, table.alphabet_size)
+    part = BucketSlice(
+        lo, hi, tables, dyn, table, protocol, inputs, schedule, static_bound, pick_base, halo
     )
+
+    def publish() -> None:
+        for name in _STATS:
+            dyn[name][worker_id] = getattr(part, name)
+
+    publish()
     done_fence.wait()  # init round: states, margins and stats published
     while True:
         start_fence.wait()
-        command = int(worker.control[0])
+        command = int(control[0])
         if command == STOP:
             return
         if command == _COLLECT:
-            queue.put((worker_id, worker.decoded_states()))
+            queue.put((worker_id, part.decoded_states()))
             return
-        worker.bucket_step(mid_fence, resume_fence)
+        halo.receive(part)
+        bucket = part.compute(*part.select(float(control_f[0])))
+        cutoff = None
+        if control[1] == _TWO_PHASE:
+            # Publish (step time, original id, output delta) of every step
+            # and let the parent locate the completing one.
+            idx, times, _, _, deltas = bucket
+            dyn["tp_count"][worker_id] = idx.size
+            dyn["tp_time"][lo : lo + idx.size] = times
+            dyn["tp_key"][lo : lo + idx.size] = part.keys[idx]
+            dyn["tp_delta"][lo : lo + idx.size] = deltas
+            mid_fence.wait()
+            resume_fence.wait()
+            if control_f[1] != np.inf:
+                cutoff = (float(control_f[1]), int(control[2]))
+        part.commit(bucket, cutoff)
+        halo.bucket += 1
+        publish()
         done_fence.wait()
 
 
 # --------------------------------------------------------------------- #
 # Parent-side engine                                                     #
 # --------------------------------------------------------------------- #
-class ShardedAsyncEngine:
+class ShardedAsyncEngine(VectorizedAsynchronousEngine):
     """Executes a strict protocol under adversarial timing across shards.
 
-    Mirrors :class:`~repro.scheduling.vectorized_async_engine.
-    VectorizedAsynchronousEngine`'s ``run()`` contract; a sharded engine is
-    single-run (the final-state collection retires the workers).  Engines
-    own worker processes and shared-memory segments: call :meth:`close` (or
-    use the engine as a context manager) to release them.
+    A :class:`~repro.scheduling.vectorized_async_engine.
+    VectorizedAsynchronousEngine` whose bucket is run by the shard workers:
+    the parent picks each horizon from the shared ``next_time``/``margin``
+    arrays and, when the bucket may complete the run, merges the workers'
+    tentative steps.  A sharded engine is single-run (the final-state
+    collection retires the workers).  Engines own worker processes and
+    shared-memory segments: call :meth:`close` (or use the engine as a
+    context manager) to release them.
     """
 
     def __init__(
@@ -485,116 +244,71 @@ class ShardedAsyncEngine:
         shards: int = 2,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
-        _require_numpy()
-        if not isinstance(protocol, Protocol):
-            raise ExecutionError(
-                "the asynchronous engine executes strict protocols only; "
-                "lower multi-letter protocols through repro.compilers first"
-            )
-        pool = ShardPool(graph, shards, fences=4, barrier_timeout=barrier_timeout)
-        adversary = adversary if adversary is not None else SynchronousAdversary()
-        adversary_rng = random.Random(
-            adversary_seed
-            if adversary_seed is not None
-            else derive_adversary_seed(seed)
-        )
-        schedule = adversary.start(graph, adversary_rng)
-        if not schedule.batch_capable:
-            raise ProtocolNotVectorizableError(
-                f"adversary {adversary.name!r} does not support pure batch "
-                "sampling; run it on the interpreted engine (backend='python')"
-            )
-
-        self._graph = graph
-        self._protocol = protocol
-        self._seed = seed
-        self._adversary_name = adversary.name
-        self._pool = pool
+        self._pool = ShardPool(graph, shards, fences=4, barrier_timeout=barrier_timeout)
         self._ran = False
-        self._now = 0.0
-        self._output_time: float | None = None
+        super().__init__(
+            graph,
+            protocol,
+            adversary=adversary,
+            seed=seed,
+            adversary_seed=adversary_seed,
+            inputs=inputs,
+        )
 
-        n = graph.num_nodes
+    def _keys(self):
+        return np.asarray(self._pool.partition.inv, dtype=np.int64)
+
+    def _allocate(self, keys, lengths, inputs, table) -> None:
+        """Lay out the halo and share the run's arrays with the workers."""
+        pool = self._pool
+        n = self._graph.num_nodes
         num_shards = pool.num_shards
-        perm_indptr, perm_indices = pool.permuted_csr()
-        m = len(perm_indices)
-        perm_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(perm_indptr))
-        # reverse[e]: slot of the opposite direction of edge e.  The
-        # permuted CSR keeps the *original* intra-row neighbour order, so
-        # rows are not column-sorted and the unsharded engine's single
-        # lexsort shortcut does not apply; pair the (row, col)-sorted edge
-        # sequence with the (col, row)-sorted one instead (they coincide
-        # with directions swapped — both directions of every edge exist).
-        forward = np.lexsort((perm_indices, perm_row))
-        backward = np.lexsort((perm_row, perm_indices))
-        reverse = np.empty(m, dtype=np.int64)
-        reverse[forward] = backward
-
+        tables = bucket_tables(*pool.permuted_csr(), keys)
+        indptr, indices, reverse = tables["indptr"], tables["indices"], tables["reverse"]
+        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         bounds = np.asarray(pool.partition.bounds, dtype=np.int64)
         shard_of = np.searchsorted(bounds, np.arange(n, dtype=np.int64), side="right") - 1
-        cut_eids = np.flatnonzero(shard_of[perm_row] != shard_of[perm_indices])
+        cut_eids = np.flatnonzero(shard_of[row] != shard_of[indices])
         halo_size = int(cut_eids.size)
-        halo_index = np.full(m, -1, dtype=np.int64)
-        halo_index[cut_eids] = np.arange(halo_size, dtype=np.int64)
-        recv_shard = shard_of[perm_indices[cut_eids]]
+        tables["halo_index"] = np.full(len(indices), -1, dtype=np.int64)
+        tables["halo_index"][cut_eids] = np.arange(halo_size, dtype=np.int64)
+        recv_shard = shard_of[indices[cut_eids]]
         recv_order = np.argsort(recv_shard, kind="stable").astype(np.int64)
-        halo_recv_slot = reverse[cut_eids[recv_order]]
-        halo_recv_bounds = np.searchsorted(
+        tables["halo_recv_hid"] = recv_order
+        tables["halo_recv_slot"] = reverse[cut_eids[recv_order]]
+        tables["halo_recv_bounds"] = np.searchsorted(
             recv_shard[recv_order], np.arange(num_shards + 1)
         ).astype(np.int64)
-
-        # Initial step times and the bucket-margin mode are global decisions
-        # and pure counter draws; the parent makes them once, identically to
-        # the unsharded engine's constructor (min/median are exact over any
-        # ordering of the same multiset).
-        inv = np.asarray(pool.partition.inv, dtype=np.int64)
-        lengths = schedule.step_lengths(inv, np.ones(n, dtype=np.int64))
-        self._init_max_parameter = float(lengths.max())
-        bound = schedule.delay_lower_bound()
-        static_bound = None
-        if bound is not None and 8.0 * bound >= float(np.median(lengths)):
-            static_bound = float(bound)
-
-        static_arrays = {
-            "indptr": perm_indptr,
-            "indices": perm_indices,
-            "reverse": reverse,
-            "node_keys": inv.astype(np.uint64),
-            "halo_index": halo_index,
-            "halo_recv_hid": recv_order,
-            "halo_recv_slot": halo_recv_slot,
-            "halo_recv_bounds": halo_recv_bounds,
-        }
         dynamic_arrays = {
             # next_time/margin live in permuted order: shard slices are
             # contiguous; the parent only ever reduces over them.
-            "next_time": lengths.astype(np.float64),
+            "next_time": lengths,
             "margin": np.zeros(n),
             "halo_arrival": np.full((2, halo_size), np.inf),
             "halo_letter": np.zeros((2, halo_size), dtype=np.int64),
             "non_output": np.zeros(num_shards, dtype=np.int64),
             "events": np.zeros(num_shards, dtype=np.int64),
-            "steps": np.zeros(num_shards, dtype=np.int64),
+            "steps_taken": np.zeros(num_shards, dtype=np.int64),
             "messages": np.zeros(num_shards, dtype=np.int64),
-            "maxparam": np.zeros(num_shards),
+            "max_parameter": np.zeros(num_shards),
             "last_time": np.full(num_shards, -np.inf),
             "tp_count": np.zeros(num_shards, dtype=np.int64),
-            "tp_node": np.zeros(n, dtype=np.int64),
             "tp_time": np.zeros(n),
+            "tp_key": np.zeros(n, dtype=np.int64),
             "tp_delta": np.zeros(n, dtype=np.int64),
             "control": np.zeros(8, dtype=np.int64),
             "control_f": np.zeros(4),
         }
         self._queue = pool.ctx.Queue()
         pool.allocate(
-            static_arrays,
+            tables,
             dynamic_arrays,
             _bucket_loop,
-            async_pick_base(resolve_pick_seed(seed)),
-            protocol,
-            schedule,
-            dict(inputs or {}),
-            static_bound,
+            self._pick_base,
+            self._protocol,
+            self._schedule,
+            inputs,
+            self._static_bound,
             self._queue,
         )
 
@@ -618,93 +332,61 @@ class ShardedAsyncEngine:
         raise_on_timeout: bool = False,
     ) -> ExecutionResult:
         """Drive all shards bucket by bucket to the first output config."""
-        pool = self._pool
         if self._ran:
             raise ExecutionError("a ShardedAsyncEngine is single-run; build a fresh engine")
         self._ran = True
-        pool.wait(_DONE)  # init round
+        self._pool.wait(_DONE)  # init round: states, margins and stats published
+        return super().run(max_events, raise_on_timeout=raise_on_timeout)
 
+    def _bucket(self) -> None:
+        pool = self._pool
         dyn = pool.dyn
         next_time = dyn["next_time"]
-        margin = dyn["margin"]
-        control = dyn["control"]
-        control_f = dyn["control_f"]
-        inv = np.asarray(pool.partition.inv, dtype=np.int64)
-        while self._output_time is None:
-            if int(dyn["events"].sum()) >= max_events:
-                break
-            horizon = float((next_time + margin).min())
-            batch_size = int((next_time < horizon).sum())
-            non_output = int(dyn["non_output"].sum())
-            two_phase = non_output <= batch_size
-            control[0] = _RUN
-            control[1] = _TWO_PHASE if two_phase else _NORMAL
-            control_f[0] = horizon
-            pool.wait(_START)
-            cutoff_time = np.inf
-            if two_phase:
-                pool.wait(_MID)
-                cutoff_time, cutoff_key = self._merge_cutoff(non_output, inv)
-                control_f[1] = cutoff_time
-                control[2] = cutoff_key
-                pool.wait(_RESUME)
-            pool.wait(_DONE)
-            self._now = float(dyn["last_time"].max())
-            if cutoff_time != np.inf:
-                self._now = float(cutoff_time)
-                self._output_time = self._now
+        horizon = float((next_time + dyn["margin"]).min())
+        non_output = int(dyn["non_output"].sum())
+        two_phase = non_output <= int((next_time < horizon).sum())
+        dyn["control"][:2] = _RUN, _TWO_PHASE if two_phase else _NORMAL
+        dyn["control_f"][0] = horizon
+        pool.wait(_START)
+        cutoff = None
+        if two_phase:
+            pool.wait(_MID)
+            cutoff = self._merge_cutoff(non_output)
+            dyn["control_f"][1], dyn["control"][2] = cutoff or (np.inf, -1)
+            pool.wait(_RESUME)
+        pool.wait(_DONE)
+        self._now = float(dyn["last_time"].max())
+        if cutoff is not None:
+            self._now = self._output_time = cutoff[0]
 
-        reached = self._output_time is not None
-        states = self._collect_states()
-        result = build_asynchronous_result(
-            self._protocol,
-            self._graph,
-            states,
-            reached=reached,
-            elapsed=self._output_time if reached else self._now,
-            max_parameter=max(self._init_max_parameter, float(dyn["maxparam"].max())),
-            total_node_steps=int(dyn["steps"].sum()),
-            total_messages=int(dyn["messages"].sum()),
-            seed=self._seed,
-            adversary_name=self._adversary_name,
-            backend="vectorized",
-        )
-        if not reached and raise_on_timeout:
-            raise OutputNotReachedError(
-                f"no output configuration within {max_events} events", result
-            )
-        return result
-
-    def _merge_cutoff(self, non_output: int, inv) -> tuple[float, int]:
+    def _merge_cutoff(self, non_output: int):
         """Merge the workers' tentative steps; locate the completing one.
 
-        The global canonical order is ``(step time, original node id)`` —
-        exactly the unsharded engine's sorted bucket — so the prefix sum of
-        output deltas pins the same completing step on every shard count.
+        Merged in the canonical ``(time, original id)`` order, the pieces
+        are the unsharded engine's sorted bucket, so the same
+        :func:`completing_step` pins the same step on every shard count.
         """
         dyn = self._pool.dyn
-        counts = dyn["tp_count"]
-        bounds = np.asarray(self._pool.partition.bounds, dtype=np.int64)
-        pieces_node = []
-        pieces_time = []
-        pieces_delta = []
-        for s in range(len(counts)):
-            lo = int(bounds[s])
-            count = int(counts[s])
-            pieces_node.append(dyn["tp_node"][lo : lo + count])
-            pieces_time.append(dyn["tp_time"][lo : lo + count])
-            pieces_delta.append(dyn["tp_delta"][lo : lo + count])
-        nodes = np.concatenate(pieces_node)
-        times = np.concatenate(pieces_time)
-        deltas = np.concatenate(pieces_delta)
-        orig = inv[nodes]
-        order = np.lexsort((orig, times))
-        running = non_output + np.cumsum(deltas[order])
-        completing = np.flatnonzero(running == 0)
-        if completing.size == 0:
-            return np.inf, -1
-        winner = int(order[int(completing[0])])
-        return float(times[winner]), int(orig[winner])
+        pieces = [
+            slice(int(lo), int(lo) + int(count))
+            for lo, count in zip(self._pool.partition.bounds, dyn["tp_count"])
+        ]
+        times, keys, deltas = (
+            np.concatenate([dyn[name][piece] for piece in pieces])
+            for name in ("tp_time", "tp_key", "tp_delta")
+        )
+        order = np.lexsort((keys, times))
+        return completing_step(non_output, times[order], keys[order], deltas[order])
+
+    def _events(self) -> int:
+        return int(self._pool.dyn["events"].sum())
+
+    def _totals(self) -> tuple[int, int, float]:
+        dyn = self._pool.dyn
+        return dyn["steps_taken"].sum(), dyn["messages"].sum(), float(dyn["max_parameter"].max())
+
+    def _final_states(self) -> tuple:
+        return self._collect_states()
 
     def _collect_states(self) -> tuple:
         """Retire the workers, gathering their decoded state slices.

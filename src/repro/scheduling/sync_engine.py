@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.alphabet import Observation, is_epsilon
+from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.counters import record_engine_run
 from repro.core.errors import (
     ExecutionError,
@@ -36,8 +37,6 @@ from repro.scheduling.picks import counter_pick, counter_round_key, resolve_pick
 
 RoundObserver = Callable[[int, tuple[State, ...]], None]
 """Callback invoked after every round with ``(round_index, states)``."""
-
-DEFAULT_MAX_ROUNDS = 100_000
 
 
 class SynchronousEngine:

@@ -41,6 +41,16 @@ canonical event order exactly:
    generator, intra-run sharding (:mod:`repro.scheduling.
    sharded_async_engine`) changes nothing either.
 
+The bucket work — ragged gather, lookahead refresh, delivery drain, census
+and transition, commit and emit — is one class, :class:`BucketSlice`, over a
+contiguous node range.  This engine drives one in-process slice over
+``[0, n)``; every shard worker of :class:`~repro.scheduling.
+sharded_async_engine.ShardedAsyncEngine` drives one over its own range, so
+a sharded bucket is this bucket by construction.  Only tiny buckets take a
+second, scalar path (:meth:`VectorizedAsynchronousEngine._run_scalar_bucket`)
+over the same slice: it implements the same semantics step by step, and on
+small or near-continuous workloads it is what keeps the engine fast.
+
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
 (timed-out) executions are not guaranteed to match the interpreted engine
@@ -59,6 +69,7 @@ try:  # NumPy is an optional dependency of the library as a whole.
 except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None
 
+from repro.core.budgets import DEFAULT_MAX_EVENTS
 from repro.core.errors import (
     ExecutionError,
     OutputNotReachedError,
@@ -72,12 +83,7 @@ from repro.scheduling.adversary import (
     SynchronousAdversary,
     derive_adversary_seed,
 )
-from repro.scheduling.async_engine import DEFAULT_MAX_EVENTS
-from repro.scheduling.compiled import (
-    DEFAULT_MAX_LAZY_STATES,
-    LazyStrictTable,
-    _require_numpy,
-)
+from repro.scheduling.compiled import LazyStrictTable, _require_numpy
 from repro.scheduling.picks import (
     async_counter_pick,
     async_counter_picks,
@@ -89,6 +95,299 @@ from repro.scheduling.picks import (
 #: the fixed cost of an array operation needs roughly this many elements to
 #: amortise.  Both paths implement the same canonical semantics.
 SCALAR_BUCKET_CUTOFF = 12
+
+
+def bucket_tables(indptr, indices, keys) -> dict:
+    """The static arrays a :class:`BucketSlice` reads, for any node order.
+
+    ``reverse[e]`` maps a sender-major out-edge to the receiver-major port
+    slot it writes (the slot of the opposite direction).  Rows need not be
+    column-sorted — a permuted CSR keeps the original intra-row neighbour
+    order — so the (row, col)-sorted edge sequence is paired with the (col,
+    row)-sorted one: they coincide with directions swapped, because both
+    directions of every edge exist.  ``node_keys`` are the original node ids.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    row = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    reverse = np.empty(len(indices), dtype=np.int64)
+    reverse[np.lexsort((indices, row))] = np.lexsort((row, indices))
+    node_keys = np.asarray(keys, dtype=np.uint64)
+    return {"indptr": indptr, "indices": indices, "reverse": reverse, "node_keys": node_keys}
+
+
+def completing_step(non_output: int, times, keys, deltas):
+    """``(time, key)`` of the step that completes the output configuration.
+
+    The steps of a bucket come in the canonical ``(step time, original node
+    id)`` order — the unsharded engine's sorted bucket — and ``deltas`` are
+    their changes of the non-output count; the first step that brings
+    *non_output* to zero completes the run.  ``None`` when none does.
+    """
+    completing = np.flatnonzero(non_output + np.cumsum(deltas) == 0)
+    if completing.size == 0:
+        return None
+    first = int(completing[0])
+    return float(times[first]), int(keys[first])
+
+
+class BucketSlice:
+    """The bucketed engine state of the contiguous node range ``lo:hi``.
+
+    Node indices are local (``0..hi-lo``) and edge slots local to the
+    range's CSR rows; ``keys`` hold each node's original id — the coordinate
+    of its adversary draws and picks — and ``peer`` that of each out-edge's
+    receiver.  ``next_time`` and ``margin`` are this range's views of the
+    run-wide arrays the bucket horizon is taken over.  A ``halo`` sink takes
+    the deliveries whose receiver lies outside the range; with one slice
+    over ``[0, n)`` there is none.
+
+    A bucket is :meth:`select`, :meth:`compute` (delivery drain, census,
+    transition — nothing committed) and :meth:`commit` (states, emissions,
+    the next step's schedule and lookahead), optionally cut off at the step
+    that completes the run.
+    """
+
+    def __init__(
+        self,
+        lo,
+        hi,
+        tables,
+        clock,
+        table,
+        protocol,
+        inputs,
+        schedule,
+        static_bound,
+        pick_base,
+        halo=None,
+    ) -> None:
+        indptr = tables["indptr"]
+        edge_lo, edge_hi = int(indptr[lo]), int(indptr[hi])
+        self.indptr = (indptr[lo : hi + 1] - edge_lo).astype(np.int64)
+        self.degrees = np.diff(self.indptr)
+        self.target = tables["reverse"][edge_lo:edge_hi] - edge_lo
+        self.node_keys = tables["node_keys"][lo:hi]  # uint64, the pick coordinates
+        keys = tables["node_keys"].astype(np.int64)
+        self.keys = keys[lo:hi]  # adversary coordinates
+        self.key_list = self.keys.tolist()
+        self.peer = keys[tables["indices"][edge_lo:edge_hi]]
+        self.next_time = clock["next_time"][lo:hi]
+        self.margin = clock["margin"][lo:hi]
+        self.halo = halo
+
+        self.table = table
+        self.schedule = schedule
+        self.static_bound = static_bound
+        self.pick_base = pick_base
+        self.b = protocol.bounding.value
+        states = [protocol.initial_state(inputs.get(key)) for key in self.key_list]
+        self.state = np.asarray([table.state_id(state) for state in states], dtype=np.int64)
+        _, output_mask, *_ = table.arrays()
+        self.non_output = int(len(self.state) - output_mask[self.state].sum())
+
+        m = edge_hi - edge_lo
+        self.port = np.full(m, table.initial_letter_id, dtype=np.int64)
+        # Pending deliveries per receiver-major edge: FIFO of (arrival, letter)
+        # with non-decreasing arrivals; pend_head caches the earliest arrival
+        # (inf when empty) so empty queues cost one array compare, not a loop.
+        self.pending: list[deque] = [deque() for _ in range(m)]
+        self.pend_head = np.full(m, np.inf)
+        # Sender-major per-edge bookkeeping.
+        self.last_arrival = np.zeros(m)
+        self.pending_delay = np.zeros(m)
+
+        self.step = np.ones(hi - lo, dtype=np.int64)
+        self.next_length = np.zeros(hi - lo)
+        self.steps_taken = 0
+        self.messages = 0
+        self.events = 0
+        self.max_parameter = 0.0
+        self.last_time = -np.inf
+        self.refresh(np.arange(hi - lo, dtype=np.int64))
+
+    def ragged(self, idx, lens):
+        """Segment ids and edge slots of the CSR rows of *idx*, concatenated."""
+        total = int(lens.sum())
+        seg = np.repeat(np.arange(len(idx)), lens)
+        ends = np.cumsum(lens)
+        offsets = np.arange(total) - np.repeat(ends - lens, lens)
+        edges = np.repeat(self.indptr[idx], lens) + offsets
+        return seg, edges
+
+    def refresh(self, idx) -> None:
+        """Recompute the batching lookahead after *idx* scheduled new steps.
+
+        Samples (purely, without accounting) the pending step's delivery
+        delays — cached for reuse when the step actually emits — and the
+        following step's length, and stores ``margin[v]`` such that
+        ``next_time[v] + margin[v]`` lower-bounds the earliest instant any
+        *future* action of ``v`` can influence another node.
+        """
+        if idx.size == 0:
+            return
+        steps = self.step[idx]
+        lens = self.degrees[idx]
+        scalar_cutoff = 48 if self.static_bound is not None else 32
+        if idx.size + int(lens.sum()) <= scalar_cutoff:
+            # Tiny batches: the scalar sampling path is bitwise-identical
+            # and dodges the array-call overhead.
+            self.refresh_scalar(idx.tolist(), steps.tolist())
+            return
+        next_lengths = self.schedule.step_lengths(self.keys[idx], steps + 1)
+        self.next_length[idx] = next_lengths
+        if self.static_bound is not None:
+            self.margin[idx] = np.minimum(next_lengths, self.static_bound)
+            return
+        min_delay = np.full(idx.size, np.inf)
+        if int(lens.sum()):
+            seg, edges = self.ragged(idx, lens)
+            delays = self.schedule.delivery_delays(
+                np.repeat(self.keys[idx], lens), np.repeat(steps, lens), self.peer[edges]
+            )
+            self.pending_delay[edges] = delays
+            has_edges = lens > 0
+            starts = (np.cumsum(lens) - lens)[has_edges]
+            min_delay[has_edges] = np.minimum.reduceat(delays, starts)
+        self.margin[idx] = np.minimum(min_delay, next_lengths)
+
+    def refresh_scalar(self, idx_list, step_list) -> None:
+        schedule = self.schedule
+        bound = self.static_bound
+        indptr = self.indptr
+        peer = self.peer
+        pending_delay = self.pending_delay
+        for i, step in zip(idx_list, step_list):
+            key = self.key_list[i]
+            next_length = schedule.step_length(key, step + 1)
+            self.next_length[i] = next_length
+            if bound is not None:
+                self.margin[i] = next_length if next_length < bound else bound
+                continue
+            margin = next_length
+            for edge in range(int(indptr[i]), int(indptr[i + 1])):
+                delay = schedule.delivery_delay(key, step, int(peer[edge]))
+                pending_delay[edge] = delay
+                if delay < margin:
+                    margin = delay
+            self.margin[i] = margin
+
+    def select(self, horizon):
+        """The pending steps before *horizon*, sorted by (time, node)."""
+        idx = np.flatnonzero(self.next_time < horizon)
+        times = self.next_time[idx]
+        if idx.size > 1:
+            order = np.argsort(times, kind="stable")
+            idx, times = idx[order], times[order]
+        return idx, times
+
+    def drain(self, seg, edges, times) -> int:
+        """Drain pending arrivals up to each bucket step's time (last one wins)."""
+        ready = np.flatnonzero(self.pend_head[edges] <= times[seg])
+        applied = 0
+        for k in ready.tolist():
+            edge = int(edges[k])
+            step_time = times[int(seg[k])]
+            queue = self.pending[edge]
+            letter = -1
+            while queue and queue[0][0] <= step_time:
+                letter = queue.popleft()[1]
+                applied += 1
+            self.port[edge] = letter
+            self.pend_head[edge] = queue[0][0] if queue else np.inf
+        return applied
+
+    def compute(self, idx, times):
+        """Drain, count and transition the bucket steps *idx* at *times*.
+
+        Ports first: arrivals up to each step's instant are drained, then
+        the queried letter is counted over each node's in-edges.  Every
+        multi-option pick is drawn and the whole bucket transitioned with
+        array lookups, but nothing is committed: the draws are stateless, so
+        a suffix the caller cuts off consumed nothing.  Returns ``(idx,
+        times, new_states, emits, deltas)``, ``deltas`` being each step's
+        change of the non-output count.
+        """
+        counts = np.zeros(idx.size, dtype=np.int64)
+        lens = self.degrees[idx]
+        if int(lens.sum()):
+            seg, edges = self.ragged(idx, lens)
+            self.events += self.drain(seg, edges, times)
+            query, *_ = self.table.arrays()
+            matches = self.port[edges] == query[self.state[idx]][seg]
+            counts = np.bincount(seg, weights=matches, minlength=idx.size).astype(np.int64)
+        counts = np.minimum(counts, self.b)
+        states = self.state[idx]
+        self.table.ensure_cells(states, counts)
+        _, output_mask, cell_offset, cell_count, option_next, option_emit = self.table.arrays()
+        cell = states * (self.b + 1) + counts
+        picks = async_counter_picks(
+            self.pick_base, self.node_keys[idx], self.step[idx], cell_count[cell]
+        )
+        selected = cell_offset[cell] + picks
+        new_states = option_next[selected]
+        deltas = output_mask[states].astype(np.int64) - output_mask[new_states]
+        return idx, times, new_states, option_emit[selected], deltas
+
+    def commit(self, bucket, cutoff=None) -> None:
+        """Apply a computed *bucket* — through the step ``cutoff = (time,
+        key)`` only, when given — and schedule each node's next step."""
+        idx, times, new_states, emits, deltas = bucket
+        if cutoff is not None:
+            cutoff_time, cutoff_key = cutoff
+            keep = (times < cutoff_time) | ((times == cutoff_time) & (self.keys[idx] <= cutoff_key))
+            idx, times, new_states, emits, deltas = (column[keep] for column in bucket)
+        if idx.size == 0:
+            self.last_time = -np.inf
+            return
+        self.non_output += int(deltas.sum())
+        self.state[idx] = new_states
+        self.steps_taken += idx.size
+        self.events += idx.size
+        emitting = np.flatnonzero(emits >= 0)
+        if emitting.size:
+            senders = idx[emitting]
+            self.emit(senders, emits[emitting], times[emitting], self.step[senders])
+        # The pending lookahead length becomes the accounted step length.
+        lengths = self.next_length[idx]
+        self.max_parameter = max(self.max_parameter, float(lengths.max()))
+        self.next_time[idx] = times + lengths
+        self.step[idx] += 1
+        self.refresh(idx)
+        self.last_time = float(times[-1])
+
+    def emit(self, senders, letters, times, steps) -> None:
+        """Schedule deliveries for the emitting *senders* (FIFO-clamped)."""
+        self.messages += len(senders)
+        lens = self.degrees[senders]
+        if not int(lens.sum()):
+            return
+        seg, edges = self.ragged(senders, lens)
+        if self.static_bound is not None:
+            delays = self.schedule.delivery_delays(
+                np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
+            )
+        else:
+            delays = self.pending_delay[edges]
+        self.max_parameter = max(self.max_parameter, float(delays.max()))
+        arrivals = np.maximum(times[seg] + delays, self.last_arrival[edges])
+        self.last_arrival[edges] = arrivals
+        letters = letters[seg]
+        targets = self.target[edges]
+        if self.halo is not None:
+            local = self.halo.send(edges, arrivals, letters)
+            targets, arrivals, letters = targets[local], arrivals[local], letters[local]
+        pending = self.pending
+        pend_head = self.pend_head
+        for target, arrival, letter in zip(targets.tolist(), arrivals.tolist(), letters.tolist()):
+            pending[target].append((arrival, letter))
+            if arrival < pend_head[target]:
+                pend_head[target] = arrival
+
+    def decoded_states(self) -> list:
+        decode = self.table.state_value
+        return [decode(int(ident)) for ident in self.state]
+
 
 class VectorizedAsynchronousEngine:
     """Executes a strict protocol under adversarial timing in event batches.
@@ -115,7 +414,6 @@ class VectorizedAsynchronousEngine:
         adversary_seed: int | None = None,
         inputs: Mapping[int, Any] | None = None,
         table: LazyStrictTable | None = None,
-        max_states: int = DEFAULT_MAX_LAZY_STATES,
     ) -> None:
         _require_numpy()
         if not isinstance(protocol, Protocol):
@@ -139,60 +437,18 @@ class VectorizedAsynchronousEngine:
         self._adversary_name = adversary.name
         self._seed = seed
         self._pick_base = async_pick_base(resolve_pick_seed(seed))
-        self._table = table if table is not None else LazyStrictTable(
-            protocol, max_states=max_states
-        )
-        self._b = protocol.bounding.value
-        self._b1 = self._b + 1
-
-        n = graph.num_nodes
-        inputs = dict(inputs or {})
-        initial_states = [
-            protocol.initial_state(inputs.get(node)) for node in graph.nodes
-        ]
-        self._state = np.asarray(
-            [self._table.state_id(state) for state in initial_states], dtype=np.int64
-        )
-        _, output_mask, *_ = self._table.arrays()
-        self._non_output = int(n - output_mask[self._state].sum()) if n else 0
-
-        # Edge layout: entry e of the CSR adjacency encodes the directed pair
-        # (row[e] -> col[e]) when read sender-major and the port
-        # ``ψ_{row[e]}(col[e])`` when read receiver-major; ``reverse[e]`` maps
-        # a sender-major out-edge to the receiver-major port slot it writes.
-        indptr, indices = graph.csr_adjacency()
-        self._indptr = np.asarray(indptr, dtype=np.int64)
-        self._col = np.asarray(indices, dtype=np.int64)
-        self._degrees = np.diff(self._indptr)
-        row = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
-        self._row = row
-        self._reverse = np.lexsort((row, self._col))
-        m = len(self._col)
-
-        self._port = np.full(m, self._table.initial_letter_id, dtype=np.int64)
-        # Pending deliveries per receiver-major edge: FIFO of (arrival, letter)
-        # with non-decreasing arrivals; _pend_head caches the earliest arrival
-        # (inf when empty) so empty queues cost one array compare, not a loop.
-        self._pending: list[deque] = [deque() for _ in range(m)]
-        self._pend_head = np.full(m, np.inf)
-        # Sender-major per-edge bookkeeping.
-        self._last_arrival = np.zeros(m)
-        self._pending_delay = np.zeros(m)
-
-        self._steps_taken = np.zeros(n, dtype=np.int64)
-        self._messages = 0
         self._now = 0.0
         self._output_time: float | None = None
 
-        nodes = np.arange(n, dtype=np.int64)
-        self._step = np.ones(n, dtype=np.int64)
+        # The initial step times and the margin mode are pure counter draws
+        # over original ids, made once here whatever the shard count (min
+        # and median are exact over any ordering of the same multiset).
+        n = graph.num_nodes
+        keys = self._keys()
+        lengths = np.zeros(0)
         if n:
-            lengths = schedule.step_lengths(nodes, self._step)
-            self._max_parameter = float(lengths.max())
-            self._next_time = lengths.astype(np.float64)
-        else:
-            self._max_parameter = 0.0
-            self._next_time = np.zeros(0)
+            lengths = schedule.step_lengths(keys, np.ones(n, dtype=np.int64)).astype(np.float64)
+        self._max_parameter = float(lengths.max()) if n else 0.0
         # Margin mode: with a useful static delay lower bound the engine
         # never samples delays for steps that end up transmitting nothing
         # (matching the interpreted engine's sampling volume); without one
@@ -202,20 +458,38 @@ class VectorizedAsynchronousEngine:
         # keep the buckets from collapsing to single steps.
         bound = schedule.delay_lower_bound()
         self._static_bound: float | None = None
-        if bound is not None and n:
-            if 8.0 * bound >= float(np.median(self._next_time)):
-                self._static_bound = float(bound)
-        self._next_length = np.zeros(n)
-        self._margin = np.zeros(n)
-        self._refresh_lookahead(nodes)
+        if bound is not None and n and 8.0 * bound >= float(np.median(lengths)):
+            self._static_bound = float(bound)
+        self._allocate(keys, lengths, dict(inputs or {}), table)
+
+    def _keys(self):
+        """Original node id of every slot of the run's arrays."""
+        return np.arange(self._graph.num_nodes, dtype=np.int64)
+
+    def _allocate(self, keys, lengths, inputs, table) -> None:
+        """One in-process slice over every node, ``[0, n)``."""
+        self._table = table if table is not None else LazyStrictTable(self._protocol)
+        self._next_time = lengths
+        self._margin = np.zeros(len(lengths))
+        self._slice = BucketSlice(
+            0,
+            len(lengths),
+            bucket_tables(*self._graph.csr_adjacency(), keys),
+            {"next_time": self._next_time, "margin": self._margin},
+            self._table,
+            self._protocol,
+            inputs,
+            self._schedule,
+            self._static_bound,
+            self._pick_base,
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #
     # ------------------------------------------------------------------ #
     @property
     def states(self) -> tuple[State, ...]:
-        decode = self._table.state_value
-        return tuple(decode(int(ident)) for ident in self._state)
+        return tuple(self._slice.decoded_states())
 
     @property
     def now(self) -> float:
@@ -227,77 +501,11 @@ class VectorizedAsynchronousEngine:
         return self._table
 
     def in_output_configuration(self) -> bool:
-        return self._non_output == 0
+        return self._slice.non_output == 0
 
     # ------------------------------------------------------------------ #
-    # Internal helpers                                                    #
+    # Execution                                                           #
     # ------------------------------------------------------------------ #
-    def _ragged_edges(self, nodes, lens):
-        """Segment ids and edge ids of the CSR rows of *nodes*, concatenated."""
-        total = int(lens.sum())
-        seg = np.repeat(np.arange(len(nodes)), lens)
-        ends = np.cumsum(lens)
-        offsets = np.arange(total) - np.repeat(ends - lens, lens)
-        edges = np.repeat(self._indptr[nodes], lens) + offsets
-        return seg, edges
-
-    def _refresh_lookahead(self, nodes) -> None:
-        """Recompute the batching lookahead after *nodes* scheduled new steps.
-
-        Samples (purely, without accounting) the pending step's delivery
-        delays — cached for reuse when the step actually emits — and the
-        following step's length, and stores ``margin[v]`` such that
-        ``next_time[v] + margin[v]`` lower-bounds the earliest instant any
-        *future* action of ``v`` can influence another node.
-        """
-        if nodes.size == 0:
-            return
-        steps = self._step[nodes]
-        lens = self._degrees[nodes]
-        scalar_cutoff = 48 if self._static_bound is not None else 32
-        if nodes.size + int(lens.sum()) <= scalar_cutoff:
-            # Tiny batches: the scalar sampling path is bitwise-identical
-            # and dodges the array-call overhead.
-            self._refresh_lookahead_scalar(nodes.tolist(), steps.tolist())
-            return
-        next_lengths = self._schedule.step_lengths(nodes, steps + 1)
-        self._next_length[nodes] = next_lengths
-        if self._static_bound is not None:
-            self._margin[nodes] = np.minimum(next_lengths, self._static_bound)
-            return
-        min_delay = np.full(nodes.size, np.inf)
-        total = int(lens.sum())
-        if total:
-            seg, edges = self._ragged_edges(nodes, lens)
-            delays = self._schedule.delivery_delays(
-                np.repeat(nodes, lens), np.repeat(steps, lens), self._col[edges]
-            )
-            self._pending_delay[edges] = delays
-            has_edges = lens > 0
-            starts = (np.cumsum(lens) - lens)[has_edges]
-            min_delay[has_edges] = np.minimum.reduceat(delays, starts)
-        self._margin[nodes] = np.minimum(min_delay, next_lengths)
-
-    def _refresh_lookahead_scalar(self, node_list, step_list) -> None:
-        schedule = self._schedule
-        bound = self._static_bound
-        indptr = self._indptr
-        col = self._col
-        pending_delay = self._pending_delay
-        for node, step in zip(node_list, step_list):
-            next_length = schedule.step_length(node, step + 1)
-            self._next_length[node] = next_length
-            if bound is not None:
-                self._margin[node] = next_length if next_length < bound else bound
-                continue
-            margin = next_length
-            for edge in range(int(indptr[node]), int(indptr[node + 1])):
-                delay = schedule.delivery_delay(node, step, int(col[edge]))
-                pending_delay[edge] = delay
-                if delay < margin:
-                    margin = delay
-            self._margin[node] = margin
-
     def _select_batch(self):
         """A safe time-prefix of pending steps, sorted by (time, node).
 
@@ -312,92 +520,64 @@ class VectorizedAsynchronousEngine:
         times = self._next_time
         if len(times) <= 64:
             time_list = times.tolist()
-            horizon_min = min(
-                t + m for t, m in zip(time_list, self._margin.tolist())
-            )
+            horizon_min = min(t + m for t, m in zip(time_list, self._margin.tolist()))
             batch = [v for v, t in enumerate(time_list) if t < horizon_min]
             if len(batch) > 1:
                 batch.sort(key=time_list.__getitem__)  # stable: ties stay by node
-            return np.asarray(batch, dtype=np.int64)
-        horizon_min = (times + self._margin).min()
-        batch = np.flatnonzero(times < horizon_min)
-        if len(batch) > 1:
-            batch = batch[np.argsort(times[batch], kind="stable")]
-        return batch
+            batch = np.asarray(batch, dtype=np.int64)
+            return batch, times[batch]
+        return self._slice.select((times + self._margin).min())
 
-    def _apply_deliveries(self, seg, edges, batch_times) -> int:
-        """Drain pending arrivals up to each batch step's time (last one wins)."""
-        ready = np.flatnonzero(self._pend_head[edges] <= batch_times[seg])
-        applied = 0
-        for k in ready.tolist():
-            edge = int(edges[k])
-            step_time = batch_times[int(seg[k])]
-            queue = self._pending[edge]
-            letter = -1
-            while queue and queue[0][0] <= step_time:
-                letter = queue.popleft()[1]
-                applied += 1
-            self._port[edge] = letter
-            self._pend_head[edge] = queue[0][0] if queue else np.inf
-        return applied
-
-    def _emit(self, senders, letters, times, steps) -> None:
-        """Schedule deliveries for the emitting *senders* (FIFO-clamped)."""
-        self._messages += len(senders)
-        lens = self._degrees[senders]
-        if not int(lens.sum()):
+    def _bucket(self) -> None:
+        """Process one bucket; stop the clock at the completing step."""
+        part = self._slice
+        batch, batch_times = self._select_batch()
+        if len(batch) <= SCALAR_BUCKET_CUTOFF:
+            self._run_scalar_bucket(batch, batch_times)
             return
-        seg, edges = self._ragged_edges(senders, lens)
-        if self._static_bound is not None:
-            delays = self._schedule.delivery_delays(
-                np.repeat(senders, lens), np.repeat(steps, lens), self._col[edges]
-            )
-        else:
-            delays = self._pending_delay[edges]
-        self._max_parameter = max(self._max_parameter, float(delays.max()))
-        arrivals = np.maximum(times[seg] + delays, self._last_arrival[edges])
-        self._last_arrival[edges] = arrivals
-        targets = self._reverse[edges]
-        letters_rep = letters[seg]
-        pending = self._pending
-        pend_head = self._pend_head
-        for k in range(len(edges)):
-            target = int(targets[k])
-            arrival = float(arrivals[k])
-            pending[target].append((arrival, int(letters_rep[k])))
-            if arrival < pend_head[target]:
-                pend_head[target] = arrival
+        bucket = part.compute(batch, batch_times)
+        # Termination is possible only when the non-output count fits inside
+        # the bucket; in that rare case (at most once per run) the prefix
+        # scan locates the exact step completing the configuration.
+        cutoff = None
+        if part.non_output <= len(batch):
+            cutoff = completing_step(part.non_output, batch_times, part.keys[batch], bucket[-1])
+        part.commit(bucket, cutoff)
+        self._now = part.last_time
+        if cutoff is not None:
+            self._output_time = self._now
 
-    def _run_scalar_bucket(self, batch, batch_times) -> tuple[int, bool]:
+    def _run_scalar_bucket(self, batch, batch_times) -> None:
         """Process a small bucket step-by-step through the scalar table API.
 
         Below :data:`SCALAR_BUCKET_CUTOFF` steps the fixed per-array-op cost
         dominates, so tiny buckets (small networks, or near-continuous timing
         policies whose minimum delays shrink the safe window) run through
         plain indexing instead.  The semantics — event order, draws,
-        accounting — are identical to the array path.
+        accounting — are identical to the array path.  The in-process slice
+        is unpermuted: node ``v`` is its own adversary coordinate.
         """
+        part = self._slice
         table = self._table
         pick_base = self._pick_base
         schedule = self._schedule
         static = self._static_bound is not None
-        indptr = self._indptr
-        col = self._col
-        port = self._port
-        pending = self._pending
-        pend_head = self._pend_head
-        last_arrival = self._last_arrival
-        pending_delay = self._pending_delay
-        reverse = self._reverse
-        bounding = self._b
-        max_parameter = self._max_parameter
+        indptr = part.indptr
+        peer = part.peer
+        port = part.port
+        pending = part.pending
+        pend_head = part.pend_head
+        last_arrival = part.last_arrival
+        pending_delay = part.pending_delay
+        target = part.target
+        bounding = part.b
+        max_parameter = part.max_parameter
         events = 0
-        terminated = False
         for i in range(len(batch)):
             node = int(batch[i])
             step_time = float(batch_times[i])
             low, high = int(indptr[node]), int(indptr[node + 1])
-            state_id = int(self._state[node])
+            state_id = int(part.state[node])
             query = table.query_letter_id(state_id)
             count = 0
             for edge in range(low, high):
@@ -413,24 +593,22 @@ class VectorizedAsynchronousEngine:
                     count += 1
             if count > bounding:
                 count = bounding
-            step_executed = int(self._step[node])
+            step_executed = int(part.step[node])
             offset, n_options = table.cell(state_id, count)
             if n_options > 1:
                 pick = async_counter_pick(pick_base, node, step_executed, n_options)
             else:
                 pick = 0
             new_state, emit = table.option(offset + pick)
-            self._non_output += table.output_flag(state_id) - table.output_flag(new_state)
-            self._state[node] = new_state
-            self._steps_taken[node] += 1
+            part.non_output += table.output_flag(state_id) - table.output_flag(new_state)
+            part.state[node] = new_state
+            part.steps_taken += 1
             events += 1
             if emit >= 0:
-                self._messages += 1
+                part.messages += 1
                 for edge in range(low, high):
                     if static:
-                        delay = schedule.delivery_delay(
-                            node, step_executed, int(col[edge])
-                        )
+                        delay = schedule.delivery_delay(node, step_executed, int(peer[edge]))
                     else:
                         delay = float(pending_delay[edge])
                     if delay > max_parameter:
@@ -439,26 +617,34 @@ class VectorizedAsynchronousEngine:
                     if arrival < last_arrival[edge]:
                         arrival = float(last_arrival[edge])
                     last_arrival[edge] = arrival
-                    target = int(reverse[edge])
-                    pending[target].append((arrival, emit))
-                    if arrival < pend_head[target]:
-                        pend_head[target] = arrival
-            next_length = float(self._next_length[node])
+                    slot = int(target[edge])
+                    pending[slot].append((arrival, emit))
+                    if arrival < pend_head[slot]:
+                        pend_head[slot] = arrival
+            next_length = float(part.next_length[node])
             if next_length > max_parameter:
                 max_parameter = next_length
-            self._next_time[node] = step_time + next_length
-            self._step[node] += 1
-            self._refresh_lookahead_scalar([node], [int(self._step[node])])
+            part.next_time[node] = step_time + next_length
+            part.step[node] += 1
+            part.refresh_scalar([node], [int(part.step[node])])
             self._now = step_time
-            if self._non_output == 0:
-                terminated = True
+            if part.non_output == 0:
+                self._output_time = self._now
                 break
-        self._max_parameter = max_parameter
-        return events, terminated
+        part.events += events
+        part.max_parameter = max_parameter
 
-    # ------------------------------------------------------------------ #
-    # Execution                                                           #
-    # ------------------------------------------------------------------ #
+    def _events(self) -> int:
+        return self._slice.events
+
+    def _totals(self) -> tuple[int, int, float]:
+        """Run-wide ``(node steps, messages, largest bucket-time parameter)``."""
+        part = self._slice
+        return part.steps_taken, part.messages, part.max_parameter
+
+    def _final_states(self) -> tuple:
+        return self.states
+
     def run(
         self,
         max_events: int = DEFAULT_MAX_EVENTS,
@@ -466,145 +652,27 @@ class VectorizedAsynchronousEngine:
         raise_on_timeout: bool = False,
     ) -> ExecutionResult:
         """Process event buckets until the first output configuration."""
-        events_processed = 0
-        b1 = self._b1
         while self._graph.num_nodes and self._output_time is None:
-            if events_processed >= max_events:
+            if self._events() >= max_events:
                 break
-            batch = self._select_batch()
-            batch_times = self._next_time[batch]
-            if len(batch) <= SCALAR_BUCKET_CUTOFF:
-                bucket_events, terminated = self._run_scalar_bucket(batch, batch_times)
-                events_processed += bucket_events
-                if terminated:
-                    self._output_time = self._now
-                continue
-
-            # Ports first: drain arrivals up to each step's instant, then
-            # count the queried letter over each node's in-edges.
-            lens = self._degrees[batch]
-            counts = np.zeros(len(batch), dtype=np.int64)
-            if int(lens.sum()):
-                seg, edges = self._ragged_edges(batch, lens)
-                events_processed += self._apply_deliveries(seg, edges, batch_times)
-                query, _, *_ = self._table.arrays()
-                matches = self._port[edges] == query[self._state[batch]][seg]
-                counts = np.bincount(
-                    seg, weights=matches, minlength=len(batch)
-                ).astype(np.int64)
-            counts = np.minimum(counts, self._b)
-
-            state_batch = self._state[batch]
-            self._table.ensure_cells(state_batch, counts)
-            _, output_mask, cell_offset, cell_count, option_next, option_emit = (
-                self._table.arrays()
-            )
-            cell = state_batch * b1 + counts
-            offsets = cell_offset[cell]
-            n_options = cell_count[cell]
-
-            # Optimistic apply: draw every multi-option pick and transition
-            # the whole bucket with array lookups.  Termination is possible
-            # only when the non-output count fits inside the bucket; in that
-            # rare case (at most once per run) a prefix scan locates the
-            # exact step completing the configuration and the suffix is
-            # discarded — the draws are stateless, so it consumed nothing.
-            may_terminate = self._non_output <= len(batch)
-            picks = async_counter_picks(
-                self._pick_base, batch.astype(np.uint64), self._step[batch], n_options
-            )
-            selected = offsets + picks
-            new_states = option_next[selected]
-            emits = option_emit[selected]
-            old_output = output_mask[state_batch]
-            new_output = output_mask[new_states]
-            processed = len(batch)
-            terminated = False
-            if may_terminate:
-                running = self._non_output + np.cumsum(
-                    old_output.astype(np.int64) - new_output.astype(np.int64)
-                )
-                completing = np.flatnonzero(running == 0)
-                if completing.size:
-                    processed = int(completing[0]) + 1
-                    terminated = True
-                    self._non_output = 0
-                    batch = batch[:processed]
-                    batch_times = batch_times[:processed]
-                    new_states = new_states[:processed]
-                    emits = emits[:processed]
-                else:
-                    self._non_output = int(running[-1])
-            else:
-                self._non_output += int(old_output.sum()) - int(new_output.sum())
-            self._state[batch] = new_states
-
-            self._steps_taken[batch] += 1
-            events_processed += processed
-
-            emitting = np.flatnonzero(emits >= 0)
-            if emitting.size:
-                senders = batch[emitting]
-                self._emit(
-                    senders, emits[emitting], batch_times[emitting], self._step[senders]
-                )
-
-            # Schedule the next step of every processed node: the pending
-            # lookahead length becomes the accounted step length.
-            lengths = self._next_length[batch]
-            self._max_parameter = max(self._max_parameter, float(lengths.max()))
-            self._next_time[batch] = batch_times + lengths
-            self._step[batch] += 1
-            self._refresh_lookahead(batch)
-
-            self._now = float(batch_times[-1])
-            if terminated:
-                self._output_time = self._now
-
+            self._bucket()
         reached = self._output_time is not None
-        result = self._build_result(reached)
+        steps, messages, max_parameter = self._totals()
+        result = build_asynchronous_result(
+            self._protocol,
+            self._graph,
+            self._final_states(),
+            reached=reached,
+            elapsed=self._output_time if reached else self._now,
+            max_parameter=max(self._max_parameter, max_parameter),
+            total_node_steps=int(steps),
+            total_messages=int(messages),
+            seed=self._seed,
+            adversary_name=self._adversary_name,
+            backend="vectorized",
+        )
         if not reached and raise_on_timeout:
             raise OutputNotReachedError(
                 f"no output configuration within {max_events} events", result
             )
         return result
-
-    def _build_result(self, reached: bool) -> ExecutionResult:
-        return build_asynchronous_result(
-            self._protocol,
-            self._graph,
-            self.states,
-            reached=reached,
-            elapsed=self._output_time if reached else self._now,
-            max_parameter=self._max_parameter,
-            total_node_steps=int(self._steps_taken.sum()),
-            total_messages=self._messages,
-            seed=self._seed,
-            adversary_name=self._adversary_name,
-            backend="vectorized",
-        )
-
-
-def run_vectorized_asynchronous(
-    graph: Graph,
-    protocol: Protocol,
-    *,
-    adversary: AdversaryPolicy | None = None,
-    seed: int | None = None,
-    adversary_seed: int | None = None,
-    inputs: Mapping[int, Any] | None = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-    raise_on_timeout: bool = True,
-    table: LazyStrictTable | None = None,
-) -> ExecutionResult:
-    """Convenience wrapper: build a :class:`VectorizedAsynchronousEngine`, run it."""
-    engine = VectorizedAsynchronousEngine(
-        graph,
-        protocol,
-        adversary=adversary,
-        seed=seed,
-        adversary_seed=adversary_seed,
-        inputs=inputs,
-        table=table,
-    )
-    return engine.run(max_events=max_events, raise_on_timeout=raise_on_timeout)

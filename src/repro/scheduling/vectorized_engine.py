@@ -30,6 +30,12 @@ the CSR adjacency of the graph:
    message counter advances; output configurations are detected with a
    boolean mask over the state vector.
 
+The four steps are one function of a contiguous node range,
+:func:`step_rows`.  The engine calls it over ``[0, n)``; each shard worker of
+:class:`~repro.scheduling.sharded_engine.ShardedVectorizedEngine` calls the
+same function over its own range, so a sharded round is this round by
+construction.
+
 The compile step comes in two flavours, selected by the protocol's
 :meth:`~repro.core.protocol._ProtocolBase.tabulation_hint`:
 
@@ -63,6 +69,7 @@ try:  # NumPy is an optional dependency of the library as a whole.
 except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None
 
+from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.errors import (
     ExecutionError,
     OutputNotReachedError,
@@ -82,7 +89,86 @@ from repro.scheduling.compiled import (  # noqa: F401
 )
 from repro.scheduling.picks import counter_picks, resolve_pick_seed
 
-DEFAULT_MAX_ROUNDS = 100_000
+#: The table arrays a round reads, in the order of ``LazyExtendedTable.arrays()``.
+TABLE_FIELDS = (
+    "strides",
+    "state_base",
+    "output_mask",
+    "cell_offset",
+    "cell_count",
+    "option_next",
+    "option_emit",
+)
+
+
+class RowRange:
+    """The CSR rows ``lo:hi`` as :func:`step_rows` reads them.
+
+    ``edge_src`` holds the range-local row of every out-edge of the range and
+    ``edge_dst`` its global neighbour; ``node_keys`` are the pick-stream keys
+    of the range's nodes.
+    """
+
+    def __init__(self, indptr, indices, lo: int, hi: int, node_keys) -> None:
+        self.lo, self.hi = lo, hi
+        self.edge_dst = np.asarray(indices[int(indptr[lo]) : int(indptr[hi])], dtype=np.int64)
+        degrees = np.diff(np.asarray(indptr[lo : hi + 1], dtype=np.int64))
+        self.edge_src = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
+        self.node_keys = node_keys[lo:hi]
+
+
+def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, width, table=None):
+    """One synchronous round of the nodes ``rows.lo:rows.hi``.
+
+    Reads every port from ``letters[round_index % 2]`` (the letters last
+    transmitted, by any node) and writes the range's slice of ``state`` and
+    of ``letters[(round_index + 1) % 2]``, so ranges never write what another
+    range reads in the same round.  ``arrays`` are the table arrays in
+    :data:`TABLE_FIELDS` order and ``width`` the number of letters the census
+    counts.  A lazy ``table`` is passed too: it evaluates the cells the round
+    reaches first.  Returns the number of transmitting nodes.
+    """
+    lo, hi = rows.lo, rows.hi
+    span = hi - lo
+    read, write = letters[round_index % 2], letters[(round_index + 1) % 2]
+
+    # 1. Port census: counts[v, σ] = |{u ∈ N(v) : last_letter(u) = σ}|.
+    incoming = read[rows.edge_dst]
+    if table is None:
+        keys = rows.edge_src * width + incoming
+    else:
+        # A lazily defined protocol may transmit letters outside its
+        # declared alphabet; they sit in ports but are invisible to
+        # observations (mirroring Observation.from_port_contents), so those
+        # edges are masked out.
+        observable = incoming < width
+        keys = rows.edge_src[observable] * width + incoming[observable]
+    counts = np.bincount(keys, minlength=span * width).reshape(span, width)
+    saturated = np.minimum(counts, bounding)
+
+    # 2. Observation ids via the per-state stride matrix.  A lazy table then
+    #    evaluates every (state, observation) cell not seen before; a warm
+    #    table skips straight through.  Re-fetch the views afterwards
+    #    because growth may have moved the pools.
+    local = state[lo:hi]
+    strides, state_base, _, cell_offset, cell_count, option_next, option_emit = arrays
+    obs_id = (saturated * strides[local]).sum(axis=1)
+    if table is not None:
+        table.ensure_cells(local, obs_id)
+        _, state_base, _, cell_offset, cell_count, option_next, option_emit = table.arrays()
+    cell = state_base[local] + obs_id
+
+    # 3. Uniform draws for nodes with more than one option.
+    pick = counter_picks(pick_seed, round_index, rows.node_keys, cell_count[cell])
+
+    # 4. Apply transitions and deliver emissions (round-t messages become
+    #    visible in round t+1: the census above read the old buffer).
+    selected = cell_offset[cell] + pick
+    emitted = option_emit[selected]
+    transmitting = emitted >= 0
+    write[lo:hi] = np.where(transmitting, emitted, read[lo:hi])
+    state[lo:hi] = option_next[selected]
+    return int(transmitting.sum())
 
 
 class VectorizedEngine:
@@ -169,10 +255,12 @@ class VectorizedEngine:
                 compiled = compile_protocol(protocol, roots=roots)
         self._compiled = compiled
         self._table = table
+        self._bounding = protocol.bounding.value
 
         if table is not None:
             state_vector = [table.state_id(state) for state in initial_states]
-            initial_letter_id = table.initial_letter_id
+            self._eager_arrays = None
+            self._width = table.alphabet_size
         else:
             try:
                 state_vector = [compiled.state_id(state) for state in initial_states]
@@ -181,33 +269,46 @@ class VectorizedEngine:
                     f"initial state {exc.args[0]!r} is missing from the compiled "
                     "table; compile with roots covering all initial states"
                 ) from None
-            initial_letter_id = compiled.initial_letter_id
-        self._state = np.asarray(state_vector, dtype=np.int64)
+            self._eager_arrays = tuple(getattr(compiled, name) for name in TABLE_FIELDS)
+            self._width = compiled.num_letters
+        codec = table if table is not None else compiled
         # One slot per *sender*: the synchronous engine only broadcasts, so
         # every port of a node's neighbours holds the same letter — the last
         # one the node transmitted (initially σ0, or the carried letter of a
         # warm start).
         if initial_letters is None:
-            self._last_letter = np.full(
-                graph.num_nodes, initial_letter_id, dtype=np.int64
-            )
+            letter_vector = np.full(graph.num_nodes, codec.initial_letter_id, dtype=np.int64)
         else:
-            encode = table.letter_id if table is not None else compiled.letter_id
             try:
-                letter_vector = [encode(letter) for letter in initial_letters]
+                letter_vector = [codec.letter_id(letter) for letter in initial_letters]
             except KeyError as exc:
                 raise ProtocolNotVectorizableError(
                     f"carried letter {exc.args[0]!r} is missing from the "
                     "compiled table"
                 ) from None
-            self._last_letter = np.asarray(letter_vector, dtype=np.int64)
-        indptr, indices = graph.csr_adjacency()
-        self._edge_dst = np.asarray(indices, dtype=np.int64)
-        degrees = np.diff(np.asarray(indptr, dtype=np.int64))
-        self._edge_src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), degrees)
-        self._bounding = protocol.bounding.value
         self._round = 0
-        self._messages = 0
+        self._allocate(
+            np.asarray(state_vector, dtype=np.int64),
+            np.asarray(letter_vector, dtype=np.int64),
+        )
+
+    def _allocate(self, state, letters) -> None:
+        """Hold the run's buffers in process; rounds step the rows ``[0, n)``.
+
+        ``letters`` is the ``(2, n)`` ping-pong buffer of :func:`step_rows`;
+        both halves start from the initial letters.
+        """
+        indptr, indices = self._graph.csr_adjacency()
+        self._rows = RowRange(indptr, indices, 0, self._graph.num_nodes, self._node_keys)
+        self._buffers = {
+            "state": state,
+            "letters": np.stack([letters, letters]),
+            "messages": np.zeros(1, dtype=np.int64),
+        }
+
+    def _ordered(self, values):
+        """Per-node *values* in original node order (in process they are)."""
+        return values
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #
@@ -253,110 +354,51 @@ class VectorizedEngine:
         configuration of a synchronous execution (the engine only
         broadcasts, so one letter per sender describes every port).
         """
-        if self._table is not None:
-            decode = self._table.letter_value
-        else:
-            decode = self._compiled.letter_value
-        return tuple(decode(int(i)) for i in self._last_letter)
+        # After r rounds the ping-pong buffer r % 2 holds the letters the
+        # next round would read — the last ones transmitted.
+        current = self._ordered(self._buffers["letters"][self._round % 2])
+        decode = (self._table if self._table is not None else self._compiled).letter_value
+        return tuple(decode(int(i)) for i in current)
+
+    def _arrays(self) -> tuple:
+        return self._table.arrays() if self._table is not None else self._eager_arrays
 
     def in_output_configuration(self) -> bool:
         """Whether every node currently resides in an output state."""
-        if self._table is not None:
-            _, _, output_mask, *_ = self._table.arrays()
-            return bool(output_mask[self._state].all())
-        return bool(self._compiled.output_mask[self._state].all())
+        output_mask = self._arrays()[2]
+        return bool(output_mask[self._buffers["state"]].all())
 
     def _decode_states(self) -> tuple[State, ...]:
+        ordered = self._ordered(self._buffers["state"])
         if self._table is not None:
             decode = self._table.state_value
-            return tuple(decode(int(i)) for i in self._state)
+            return tuple(decode(int(i)) for i in ordered)
         table = self._compiled.states
-        return tuple(table[i] for i in self._state)
+        return tuple(table[i] for i in ordered)
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
     # ------------------------------------------------------------------ #
-    def _draw_picks(self, option_count) -> "np.ndarray":
-        """Per-node option indices; multi-option nodes draw uniform randoms."""
-        return counter_picks(self._pick_seed, self._round, self._node_keys, option_count)
-
     def step_round(self) -> None:
         """Execute one fully synchronous round for all nodes as array ops."""
-        if self._table is not None:
-            self._step_round_lazy()
-        else:
-            self._step_round_eager()
+        self._advance()
         self._round += 1
         if self._observer is not None:
             self._observer(self._round, self._decode_states())
 
-    def _step_round_eager(self) -> None:
-        compiled = self._compiled
-        n = self._graph.num_nodes
-        num_letters = compiled.num_letters
-
-        # 1. Port census: counts[v, σ] = |{u ∈ N(v) : last_letter(u) = σ}|.
-        keys = self._edge_src * num_letters + self._last_letter[self._edge_dst]
-        counts = np.bincount(keys, minlength=n * num_letters).reshape(n, num_letters)
-        saturated = np.minimum(counts, compiled.tabulation.bounding)
-
-        # 2. Observation ids via the per-state stride matrix.
-        obs_id = (saturated * compiled.strides[self._state]).sum(axis=1)
-        cell = compiled.state_base[self._state] + obs_id
-        option_count = compiled.cell_count[cell]
-        option_offset = compiled.cell_offset[cell]
-
-        # 3. Uniform draws for nodes with more than one option.
-        pick = self._draw_picks(option_count)
-
-        # 4. Apply transitions and deliver emissions (round-t messages become
-        #    visible in round t+1: the census above used the old letters).
-        selected = option_offset + pick
-        self._state = compiled.option_next[selected]
-        emitted = compiled.option_emit[selected]
-        transmitting = emitted >= 0
-        self._messages += int(transmitting.sum())
-        self._last_letter = np.where(transmitting, emitted, self._last_letter)
-
-    def _step_round_lazy(self) -> None:
-        table = self._table
-        n = self._graph.num_nodes
-        alphabet_size = table.alphabet_size
-
-        # 1. Port census over the *observable* letters.  A lazily defined
-        #    protocol may transmit letters outside its declared alphabet;
-        #    they sit in ports but are invisible to observations (mirroring
-        #    Observation.from_port_contents), so those edges are masked out.
-        letters = self._last_letter[self._edge_dst]
-        observable = letters < alphabet_size
-        keys = self._edge_src[observable] * alphabet_size + letters[observable]
-        counts = np.bincount(keys, minlength=n * alphabet_size)
-        saturated = np.minimum(counts.reshape(n, alphabet_size), self._bounding)
-
-        # 2. Observation ids via the per-state stride matrix, then evaluate
-        #    every (state, observation) cell not seen before.  A warm table
-        #    skips straight through; re-fetch the views afterwards because
-        #    growth may have moved the pools.
-        strides, state_base, *_ = table.arrays()
-        obs_id = (saturated * strides[self._state]).sum(axis=1)
-        table.ensure_cells(self._state, obs_id)
-        _, state_base, _, cell_offset, cell_count, option_next, option_emit = (
-            table.arrays()
+    def _advance(self) -> None:
+        buffers = self._buffers
+        buffers["messages"][0] += step_rows(
+            self._rows,
+            self._round,
+            buffers["state"],
+            buffers["letters"],
+            self._arrays(),
+            self._pick_seed,
+            self._bounding,
+            self._width,
+            self._table,
         )
-        cell = state_base[self._state] + obs_id
-        option_count = cell_count[cell]
-        option_offset = cell_offset[cell]
-
-        # 3. Uniform draws for nodes with more than one option.
-        pick = self._draw_picks(option_count)
-
-        # 4. Apply transitions and deliver emissions.
-        selected = option_offset + pick
-        self._state = option_next[selected]
-        emitted = option_emit[selected]
-        transmitting = emitted >= 0
-        self._messages += int(transmitting.sum())
-        self._last_letter = np.where(transmitting, emitted, self._last_letter)
 
     def run(
         self,
@@ -384,37 +426,6 @@ class VectorizedEngine:
             rounds=self._round,
             # Every node takes one step per round in the synchronous setting.
             total_node_steps=self._graph.num_nodes * self._round,
-            total_messages=self._messages,
+            total_messages=int(self._buffers["messages"].sum()),
             seed=self._seed,
         )
-
-
-def run_vectorized(
-    graph: Graph,
-    protocol: ExtendedProtocol | Protocol,
-    *,
-    seed: int | None = None,
-    inputs: Mapping[int, Any] | None = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    observer=None,
-    raise_on_timeout: bool = True,
-    compiled: CompiledProtocol | None = None,
-    table: LazyExtendedTable | None = None,
-) -> ExecutionResult:
-    """Convenience wrapper: compile, build a :class:`VectorizedEngine`, run it.
-
-    Pass a pre-built ``compiled`` (eager) or ``table`` (lazy) table to
-    amortise the compile step over many runs of the same protocol — the
-    sweep runners do this, and shared lazy tables additionally start every
-    later run fully warm.
-    """
-    engine = VectorizedEngine(
-        graph,
-        protocol,
-        seed=seed,
-        inputs=inputs,
-        observer=observer,
-        compiled=compiled,
-        table=table,
-    )
-    return engine.run(max_rounds=max_rounds, raise_on_timeout=raise_on_timeout)

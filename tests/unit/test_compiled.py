@@ -18,7 +18,7 @@ from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.compiled import LazyExtendedTable
 from repro.scheduling.sync_engine import run_synchronous
-from repro.scheduling.vectorized_engine import run_vectorized
+from repro.scheduling.vectorized_engine import VectorizedEngine
 
 
 class TestConstruction:
@@ -142,14 +142,13 @@ class TestDeterminismAndSharing:
         def build():
             protocol = compile_to_asynchronous(BroadcastProtocol())
             table = LazyExtendedTable(protocol)
-            run_vectorized(
+            VectorizedEngine(
                 path_graph(8),
                 protocol,
                 seed=3,
                 inputs=broadcast_inputs(0),
                 table=table,
-                raise_on_timeout=False,
-            )
+            ).run(raise_on_timeout=False)
             return table
 
         first, second = build(), build()
@@ -161,23 +160,21 @@ class TestDeterminismAndSharing:
     def test_shared_table_starts_later_runs_warm(self):
         protocol = compile_to_asynchronous(BroadcastProtocol())
         table = LazyExtendedTable(protocol)
-        first = run_vectorized(
+        first = VectorizedEngine(
             path_graph(10),
             protocol,
             seed=1,
             inputs=broadcast_inputs(0),
             table=table,
-            raise_on_timeout=False,
-        )
+        ).run(raise_on_timeout=False)
         warm_cells = table.num_cells
-        second = run_vectorized(
+        second = VectorizedEngine(
             path_graph(10),
             protocol,
             seed=1,
             inputs=broadcast_inputs(0),
             table=table,
-            raise_on_timeout=False,
-        )
+        ).run(raise_on_timeout=False)
         assert table.num_cells == warm_cells  # no new evaluation needed
         assert first.summary_fields() == second.summary_fields()
 
@@ -194,13 +191,11 @@ class TestDeterminismAndSharing:
             raise_on_timeout=False,
         )
         table = LazyExtendedTable(protocol_factory())
-        vectorized = run_vectorized(
+        vectorized = VectorizedEngine(
             graph,
             protocol_factory(),
             seed=7,
-            max_rounds=200_000,
-            raise_on_timeout=False,
             table=table,
-        )
+        ).run(max_rounds=200_000, raise_on_timeout=False)
         assert reference.summary_fields() == vectorized.summary_fields()
         assert table.num_states > 0

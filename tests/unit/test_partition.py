@@ -32,7 +32,13 @@ from repro.graphs import (  # noqa: E402
 )
 from repro.graphs.generators import path_graph  # noqa: E402
 from repro.protocols.mis import MISProtocol  # noqa: E402
-from repro.scheduling.vectorized_engine import VectorizedEngine  # noqa: E402
+from repro.scheduling.picks import resolve_pick_seed  # noqa: E402
+from repro.scheduling.vectorized_engine import (  # noqa: E402
+    TABLE_FIELDS,
+    RowRange,
+    VectorizedEngine,
+    step_rows,
+)
 
 COMMON = settings(
     max_examples=40,
@@ -196,3 +202,44 @@ def test_counter_stream_reproduces_runs_on_the_permuted_graph(graph, seed):
         new = int(p.perm[node])
         assert permuted.final_states[new] == original.final_states[node]
         assert permuted.outputs.get(new) == original.outputs.get(node)
+
+
+@COMMON
+@given(graph=graphs, seed=st.integers(0, 2**31), shards=st.integers(1, 4))
+def test_round_function_steps_row_ranges_like_one_engine(graph, seed, shards):
+    """Stepping every shard range with the round function is one engine round.
+
+    The in-process form of what each shard worker does: on the permuted
+    CSR, with the inverse permutation as node keys, ``step_rows`` runs over
+    each range of the partition in turn.  Round by round the states, the
+    letters and the message count equal those of one ``VectorizedEngine``
+    run on the permuted graph.
+    """
+    p = partition_graph(graph, min(shards, graph.num_nodes))
+    permuted_graph = Graph(
+        graph.num_nodes,
+        [(int(p.perm[u]), int(p.perm[v])) for u, v in graph.edges],
+    )
+    node_keys = np.asarray(p.inv, dtype=np.uint64)
+    engine = VectorizedEngine(permuted_graph, MISProtocol(), seed=seed, rng_node_keys=node_keys)
+    compiled = engine.compiled
+    arrays = tuple(getattr(compiled, name) for name in TABLE_FIELDS)
+    indptr, indices = permute_csr(*graph.csr_adjacency(), p.perm, p.inv)
+    ranges = [
+        RowRange(indptr, indices, int(lo), int(hi), node_keys)
+        for lo, hi in zip(p.bounds[:-1], p.bounds[1:])
+    ]
+    state = np.asarray([compiled.state_id(s) for s in engine.states], dtype=np.int64)
+    letters = np.full((2, graph.num_nodes), compiled.initial_letter_id, dtype=np.int64)
+    pick_seed = resolve_pick_seed(seed)
+    bounding, width = MISProtocol().bounding.value, compiled.num_letters
+    messages = 0
+    while engine.round_index < 200 and not engine.in_output_configuration():
+        r = engine.round_index
+        for rows in ranges:
+            messages += step_rows(rows, r, state, letters, arrays, pick_seed, bounding, width)
+        engine.step_round()
+        transmitted = letters[(r + 1) % 2]
+        assert tuple(compiled.states[i] for i in state) == engine.states
+        assert tuple(compiled.letter_value(i) for i in transmitted) == engine.last_letters
+        assert messages == engine.run(max_rounds=engine.round_index).total_messages

@@ -27,10 +27,7 @@ from repro.scheduling.async_engine import (
     run_asynchronous,
 )
 from repro.scheduling.compiled import LazyStrictTable
-from repro.scheduling.vectorized_async_engine import (
-    VectorizedAsynchronousEngine,
-    run_vectorized_asynchronous,
-)
+from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
 
 
 class _ScalarOnlyAdversary(AdversaryPolicy):
@@ -144,52 +141,51 @@ class TestEngineContract:
 
     def test_event_budget_can_raise(self):
         with pytest.raises(OutputNotReachedError):
-            run_vectorized_asynchronous(
+            VectorizedAsynchronousEngine(
                 path_graph(6),
                 BroadcastProtocol(),
                 inputs=broadcast_inputs(0),
                 seed=1,
-                max_events=3,
-            )
+            ).run(max_events=3, raise_on_timeout=True)
 
 
 class TestExecution:
     def test_broadcast_reaches_everyone_under_every_adversary(self):
         graph = star_graph(5)
         for adversary in default_adversary_suite():
-            result = run_vectorized_asynchronous(
+            result = VectorizedAsynchronousEngine(
                 graph,
                 BroadcastProtocol(),
                 inputs=broadcast_inputs(0),
                 seed=2,
                 adversary=adversary,
                 adversary_seed=7,
-            )
+            ).run(raise_on_timeout=True)
             assert result.reached_output
             assert all(result.outputs[node] for node in graph.nodes)
             assert result.metadata["backend"] == "vectorized"
 
     def test_time_units_are_normalised_by_the_largest_parameter(self):
-        result = run_vectorized_asynchronous(
+        result = VectorizedAsynchronousEngine(
             path_graph(6),
             BroadcastProtocol(),
             inputs=broadcast_inputs(0),
             seed=1,
             adversary=SynchronousAdversary(),
-        )
+        ).run(raise_on_timeout=True)
         assert result.time_units == pytest.approx(result.elapsed_time)
         assert result.metadata["max_parameter"] == pytest.approx(1.0)
 
     def test_same_seeds_reproduce_the_execution(self):
         runs = [
-            run_vectorized_asynchronous(
+            VectorizedAsynchronousEngine(
                 star_graph(6),
                 BroadcastProtocol(),
                 inputs=broadcast_inputs(0),
                 seed=9,
                 adversary=UniformRandomAdversary(),
                 adversary_seed=17,
-            )
+            ).run(raise_on_timeout=True)
             for _ in range(2)
         ]
         assert runs[0].time_units == runs[1].time_units
@@ -216,12 +212,12 @@ class TestExecution:
     def test_shared_tables_amortise_across_runs(self):
         protocol = BroadcastProtocol()
         table = LazyStrictTable(protocol)
-        first = run_vectorized_asynchronous(
+        first = VectorizedAsynchronousEngine(
             path_graph(6), protocol, inputs=broadcast_inputs(0), seed=1, table=table
-        )
+        ).run(raise_on_timeout=True)
         cells_after_first = table.num_cells
-        second = run_vectorized_asynchronous(
+        second = VectorizedAsynchronousEngine(
             path_graph(6), protocol, inputs=broadcast_inputs(0), seed=1, table=table
-        )
+        ).run(raise_on_timeout=True)
         assert table.num_cells == cells_after_first
         assert first.time_units == second.time_units

@@ -17,7 +17,6 @@ from repro.scheduling.sync_engine import run_synchronous
 from repro.scheduling.vectorized_engine import (
     VectorizedEngine,
     compile_protocol,
-    run_vectorized,
 )
 
 
@@ -127,7 +126,7 @@ class TestTabulation:
 class TestVectorizedEngine:
     def test_runs_mis_to_an_output_configuration(self):
         graph = cycle_graph(12)
-        result = run_vectorized(graph, MISProtocol(), seed=3)
+        result = VectorizedEngine(graph, MISProtocol(), seed=3).run(raise_on_timeout=True)
         assert result.reached_output
         assert set(result.final_states) <= {"WIN", "LOSE"}
 
@@ -138,7 +137,7 @@ class TestVectorizedEngine:
     def test_round_budget_can_raise_with_partial_result(self):
         graph = cycle_graph(9)
         with pytest.raises(OutputNotReachedError) as excinfo:
-            run_vectorized(graph, MISProtocol(), seed=1, max_rounds=1)
+            VectorizedEngine(graph, MISProtocol(), seed=1).run(max_rounds=1, raise_on_timeout=True)
         partial = excinfo.value.result
         assert partial is not None and partial.rounds == 1
 
@@ -164,9 +163,9 @@ class TestVectorizedEngine:
     def test_shared_compiled_table_can_be_reused_across_graphs(self):
         compiled = compile_protocol(MISProtocol())
         for n in (6, 10, 15):
-            result = run_vectorized(
+            result = VectorizedEngine(
                 cycle_graph(n), MISProtocol(), seed=n, compiled=compiled
-            )
+            ).run(raise_on_timeout=True)
             reference = run_synchronous(cycle_graph(n), MISProtocol(), seed=n)
             assert result.summary_fields() == reference.summary_fields()
 
@@ -174,7 +173,7 @@ class TestVectorizedEngine:
         # A graph with an isolated node: its transmissions go nowhere but
         # are still counted, exactly as PortTable.broadcast does.
         graph = Graph(4, [(0, 1), (1, 2)])
-        vectorized = run_vectorized(graph, MISProtocol(), seed=2)
+        vectorized = VectorizedEngine(graph, MISProtocol(), seed=2).run(raise_on_timeout=True)
         interpreted = run_synchronous(graph, MISProtocol(), seed=2)
         assert vectorized.summary_fields() == interpreted.summary_fields()
 
