@@ -80,7 +80,10 @@ from repro.core.results import ExecutionResult
 #: unsharded runs of a spec share one address.  Seeded results changed
 #: (the interpreters and ``shards=None`` runs no longer draw from
 #: ``random.Random``), so older entries must miss.
-STORE_SCHEMA_VERSION = 6
+#: Version 7: payloads store ``final_states`` packed, as a table of the
+#: distinct states plus one table index per node (see
+#: :func:`result_to_payload`); spec semantics are unchanged.
+STORE_SCHEMA_VERSION = 7
 
 #: Reserved tag keys of the canonical payload encoding.
 _TAGS = frozenset({"$t", "$s", "$d", "$f", "$b", "$o"})
@@ -348,8 +351,30 @@ _RESULT_FIELDS = (
 
 
 def result_to_payload(result: ExecutionResult) -> dict[str, Any]:
-    """Plain-data form of an :class:`ExecutionResult` (graph omitted)."""
-    return {name: getattr(result, name) for name in _RESULT_FIELDS}
+    """Plain-data form of an :class:`ExecutionResult` (graph omitted).
+
+    ``final_states`` is packed as ``{"states": [...], "index": [...]}``:
+    each distinct state once, in order of first appearance, and one table
+    index per node.  A run has few distinct states and many nodes, so this
+    keeps entries and service answers small.  States are told apart by
+    their canonical encoding, not by Python equality, so ``1``, ``True``
+    and ``1.0`` keep separate table slots.
+    """
+    payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    table: dict[str, int] = {}
+    slot_of: dict[int, int] = {}  # by id(): engines share state objects
+    states: list[Any] = []
+    index: list[int] = []
+    for state in result.final_states:
+        slot = slot_of.get(id(state))
+        if slot is None:
+            slot = table.setdefault(canonical_json(state), len(states))
+            if slot == len(states):
+                states.append(state)
+            slot_of[id(state)] = slot
+        index.append(slot)
+    payload["final_states"] = {"states": states, "index": index}
+    return payload
 
 
 def payload_to_result(payload: Mapping[str, Any], graph: Any) -> ExecutionResult:
@@ -357,8 +382,28 @@ def payload_to_result(payload: Mapping[str, Any], graph: Any) -> ExecutionResult
     if not isinstance(payload, Mapping) or set(payload) != set(_RESULT_FIELDS):
         raise StorePayloadError("store entry payload does not describe a result")
     data = dict(payload)
-    data["final_states"] = tuple(data["final_states"])
+    data["final_states"] = _unpack_states(data["final_states"])
     return ExecutionResult(graph=graph, **data)
+
+
+def _unpack_states(packed: Any) -> tuple:
+    """The per-node state tuple of a packed ``final_states`` table.
+
+    The table must be exactly what :func:`result_to_payload` writes: every
+    slot used, in order of first appearance.  Anything else raises
+    :class:`StorePayloadError`.
+    """
+    if not (isinstance(packed, Mapping) and set(packed) == {"states", "index"}):
+        raise StorePayloadError("final_states is not a packed state table")
+    states, index = packed["states"], packed["index"]
+    if not (isinstance(states, list) and isinstance(index, list)):
+        raise StorePayloadError("final_states table or index is not a list")
+    # Plain ints whose first appearances run 0, 1, 2, ... through the table.
+    if set(map(type, index)) - {int} or list(dict.fromkeys(index)) != list(
+        range(len(states))
+    ):
+        raise StorePayloadError("final_states index does not match its state table")
+    return tuple(map(states.__getitem__, index))
 
 
 # ---------------------------------------------------------------------- #

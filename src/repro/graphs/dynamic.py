@@ -16,10 +16,9 @@ A :class:`DynamicGraph` replays a schedule against a base graph: each
 :meth:`DynamicGraph.advance` call samples the next disturbance's events,
 applies them to the live edge set, and materialises a fresh **versioned
 snapshot** — an ordinary immutable :class:`~repro.graphs.graph.Graph`
-whose cached CSR the engines consume as usual.  Superseded snapshots have
-their CSR cache dropped via :meth:`~repro.graphs.graph.Graph.
-invalidate_csr` so a long churn run does not accumulate O(m) buffers per
-version.
+whose CSR arrays the engines consume as usual.  A superseded snapshot is
+freed, arrays and all, once nothing references it, so a long churn run does
+not accumulate O(m) buffers per version.
 
 Node churn is modelled on a **fixed node universe**: ``node_off`` removes
 every incident edge (the node keeps existing, isolated — engines and
@@ -34,13 +33,10 @@ import random
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.errors import GraphError
 from repro.graphs.graph import Graph
-
-try:  # NumPy backs the batch draw layer only; the module works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
 
 _MASK64 = (1 << 64) - 1
 _U01_SCALE = 2.0**-53
@@ -172,20 +168,18 @@ class ChurnSchedule(ABC):
 
     def uniform_batch(self, disturbance: int, indices) -> list[float]:
         """Batch uniforms, bitwise equal to :meth:`uniform` elementwise."""
-        if _np is None:
-            return [self.uniform(disturbance, int(i)) for i in indices]
-        with _np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
             h = _mix64(self._base ^ disturbance)
-            z = _np.uint64(h) ^ _np.asarray(list(indices)).astype(_np.uint64)
-            z = z + _np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> _np.uint64(31))
-            z = z + _np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> _np.uint64(31))
-            return list((z >> _np.uint64(11)).astype(float) * _U01_SCALE)
+            z = np.uint64(h) ^ np.asarray(list(indices)).astype(np.uint64)
+            z = z + np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z = z ^ (z >> np.uint64(31))
+            z = z + np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z = z ^ (z >> np.uint64(31))
+            return list((z >> np.uint64(11)).astype(float) * _U01_SCALE)
 
     def _index(self, disturbance: int, draw: int, bound: int) -> int:
         """A uniform index in ``0..bound-1`` (bound must be positive)."""
@@ -551,10 +545,8 @@ class DynamicGraph:
         for event in proposed:
             if self._apply(event, affected):
                 applied.append(event)
-        previous = self._snapshot
         self._version += 1
-        self._snapshot = Graph(self._n, sorted(self._edges))
-        previous.invalidate_csr()
+        self._snapshot = Graph(self._n, list(self._edges))
         self._last_events = tuple(applied)
         self._last_affected = frozenset(affected)
         return self._last_events

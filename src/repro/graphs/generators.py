@@ -4,6 +4,16 @@ The paper's results are stated for arbitrary graphs (MIS, Section 4) and for
 undirected trees (3-coloring, Section 5).  The experiment harness exercises
 them on the standard families below; every generator takes an explicit
 ``seed`` (or a :class:`random.Random`) so that experiments are reproducible.
+
+The G(n, p), bipartite, geometric and random-tree generators draw their
+numbers as arrays.  They load the caller's Mersenne Twister state
+(:meth:`random.Random.getstate`) into a :class:`numpy.random.RandomState`,
+which runs the same generator: ``random_sample()`` returns what
+``Random.random()`` would, bit for bit, and a raw 32-bit word shifted right
+by ``32 - n.bit_length()`` and kept when below ``n`` is what
+``Random.randrange(n)`` would return.  Every generated edge is therefore the
+one the scalar loops produced, and a :class:`random.Random` passed in is
+left in the state those loops would have left it in.
 """
 
 from __future__ import annotations
@@ -11,14 +21,69 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.core.errors import GraphError
 from repro.graphs.graph import Graph
+
+#: Pairs drawn per ``random_sample`` call in the pair generators, which
+#: bounds their transient memory whatever the number of pairs.
+_PAIR_CHUNK = 1 << 16
 
 
 def _rng(seed: int | random.Random | None) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+class _ArrayDraws:
+    """Array draws from a :class:`random.Random`'s Mersenne Twister state.
+
+    Use as a context manager: on exit the advanced state is written back
+    into a :class:`random.Random` the caller passed, so scalar draws made
+    afterwards continue the same stream.
+    """
+
+    def __init__(self, seed: int | random.Random | None) -> None:
+        self._caller = seed if isinstance(seed, random.Random) else None
+        internal = _rng(seed).getstate()[1]
+        self._bits = np.random.MT19937()
+        self.stream = np.random.RandomState(self._bits)
+        # The key as a tuple: set_state takes it an order of magnitude
+        # faster than as an array.
+        self.stream.set_state(("MT19937", internal[:-1], internal[-1]))
+
+    def __enter__(self) -> _ArrayDraws:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._caller is not None:
+            version, _, gauss = self._caller.getstate()
+            _, key, pos = self.stream.get_state()[:3]
+            self._caller.setstate((version, (*key.tolist(), pos), gauss))
+
+    def randbelow(self, bound: int, count: int) -> np.ndarray:
+        """*count* draws of ``Random.randrange(bound)``, for ``bound < 2**32``."""
+        shift = 32 - int(bound).bit_length()
+        kept = [np.empty(0, dtype=np.int64)]
+        remaining = count
+        while remaining:
+            # randrange rejects words at or above the bound and draws again;
+            # drawing `remaining` words at a time never draws past the last.
+            words = self._bits.random_raw(remaining) >> shift  # one 32-bit word each
+            words = words[words < bound].astype(np.int64)
+            kept.append(words)
+            remaining -= len(words)
+        return np.concatenate(kept)
+
+    def hits(self, total: int, probability: float) -> np.ndarray:
+        """Indices ``i < total`` whose ``Random.random()`` falls below *probability*."""
+        found = [np.empty(0, dtype=np.int64)]
+        for begin in range(0, total, _PAIR_CHUNK):
+            draws = self.stream.random_sample(min(_PAIR_CHUNK, total - begin))
+            found.append(np.flatnonzero(draws < probability) + begin)
+        return np.concatenate(found)
 
 
 # ---------------------------------------------------------------------- #
@@ -101,14 +166,15 @@ def gnp_random_graph(num_nodes: int, probability: float, seed: int | random.Rand
     """Erdős–Rényi G(n, p)."""
     if not (0.0 <= probability <= 1.0):
         raise GraphError(f"edge probability must be in [0, 1], got {probability}")
-    rng = _rng(seed)
-    edges = [
-        (u, v)
-        for u in range(num_nodes)
-        for v in range(u + 1, num_nodes)
-        if rng.random() < probability
-    ]
-    return Graph(num_nodes, edges)
+    n = max(num_nodes, 0)
+    with _ArrayDraws(seed) as draws:
+        # One draw per pair (u, v), u < v, in row-major order.
+        hits = draws.hits(n * (n - 1) // 2, probability)
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1)
+    u = np.searchsorted(starts, hits, side="right") - 1
+    v = u + 1 + hits - starts[u]
+    return Graph(num_nodes, np.column_stack((u, v)))
 
 
 def random_tree(num_nodes: int, seed: int | random.Random | None = None) -> Graph:
@@ -119,9 +185,10 @@ def random_tree(num_nodes: int, seed: int | random.Random | None = None) -> Grap
         return Graph(1, [])
     if num_nodes == 2:
         return Graph(2, [(0, 1)])
-    rng = _rng(seed)
-    pruefer = [rng.randrange(num_nodes) for _ in range(num_nodes - 2)]
-    return tree_from_pruefer(pruefer)
+    with _ArrayDraws(seed) as draws:
+        pruefer = draws.randbelow(num_nodes, num_nodes - 2)
+    degree = (np.bincount(pruefer, minlength=num_nodes) + 1).tolist()
+    return Graph(num_nodes, _pruefer_edges(pruefer.tolist(), degree))
 
 
 def tree_from_pruefer(pruefer: Iterable[int]) -> Graph:
@@ -133,36 +200,44 @@ def tree_from_pruefer(pruefer: Iterable[int]) -> Graph:
         if not (0 <= value < num_nodes):
             raise GraphError(f"Prüfer entry {value} outside 0..{num_nodes - 1}")
         degree[value] += 1
-    edges = []
-    import heapq
+    return Graph(num_nodes, _pruefer_edges(pruefer, degree))
 
-    leaves = [node for node in range(num_nodes) if degree[node] == 1]
-    heapq.heapify(leaves)
+
+def _pruefer_edges(pruefer: list[int], degree: list[int]) -> np.ndarray:
+    """The tree edges of a valid Prüfer sequence, in linear time.
+
+    *degree* holds each node's occurrences in the sequence plus one and is
+    used up.  Each entry is joined to the smallest current leaf: a pointer
+    sweeps upwards for the next leaf, except when removing a leaf turns a
+    smaller node into one, which is then the smallest and is taken at once.
+    """
+    ptr = degree.index(1)
+    leaf = ptr
+    leaves = []
     for value in pruefer:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, value))
+        leaves.append(leaf)
         degree[value] -= 1
-        if degree[value] == 1:
-            heapq.heappush(leaves, value)
-    # Exactly two leaves remain after the sequence is consumed; join them.
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Graph(num_nodes, edges)
+        if degree[value] == 1 and value < ptr:
+            leaf = value
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    # The last two nodes left are the final leaf and node n - 1.
+    leaves.append(leaf)
+    return np.column_stack((leaves, pruefer + [len(degree) - 1]))
 
 
 def random_bipartite_graph(
     left: int, right: int, probability: float, seed: int | random.Random | None = None
 ) -> Graph:
     """Random bipartite graph where each cross pair is an edge w.p. *probability*."""
-    rng = _rng(seed)
-    edges = [
-        (u, left + v)
-        for u in range(left)
-        for v in range(right)
-        if rng.random() < probability
-    ]
-    return Graph(left + right, edges)
+    with _ArrayDraws(seed) as draws:
+        # One draw per pair (u, v) in row-major order.
+        hits = draws.hits(max(left, 0) * max(right, 0), probability)
+    u, v = np.divmod(hits, max(right, 1))
+    return Graph(left + right, np.column_stack((u, left + v)))
 
 
 def random_regular_graph(num_nodes: int, degree: int, seed: int | random.Random | None = None, max_tries: int = 200) -> Graph:
@@ -242,22 +317,23 @@ def random_geometric_graph(
     """
     import math
 
-    rng = _rng(seed)
     if radius is None:
         n = max(num_nodes, 2)
         radius = math.sqrt(2.0 * math.log(n) / (math.pi * n))
     if radius < 0:
         raise GraphError(f"radius must be non-negative, got {radius}")
-    points = [(rng.random(), rng.random()) for _ in range(num_nodes)]
+    with _ArrayDraws(seed) as draws:
+        # x0, y0, x1, y1, ...: the point loop's draw order.
+        coords = draws.stream.random_sample(2 * max(num_nodes, 0))
+    x, y = coords[0::2], coords[1::2]
     limit = radius * radius
-    edges = [
-        (u, v)
-        for u in range(num_nodes)
-        for v in range(u + 1, num_nodes)
-        if (points[u][0] - points[v][0]) ** 2 + (points[u][1] - points[v][1]) ** 2
-        <= limit
-    ]
-    return Graph(num_nodes, edges)
+    near = [np.empty((0, 2), dtype=np.int64)]
+    for u in range(num_nodes - 1):
+        dx = x[u] - x[u + 1 :]
+        dy = y[u] - y[u + 1 :]
+        v = np.flatnonzero(dx * dx + dy * dy <= limit) + (u + 1)
+        near.append(np.column_stack((np.full_like(v, u), v)))
+    return Graph(num_nodes, np.concatenate(near))
 
 
 def circulant_graph(num_nodes: int, offsets: Iterable[int] = ()) -> Graph:

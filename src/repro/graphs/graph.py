@@ -1,23 +1,50 @@
-"""Lightweight immutable undirected graphs used by all execution engines.
+"""Immutable undirected graphs stored as CSR arrays.
 
 The paper models the network as a finite undirected graph ``G = (V, E)``.
-Engines run tight loops over adjacency lists, so we keep our own minimal
-graph type (nodes are the integers ``0 .. n-1``, adjacency is a tuple of
-sorted tuples) instead of carrying a heavyweight dependency.  Conversion
-helpers to and from :mod:`networkx` are provided for interoperability, but
-nothing in the library requires networkx at runtime.
+Nodes are the integers ``0 .. n-1``.  A :class:`Graph` keeps its adjacency
+once, in compressed sparse row (CSR) form: two read-only ``int64`` arrays
+that the vectorized engines, the partitioner and the shard pool read
+directly.  The tuple views the interpreters, validators and baselines loop
+over (:attr:`Graph.edges`, :meth:`Graph.adjacency`) are built from those
+arrays on first use and cached.  Conversion helpers to and from
+:mod:`networkx` are provided for interoperability, but nothing in the
+library requires networkx at runtime.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import GraphError
 
-try:  # NumPy is optional for the core graph type (engines require it).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
+
+def _reject(num_nodes: int, u: int, v: int) -> None:
+    """Raise the error for the bad edge ``(u, v)``: self-loop first, then range."""
+    if u == v:
+        raise GraphError(f"self loop on node {u} is not allowed")
+    raise GraphError(f"edge ({u}, {v}) references a node outside 0..{num_nodes - 1}")
+
+
+def _pair_array(num_nodes: int, edges) -> np.ndarray:
+    """*edges* (pairs, or an ``(m, 2)`` integer array) as an int64 array."""
+    if not isinstance(edges, (np.ndarray, list, tuple)):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        # A node id beyond int64 is out of range; report the first bad edge.
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u == v or not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                _reject(num_nodes, u, v)
+        raise
+    if pairs.shape == (0,):
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    return pairs
 
 
 class Graph:
@@ -30,36 +57,40 @@ class Graph:
     num_nodes:
         Number of nodes ``n``; nodes are the integers ``0 .. n-1``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Self-loops are rejected, duplicate
-        edges (in either orientation) are collapsed.
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
+        Self-loops are rejected, duplicate edges (in either orientation)
+        are collapsed.
     """
 
-    __slots__ = ("_n", "_adjacency", "_edges", "_csr")
+    __slots__ = ("_n", "_indptr", "_indices", "_edges", "_adjacency")
 
-    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()) -> None:
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
-        self._n = int(num_nodes)
-        neighbour_sets: list[set[int]] = [set() for _ in range(self._n)]
-        edge_set: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphError(f"self loop on node {u} is not allowed")
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise GraphError(f"edge ({u}, {v}) references a node outside 0..{self._n - 1}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in edge_set:
-                continue
-            edge_set.add((u, v))
-            neighbour_sets[u].add(v)
-            neighbour_sets[v].add(u)
-        self._adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(neighbours)) for neighbours in neighbour_sets
-        )
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
-        self._csr = None
+        n = self._n = int(num_nodes)
+        pairs = _pair_array(n, edges)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            first = int(bad.argmax())
+            _reject(n, int(pairs[first, 0]), int(pairs[first, 1]))
+        # One key per undirected edge, sorted, duplicates dropped.
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+        lo, hi = keys // max(n, 1), keys % max(n, 1)
+        # Both directions of every edge, sorted by (source, target).
+        src = np.concatenate((lo, hi))
+        arcs = np.sort(src * n + np.concatenate((hi, lo)))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        indices = arcs % max(n, 1)
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self._indptr = indptr
+        self._indices = indices
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        self._adjacency: tuple[tuple[int, ...], ...] | None = None
 
     # ------------------------------------------------------------------ #
     # Basic accessors                                                    #
@@ -72,7 +103,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of edges ``|E|``."""
-        return len(self._edges)
+        return len(self._indices) // 2
 
     @property
     def nodes(self) -> range:
@@ -82,72 +113,56 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
+        if self._edges is None:
+            lo, hi = self._edge_columns()
+            self._edges = tuple(zip(lo.tolist(), hi.tolist()))
         return self._edges
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         """The neighbourhood ``N(node)`` as a sorted tuple."""
-        return self._adjacency[node]
+        return (self._adjacency or self.adjacency())[node]
 
     def degree(self, node: int) -> int:
         """Degree of *node*."""
-        return len(self._adjacency[node])
+        return len((self._adjacency or self.adjacency())[node])
 
     def max_degree(self) -> int:
         """The maximum degree Δ(G) (0 for the empty graph)."""
         if self._n == 0:
             return 0
-        return max(len(neighbours) for neighbours in self._adjacency)
+        return int(np.diff(self._indptr).max())
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge."""
         if not (0 <= u < self._n and 0 <= v < self._n) or u == v:
             return False
-        return v in self._adjacency[u]
+        return v in (self._adjacency or self.adjacency())[u]
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """The full adjacency structure (tuple of sorted neighbour tuples)."""
+        if self._adjacency is None:
+            flat = self._indices.tolist()
+            bounds = self._indptr.tolist()
+            self._adjacency = tuple(
+                tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(self._n)
+            )
         return self._adjacency
 
-    def csr_adjacency(self):
-        """The adjacency in CSR form: ``(indptr, indices)``, cached.
+    def csr_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency in CSR form: ``(indptr, indices)``.
 
         ``indices[indptr[v]:indptr[v+1]]`` are the (sorted) neighbours of
-        ``v``; both directions of every edge appear.  When NumPy is
-        available the arrays are read-only ``int64`` ndarrays built once per
-        instance, so every engine construction (and every shard worker)
-        shares the same buffers instead of rebuilding O(m) Python lists.
-        Without NumPy, plain Python lists are returned (and cached) so this
-        module stays dependency-free.
+        ``v``; both directions of every edge appear.  The arrays are the
+        graph's own read-only ``int64`` storage, so every engine
+        construction (and every shard worker) shares the same buffers.
         """
-        if self._csr is not None:
-            return self._csr
-        indptr = [0] * (self._n + 1)
-        indices: list[int] = []
-        for v, neighbours in enumerate(self._adjacency):
-            indices.extend(neighbours)
-            indptr[v + 1] = len(indices)
-        if _np is not None:
-            indptr_arr = _np.asarray(indptr, dtype=_np.int64)
-            indices_arr = _np.asarray(indices, dtype=_np.int64)
-            indptr_arr.flags.writeable = False
-            indices_arr.flags.writeable = False
-            self._csr = (indptr_arr, indices_arr)
-        else:
-            self._csr = (indptr, indices)
-        return self._csr
+        return self._indptr, self._indices
 
-    def invalidate_csr(self) -> None:
-        """Drop the cached CSR arrays; the next :meth:`csr_adjacency` rebuilds.
-
-        Graphs are immutable, so the cache can never silently go stale — but
-        holders of *superseded* snapshots (a :class:`~repro.graphs.dynamic.
-        DynamicGraph` replacing one versioned snapshot with the next) call
-        this to release the O(m) buffers instead of relying on the graph
-        being garbage-collected while engines still reference the arrays.
-        Safe to call at any time: the adjacency itself is untouched and a
-        later :meth:`csr_adjacency` call returns fresh, equal arrays.
-        """
-        self._csr = None
+    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as two arrays ``(lo, hi)``, sorted, with ``lo < hi``."""
+        src = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
+        upper = self._indices > src
+        return src[upper], self._indices[upper]
 
     def __len__(self) -> int:
         return self._n
@@ -159,11 +174,15 @@ class Graph:
         return (
             isinstance(other, Graph)
             and other._n == self._n
-            and other._edges == self._edges
+            and np.array_equal(other._indptr, self._indptr)
+            and np.array_equal(other._indices, self._indices)
         )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self.edges))
+
+    def __reduce__(self):
+        return Graph, (self._n, np.column_stack(self._edge_columns()))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self._n}, num_edges={self.num_edges})"
@@ -184,7 +203,7 @@ class Graph:
         relabel = {old: new for new, old in enumerate(keep)}
         edges = [
             (relabel[u], relabel[v])
-            for (u, v) in self._edges
+            for (u, v) in self.edges
             if u in relabel and v in relabel
         ]
         return Graph(len(keep), edges)
@@ -196,12 +215,12 @@ class Graph:
         graph; two line-graph nodes are adjacent when the original edges share
         an endpoint.  Used by the maximal-matching-via-MIS reduction.
         """
-        edge_order = self._edges
+        edge_order = self.edges
         index = {edge: i for i, edge in enumerate(edge_order)}
         line_edges: set[tuple[int, int]] = set()
         for v in range(self._n):
             incident = [
-                index[(min(v, u), max(v, u))] for u in self._adjacency[v]
+                index[(min(v, u), max(v, u))] for u in self.neighbors(v)
             ]
             for a_pos in range(len(incident)):
                 for b_pos in range(a_pos + 1, len(incident)):
@@ -211,7 +230,8 @@ class Graph:
 
     def with_edges(self, extra_edges: Iterable[tuple[int, int]]) -> "Graph":
         """A new graph with *extra_edges* added."""
-        return Graph(self._n, list(self._edges) + list(extra_edges))
+        extra = _pair_array(self._n, extra_edges)
+        return Graph(self._n, np.concatenate((np.column_stack(self._edge_columns()), extra)))
 
     # ------------------------------------------------------------------ #
     # Construction helpers / interop                                     #
@@ -243,5 +263,5 @@ class Graph:
 
         nx_graph = nx.Graph()
         nx_graph.add_nodes_from(range(self._n))
-        nx_graph.add_edges_from(self._edges)
+        nx_graph.add_edges_from(self.edges)
         return nx_graph

@@ -155,16 +155,6 @@ class TestDynamicGraph:
 
 
 class TestCsrCache:
-    def test_csr_rebuilds_fresh_equal_arrays_after_invalidate(self):
-        graph = gnp_random_graph(16, 0.3, seed=2)
-        indptr1, indices1 = graph.csr_adjacency()
-        assert graph.csr_adjacency()[0] is indptr1  # cached
-        graph.invalidate_csr()
-        indptr2, indices2 = graph.csr_adjacency()
-        assert indptr2 is not indptr1  # rebuilt, not the stale buffer
-        assert list(indptr2) == list(indptr1)
-        assert list(indices2) == list(indices1)
-
     def test_snapshots_never_share_stale_csr(self):
         # Regression: each DynamicGraph snapshot is a fresh Graph, so the
         # CSR an engine reads always describes that snapshot's edges.

@@ -1,5 +1,8 @@
 """Unit tests for the lightweight graph type."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.errors import GraphError
@@ -43,6 +46,25 @@ class TestConstruction:
         assert graph.num_nodes == 5
 
 
+    def test_edge_array_builds_the_same_graph(self):
+        pairs = [(2, 0), (1, 0), (0, 2)]
+        graph = Graph(3, np.array(pairs, dtype=np.int64))
+        assert graph == Graph(3, pairs)
+        assert graph.edges == ((0, 1), (0, 2))
+
+    def test_edges_that_are_not_pairs_are_rejected(self):
+        with pytest.raises(GraphError, match="pairs"):
+            Graph(3, np.zeros((2, 3), dtype=np.int64))
+
+    def test_first_bad_edge_in_input_order_is_reported(self):
+        with pytest.raises(GraphError, match=r"^edge \(0, 5\) references"):
+            Graph(3, [(0, 1), (0, 5), (2, 2)])
+        with pytest.raises(GraphError, match="^self loop on node 7 "):
+            Graph(3, [(7, 7), (0, 5)])
+        with pytest.raises(GraphError, match="references a node outside"):
+            Graph(3, [(0, 2**70)])
+
+
 class TestAccessors:
     def setup_method(self):
         self.graph = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
@@ -78,6 +100,21 @@ class TestAccessors:
         assert twin == self.graph
         assert hash(twin) == hash(self.graph)
         assert Graph(5, [(0, 1)]) != self.graph
+
+
+    def test_csr_is_read_only_int64_storage(self):
+        indptr, indices = self.graph.csr_adjacency()
+        assert indptr.dtype == np.int64 and indices.dtype == np.int64
+        assert indptr.tolist() == [0, 3, 4, 5, 7, 8]
+        assert indices.tolist() == [1, 2, 3, 0, 0, 0, 4, 3]
+        assert self.graph.csr_adjacency()[1] is indices
+        with pytest.raises(ValueError):
+            indices[0] = 4
+
+    def test_pickle_round_trip(self):
+        clone = pickle.loads(pickle.dumps(self.graph))
+        assert clone == self.graph
+        assert not clone.csr_adjacency()[1].flags.writeable
 
 
 class TestDerivedGraphs:

@@ -27,6 +27,7 @@ from repro.api.store import (
     decode_value,
     encode_value,
     fetch,
+    payload_to_result,
     result_to_payload,
     spec_cacheable,
     spec_hash,
@@ -234,6 +235,56 @@ def test_structurally_valid_but_wrong_result_payload(tmp_path):
     assert stats["hits"] == 0
     assert stats["misses"] == 1
     assert not store.path_for(digest).exists()
+
+
+def test_payload_stores_each_distinct_state_once():
+    result = Simulation().simulate(SPEC)
+    result.final_states = (1, True, 1.0, 1, "x", True, (1,), (True,))
+    packed = result_to_payload(result)["final_states"]
+    # Keyed by canonical encoding: 1, True and 1.0 (and (1,), (True,)) differ.
+    assert packed == {
+        "states": [1, True, 1.0, "x", (1,), (True,)],
+        "index": [0, 1, 2, 0, 3, 1, 4, 5],
+    }
+    decoded = decode_value(json.loads(canonical_json(result_to_payload(result))))
+    rebuilt = payload_to_result(decoded, result.graph).final_states
+    assert rebuilt == result.final_states
+    assert [type(state) for state in rebuilt] == [type(state) for state in result.final_states]
+    assert [type(state[0]) for state in rebuilt[-2:]] == [int, bool]
+
+
+@pytest.mark.parametrize(
+    "packed",
+    [
+        ("a", "b"),
+        {"states": ["a"]},
+        {"states": ["a"], "index": [0], "extra": 1},
+        {"states": "a", "index": [0]},
+        {"states": ["a"], "index": (0,)},
+        {"states": ["a"], "index": [1]},
+        {"states": ["a"], "index": [-1]},
+        {"states": ["a"], "index": [True]},
+        {"states": ["a"], "index": [0.0]},
+        {"states": ["a", "b"], "index": [1, 0]},
+        {"states": ["a", "b"], "index": [0, 0]},
+    ],
+)
+def test_malformed_state_table_is_a_payload_error(packed):
+    payload = result_to_payload(Simulation().simulate(SPEC))
+    payload["final_states"] = packed
+    with pytest.raises(StorePayloadError):
+        payload_to_result(payload, SPEC.build_graph())
+
+
+def test_malformed_state_table_degrades_to_a_miss(tmp_path):
+    session = Simulation()
+    store = ResultStore(tmp_path / "store")
+    assert stash(store, SPEC, session.simulate(SPEC))
+    payload = store.get(spec_hash(SPEC))
+    payload["final_states"]["index"][0] = len(payload["final_states"]["states"])
+    store.put(spec_hash(SPEC), payload)
+    assert fetch(store, SPEC) is None
+    assert store.stats()["corrupt"] == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -236,15 +236,15 @@ def test_frozenset_round_trip_is_order_independent(value):
 GOLDEN_HASHES = {
     # The shard count canonicalizes away: sharded and unsharded runs of a
     # spec share one address.
-    "d744490470b98553454f25361ee2e7b377109017d0024a3c2084e132e1cd4162": (
+    "d7573c490533395ead18e9cd2c219565b367fc77366227e0e94fc4da881c20a6": (
         RunSpec(protocol="mis", nodes=32, seed=5),
         RunSpec(protocol="mis", nodes=32, seed=5, shards=4),
     ),
-    "24f933dacd0e0ba8f89181ffdfd56bbd590e911900f7c0b54694af3bc5ffa89f": (
+    "8fe3f1bda0d0ac01fb96200efe455778eb66df8da8c2a6ea998b762a6a9f5f3e": (
         RunSpec(protocol="coloring", nodes=16, seed=3, graph="random_tree"),
     ),
     # Async specs shard too; the shard count canonicalizes away here as well.
-    "3c557536d20ebd30284f49d32272577049201661aeab48ae58d4ed86feb0f45b": (
+    "9b1f50bfd48e812463f71e295171f5db62fd36495bd601f8aa6cb1ea98130954": (
         RunSpec(protocol="mis", environment="async", nodes=12, seed=7, adversary="uniform"),
         RunSpec(
             protocol="mis",
@@ -256,7 +256,7 @@ GOLDEN_HASHES = {
         ),
     ),
     # Dynamic spec: the churn fields are part of the canonical rendering.
-    "cca883c8f72906f4d0b063d59dc2c472adc5e1e9e32ee7b2d639370ec6770a51": (
+    "c9b432142e0a418b7429301df82982a67bbed05ea09f869b28a25d8fb0ad7117": (
         RunSpec(
             protocol="mis",
             nodes=24,
@@ -270,12 +270,13 @@ GOLDEN_HASHES = {
 
 
 def test_schema_version_is_pinned():
-    # Version 6: every engine draws from the one counter pick stream, so the
-    # shard count canonicalizes away like the backend (version 5 made shards
-    # legal for the async and dynamic environments; version 4 added the
-    # dynamic environment's churn fields; version 3 canonicalized the
-    # backend field to "auto").
-    assert STORE_SCHEMA_VERSION == 6
+    # Version 7: payloads pack final_states as a table of distinct states
+    # plus one index per node.  Version 6: every engine draws from the one
+    # counter pick stream, so the shard count canonicalizes away like the
+    # backend (version 5 made shards legal for the async and dynamic
+    # environments; version 4 added the dynamic environment's churn fields;
+    # version 3 canonicalized the backend field to "auto").
+    assert STORE_SCHEMA_VERSION == 7
 
 
 @pytest.mark.parametrize("digest", sorted(GOLDEN_HASHES))
@@ -287,7 +288,7 @@ def test_golden_hashes(digest):
 def test_golden_canonical_json():
     """The full canonical rendering of one spec, byte for byte."""
     assert canonical_spec_json(RunSpec(protocol="mis", nodes=32, seed=5)) == (
-        '{"schema":6,"spec":{"adversary":null,"adversary_params":{},'
+        '{"schema":7,"spec":{"adversary":null,"adversary_params":{},'
         '"adversary_seed":null,"backend":"auto","churn":null,'
         '"churn_params":{},"churn_seed":null,"environment":"sync",'
         '"graph":null,"graph_params":{},"graph_seed":null,"inputs":{},'
