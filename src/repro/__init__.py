@@ -28,8 +28,7 @@ Quickstart
 >>> independent_set = {v for v, joined in result.outputs.items() if joined}
 
 The :mod:`repro.api` facade (sessions, run specs, named registries) is the
-recommended entry point; the historical free functions
-(``run_synchronous`` & co.) remain as deprecated shims.
+entry point for every run.
 """
 
 from repro.core import (
@@ -73,8 +72,6 @@ from repro.scheduling import (
     VectorizedEngine,
     compile_protocol,
     default_adversary_suite,
-    run_asynchronous,
-    run_synchronous,
     select_backend,
 )
 from repro.verification import (
@@ -138,8 +135,6 @@ __all__ = [
     "register_adversary",
     "register_graph_family",
     "register_protocol",
-    "run_asynchronous",
-    "run_synchronous",
     "select_backend",
     "star_graph",
     "synchronize",

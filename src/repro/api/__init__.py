@@ -13,9 +13,7 @@ This package is the recommended entry point to the library::
         sizes=[64, 128, 256],
     )
 
-It replaces the historical scatter of free functions (``run_synchronous``,
-``run_asynchronous``, ``repeat_synchronous``, ``sweep_protocol`` — all still
-available as deprecated shims) with three concepts:
+It is built from three concepts:
 
 * :class:`RunSpec` — a frozen, dict/JSON-round-trippable description of one
   execution: protocol, graph family, environment, adversary, backend and

@@ -251,25 +251,30 @@ def _worker_session():
 # Shared-memory compiled-table publication                                 #
 # ---------------------------------------------------------------------- #
 def _published_sync_bundles(tasks: Sequence[SpecTask], session) -> dict:
-    """Compile each distinct sync workload of *tasks* once, parent-side.
+    """Compile each distinct sync or dynamic workload of *tasks* once, parent-side.
 
-    Returns the ``{cache_key: bundle}`` mapping to publish to the pool.
-    Before publication, every worker re-ran the same compile for the same
-    workload — the k× table-build cost the session cache counters expose;
-    compiling here warms the dispatching session's own cache too, so the
-    parent pays each tabulation exactly once for the whole pool.
+    Returns the ``{cache_key: bundle}`` mapping to publish to the pool,
+    keyed by :func:`repro.api.session.table_key` — the key the workers'
+    lookups use.  Without publication every worker re-ran the same compile
+    for the same workload — the k× table-build cost the session cache
+    counters expose; compiling here warms the dispatching session's own
+    cache too, so the parent pays each tabulation exactly once for the
+    whole pool.  Dynamic runs use the synchronous bundle and are published
+    with it; asynchronous bundles are not published.
     """
     if session is None:
         return {}
+    from repro.api.session import table_key
+
     bundles: dict = {}
     for task in tasks:
         try:
             spec = RunSpec.from_dict(task.spec)
         except Exception:  # malformed specs fail later, in the worker
             continue
-        if spec.environment != "sync":
+        if spec.environment == "async":
             continue
-        key = ("sync",) + spec.workload_key()
+        key = table_key(spec)
         if key in bundles:
             continue
         cached = session._tables.get(key)
@@ -556,15 +561,12 @@ def run_specs(
     count = effective_workers(workers)
     if specs:
         count = budget_workers(count, max(spec.shards or 1 for spec in specs))
-    store = getattr(session, "store", None)
-    if store is not None and count > 1 and len(specs) > 1:
-        return _run_specs_stored(
+    if getattr(session, "store", None) is not None and count > 1 and len(specs) > 1:
+        return session._run_stored_specs(
             specs,
             count,
-            session,
-            store,
-            raise_on_timeout=raise_on_timeout,
             explicit=workers is not None,
+            raise_on_timeout=raise_on_timeout,
         )
     # Serial (and storeless) dispatch: ``session.simulate`` already does the
     # store bookkeeping itself, one spec at a time.
@@ -575,52 +577,3 @@ def run_specs(
     return execute_tasks(
         tasks, workers=count, session=session, explicit_workers=workers is not None
     )
-
-
-def _run_specs_stored(
-    specs: Sequence[RunSpec],
-    count: int,
-    session,
-    store,
-    *,
-    raise_on_timeout: bool,
-    explicit: bool,
-) -> list:
-    """Pooled :func:`run_specs` against a result store (hits pre-filtered)."""
-    from repro.api import store as _store
-
-    results: list = [None] * len(specs)
-    missing: list[int] = []
-    for index, spec in enumerate(specs):
-        if not _store.spec_cacheable(spec):
-            store.note_bypass()
-            missing.append(index)
-            continue
-        cached = _store.fetch(store, spec)
-        if cached is None:
-            missing.append(index)
-        else:
-            results[index] = cached
-    if missing:
-        miss_specs = [specs[index] for index in missing]
-        if len(missing) > 1:
-            tasks = [
-                SpecTask(spec=spec.to_dict(), raise_on_timeout=False)
-                for spec in miss_specs
-            ]
-            values = execute_tasks(
-                tasks, workers=count, session=session, explicit_workers=explicit
-            )
-        else:
-            values = [
-                session._execute_spec(spec, raise_on_timeout=False)
-                for spec in miss_specs
-            ]
-        for index, value in zip(missing, values):
-            results[index] = value
-            _store.stash(store, specs[index], value)
-    if raise_on_timeout:
-        for spec, result in zip(specs, results):
-            if not result.reached_output:
-                raise OutputNotReachedError(_store.timeout_message(spec), result)
-    return results

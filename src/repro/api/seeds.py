@@ -2,13 +2,12 @@
 
 Every repeated or swept execution needs one protocol seed per run, all
 derived deterministically from a single base seed so that the whole workload
-is reproducible from one integer.  Historically the derivation rules lived in
-two places — ``repeat_synchronous`` added the repetition index, while the
-sweep harness hashed the ``(family, size, repetition)`` cell through
-``random.Random`` — and had to agree with each other only by convention.
-:class:`SeedPolicy` centralises both rules; the facade, the sweep harness and
-the legacy shims all share this one implementation, and a regression test
-pins the derived values bit-for-bit to the historical ones.
+is reproducible from one integer.  A repetition adds its index to the base
+seed, and a sweep cell hashes its ``(family, size, repetition)`` coordinates
+through ``random.Random``.  :class:`SeedPolicy` is the one home of both
+rules — ``repeat()``, ``sweep()`` and the pooled executor all derive their
+seeds here — and a regression test pins the derived values bit-for-bit to
+the historical ones.
 """
 
 from __future__ import annotations

@@ -1,8 +1,6 @@
 """The :class:`Simulation` session: one entry point for every execution.
 
-A session owns the three concerns that used to be re-threaded by hand
-through a scatter of free functions (``run_synchronous``,
-``run_asynchronous``, ``repeat_synchronous``, ``sweep_protocol``):
+A session owns three concerns every execution shares:
 
 * **backend selection** — specs say
   ``"python" | "vectorized" | "auto"`` once; the engines
@@ -17,10 +15,12 @@ through a scatter of free functions (``run_synchronous``,
   through one :class:`~repro.api.seeds.SeedPolicy`.
 
 Specs (:class:`~repro.api.RunSpec`) drive the public trio ``simulate()`` /
-``repeat()`` / ``sweep()``.  The ``*_protocol`` object-level variants accept
-already-constructed graphs and protocol instances; they power the deprecated
-legacy shims and remain available for workloads whose pieces have no
-registry name.
+``repeat()`` / ``sweep()``, and every one of them maps a spec onto an
+engine in one place, :meth:`Simulation._execute_spec`: ``simulate()``, each
+repetition of a serial ``repeat()`` and every sweep cell (serial or in a
+pool worker) run through it.  :meth:`Simulation.run_protocol` accepts an
+already-constructed graph and protocol instance, for workloads whose pieces
+have no registry name.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.scheduling.dynamic_engine import _run_dynamic
 from repro.scheduling.sync_engine import (
     _precompile_tables_with_reason,
     _run_synchronous,
-    precompile_tables,
 )
 
 
@@ -83,6 +82,19 @@ def _annotated_sync_run(
     return result
 
 
+def table_key(spec: RunSpec) -> tuple:
+    """The table-cache key of *spec*'s compiled bundle.
+
+    Dynamic runs execute on the synchronous engines segment by segment, so
+    they share the synchronous bundle shape; only asynchronous specs file
+    under ``"async"``.  The executor's publication pre-pass keys the bundles
+    it hands to pool workers through this function too, so every published
+    bundle is found by the lookup it was published for.
+    """
+    engine = "async" if spec.environment == "async" else "sync"
+    return (engine,) + spec.workload_key()
+
+
 @dataclass
 class _RegistryInputs:
     """Picklable default ``inputs_for``: the registry inputs factory by name.
@@ -111,8 +123,9 @@ def run_sweep_cell(task, spec: RunSpec, session: "Simulation"):
     it directly on the serial path and the worker processes execute it for
     pooled dispatch — so the two paths cannot drift: a cell's record depends
     only on the spec's fully derived seeds, never on which process ran it.
-    The compiled table comes from *session*'s cache keyed by the workload,
-    so all cells of a sweep share one compile per process.
+    The cell runs through :meth:`Simulation._execute_spec`, so its compiled
+    table comes from *session*'s cache keyed by the workload and all cells
+    of a sweep share one compile per process.
 
     A task carrying a ``store`` path persists the cell's execution result
     into that result store *where the cell ran* — inside the worker for
@@ -124,62 +137,9 @@ def run_sweep_cell(task, spec: RunSpec, session: "Simulation"):
     else:
         graph = spec.build_graph()
     inputs = task.inputs_for(graph) if task.inputs_for is not None else None
-    key = spec.workload_key()
-    if spec.environment == "sync":
-        backend, compiled, table, reason = session._sync_bundle(
-            key, spec.build_protocol, spec.backend
-        )
-        result = _annotated_sync_run(
-            reason,
-            graph,
-            spec.build_protocol(),
-            seed=spec.seed,
-            inputs=inputs,
-            max_rounds=spec.max_rounds,
-            raise_on_timeout=False,
-            backend=backend,
-            compiled=compiled,
-            table=table,
-            shards=spec.shards,
-        )
-        session._note_shards(result)
-    elif spec.environment == "dynamic":
-        backend, compiled, table, reason = session._sync_bundle(
-            key, spec.build_protocol, spec.backend
-        )
-        result = _annotated_sync_run(
-            reason,
-            graph,
-            spec.build_protocol(),
-            runner=_run_dynamic,
-            churn=spec.build_churn(),
-            seed=spec.seed,
-            churn_seed=spec.churn_seed,
-            inputs=inputs,
-            max_rounds=spec.max_rounds,
-            raise_on_timeout=False,
-            backend=backend,
-            compiled=compiled,
-            table=table,
-            shards=spec.shards,
-        )
-        session._note_shards(result)
-    else:
-        compiled, table = session._async_bundle(key, spec.build_protocol, spec.backend)
-        result = _run_asynchronous(
-            graph,
-            compiled,
-            adversary=spec.build_adversary(),
-            seed=spec.seed,
-            adversary_seed=spec.adversary_seed,
-            inputs=inputs,
-            max_events=spec.max_events,
-            raise_on_timeout=False,
-            backend=spec.backend,
-            table=table,
-            shards=spec.shards,
-        )
-        session._note_shards(result)
+    result = session._execute_spec(
+        spec, graph=graph, inputs=inputs, raise_on_timeout=False
+    )
     if getattr(task, "store", None) is not None:
         from repro.api import store as _store
 
@@ -412,10 +372,9 @@ class Simulation:
         return bundle
 
     def _sync_bundle(self, key: tuple, protocol_factory, backend: str) -> tuple:
-        """``(effective_backend, compiled, table, reason)`` for a sync workload."""
+        """``(effective_backend, compiled, table, reason)`` cached under *key*."""
         return self._cached(
-            ("sync",) + key,
-            lambda: _precompile_tables_with_reason(protocol_factory(), backend),
+            key, lambda: _precompile_tables_with_reason(protocol_factory(), backend)
         )
 
     def _async_bundle(self, key: tuple, protocol_factory, backend: str) -> tuple:
@@ -433,10 +392,10 @@ class Simulation:
             compiled = compile_to_asynchronous(protocol_factory())
             return compiled, _lazy_strict_table(compiled, backend)
 
-        return self._cached(("async",) + key, build)
+        return self._cached(key, build)
 
     # ------------------------------------------------------------------ #
-    # Object-level execution (powers the legacy shims)                    #
+    # Object-level execution                                              #
     # ------------------------------------------------------------------ #
     def run_protocol(
         self,
@@ -463,8 +422,7 @@ class Simulation:
         ``environment="sync"`` expects the protocol as written (strict or
         multi-letter); ``environment="async"`` expects a strict protocol —
         lower multi-letter protocols through
-        :func:`repro.compilers.compile_to_asynchronous` first, exactly as
-        with the legacy free functions.
+        :func:`repro.compilers.compile_to_asynchronous` first.
 
         ``cache_key`` opts the call into the session's table cache: runs
         sharing a key reuse one compiled table (the caller asserts that they
@@ -481,7 +439,7 @@ class Simulation:
             reason = None
             if cache_key is not None and compiled is None and table is None:
                 backend, compiled, table, reason = self._sync_bundle(
-                    (cache_key, backend), lambda: protocol, backend
+                    ("sync", cache_key, backend), lambda: protocol, backend
                 )
             result = _annotated_sync_run(
                 reason,
@@ -525,88 +483,6 @@ class Simulation:
             return result
         raise SpecError(f"unknown environment {environment!r}; expected 'sync' or 'async'")
 
-    def repeat_protocol(
-        self,
-        graph: Graph,
-        protocol_factory: Callable[[], Any],
-        *,
-        repetitions: int,
-        base_seed: int = 0,
-        inputs: Mapping[int, Any] | None = None,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        raise_on_timeout: bool = True,
-        backend: str = "python",
-        precompiled: tuple | None = None,
-        shards: int | None = None,
-    ) -> list[ExecutionResult]:
-        """Run *repetitions* independent synchronous executions.
-
-        Seeds are derived by :meth:`SeedPolicy.repetition_seed` (``base_seed
-        + i``, the historical rule) and the compile step is paid once: all
-        repetitions share one eager table, or one lazy table that
-        repetition 1 warms up for repetitions 2..n.  ``shards`` splits
-        every repetition across shard workers.
-        """
-        policy = SeedPolicy(base_seed)
-        if precompiled is None:
-            precompiled = precompile_tables(protocol_factory(), backend)
-        backend, compiled, table = precompiled
-        results = [
-            _run_synchronous(
-                graph,
-                protocol_factory(),
-                seed=policy.repetition_seed(repetition),
-                inputs=inputs,
-                max_rounds=max_rounds,
-                raise_on_timeout=raise_on_timeout,
-                backend=backend,
-                compiled=compiled,
-                table=table,
-                shards=shards,
-            )
-            for repetition in range(repetitions)
-        ]
-        for result in results:
-            self._note_shards(result)
-        return results
-
-    def sweep_protocol_objects(
-        self,
-        protocol_factory: Callable[[], Any],
-        families: Mapping[str, Callable],
-        sizes: Sequence[int],
-        *,
-        repetitions: int = 3,
-        base_seed: int = 0,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        validator: Callable | None = None,
-        inputs_for: Callable | None = None,
-        extra_metrics: Callable | None = None,
-        backend: str = "auto",
-        precompiled: tuple | None = None,
-    ):
-        """Sweep an already-constructed workload (see :meth:`sweep`).
-
-        This is the object-level twin of :meth:`sweep` and the target of the
-        deprecated :func:`repro.analysis.sweep.sweep_protocol` shim; records
-        are bitwise-identical to the historical harness for equal arguments.
-        """
-        from repro.analysis.sweep import _sweep
-
-        return _sweep(
-            protocol_factory,
-            families,
-            sizes,
-            repetitions=repetitions,
-            base_seed=base_seed,
-            max_rounds=max_rounds,
-            validator=validator,
-            inputs_for=inputs_for,
-            extra_metrics=extra_metrics,
-            backend=backend,
-            precompiled=precompiled,
-        )
-
     # ------------------------------------------------------------------ #
     # Spec-driven execution                                               #
     # ------------------------------------------------------------------ #
@@ -642,83 +518,72 @@ class Simulation:
             return self._execute_spec(
                 spec, graph=graph, raise_on_timeout=raise_on_timeout
             )
-        from repro.api import store as _store
-
-        cached = _store.fetch(self.store, spec, graph=graph)
-        if cached is None:
-            cached = self._execute_spec(spec, graph=graph, raise_on_timeout=False)
-            _store.stash(self.store, spec, cached)
-        if raise_on_timeout and not cached.reached_output:
-            raise OutputNotReachedError(_store.timeout_message(spec), cached)
-        return cached
+        (result,) = self._run_stored_specs(
+            [spec], 1, explicit=False, raise_on_timeout=raise_on_timeout, graph=graph
+        )
+        return result
 
     def _execute_spec(
         self,
         spec: RunSpec,
         *,
         graph: Graph | None = None,
+        inputs: Mapping[int, Any] | None = None,
         raise_on_timeout: bool = True,
     ) -> ExecutionResult:
-        """Run *spec* through the engines unconditionally (no store lookup)."""
+        """Run *spec* through the engines unconditionally (no store lookup).
+
+        The one place a spec is mapped onto an engine primitive:
+        ``simulate()``, each repetition of a serial ``repeat()``, every
+        sweep cell (serial or in a pool worker) and every miss of a stored
+        batch run through here.  ``graph`` and ``inputs`` default to the
+        spec's own; callers that run many specs on one graph build them once
+        and pass them in.
+        """
         if graph is None:
             graph = spec.build_graph()
-        inputs = spec.build_inputs(graph)
-        key = spec.workload_key()
-        if spec.environment == "sync":
-            backend, compiled, table, reason = self._sync_bundle(
-                key, spec.build_protocol, spec.backend
-            )
-            result = _annotated_sync_run(
-                reason,
-                graph,
-                spec.build_protocol(),
-                seed=spec.seed,
-                inputs=inputs,
-                max_rounds=spec.max_rounds,
-                raise_on_timeout=raise_on_timeout,
-                backend=backend,
-                compiled=compiled,
-                table=table,
-                shards=spec.shards,
-            )
-            self._note_shards(result)
-            return result
-        if spec.environment == "dynamic":
-            backend, compiled, table, reason = self._sync_bundle(
-                key, spec.build_protocol, spec.backend
-            )
-            result = _annotated_sync_run(
-                reason,
-                graph,
-                spec.build_protocol(),
-                runner=_run_dynamic,
-                churn=spec.build_churn(),
-                seed=spec.seed,
-                churn_seed=spec.churn_seed,
-                inputs=inputs,
-                max_rounds=spec.max_rounds,
-                raise_on_timeout=raise_on_timeout,
-                backend=backend,
-                compiled=compiled,
-                table=table,
-                shards=spec.shards,
-            )
-            self._note_shards(result)
-            return result
-        compiled, table = self._async_bundle(key, spec.build_protocol, spec.backend)
-        result = _run_asynchronous(
-            graph,
-            compiled,
-            adversary=spec.build_adversary(),
+        if inputs is None:
+            inputs = spec.build_inputs(graph)
+        common = dict(
             seed=spec.seed,
-            adversary_seed=spec.adversary_seed,
             inputs=inputs,
-            max_events=spec.max_events,
             raise_on_timeout=raise_on_timeout,
-            backend=spec.backend,
-            table=table,
             shards=spec.shards,
         )
+        if spec.environment == "async":
+            compiled, table = self._async_bundle(
+                table_key(spec), spec.build_protocol, spec.backend
+            )
+            result = _run_asynchronous(
+                graph,
+                compiled,
+                adversary=spec.build_adversary(),
+                adversary_seed=spec.adversary_seed,
+                max_events=spec.max_events,
+                backend=spec.backend,
+                table=table,
+                **common,
+            )
+        else:
+            backend, compiled, table, reason = self._sync_bundle(
+                table_key(spec), spec.build_protocol, spec.backend
+            )
+            if spec.environment == "dynamic":
+                common.update(
+                    runner=_run_dynamic,
+                    churn=spec.build_churn(),
+                    churn_seed=spec.churn_seed,
+                )
+            result = _annotated_sync_run(
+                reason,
+                graph,
+                spec.build_protocol(),
+                max_rounds=spec.max_rounds,
+                backend=backend,
+                compiled=compiled,
+                table=table,
+                **common,
+            )
         self._note_shards(result)
         return result
 
@@ -733,40 +598,44 @@ class Simulation:
         """Execute *spec* ``repetitions`` times with derived seeds.
 
         The graph is built once from the spec; run ``i`` uses seed
-        ``spec.seed + i`` (:meth:`SeedPolicy.repetition_seed`), reproducing
-        the legacy ``repeat_synchronous`` seeds bit-for-bit in the
-        synchronous environment.  Compiled tables are shared across the
-        repetitions *and* with every other call on this session.
+        ``spec.seed + i`` (:meth:`SeedPolicy.repetition_seed`).  Compiled
+        tables are shared across the repetitions *and* with every other
+        call on this session.
 
         ``workers`` > 1 dispatches the repetitions to a process pool (see
         :mod:`repro.api.executor`): each worker rebuilds the workload from
         the spec's registries with its per-run seed fully derived up front,
         so the returned results are bitwise-identical to serial execution
         and arrive in repetition order.  ``None`` consults the
-        ``REPRO_WORKERS`` environment variable (default: serial).
+        ``REPRO_WORKERS`` environment variable (default: serial).  Serial
+        or pooled, every repetition is one derived spec
+        (:func:`~repro.api.executor.shard_repetition_specs`) run through
+        :meth:`_execute_spec`.
         """
         entry = spec.entry()
         if not entry.spec_runnable:
             raise SpecError(f"protocol {spec.protocol!r} is not spec-runnable")
         spec = _executor.resolve_spec_shards(spec)
+        specs = _executor.shard_repetition_specs(spec, repetitions)
+        count = _executor.budget_workers(
+            _executor.effective_workers(workers), spec.shards
+        )
         if self.store is not None:
             from repro.api import store as _store
 
             if _store.spec_cacheable(spec):
-                return self._repeat_stored(
-                    spec, repetitions, raise_on_timeout=raise_on_timeout, workers=workers
+                return self._run_stored_specs(
+                    specs,
+                    count,
+                    explicit=workers is not None,
+                    raise_on_timeout=raise_on_timeout,
+                    graph=spec.build_graph(),
                 )
             self.store.note_bypass()
-        count = _executor.budget_workers(
-            _executor.effective_workers(workers), spec.shards
-        )
         if count > 1 and repetitions > 1 and _executor.spec_shardable(spec):
-            shards = _executor.shard_repetition_specs(spec, repetitions)
             tasks = [
-                _executor.SpecTask(
-                    spec=shard.to_dict(), raise_on_timeout=raise_on_timeout
-                )
-                for shard in shards
+                _executor.SpecTask(spec=run.to_dict(), raise_on_timeout=raise_on_timeout)
+                for run in specs
             ]
             return _executor.execute_tasks(
                 tasks,
@@ -774,116 +643,57 @@ class Simulation:
                 session=self,
                 explicit_workers=workers is not None,
             )
+        # Serial (and every unseeded spec): one graph for all repetitions.
         graph = spec.build_graph()
         inputs = spec.build_inputs(graph)
-        base_seed = spec.seed if spec.seed is not None else 0
-        key = spec.workload_key()
-        if spec.environment == "sync":
-            *bundle, reason = self._sync_bundle(key, spec.build_protocol, spec.backend)
-            results = self.repeat_protocol(
-                graph,
-                spec.build_protocol,
-                repetitions=repetitions,
-                base_seed=base_seed,
-                inputs=inputs,
-                max_rounds=spec.max_rounds,
-                raise_on_timeout=raise_on_timeout,
-                backend=spec.backend,
-                precompiled=tuple(bundle),
-                shards=spec.shards,
+        return [
+            self._execute_spec(
+                run, graph=graph, inputs=inputs, raise_on_timeout=raise_on_timeout
             )
-            if reason is not None:
-                for result in results:
-                    result.metadata["backend_reason"] = reason
-            return results
-        if spec.environment == "dynamic":
-            policy = SeedPolicy(base_seed)
-            return [
-                self._execute_spec(
-                    spec.replace(seed=policy.repetition_seed(repetition)),
-                    graph=graph,
-                    raise_on_timeout=raise_on_timeout,
-                )
-                for repetition in range(repetitions)
-            ]
-        policy = SeedPolicy(base_seed)
-        compiled, table = self._async_bundle(key, spec.build_protocol, spec.backend)
-        results = []
-        for repetition in range(repetitions):
-            result = _run_asynchronous(
-                graph,
-                compiled,
-                adversary=spec.build_adversary(),
-                seed=policy.repetition_seed(repetition),
-                adversary_seed=spec.adversary_seed,
-                inputs=inputs,
-                max_events=spec.max_events,
-                raise_on_timeout=raise_on_timeout,
-                backend=spec.backend,
-                table=table,
-                shards=spec.shards,
-            )
-            self._note_shards(result)
-            results.append(result)
-        return results
+            for run in specs
+        ]
 
-    def _repeat_stored(
+    def _run_stored_specs(
         self,
-        spec: RunSpec,
-        repetitions: int,
+        specs: Sequence[RunSpec],
+        count: int,
         *,
+        explicit: bool,
         raise_on_timeout: bool,
-        workers: int | None,
+        graph: Graph | None = None,
     ) -> list[ExecutionResult]:
-        """``repeat()`` against the result store.
+        """Execute *specs* against the result store, in spec order.
 
-        Every repetition is a fully derived shard spec (the same derivation
-        pooled dispatch uses, bitwise-identical to serial execution), so
-        each shard is looked up independently: hits are rehydrated, misses
-        run — pooled when ``workers`` asks for it — and are persisted.  A
-        fully warm store answers the whole call with zero engine runs.
-        Unlike the storeless serial path, a timeout surfaces after all
-        repetitions executed (they are cached either way); the raised
-        error is the first non-terminating repetition's, as before.
+        Hits are rehydrated; misses run — pooled when ``count`` allows more
+        than one worker and more than one spec missed, on this session
+        otherwise — and are persisted.  Uncacheable specs are counted as
+        store bypasses and run like misses.  ``graph`` is the one graph
+        every spec of the batch runs on (``repeat()`` and
+        ``simulate(graph=...)`` pass it), else each spec builds its own.  Unlike a storeless serial run, a timeout
+        surfaces after every spec executed (they are cached either way);
+        the raised error is the first non-terminating result's, in spec
+        order.  ``simulate()``, ``repeat()`` and the pooled
+        :func:`~repro.api.executor.run_specs` share this batch.
         """
         from repro.api import store as _store
 
-        shards = _executor.shard_repetition_specs(spec, repetitions)
-        results: list[ExecutionResult | None] = [None] * repetitions
-        graph: Graph | None = None
-        missing: list[int] = []
-        for index, shard in enumerate(shards):
-            if graph is None:
-                graph = shard.build_graph()
-            results[index] = _store.fetch(self.store, shard, graph=graph)
-            if results[index] is None:
-                missing.append(index)
-        if missing:
-            count = _executor.budget_workers(
-                _executor.effective_workers(workers), spec.shards
+        results = [_store.fetch(self.store, spec, graph=graph) for spec in specs]
+        missing = [index for index, result in enumerate(results) if result is None]
+        if count > 1 and len(missing) > 1:
+            tasks = [_executor.SpecTask(spec=specs[index].to_dict()) for index in missing]
+            values = _executor.execute_tasks(
+                tasks, workers=count, session=self, explicit_workers=explicit
             )
-            miss_shards = [shards[index] for index in missing]
-            if count > 1 and len(missing) > 1:
-                tasks = [
-                    _executor.SpecTask(spec=shard.to_dict(), raise_on_timeout=False)
-                    for shard in miss_shards
-                ]
-                values = _executor.execute_tasks(
-                    tasks,
-                    workers=count,
-                    session=self,
-                    explicit_workers=workers is not None,
-                )
-            else:
-                values = [
-                    self._execute_spec(shard, graph=graph, raise_on_timeout=False)
-                    for shard in miss_shards
-                ]
-            for index, result in zip(missing, values):
-                results[index] = result
-                _store.stash(self.store, shards[index], result)
+        else:
+            values = [
+                self._execute_spec(specs[index], graph=graph, raise_on_timeout=False)
+                for index in missing
+            ]
+        for index, result in zip(missing, values):
+            results[index] = result
+            _store.stash(self.store, specs[index], result)
         if raise_on_timeout:
-            for result in results:
+            for spec, result in zip(specs, results):
                 if not result.reached_output:
                     raise OutputNotReachedError(_store.timeout_message(spec), result)
         return results
@@ -910,11 +720,10 @@ class Simulation:
         :class:`~repro.analysis.sweep.SweepResult`.
 
         Synchronous specs sweep ``families × sizes × repetitions`` with
-        per-cell seeds from :meth:`SeedPolicy.sweep_cell`, making the
-        records bitwise-identical to the legacy ``sweep_protocol`` harness
-        for the same family labels.  Asynchronous specs additionally sweep
-        the ``adversaries`` axis (registry names; default: the spec's own
-        adversary) with seeds from :meth:`SeedPolicy.async_sweep_cell` —
+        per-cell seeds from :meth:`SeedPolicy.sweep_cell`.  Asynchronous
+        specs additionally sweep the ``adversaries`` axis (registry names;
+        default: the spec's own adversary) with seeds from
+        :meth:`SeedPolicy.async_sweep_cell` —
         the graph seed of a cell ignores the adversary, so every adversary
         (and a synchronous sweep of the same base seed) runs on the
         identical graph, and ``record.cost`` is the normalised time units.
@@ -930,12 +739,14 @@ class Simulation:
         final churn snapshot and the per-disturbance re-convergence rounds
         ride in the record's run metadata.
 
-        ``workers`` > 1 dispatches the cells to a process pool in
-        deterministic cell order — records are bitwise-identical to serial
-        execution (see :mod:`repro.api.executor`); ``None`` consults
-        ``REPRO_WORKERS``.  Pooled dispatch requires picklable custom
-        factories/validators; the environment default falls back to serial
-        for in-process closures, an explicit ``workers=`` raises.
+        Every sweep is planned as one cell task per record and every cell
+        runs through :func:`run_sweep_cell`.  ``workers`` > 1 dispatches the
+        cells to a process pool in deterministic cell order — records are
+        bitwise-identical to serial execution (see
+        :mod:`repro.api.executor`); ``None`` consults ``REPRO_WORKERS``.
+        Pooled dispatch requires picklable custom factories/validators; the
+        environment default falls back to serial for in-process closures,
+        an explicit ``workers=`` raises.
         """
         from repro.api.registry import GRAPH_FAMILIES
 
@@ -975,31 +786,6 @@ class Simulation:
             use_store = _store.spec_cacheable(spec) and not custom_inputs
             if not use_store:
                 self.store.note_bypass()
-        if (
-            spec.environment == "sync"
-            and count <= 1
-            and not use_store
-            and spec.shards is None
-        ):
-            # The historical serial path: one shared warm table, records
-            # bitwise-identical to the legacy harness.  Sharded sweeps take
-            # the cell-task path instead — its cells forward ``shards=``.
-            bundle = self._sync_bundle(
-                spec.workload_key(), spec.build_protocol, spec.backend
-            )
-            return self.sweep_protocol_objects(
-                spec.build_protocol,
-                families,
-                sizes,
-                repetitions=repetitions,
-                base_seed=spec.seed if spec.seed is not None else 0,
-                max_rounds=spec.max_rounds,
-                validator=validator,
-                inputs_for=inputs_for,
-                extra_metrics=extra_metrics,
-                backend=spec.backend,
-                precompiled=tuple(bundle[:3]),
-            )
         tasks = self._plan_sweep_cells(
             spec,
             families=families,

@@ -56,7 +56,7 @@ class ShardingUnavailableError(ExecutionError):
     multi-worker execution out — a protocol whose tabulation hint demands a
     lazy (incrementally grown) table, or a platform without POSIX shared
     memory.  The backend selection in :func:`repro.scheduling.sync_engine.
-    run_synchronous` catches it and falls back to the *unsharded* vectorized
+    _run_synchronous` catches it and falls back to the *unsharded* vectorized
     engine, recording the reason in result metadata — results are identical
     either way, only the parallelism is lost.
     """

@@ -10,19 +10,17 @@ synchronous rounds      :class:`SynchronousEngine`  :class:`VectorizedEngine`
 adversarial timing      :class:`AsynchronousEngine` :class:`VectorizedAsynchronousEngine`
 ======================  ==========================  ============================
 
-Both :func:`run_synchronous` and :func:`run_asynchronous` take
-``backend="python" | "vectorized" | "auto"``; for any given seed every
+Both environments take ``backend="python" | "vectorized" | "auto"``
+(on a :class:`~repro.api.RunSpec` or
+:meth:`repro.api.Simulation.run_protocol`); for any given seed every
 backend of an environment produces identical results (terminating runs).
 ``auto`` resolves the ladder through
 :func:`repro.api.backends.negotiate_backend` and degrades loudly (the
 skipped tier and reason land in ``metadata["backend_reason"]``).
 
-The free-function entry points (``run_synchronous``, ``run_asynchronous``,
-``repeat_synchronous``) are deprecated shims since the introduction of the
-:class:`repro.api.Simulation` facade — they delegate to it and emit
-``DeprecationWarning``; results are unchanged.  New code should construct a
-session and go through ``simulate()`` / ``repeat()`` / ``sweep()`` (or the
-``*_protocol`` object-level variants).
+Runs go through a :class:`repro.api.Simulation` session: ``simulate()`` /
+``repeat()`` / ``sweep()`` for registry-described workloads and
+``run_protocol()`` for an already-constructed graph and protocol.
 """
 
 from repro.scheduling.adversary import (
@@ -38,10 +36,7 @@ from repro.scheduling.adversary import (
     default_adversary_suite,
     derive_adversary_seed,
 )
-from repro.scheduling.async_engine import (
-    AsynchronousEngine,
-    run_asynchronous,
-)
+from repro.scheduling.async_engine import AsynchronousEngine
 from repro.scheduling.compiled import (
     CompiledProtocol,
     LazyExtendedTable,
@@ -52,8 +47,6 @@ from repro.scheduling.sync_engine import (
     BackendSelection,
     SynchronousEngine,
     precompile_tables,
-    repeat_synchronous,
-    run_synchronous,
     select_backend,
 )
 from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
@@ -81,8 +74,5 @@ __all__ = [
     "default_adversary_suite",
     "derive_adversary_seed",
     "precompile_tables",
-    "repeat_synchronous",
-    "run_asynchronous",
-    "run_synchronous",
     "select_backend",
 ]

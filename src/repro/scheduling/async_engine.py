@@ -290,8 +290,8 @@ def _run_asynchronous(
     """Build the selected asynchronous engine and run it (internal primitive).
 
     This is the execution primitive behind the :class:`repro.api.Simulation`
-    facade (and the deprecated :func:`run_asynchronous` shim); library code
-    calls it directly to avoid the deprecation warning.
+    facade: :meth:`~repro.api.Simulation.run_protocol` and every spec-driven
+    asynchronous run reach the asynchronous engines through it.
 
     ``backend`` selects the execution strategy — ``"python"`` (the
     interpreted reference engine), ``"vectorized"`` (time-bucketed event
@@ -431,44 +431,3 @@ def _run_asynchronous(
         annotation = one_process
         reason = f"auto fell back to the interpreter{dropped}: {exc}"
         return execute(AsynchronousEngine(graph, protocol, observer=observer, **common))
-
-
-def run_asynchronous(
-    graph: Graph,
-    protocol: Protocol,
-    *,
-    adversary: AdversaryPolicy | None = None,
-    seed: int | None = None,
-    adversary_seed: int | None = None,
-    inputs: Mapping[int, Any] | None = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-    raise_on_timeout: bool = True,
-    observer: TransitionObserver | None = None,
-    backend: str = "python",
-    table=None,
-) -> ExecutionResult:
-    """Deprecated shim: delegate to :meth:`repro.api.Simulation.run_protocol`.
-
-    Results are identical to earlier releases for every seed pair; only the
-    entry point moved.  Prefer a :class:`repro.api.Simulation` session — it
-    owns backend selection and keeps compiled tables warm across runs.
-    """
-    from repro.scheduling.sync_engine import _deprecated
-
-    _deprecated("run_asynchronous()", "repro.api.Simulation.simulate()/run_protocol()")
-    from repro.api.session import Simulation
-
-    return Simulation().run_protocol(
-        graph,
-        protocol,
-        environment="async",
-        adversary=adversary,
-        seed=seed,
-        adversary_seed=adversary_seed,
-        inputs=inputs,
-        max_events=max_events,
-        raise_on_timeout=raise_on_timeout,
-        observer=observer,
-        backend=backend,
-        table=table,
-    )

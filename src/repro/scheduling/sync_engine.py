@@ -16,7 +16,6 @@ validate Theorem 3.1.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -233,7 +232,7 @@ class BackendSelection:
     """Why a synchronous execution ran on the backend it ran on.
 
     Returned by :func:`select_backend` and recorded by
-    :func:`run_synchronous` in ``ExecutionResult.metadata`` (keys
+    :func:`_run_synchronous` in ``ExecutionResult.metadata`` (keys
     ``"backend"``, ``"backend_mode"`` and ``"backend_reason"``) so that an
     ``"auto"`` fallback to the interpreter is never silent.
 
@@ -421,7 +420,7 @@ def select_backend(
 ) -> BackendSelection:
     """Explain — without running anything — how *backend* would resolve.
 
-    Builds the same engine :func:`run_synchronous` would build (compile
+    Builds the same engine :func:`_run_synchronous` would build (compile
     steps included, so the answer is authoritative, not a guess) and returns
     its :class:`BackendSelection`.  Pass the run's ``inputs`` when the
     protocol derives initial states from per-node input values — the compile
@@ -452,7 +451,7 @@ def precompile_tables(
     """Build the table(s) one compile step can share across many runs.
 
     Returns ``(effective_backend, compiled_or_None, table_or_None)`` ready
-    to forward to :func:`run_synchronous` — an eager
+    to forward to :func:`_run_synchronous` — an eager
     :class:`~repro.scheduling.compiled.CompiledProtocol` for protocols that
     enumerate, a (cold) :class:`~repro.scheduling.compiled.
     LazyExtendedTable` for protocols hinting a lazy tabulation (its cells
@@ -528,8 +527,8 @@ def _run_synchronous(
     """Build the selected engine and run it (internal primitive).
 
     This is the execution primitive behind the :class:`repro.api.Simulation`
-    facade (and the deprecated :func:`run_synchronous` shim); library code
-    calls it directly to avoid the deprecation warning.
+    facade: :meth:`~repro.api.Simulation.run_protocol` and every spec-driven
+    run reach the synchronous engines through it.
 
     ``backend`` selects the execution strategy — ``"python"`` (the
     interpreted reference engine), ``"vectorized"`` (dense NumPy tables,
@@ -584,82 +583,3 @@ def _run_synchronous(
             close()
     result.metadata.update(annotation)
     return result
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/API.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_synchronous(
-    graph: Graph,
-    protocol: ExtendedProtocol | Protocol,
-    *,
-    seed: int | None = None,
-    inputs: Mapping[int, Any] | None = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    observer: RoundObserver | None = None,
-    raise_on_timeout: bool = True,
-    backend: str = "python",
-    compiled=None,
-    table=None,
-    shards: int | None = None,
-) -> ExecutionResult:
-    """Deprecated shim: delegate to :meth:`repro.api.Simulation.run_protocol`.
-
-    Results are identical to earlier releases for every seed; only the entry
-    point moved.  Prefer a :class:`repro.api.Simulation` session — it owns
-    backend selection and keeps compiled tables warm across runs.
-    """
-    _deprecated("run_synchronous()", "repro.api.Simulation.simulate()/run_protocol()")
-    from repro.api.session import Simulation
-
-    return Simulation().run_protocol(
-        graph,
-        protocol,
-        environment="sync",
-        seed=seed,
-        inputs=inputs,
-        max_rounds=max_rounds,
-        observer=observer,
-        raise_on_timeout=raise_on_timeout,
-        backend=backend,
-        compiled=compiled,
-        table=table,
-        shards=shards,
-    )
-
-
-def repeat_synchronous(
-    graph: Graph,
-    protocol_factory: Callable[[], ExtendedProtocol | Protocol],
-    *,
-    repetitions: int,
-    base_seed: int = 0,
-    inputs: Mapping[int, Any] | None = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    raise_on_timeout: bool = True,
-    backend: str = "python",
-) -> Sequence[ExecutionResult]:
-    """Deprecated shim: delegate to :meth:`repro.api.Simulation.repeat_protocol`.
-
-    Seeds are derived exactly as before (``base_seed + repetition``, now via
-    :class:`repro.api.SeedPolicy`) and the compile step is still paid once,
-    so the returned results are bitwise-identical to earlier releases.
-    """
-    _deprecated("repeat_synchronous()", "repro.api.Simulation.repeat()/repeat_protocol()")
-    from repro.api.session import Simulation
-
-    return Simulation().repeat_protocol(
-        graph,
-        protocol_factory,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        inputs=inputs,
-        max_rounds=max_rounds,
-        raise_on_timeout=raise_on_timeout,
-        backend=backend,
-    )

@@ -55,7 +55,7 @@ The compile step comes in two flavours, selected by the protocol's
 Protocols whose state set cannot be enumerated within the configured limits
 raise :class:`~repro.core.errors.ProtocolNotVectorizableError`; the
 ``backend="auto"`` selection in :func:`repro.scheduling.sync_engine.
-run_synchronous` catches it and falls back to the interpreted engine
+_run_synchronous` catches it and falls back to the interpreted engine
 (reporting the reason through ``ExecutionResult.metadata``).
 """
 

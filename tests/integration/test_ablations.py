@@ -6,9 +6,9 @@ from repro.analysis.experiments import (
     experiment_adversary_severity,
     experiment_coin_bias_ablation,
 )
+from repro.api import Simulation
 from repro.graphs import cycle_graph, gnp_random_graph
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import is_maximal_independent_set
 
 
@@ -17,7 +17,7 @@ class TestBiasedCoinProtocol:
     def test_any_bias_still_produces_a_correct_mis(self, climb, decide):
         graph = gnp_random_graph(40, 0.12, seed=climb * 10 + decide)
         protocol = MISProtocol(climb_weight=climb, decide_weight=decide)
-        result = run_synchronous(graph, protocol, seed=3)
+        result = Simulation().run_protocol(graph, protocol, seed=3, backend="python")
         assert is_maximal_independent_set(graph, mis_from_result(result))
 
     def test_bias_is_reflected_in_the_protocol_name(self):
@@ -44,9 +44,13 @@ class TestBiasedCoinProtocol:
         fair_rounds = []
         climber_rounds = []
         for seed in range(3):
-            fair_rounds.append(run_synchronous(graph, MISProtocol(), seed=seed).rounds)
+            fair_rounds.append(Simulation().run_protocol(
+                graph, MISProtocol(), seed=seed, backend="python"
+            ).rounds)
             climber_rounds.append(
-                run_synchronous(graph, MISProtocol(climb_weight=7, decide_weight=1), seed=seed).rounds
+                Simulation().run_protocol(
+                    graph, MISProtocol(climb_weight=7, decide_weight=1), seed=seed, backend="python"
+                ).rounds
             )
         assert sum(climber_rounds) > sum(fair_rounds)
 

@@ -1,14 +1,13 @@
-"""Acceptance parity matrix: RunSpec executions replay the legacy call paths.
+"""Acceptance parity matrix: RunSpec executions replay the object-level path.
 
 A :class:`~repro.api.RunSpec` built from a plain dictionary must reproduce,
-seed for seed, the same :class:`ExecutionResult` the historical free
-functions produced — across all four engines: {sync, async} × {python,
-vectorized} — for multiple registered protocols.  This is what makes the
-facade a safe drop-in for every recorded experiment and the serialized spec
-a trustworthy unit of distributed work.
+seed for seed, the same :class:`ExecutionResult` a hand-built graph and
+protocol produce through :meth:`~repro.api.Simulation.run_protocol` — across
+all four engines: {sync, async} × {python, vectorized} — for multiple
+registered protocols.  This is what makes the facade a safe drop-in for
+every recorded experiment and the serialized spec a trustworthy unit of
+distributed work.
 """
-
-import warnings
 
 import pytest
 
@@ -19,8 +18,6 @@ from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.adversary import UniformRandomAdversary
-from repro.scheduling.async_engine import run_asynchronous
-from repro.scheduling.sync_engine import run_synchronous
 
 pytest.importorskip("numpy")
 
@@ -32,12 +29,6 @@ PROTOCOL_CASES = [
 ]
 
 BACKENDS = ["python", "vectorized"]
-
-
-def _legacy(callable_, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return callable_(*args, **kwargs)
 
 
 class TestSynchronousParity:
@@ -62,8 +53,7 @@ class TestSynchronousParity:
         )
         facade = Simulation().simulate(spec)
         graph = GRAPH_FAMILIES.get(family)(24, 13)
-        legacy = _legacy(
-            run_synchronous,
+        legacy = Simulation().run_protocol(
             graph,
             protocol_cls(),
             seed=13,
@@ -99,10 +89,10 @@ class TestAsynchronousParity:
         )
         facade = Simulation().simulate(spec)
         graph = GRAPH_FAMILIES.get(family)(12, 21)
-        legacy = _legacy(
-            run_asynchronous,
+        legacy = Simulation().run_protocol(
             graph,
             compile_to_asynchronous(protocol_cls()),
+            environment="async",
             seed=21,
             adversary=UniformRandomAdversary(),
             adversary_seed=77,

@@ -17,13 +17,13 @@ per protocol is shared across the whole matrix, as real sweeps do.
 
 import pytest
 
+from repro.api import Simulation
 from repro.compilers import compile_to_asynchronous
 from repro.graphs import generators
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.adversary import default_adversary_suite
-from repro.scheduling.async_engine import run_asynchronous
 from repro.scheduling.compiled import LazyStrictTable
 
 SEEDS = (0, 1, 2)
@@ -65,9 +65,10 @@ def _run_both(protocol, table, graph, adversary, seed, inputs=None, max_events=2
     results = []
     for backend in ("python", "vectorized"):
         results.append(
-            run_asynchronous(
+            Simulation().run_protocol(
                 graph,
                 protocol,
+                environment="async",
                 adversary=adversary,
                 seed=seed,
                 adversary_seed=seed + 17,

@@ -12,12 +12,12 @@ scaling experiments.
 
 import pytest
 
+from repro.api import Simulation
 from repro.compilers import compile_to_asynchronous, lower_to_single_query
 from repro.graphs import generators
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol, coloring_from_result
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import (
     is_maximal_independent_set,
     is_proper_coloring,
@@ -47,7 +47,7 @@ def _run_both(graph, protocol_factory, seed, inputs=None, max_rounds=100_000):
     results = []
     for backend in ("python", "vectorized"):
         results.append(
-            run_synchronous(
+            Simulation().run_protocol(
                 graph,
                 protocol_factory(),
                 seed=seed,
@@ -171,7 +171,7 @@ def test_compiled_protocols_vectorize_under_auto():
     """backend='auto' no longer interprets compiled protocols silently: the
     selection metadata reports the lazy vectorized path and the reason."""
     graph = generators.path_graph(16)
-    result = run_synchronous(
+    result = Simulation().run_protocol(
         graph,
         compile_to_asynchronous(BroadcastProtocol()),
         seed=3,
@@ -189,10 +189,10 @@ def test_auto_backend_matches_python_on_the_full_matrix():
     """One sweep-shaped pass with backend='auto' against the interpreter."""
     for family in sorted(GRAPHS):
         graph = GRAPHS[family](5)
-        auto = run_synchronous(
+        auto = Simulation().run_protocol(
             graph, MISProtocol(), seed=5, backend="auto", raise_on_timeout=False
         )
-        python = run_synchronous(
+        python = Simulation().run_protocol(
             graph, MISProtocol(), seed=5, backend="python", raise_on_timeout=False
         )
         assert auto.summary_fields() == python.summary_fields()

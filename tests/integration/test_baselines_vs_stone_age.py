@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import Simulation
 from repro.baselines.beeping import sop_selection_mis
 from repro.baselines.centralized import greedy_mis, two_color_tree
 from repro.baselines.cole_vishkin import cole_vishkin_3_coloring
@@ -12,7 +13,6 @@ from repro.graphs import gnp_random_graph, random_tree
 from repro.protocols.coloring import TreeColoringProtocol, coloring_from_result
 from repro.protocols.matching import maximal_matching_via_line_graph
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import (
     colors_used,
     is_maximal_independent_set,
@@ -25,7 +25,9 @@ class TestMISAcrossModels:
     @pytest.mark.parametrize("seed", range(3))
     def test_all_three_models_produce_valid_results(self, seed):
         graph = gnp_random_graph(80, 0.06, seed=seed)
-        stone = mis_from_result(run_synchronous(graph, MISProtocol(), seed=seed))
+        stone = mis_from_result(Simulation().run_protocol(
+            graph, MISProtocol(), seed=seed, backend="python"
+        ))
         luby_set, _ = luby_mis(graph, seed=seed)
         beep_set, _ = sop_selection_mis(graph, seed=seed)
         for candidate in (stone, luby_set, beep_set):
@@ -33,7 +35,7 @@ class TestMISAcrossModels:
 
     def test_luby_needs_fewer_rounds_but_bigger_messages(self):
         graph = gnp_random_graph(200, 0.03, seed=7)
-        stone = run_synchronous(graph, MISProtocol(), seed=7)
+        stone = Simulation().run_protocol(graph, MISProtocol(), seed=7, backend="python")
         _, luby_result = luby_mis(graph, seed=7)
         assert luby_result.rounds <= stone.rounds
         nfsm_letter_bits = math.ceil(math.log2(len(MISProtocol().alphabet)))
@@ -42,7 +44,9 @@ class TestMISAcrossModels:
 
     def test_stone_age_mis_size_is_comparable_to_greedy(self):
         graph = gnp_random_graph(120, 0.05, seed=9)
-        stone = mis_from_result(run_synchronous(graph, MISProtocol(), seed=9))
+        stone = mis_from_result(Simulation().run_protocol(
+            graph, MISProtocol(), seed=9, backend="python"
+        ))
         greedy = greedy_mis(graph)
         assert len(stone) >= 0.5 * len(greedy)
 
@@ -52,7 +56,9 @@ class TestColoringAcrossModels:
     def test_stone_age_and_cole_vishkin_both_3_color(self, seed):
         tree = random_tree(150, seed=seed)
         stone = coloring_from_result(
-            run_synchronous(tree, TreeColoringProtocol(), seed=seed, max_rounds=20_000)
+            Simulation().run_protocol(
+                tree, TreeColoringProtocol(), seed=seed, max_rounds=20_000, backend="python"
+            )
         )
         baseline = cole_vishkin_3_coloring(tree)
         assert is_proper_coloring(tree, stone) and colors_used(stone) <= 3
@@ -60,7 +66,9 @@ class TestColoringAcrossModels:
 
     def test_cole_vishkin_is_much_faster_but_needs_identifiers(self):
         tree = random_tree(500, seed=4)
-        stone = run_synchronous(tree, TreeColoringProtocol(), seed=4, max_rounds=20_000)
+        stone = Simulation().run_protocol(
+            tree, TreeColoringProtocol(), seed=4, max_rounds=20_000, backend="python"
+        )
         baseline = cole_vishkin_3_coloring(tree)
         assert baseline.rounds < stone.rounds
 
@@ -69,7 +77,9 @@ class TestColoringAcrossModels:
         sequential = two_color_tree(tree)
         assert colors_used(sequential) <= 2
         stone = coloring_from_result(
-            run_synchronous(tree, TreeColoringProtocol(), seed=5, max_rounds=20_000)
+            Simulation().run_protocol(
+                tree, TreeColoringProtocol(), seed=5, max_rounds=20_000, backend="python"
+            )
         )
         assert colors_used(stone) <= 3
 

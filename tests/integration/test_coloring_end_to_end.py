@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import Simulation
 from repro.graphs import (
     Graph,
     binary_tree,
@@ -14,7 +15,6 @@ from repro.graphs import (
     star_graph,
 )
 from repro.protocols.coloring import TreeColoringProtocol, coloring_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import assert_proper_coloring
 
 TREE_ZOO = [
@@ -35,24 +35,32 @@ class TestCorrectness:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_produces_a_proper_3_coloring(self, name, builder, seed):
         tree = builder()
-        result = run_synchronous(tree, TreeColoringProtocol(), seed=seed, max_rounds=20_000)
+        result = Simulation().run_protocol(
+            tree, TreeColoringProtocol(), seed=seed, max_rounds=20_000, backend="python"
+        )
         assert result.reached_output
         assert_proper_coloring(tree, coloring_from_result(result), max_colors=3)
 
     def test_forest_input_colors_every_component(self):
         forest = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
-        result = run_synchronous(forest, TreeColoringProtocol(), seed=2, max_rounds=20_000)
+        result = Simulation().run_protocol(
+            forest, TreeColoringProtocol(), seed=2, max_rounds=20_000, backend="python"
+        )
         assert_proper_coloring(forest, coloring_from_result(result), max_colors=3)
 
     def test_isolated_nodes_color_themselves(self):
-        result = run_synchronous(empty_graph(5), TreeColoringProtocol(), seed=3)
+        result = Simulation().run_protocol(
+            empty_graph(5), TreeColoringProtocol(), seed=3, backend="python"
+        )
         colors = coloring_from_result(result)
         assert set(colors) == set(range(5))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_trees_many_seeds(self, seed):
         tree = random_tree(150, seed=100 + seed)
-        result = run_synchronous(tree, TreeColoringProtocol(), seed=seed, max_rounds=20_000)
+        result = Simulation().run_protocol(
+            tree, TreeColoringProtocol(), seed=seed, max_rounds=20_000, backend="python"
+        )
         assert_proper_coloring(tree, coloring_from_result(result), max_colors=3)
 
 
@@ -62,11 +70,12 @@ class TestScalingShape:
         rounds = []
         for size in sizes:
             per_seed = [
-                run_synchronous(
+                Simulation().run_protocol(
                     random_tree(size, seed=size + seed),
                     TreeColoringProtocol(),
                     seed=seed,
                     max_rounds=20_000,
+                    backend="python",
                 ).rounds
                 for seed in range(2)
             ]
@@ -75,9 +84,13 @@ class TestScalingShape:
         assert rounds[-1] <= 20 * math.log2(sizes[-1])
 
     def test_star_is_colored_in_constantly_many_phases(self):
-        result = run_synchronous(star_graph(500), TreeColoringProtocol(), seed=1, max_rounds=20_000)
+        result = Simulation().run_protocol(
+            star_graph(500), TreeColoringProtocol(), seed=1, max_rounds=20_000, backend="python"
+        )
         assert result.rounds <= 40
 
     def test_path_coloring_is_fast(self):
-        result = run_synchronous(path_graph(800), TreeColoringProtocol(), seed=2, max_rounds=20_000)
+        result = Simulation().run_protocol(
+            path_graph(800), TreeColoringProtocol(), seed=2, max_rounds=20_000, backend="python"
+        )
         assert result.rounds <= 200

@@ -9,14 +9,13 @@ every adversary policy in the library's suite.
 
 import pytest
 
+from repro.api import Simulation
 from repro.compilers import compile_to_asynchronous, lower_to_single_query
 from repro.graphs import cycle_graph, gnp_random_graph, path_graph, random_tree, star_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol, coloring_from_result
 from repro.protocols.mis import MISProtocol, mis_from_result
 from repro.scheduling.adversary import default_adversary_suite
-from repro.scheduling.async_engine import run_asynchronous
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import (
     assert_maximal_independent_set,
     assert_proper_coloring,
@@ -30,13 +29,15 @@ class TestSynchronizedBroadcast:
     def test_broadcast_informs_everyone(self, adversary):
         graph = path_graph(7)
         compiled = compile_to_asynchronous(BroadcastProtocol())
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             graph,
             compiled,
+            environment="async",
             inputs=broadcast_inputs(3),
             seed=1,
             adversary=adversary,
             adversary_seed=2,
+            backend="python",
         )
         assert result.reached_output
         assert all(result.outputs[node] for node in graph.nodes)
@@ -52,13 +53,15 @@ class TestSynchronizedMIS:
     def test_compiled_mis_is_correct_under_every_adversary(self, adversary, graph_builder):
         graph = graph_builder()
         compiled = compile_to_asynchronous(MISProtocol())
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             graph,
             compiled,
+            environment="async",
             seed=11,
             adversary=adversary,
             adversary_seed=13,
             max_events=4_000_000,
+            backend="python",
         )
         assert result.reached_output
         assert_maximal_independent_set(graph, mis_from_result(result))
@@ -69,9 +72,9 @@ class TestSynchronizedMIS:
         compiled = compile_to_asynchronous(MISProtocol())
         outputs = set()
         for index, adversary in enumerate(ADVERSARIES):
-            result = run_asynchronous(
-                graph, compiled, seed=21, adversary=adversary, adversary_seed=index,
-                max_events=4_000_000,
+            result = Simulation().run_protocol(
+                graph, compiled, environment="async", seed=21, adversary=adversary,
+                adversary_seed=index, max_events=4_000_000, backend="python",
             )
             winners = frozenset(mis_from_result(result))
             assert_maximal_independent_set(graph, winners)
@@ -84,13 +87,15 @@ class TestSynchronizedColoring:
     def test_compiled_coloring_on_a_small_tree(self, adversary):
         tree = random_tree(7, seed=9)
         compiled = compile_to_asynchronous(TreeColoringProtocol())
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             tree,
             compiled,
+            environment="async",
             seed=5,
             adversary=adversary,
             adversary_seed=6,
             max_events=6_000_000,
+            backend="python",
         )
         assert result.reached_output
         assert_proper_coloring(tree, coloring_from_result(result), max_colors=3)
@@ -102,9 +107,9 @@ class TestLoweringPlusSynchronizer:
         graph = cycle_graph(6)
         lowered = lower_to_single_query(MISProtocol())
         compiled = compile_to_asynchronous(lowered)
-        result = run_asynchronous(
-            graph, compiled, seed=3, adversary=ADVERSARIES[1], adversary_seed=4,
-            max_events=8_000_000,
+        result = Simulation().run_protocol(
+            graph, compiled, environment="async", seed=3, adversary=ADVERSARIES[1],
+            adversary_seed=4, max_events=8_000_000, backend="python",
         )
         assert result.reached_output
         assert_maximal_independent_set(graph, mis_from_result(result))
@@ -116,10 +121,12 @@ class TestOverheadShape:
         ratios = []
         for size in (6, 12, 24):
             graph = path_graph(size)
-            base = run_synchronous(graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1)
-            asynchronous = run_asynchronous(
-                graph, compiled, inputs=broadcast_inputs(0), seed=1,
-                adversary=ADVERSARIES[0], adversary_seed=2,
+            base = Simulation().run_protocol(
+                graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1, backend="python"
+            )
+            asynchronous = Simulation().run_protocol(
+                graph, compiled, environment="async", inputs=broadcast_inputs(0), seed=1,
+                adversary=ADVERSARIES[0], adversary_seed=2, backend="python",
             )
             ratios.append(asynchronous.time_units / base.rounds)
         # Constant multiplicative overhead: the ratio stays flat as n doubles.

@@ -82,6 +82,19 @@ def test_pooled_sweep_matches_serial_bitwise(environment, backend, protocol):
         assert pooled.protocol_name == serial.protocol_name
 
 
+def test_sweep_builds_graph_params_on_every_path(tmp_path):
+    """Serial, pooled and stored cells all build the spec's parametrised graph."""
+    spec = RunSpec(
+        protocol="mis", graph="random_geometric", graph_params={"radius": 0.6}, seed=3
+    )
+    kwargs = dict(sizes=[12, 16], repetitions=2)
+    serial = Simulation().sweep(spec, workers=1, **kwargs)
+    pooled = Simulation().sweep(spec, workers=2, **kwargs)
+    stored = Simulation(store=tmp_path).sweep(spec, workers=1, **kwargs)
+    assert pooled.records == serial.records
+    assert stored.records == serial.records
+
+
 class TestAsyncSweepSchema:
     """The asynchronous sweep axis introduced alongside the executor."""
 

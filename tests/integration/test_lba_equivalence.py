@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import Simulation
 from repro.automata.languages import SAMPLE_LANGUAGES
 from repro.automata.lba_to_nfsm import LBAPathProtocol, decide_word_on_path, path_network_for_word
 from repro.automata.nfsm_to_lba import simulate_with_linear_space
@@ -11,8 +12,6 @@ from repro.compilers import compile_to_asynchronous
 from repro.graphs import gnp_random_graph
 from repro.protocols.mis import MISProtocol, mis_from_result
 from repro.scheduling.adversary import SkewedRatesAdversary
-from repro.scheduling.async_engine import run_asynchronous
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import is_maximal_independent_set
 
 
@@ -44,10 +43,10 @@ class TestLemma62PathSimulation:
         protocol = LBAPathProtocol(machine)
         graph, inputs = path_network_for_word(word)
         compiled = compile_to_asynchronous(protocol)
-        result = run_asynchronous(
-            graph, compiled, inputs=inputs, seed=2,
+        result = Simulation().run_protocol(
+            graph, compiled, environment="async", inputs=inputs, seed=2,
             adversary=SkewedRatesAdversary(), adversary_seed=3,
-            max_events=6_000_000,
+            max_events=6_000_000, backend="python",
         )
         assert result.reached_output
         verdicts = set(result.outputs.values())
@@ -58,7 +57,7 @@ class TestLemma61LinearSpaceSimulation:
     @pytest.mark.parametrize("seed", range(3))
     def test_linear_space_simulation_reproduces_the_engine(self, seed):
         graph = gnp_random_graph(40, 0.1, seed=seed)
-        engine_result = run_synchronous(graph, MISProtocol(), seed=seed)
+        engine_result = Simulation().run_protocol(graph, MISProtocol(), seed=seed, backend="python")
         tape_result = simulate_with_linear_space(graph, MISProtocol(), seed=seed)
         assert tape_result.final_states == engine_result.final_states
         assert is_maximal_independent_set(graph, mis_from_result(tape_result))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import Simulation
 from repro.graphs import (
     binary_tree,
     complete_bipartite_graph,
@@ -18,7 +19,6 @@ from repro.graphs import (
     star_graph,
 )
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import assert_maximal_independent_set
 
 
@@ -44,28 +44,30 @@ class TestCorrectness:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_always_produces_a_maximal_independent_set(self, name, builder, seed):
         graph = builder()
-        result = run_synchronous(graph, MISProtocol(), seed=seed)
+        result = Simulation().run_protocol(graph, MISProtocol(), seed=seed, backend="python")
         assert result.reached_output
         assert_maximal_independent_set(graph, mis_from_result(result))
 
     def test_isolated_nodes_always_win(self):
         graph = empty_graph(7)
-        result = run_synchronous(graph, MISProtocol(), seed=3)
+        result = Simulation().run_protocol(graph, MISProtocol(), seed=3, backend="python")
         assert mis_from_result(result) == set(graph.nodes)
 
     def test_clique_has_exactly_one_winner(self):
-        result = run_synchronous(complete_graph(15), MISProtocol(), seed=5)
+        result = Simulation().run_protocol(
+            complete_graph(15), MISProtocol(), seed=5, backend="python"
+        )
         assert len(mis_from_result(result)) == 1
 
     def test_star_center_or_all_leaves(self):
         graph = star_graph(20)
-        result = run_synchronous(graph, MISProtocol(), seed=7)
+        result = Simulation().run_protocol(graph, MISProtocol(), seed=7, backend="python")
         winners = mis_from_result(result)
         assert winners == {0} or winners == set(range(1, 21))
 
     def test_complete_bipartite_selects_one_side(self):
         graph = complete_bipartite_graph(6, 9)
-        result = run_synchronous(graph, MISProtocol(), seed=9)
+        result = Simulation().run_protocol(graph, MISProtocol(), seed=9, backend="python")
         winners = mis_from_result(result)
         assert winners == set(range(6)) or winners == set(range(6, 15))
 
@@ -78,7 +80,7 @@ class TestScalingShape:
         for size in sizes:
             graph = gnp_random_graph(size, 4.0 / size, seed=size)
             per_seed = [
-                run_synchronous(graph, MISProtocol(), seed=seed).rounds
+                Simulation().run_protocol(graph, MISProtocol(), seed=seed, backend="python").rounds
                 for seed in range(3)
             ]
             rounds.append(sum(per_seed) / len(per_seed))
@@ -88,5 +90,7 @@ class TestScalingShape:
         assert rounds[-1] <= 6 * math.log2(sizes[-1]) ** 2
 
     def test_runs_are_fast_even_on_a_long_cycle(self):
-        result = run_synchronous(cycle_graph(1000), MISProtocol(), seed=11)
+        result = Simulation().run_protocol(
+            cycle_graph(1000), MISProtocol(), seed=11, backend="python"
+        )
         assert result.rounds <= 150

@@ -3,6 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Simulation
 from repro.automata.languages import (
     balanced_parentheses_lba,
     balanced_parentheses_reference,
@@ -15,7 +16,6 @@ from repro.automata.lba_to_nfsm import decide_word_on_path
 from repro.automata.nfsm_to_lba import simulate_with_linear_space
 from repro.graphs.graph import Graph
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.sync_engine import run_synchronous
 
 SLOW = settings(
     max_examples=30,
@@ -68,7 +68,9 @@ class TestLinearSpaceSimulation:
     @SLOW
     def test_tape_simulation_is_bit_identical_to_the_engine(self, graph, seed):
         """Lemma 6.1: the linear-space simulation reproduces the execution."""
-        engine_result = run_synchronous(graph, MISProtocol(), seed=seed, max_rounds=50_000)
+        engine_result = Simulation().run_protocol(
+            graph, MISProtocol(), seed=seed, max_rounds=50_000, backend="python"
+        )
         tape_result = simulate_with_linear_space(graph, MISProtocol(), seed=seed, max_rounds=50_000)
         assert tape_result.final_states == engine_result.final_states
         assert tape_result.rounds == engine_result.rounds

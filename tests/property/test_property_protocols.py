@@ -8,12 +8,12 @@ seeds, and the invariants of Sections 4 and 5 must hold on every single run.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Simulation
 from repro.graphs.generators import tree_from_pruefer
 from repro.graphs.graph import Graph
 from repro.protocols.coloring import TreeColoringProtocol, coloring_from_result
 from repro.protocols.matching import maximal_matching_via_line_graph
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import (
     is_maximal_independent_set,
     is_maximal_matching,
@@ -64,14 +64,18 @@ class TestMISInvariants:
     @given(graph=random_graphs(), seed=st.integers(0, 10_000))
     @SLOW
     def test_output_is_always_a_maximal_independent_set(self, graph, seed):
-        result = run_synchronous(graph, MISProtocol(), seed=seed, max_rounds=50_000)
+        result = Simulation().run_protocol(
+            graph, MISProtocol(), seed=seed, max_rounds=50_000, backend="python"
+        )
         assert result.reached_output
         assert is_maximal_independent_set(graph, mis_from_result(result))
 
     @given(graph=random_graphs(), seed=st.integers(0, 10_000))
     @SLOW
     def test_every_node_produces_a_boolean_output(self, graph, seed):
-        result = run_synchronous(graph, MISProtocol(), seed=seed, max_rounds=50_000)
+        result = Simulation().run_protocol(
+            graph, MISProtocol(), seed=seed, max_rounds=50_000, backend="python"
+        )
         assert set(result.outputs) == set(graph.nodes)
         assert all(isinstance(value, bool) for value in result.outputs.values())
 
@@ -80,7 +84,9 @@ class TestColoringInvariants:
     @given(tree=random_trees(), seed=st.integers(0, 10_000))
     @SLOW
     def test_trees_get_a_proper_3_coloring(self, tree, seed):
-        result = run_synchronous(tree, TreeColoringProtocol(), seed=seed, max_rounds=50_000)
+        result = Simulation().run_protocol(
+            tree, TreeColoringProtocol(), seed=seed, max_rounds=50_000, backend="python"
+        )
         assert result.reached_output
         colors = coloring_from_result(result)
         assert is_proper_coloring(tree, colors)
@@ -89,7 +95,9 @@ class TestColoringInvariants:
     @given(forest=random_forests(), seed=st.integers(0, 10_000))
     @SLOW
     def test_forests_get_a_proper_3_coloring(self, forest, seed):
-        result = run_synchronous(forest, TreeColoringProtocol(), seed=seed, max_rounds=50_000)
+        result = Simulation().run_protocol(
+            forest, TreeColoringProtocol(), seed=seed, max_rounds=50_000, backend="python"
+        )
         assert result.reached_output
         assert is_proper_coloring(forest, coloring_from_result(result))
 

@@ -1,7 +1,7 @@
 """Regression lock on the centralised seed derivation (SeedPolicy).
 
 The values below were produced by the historical, duplicated derivations
-(``repeat_synchronous``'s ``base_seed + i`` and the sweep harness's
+(the repetition loop's ``base_seed + i`` and the sweep harness's
 ``random.Random(f"{base}|{family}|{size}|{rep}")`` hash) before they were
 centralised; :class:`repro.api.SeedPolicy` must reproduce them bit-for-bit
 forever, or every recorded experiment changes identity.

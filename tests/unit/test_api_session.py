@@ -1,23 +1,15 @@
-"""Unit tests for the Simulation session: caching, repeat/sweep, shims."""
-
-import warnings
+"""Unit tests for the Simulation session: caching, repeat/sweep, seeds."""
 
 import pytest
 
+from repro.analysis.sweep import SweepRecord, SweepResult
 from repro.api import RunSpec, SeedPolicy, Simulation
+from repro.api.executor import shard_repetition_specs
 from repro.core.errors import SpecError
 from repro.graphs.generators import gnp_random_graph, path_graph
-from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
+from repro.protocols.broadcast import BroadcastProtocol
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.sync_engine import repeat_synchronous, run_synchronous
-from repro.analysis.sweep import sweep_protocol
-
-
-def _silently(callable_, *args, **kwargs):
-    """Call a deprecated shim with its warning suppressed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return callable_(*args, **kwargs)
+from repro.scheduling.shard_pool import sharding_supported
 
 
 class TestTableCache:
@@ -33,12 +25,12 @@ class TestTableCache:
     def test_table_reused_across_repeat_and_sweep(self):
         session = Simulation()
         spec = RunSpec(protocol="mis", nodes=12, seed=2)
-        session.repeat(spec, 2)
-        assert session.cache_misses == 1 and session.cache_hits == 0
+        session.repeat(spec, 2)  # one lookup per repetition
+        assert session.cache_misses == 1 and session.cache_hits == 1
         session.sweep(spec, sizes=[8], families=["gnp_sparse"], repetitions=1)
-        assert session.cache_hits == 1  # the sweep reused the repeat's table
+        assert session.cache_hits == 2  # the sweep reused the repeat's table
         session.simulate(spec)
-        assert session.cache_hits == 2
+        assert session.cache_hits == 3
         assert session.cache_info()["entries"] == 1
 
     def test_distinct_workloads_get_distinct_entries(self):
@@ -136,9 +128,9 @@ class TestCacheAccounting:
         session = Simulation()
         spec = RunSpec(protocol="mis", nodes=10, seed=1)
         session.simulate(spec)                                   # 1 lookup
-        session.repeat(spec, 3)                                  # 1 lookup
-        session.sweep(spec, sizes=[8], repetitions=2)            # 1 lookup
-        assert session.cache_info() == {"hits": 2, "misses": 1, "entries": 1}
+        session.repeat(spec, 3)                                  # 3 lookups
+        session.sweep(spec, sizes=[8], repetitions=2)            # 2 lookups
+        assert session.cache_info() == {"hits": 5, "misses": 1, "entries": 1}
 
     def test_pooled_repeat_aggregates_worker_counters(self):
         session = Simulation()
@@ -166,6 +158,21 @@ class TestCacheAccounting:
         # compiled once in the parent and adopted by every worker.
         assert info["misses"] == 0
 
+    def test_pooled_dynamic_sweep_adopts_the_published_table(self):
+        # Dynamic cells run on the synchronous engines and look up the sync
+        # bundle; the parent publishes it, so no worker compiles its own.
+        session = Simulation()
+        sweep = session.sweep(
+            RunSpec(protocol="mis", seed=1, environment="dynamic", churn="burst"),
+            sizes=[6, 8],
+            repetitions=2,
+            workers=2,
+        )
+        info = session.cache_info()
+        assert info["hits"] + info["misses"] == len(sweep.records) == 4
+        assert info["misses"] == 0
+        assert info["entries"] == 1
+
     def test_serial_async_sweep_counts_one_lookup_per_cell(self):
         session = Simulation()
         sweep = session.sweep(
@@ -186,11 +193,10 @@ class TestCacheAccounting:
         pooled = Simulation()
         pooled.repeat(spec, 3, workers=2)
         pooled.sweep(spec, sizes=[8], repetitions=2, workers=2)
-        # Serial pays 2 lookups (one per call); pooled pays one per unit of
-        # work — 3 repetitions + 2 cells — because each worker task looks up
-        # its own session.  Both views are internally consistent.
+        # Both pay one lookup per unit of work — 3 repetitions + 2 cells —
+        # whether the parent or a worker task made it.
         s, p = serial.cache_info(), pooled.cache_info()
-        assert s["hits"] + s["misses"] == 2
+        assert s["hits"] + s["misses"] == 5
         assert p["hits"] + p["misses"] == 5
 
     def test_cache_key_reuse_across_object_level_runs(self):
@@ -215,18 +221,34 @@ class TestRepeat:
             backend="auto",
         )
         facade = Simulation().repeat(spec, 3)
-        legacy = _silently(
-            repeat_synchronous,
-            spec.build_graph(),
-            MISProtocol,
-            repetitions=3,
-            base_seed=5,
-            backend="auto",
-        )
+        # The historical repetition loop: one graph, seeds base_seed + i.
+        graph = spec.build_graph()
+        policy = SeedPolicy(5)
+        legacy = [
+            Simulation().run_protocol(
+                graph, MISProtocol(), seed=policy.repetition_seed(i), backend="auto"
+            )
+            for i in range(3)
+        ]
         assert [r.summary_fields() for r in facade] == [
             r.summary_fields() for r in legacy
         ]
         assert [r.seed for r in facade] == [5, 6, 7]
+
+    def test_repeat_results_carry_the_metadata_of_their_derived_specs(self):
+        # Every repetition reports the selection a simulate() of its own
+        # derived spec reports — a sharded run keeps the sharded engine's
+        # reason instead of the session's precompile label.
+        if not sharding_supported():
+            pytest.skip("platform lacks POSIX shared memory")
+        spec = RunSpec(
+            protocol="mis", graph="random_tree", nodes=256, seed=3, shards=2,
+            backend="vectorized",
+        )
+        results = Simulation().repeat(spec, 2)
+        for result, run in zip(results, shard_repetition_specs(spec, 2)):
+            assert result.metadata == Simulation().simulate(run).metadata
+            assert "sharded" in result.metadata["backend_reason"]
 
     def test_async_repeat_derives_seeds(self):
         session = Simulation()
@@ -254,15 +276,31 @@ class TestRepeat:
 class TestSweep:
     def test_matches_legacy_sweep_protocol(self):
         families = {"gnp_sparse": lambda n, seed=None: gnp_random_graph(n, 0.2, seed)}
-        legacy = _silently(
-            sweep_protocol,
-            MISProtocol,
-            families,
-            [8, 16],
-            repetitions=2,
-            base_seed=7,
-            backend="auto",
-        )
+        # The historical sweep loop: per-cell seeds from SeedPolicy, the
+        # graph built from the cell's graph seed, the run on its run seed.
+        policy = SeedPolicy(7)
+        records = []
+        for family, factory in families.items():
+            for size in [8, 16]:
+                for repetition in range(2):
+                    seeds = policy.sweep_cell(family, size, repetition)
+                    graph = factory(size, seeds.graph_seed)
+                    result = Simulation().run_protocol(
+                        graph, MISProtocol(), seed=seeds.run_seed, backend="auto",
+                        raise_on_timeout=False,
+                    )
+                    records.append(SweepRecord(
+                        family=family,
+                        size=size,
+                        repetition=repetition,
+                        graph_nodes=graph.num_nodes,
+                        graph_edges=graph.num_edges,
+                        cost=result.cost,
+                        rounds=result.rounds,
+                        reached_output=result.reached_output,
+                        valid=result.reached_output,
+                    ))
+        legacy = SweepResult(protocol_name=MISProtocol().name, records=records)
         session = Simulation()
         facade = session.sweep(
             RunSpec(protocol="mis", seed=7, backend="auto"),
@@ -310,77 +348,19 @@ class TestSweep:
             )
 
 
-class TestDeprecationShims:
-    def test_run_synchronous_warns_and_matches_facade(self):
-        graph = gnp_random_graph(16, 0.2, seed=2)
-        with pytest.warns(DeprecationWarning, match="run_synchronous"):
-            legacy = run_synchronous(graph, MISProtocol(), seed=9, backend="auto")
-        facade = Simulation().run_protocol(graph, MISProtocol(), seed=9, backend="auto")
-        assert legacy.summary_fields() == facade.summary_fields()
-
-    def test_run_asynchronous_warns_and_matches_facade(self):
-        from repro.compilers import compile_to_asynchronous
-        from repro.scheduling.async_engine import run_asynchronous
-
-        graph = gnp_random_graph(8, 0.4, seed=3)
-        compiled = compile_to_asynchronous(MISProtocol())
-        with pytest.warns(DeprecationWarning, match="run_asynchronous"):
-            legacy = run_asynchronous(graph, compiled, seed=1, adversary_seed=2)
-        facade = Simulation().run_protocol(
-            graph,
-            compiled,
-            environment="async",
-            seed=1,
-            adversary_seed=2,
+class TestSeedDerivation:
+    def test_seed_policy_is_the_single_derivation_source(self):
+        # The seeds repeat() and sweep() run with must equal SeedPolicy's,
+        # proving every call path routes through the centralised helper.
+        policy = SeedPolicy(base_seed=10)
+        spec = RunSpec(
+            protocol="broadcast", graph="path", nodes=5, seed=10, inputs={"source": 0},
             backend="python",
         )
-        assert legacy.final_states == facade.final_states
-        assert legacy.time_units == facade.time_units
-
-    def test_repeat_synchronous_warns_and_matches_facade(self):
-        graph = path_graph(6)
-        with pytest.warns(DeprecationWarning, match="repeat_synchronous"):
-            legacy = repeat_synchronous(
-                graph,
-                BroadcastProtocol,
-                repetitions=2,
-                base_seed=1,
-                inputs=broadcast_inputs(0),
-            )
-        facade = Simulation().repeat_protocol(
-            graph,
-            BroadcastProtocol,
-            repetitions=2,
-            base_seed=1,
-            inputs=broadcast_inputs(0),
-        )
-        assert [r.summary_fields() for r in legacy] == [
-            r.summary_fields() for r in facade
-        ]
-
-    def test_sweep_protocol_warns_and_matches_facade(self):
+        results = Simulation().repeat(spec, 3)
+        assert [r.seed for r in results] == [policy.repetition_seed(i) for i in range(3)]
         families = {"path": lambda n, seed=None: path_graph(n)}
-        with pytest.warns(DeprecationWarning, match="sweep_protocol"):
-            legacy = sweep_protocol(
-                MISProtocol, families, [6], repetitions=1, base_seed=3
-            )
-        facade = Simulation().sweep(
-            RunSpec(protocol="mis", seed=3), families=families, sizes=[6], repetitions=1
-        )
-        assert legacy.records == facade.records
-
-    def test_seed_policy_is_the_single_derivation_source(self):
-        # The shim-visible seeds must equal SeedPolicy's, proving the legacy
-        # call paths really route through the centralised helper.
-        policy = SeedPolicy(base_seed=10)
-        graph = path_graph(5)
-        legacy = _silently(
-            repeat_synchronous, graph, BroadcastProtocol, repetitions=3,
-            base_seed=10, inputs=broadcast_inputs(0),
-        )
-        assert [r.seed for r in legacy] == [policy.repetition_seed(i) for i in range(3)]
-        families = {"path": lambda n, seed=None: path_graph(n)}
-        sweep = _silently(
-            sweep_protocol, MISProtocol, families, [6], repetitions=1, base_seed=10
+        sweep = Simulation().sweep(
+            RunSpec(protocol="mis", seed=10), families=families, sizes=[6], repetitions=1
         )
         assert sweep.records[0].reached_output

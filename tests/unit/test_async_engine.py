@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Simulation
 from repro.core.errors import ExecutionError, OutputNotReachedError
 from repro.graphs import complete_graph, path_graph, star_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
@@ -11,20 +12,22 @@ from repro.scheduling.adversary import (
     UniformRandomAdversary,
     default_adversary_suite,
 )
-from repro.scheduling.async_engine import AsynchronousEngine, run_asynchronous
+from repro.scheduling.async_engine import AsynchronousEngine
 
 
 class TestBasicExecution:
     def test_broadcast_reaches_everyone_under_every_adversary(self):
         graph = star_graph(5)
         for adversary in default_adversary_suite():
-            result = run_asynchronous(
+            result = Simulation().run_protocol(
                 graph,
                 BroadcastProtocol(),
+                environment="async",
                 inputs=broadcast_inputs(0),
                 seed=2,
                 adversary=adversary,
                 adversary_seed=7,
+                backend="python",
             )
             assert result.reached_output
             assert all(result.outputs[node] for node in graph.nodes)
@@ -35,12 +38,14 @@ class TestBasicExecution:
 
     def test_time_units_are_normalised_by_the_largest_parameter(self):
         graph = path_graph(6)
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             graph,
             BroadcastProtocol(),
+            environment="async",
             inputs=broadcast_inputs(0),
             seed=1,
             adversary=SynchronousAdversary(),
+            backend="python",
         )
         # With every parameter equal to 1, the normalised run-time equals the
         # elapsed time.
@@ -48,44 +53,50 @@ class TestBasicExecution:
         assert result.metadata["max_parameter"] == pytest.approx(1.0)
 
     def test_run_time_scales_with_distance_from_the_source(self):
-        near = run_asynchronous(
-            path_graph(12), BroadcastProtocol(), inputs=broadcast_inputs(5), seed=1,
-            adversary=SynchronousAdversary(),
+        near = Simulation().run_protocol(
+            path_graph(12), BroadcastProtocol(), environment="async", inputs=broadcast_inputs(5),
+            seed=1, adversary=SynchronousAdversary(), backend="python",
         )
-        far = run_asynchronous(
-            path_graph(12), BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1,
-            adversary=SynchronousAdversary(),
+        far = Simulation().run_protocol(
+            path_graph(12), BroadcastProtocol(), environment="async", inputs=broadcast_inputs(0),
+            seed=1, adversary=SynchronousAdversary(), backend="python",
         )
         assert far.time_units > near.time_units
 
     def test_event_budget_returns_partial_result(self):
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             path_graph(6),
             BroadcastProtocol(),
+            environment="async",
             inputs=broadcast_inputs(0),
             seed=1,
             max_events=3,
             raise_on_timeout=False,
+            backend="python",
         )
         assert not result.reached_output
 
     def test_event_budget_can_raise(self):
         with pytest.raises(OutputNotReachedError):
-            run_asynchronous(
+            Simulation().run_protocol(
                 path_graph(6),
                 BroadcastProtocol(),
+                environment="async",
                 inputs=broadcast_inputs(0),
                 seed=1,
                 max_events=3,
+                backend="python",
             )
 
     def test_adversary_name_recorded_in_metadata(self):
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             path_graph(3),
             BroadcastProtocol(),
+            environment="async",
             inputs=broadcast_inputs(0),
             seed=1,
             adversary=UniformRandomAdversary(),
+            backend="python",
         )
         assert result.metadata["adversary"] == "uniform"
 
@@ -94,13 +105,15 @@ class TestDeterminismAndObservation:
     def test_same_seeds_reproduce_the_execution(self):
         graph = complete_graph(5)
         runs = [
-            run_asynchronous(
+            Simulation().run_protocol(
                 graph,
                 BroadcastProtocol(),
+                environment="async",
                 inputs=broadcast_inputs(0),
                 seed=9,
                 adversary=UniformRandomAdversary(),
                 adversary_seed=17,
+                backend="python",
             )
             for _ in range(2)
         ]
@@ -109,13 +122,15 @@ class TestDeterminismAndObservation:
 
     def test_observer_records_transitions_in_time_order(self):
         records = []
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             path_graph(4),
             BroadcastProtocol(),
+            environment="async",
             inputs=broadcast_inputs(0),
             seed=3,
             adversary=UniformRandomAdversary(),
             observer=records.append,
+            backend="python",
         )
         assert result.reached_output
         assert records, "observer should have seen transitions"

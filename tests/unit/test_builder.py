@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.api import Simulation
 from repro.core.builder import ProtocolBuilder
 from repro.core.errors import ProtocolSpecificationError
 from repro.graphs import path_graph, star_graph
-from repro.scheduling.sync_engine import run_synchronous
-from repro.scheduling.async_engine import run_asynchronous
 
 
 def build_ping_protocol():
@@ -96,12 +95,14 @@ class TestBuiltProtocolExecution:
     def test_built_protocol_runs_on_the_synchronous_engine(self):
         protocol = build_ping_protocol()
         graph = star_graph(5)
-        result = run_synchronous(graph, protocol, seed=1)
+        result = Simulation().run_protocol(graph, protocol, seed=1, backend="python")
         assert result.reached_output
         assert result.rounds == 1
 
     def test_built_protocol_runs_on_the_asynchronous_engine(self):
         protocol = build_ping_protocol()
         graph = path_graph(4)
-        result = run_asynchronous(graph, protocol, seed=2)
+        result = Simulation().run_protocol(
+            graph, protocol, environment="async", seed=2, backend="python"
+        )
         assert result.reached_output

@@ -10,6 +10,7 @@ equivalence and budget enforcement.
 
 import pytest
 
+from repro.api import Simulation
 from repro.compilers import compile_to_asynchronous, lower_to_single_query
 from repro.core.alphabet import Observation, is_epsilon
 from repro.core.errors import ProtocolNotVectorizableError
@@ -17,7 +18,6 @@ from repro.graphs import gnp_random_graph, path_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.compiled import LazyExtendedTable
-from repro.scheduling.sync_engine import run_synchronous
 from repro.scheduling.vectorized_engine import VectorizedEngine
 
 
@@ -183,12 +183,13 @@ class TestDeterminismAndSharing:
             return lower_to_single_query(MISProtocol())
 
         graph = gnp_random_graph(18, 0.3, seed=5)
-        reference = run_synchronous(
+        reference = Simulation().run_protocol(
             graph,
             protocol_factory(),
             seed=7,
             max_rounds=200_000,
             raise_on_timeout=False,
+            backend="python",
         )
         table = LazyExtendedTable(protocol_factory())
         vectorized = VectorizedEngine(

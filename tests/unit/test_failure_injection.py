@@ -6,13 +6,13 @@ mis-execute when handed a protocol that violates the model's contract.
 
 import pytest
 
+from repro.api import Simulation
 from repro.core.alphabet import EPSILON
 from repro.core.errors import ExecutionError, ProtocolSpecificationError
 from repro.core.protocol import ExtendedProtocol, Protocol, TransitionChoice
 from repro.graphs import path_graph
 from repro.scheduling.adversary import AdversaryPolicy, AdversarySchedule
-from repro.scheduling.async_engine import AsynchronousEngine, run_asynchronous
-from repro.scheduling.sync_engine import run_synchronous
+from repro.scheduling.async_engine import AsynchronousEngine
 
 
 class _EmptyOptionsProtocol(Protocol):
@@ -70,23 +70,27 @@ class _NeverTerminatingProtocol(Protocol):
 class TestBrokenProtocols:
     def test_sync_engine_rejects_empty_option_sets(self):
         with pytest.raises(ProtocolSpecificationError):
-            run_synchronous(path_graph(3), _EmptyOptionsProtocol(), seed=1, max_rounds=5)
+            Simulation().run_protocol(
+                path_graph(3), _EmptyOptionsProtocol(), seed=1, max_rounds=5, backend="python"
+            )
 
     def test_sync_engine_rejects_empty_extended_option_sets(self):
         with pytest.raises(ProtocolSpecificationError):
-            run_synchronous(path_graph(3), _EmptyOptionsExtended(), seed=1, max_rounds=5)
+            Simulation().run_protocol(
+                path_graph(3), _EmptyOptionsExtended(), seed=1, max_rounds=5, backend="python"
+            )
 
     def test_async_engine_rejects_empty_option_sets(self):
         with pytest.raises(ProtocolSpecificationError):
-            run_asynchronous(
-                path_graph(3), _EmptyOptionsProtocol(), seed=1, max_events=50,
-                raise_on_timeout=False,
+            Simulation().run_protocol(
+                path_graph(3), _EmptyOptionsProtocol(), environment="async", seed=1,
+                max_events=50, raise_on_timeout=False, backend="python",
             )
 
     def test_non_terminating_protocol_hits_the_budget_gracefully(self):
-        result = run_synchronous(
+        result = Simulation().run_protocol(
             path_graph(3), _NeverTerminatingProtocol(), seed=1, max_rounds=10,
-            raise_on_timeout=False,
+            raise_on_timeout=False, backend="python",
         )
         assert not result.reached_output
         assert result.outputs == {}

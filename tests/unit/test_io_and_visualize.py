@@ -14,7 +14,6 @@ from repro.analysis.io import (
     write_sweep_csv,
     write_sweep_json,
 )
-from repro.analysis.sweep import sweep_protocol
 from repro.analysis.visualize import (
     MIS_GLYPHS,
     capture_history,
@@ -24,19 +23,15 @@ from repro.analysis.visualize import (
     render_output_summary,
     render_timeline,
 )
+from repro.api import RunSpec, Simulation
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.sync_engine import run_synchronous
 
 
 def small_sweep():
-    return sweep_protocol(
-        MISProtocol,
-        {"cycle": lambda n, seed=None: cycle_graph(n)},
-        sizes=[6, 9],
-        repetitions=2,
-        base_seed=1,
+    return Simulation().sweep(
+        RunSpec(protocol="mis", seed=1), families=["cycle"], sizes=[6, 9], repetitions=2
     )
 
 
@@ -80,7 +75,9 @@ class TestReportExport:
 class TestExecutionExport:
     def test_execution_to_dict(self, tmp_path):
         graph = path_graph(4)
-        result = run_synchronous(graph, BroadcastProtocol(), seed=1, inputs=broadcast_inputs(0))
+        result = Simulation().run_protocol(
+            graph, BroadcastProtocol(), seed=1, inputs=broadcast_inputs(0), backend="python"
+        )
         payload = execution_to_dict(result)
         assert payload["num_nodes"] == 4
         assert payload["reached_output"] is True

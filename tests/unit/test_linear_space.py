@@ -1,5 +1,6 @@
 """Unit tests for the linear-space nFSM simulation (Lemma 6.1)."""
 
+from repro.api import Simulation
 from repro.automata.nfsm_to_lba import (
     NO_EMISSION,
     LinearSpaceNetworkSimulator,
@@ -8,7 +9,6 @@ from repro.automata.nfsm_to_lba import (
 from repro.graphs import gnp_random_graph, path_graph, star_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import is_maximal_independent_set
 
 
@@ -45,7 +45,9 @@ class TestFaithfulness:
     def test_broadcast_simulation_matches_the_engine_exactly(self):
         graph = path_graph(7)
         inputs = broadcast_inputs(0)
-        reference = run_synchronous(graph, BroadcastProtocol(), seed=5, inputs=inputs)
+        reference = Simulation().run_protocol(
+            graph, BroadcastProtocol(), seed=5, inputs=inputs, backend="python"
+        )
         simulated = simulate_with_linear_space(graph, BroadcastProtocol(), seed=5, inputs=inputs)
         assert simulated.final_states == reference.final_states
         assert simulated.rounds == reference.rounds
@@ -53,7 +55,7 @@ class TestFaithfulness:
 
     def test_randomized_mis_simulation_matches_with_the_same_seed(self):
         graph = gnp_random_graph(25, 0.2, seed=8)
-        reference = run_synchronous(graph, MISProtocol(), seed=13)
+        reference = Simulation().run_protocol(graph, MISProtocol(), seed=13, backend="python")
         simulated = simulate_with_linear_space(graph, MISProtocol(), seed=13)
         assert simulated.final_states == reference.final_states
         assert simulated.rounds == reference.rounds

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.experiments import _StretchedProtocol
+from repro.api import Simulation
 from repro.compilers.multiquery import SingleQueryProtocol, lower_to_single_query
 from repro.core.errors import CompilationError
 from repro.graphs import gnp_random_graph
 from repro.protocols.broadcast import BroadcastProtocol
 from repro.protocols.mis import MISProtocol, mis_from_result
-from repro.scheduling.sync_engine import run_synchronous
 from repro.verification import is_maximal_independent_set
 
 
@@ -77,9 +77,11 @@ class TestLoweredExecution:
         graph = gnp_random_graph(24, 0.2, seed=5)
         # Picks are keyed by round, so the base run takes the lowering's clock
         # to draw the same coins: |Sigma| rounds per base round.
-        base_result = run_synchronous(graph, _StretchedProtocol(MISProtocol()), seed=9)
-        lowered_result = run_synchronous(
-            graph, SingleQueryProtocol(MISProtocol()), seed=9, max_rounds=200_000
+        base_result = Simulation().run_protocol(
+            graph, _StretchedProtocol(MISProtocol()), seed=9, backend="python"
+        )
+        lowered_result = Simulation().run_protocol(
+            graph, SingleQueryProtocol(MISProtocol()), seed=9, max_rounds=200_000, backend="python"
         )
         assert is_maximal_independent_set(graph, mis_from_result(lowered_result))
         sigma = len(MISProtocol().alphabet)

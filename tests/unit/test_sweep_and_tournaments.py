@@ -1,10 +1,11 @@
 """Unit tests for the sweep harness, trace analysis and reporting helpers."""
 
 from repro.analysis.reporting import ExperimentReport, format_table
-from repro.analysis.sweep import geometric_sizes, run_many, sweep_protocol
+from repro.analysis.sweep import geometric_sizes
 from repro.analysis.tournaments import trace_mis_execution
-from repro.graphs import cycle_graph, gnp_random_graph, path_graph, star_graph
-from repro.protocols.mis import DOWN1, DOWN2, LOSE, UP_STATES, WIN, MISProtocol, mis_from_result
+from repro.api import RunSpec, Simulation
+from repro.graphs import gnp_random_graph
+from repro.protocols.mis import DOWN1, DOWN2, LOSE, UP_STATES, WIN, mis_from_result
 from repro.verification import is_maximal_independent_set
 
 
@@ -14,13 +15,11 @@ class TestSweepHarness:
         assert geometric_sizes(10, 90, factor=3) == [10, 30, 90]
 
     def test_sweep_runs_every_cell(self):
-        families = {"cycle": lambda n, seed=None: cycle_graph(n)}
-        sweep = sweep_protocol(
-            MISProtocol,
-            families,
+        sweep = Simulation().sweep(
+            RunSpec(protocol="mis", seed=1),
+            families=["cycle"],
             sizes=[6, 12],
             repetitions=2,
-            base_seed=1,
             validator=lambda graph, result: is_maximal_independent_set(
                 graph, mis_from_result(result)
             ),
@@ -31,23 +30,22 @@ class TestSweepHarness:
         assert sweep.families() == ["cycle"]
 
     def test_sweep_mean_cost_by_size(self):
-        families = {"path": lambda n, seed=None: path_graph(n)}
-        sweep = sweep_protocol(MISProtocol, families, sizes=[8], repetitions=3, base_seed=2)
+        sweep = Simulation().sweep(
+            RunSpec(protocol="mis", seed=2), families=["path"], sizes=[8], repetitions=3
+        )
         by_size = sweep.mean_cost_by_size()
         assert set(by_size) == {8}
         assert by_size[8] > 0
 
     def test_sweep_is_reproducible(self):
         families = {"gnp": lambda n, seed=None: gnp_random_graph(n, 0.3, seed)}
-        first = sweep_protocol(MISProtocol, families, sizes=[12], repetitions=2, base_seed=7)
-        second = sweep_protocol(MISProtocol, families, sizes=[12], repetitions=2, base_seed=7)
+        first, second = (
+            Simulation().sweep(
+                RunSpec(protocol="mis", seed=7), families=families, sizes=[12], repetitions=2
+            )
+            for _ in range(2)
+        )
         assert [r.cost for r in first.records] == [r.cost for r in second.records]
-
-    def test_run_many_over_explicit_graphs(self):
-        graphs = [("a-cycle", cycle_graph(9)), ("a-star", star_graph(5))]
-        sweep = run_many(graphs, MISProtocol, repetitions=1, base_seed=3)
-        assert {record.family for record in sweep.records} == {"a-cycle", "a-star"}
-        assert all(record.reached_output for record in sweep.records)
 
 
 class TestMISTrace:

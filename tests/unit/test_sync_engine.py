@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RunSpec, Simulation
 from repro.core.errors import ExecutionError, OutputNotReachedError
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.graphs.properties import eccentricity
@@ -10,8 +11,6 @@ from repro.protocols.mis import MISProtocol
 from repro.scheduling.sync_engine import (
     SynchronousEngine,
     precompile_tables,
-    repeat_synchronous,
-    run_synchronous,
     select_backend,
 )
 
@@ -22,20 +21,24 @@ class TestBroadcastGroundTruth:
     @pytest.mark.parametrize("source", [0, 4, 9])
     def test_rounds_equal_eccentricity_plus_one_on_a_path(self, source):
         graph = path_graph(10)
-        result = run_synchronous(
-            graph, BroadcastProtocol(), inputs=broadcast_inputs(source), seed=1
+        result = Simulation().run_protocol(
+            graph, BroadcastProtocol(), inputs=broadcast_inputs(source), seed=1, backend="python"
         )
         assert result.rounds == eccentricity(graph, source) + 1
         assert all(result.outputs[node] for node in graph.nodes)
 
     def test_star_broadcast_from_centre_takes_two_rounds(self):
         graph = star_graph(7)
-        result = run_synchronous(graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1)
+        result = Simulation().run_protocol(
+            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1, backend="python"
+        )
         assert result.rounds == 2
 
     def test_messages_are_counted(self):
         graph = path_graph(4)
-        result = run_synchronous(graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1)
+        result = Simulation().run_protocol(
+            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1, backend="python"
+        )
         # Every node transmits the token exactly once.
         assert result.total_messages == 4
 
@@ -47,21 +50,21 @@ class TestEngineMechanics:
 
     def test_same_seed_gives_identical_executions(self):
         graph = cycle_graph(15)
-        first = run_synchronous(graph, MISProtocol(), seed=3)
-        second = run_synchronous(graph, MISProtocol(), seed=3)
+        first = Simulation().run_protocol(graph, MISProtocol(), seed=3, backend="python")
+        second = Simulation().run_protocol(graph, MISProtocol(), seed=3, backend="python")
         assert first.final_states == second.final_states
         assert first.rounds == second.rounds
 
     def test_different_seeds_usually_differ(self):
         graph = cycle_graph(15)
-        first = run_synchronous(graph, MISProtocol(), seed=3)
-        second = run_synchronous(graph, MISProtocol(), seed=4)
+        first = Simulation().run_protocol(graph, MISProtocol(), seed=3, backend="python")
+        second = Simulation().run_protocol(graph, MISProtocol(), seed=4, backend="python")
         assert first.final_states != second.final_states or first.rounds != second.rounds
 
     def test_round_budget_returns_partial_result(self):
         graph = cycle_graph(9)
-        result = run_synchronous(
-            graph, MISProtocol(), seed=1, max_rounds=1, raise_on_timeout=False
+        result = Simulation().run_protocol(
+            graph, MISProtocol(), seed=1, max_rounds=1, raise_on_timeout=False, backend="python"
         )
         assert not result.reached_output
         assert result.rounds == 1
@@ -69,7 +72,7 @@ class TestEngineMechanics:
     def test_round_budget_can_raise(self):
         graph = cycle_graph(9)
         with pytest.raises(OutputNotReachedError) as excinfo:
-            run_synchronous(graph, MISProtocol(), seed=1, max_rounds=1)
+            Simulation().run_protocol(graph, MISProtocol(), seed=1, max_rounds=1, backend="python")
         assert excinfo.value.result is not None
 
     def test_observer_sees_every_round(self):
@@ -115,66 +118,59 @@ class TestEngineMechanics:
     def test_empty_graph_is_immediately_in_output_configuration(self):
         from repro.graphs import Graph
 
-        result = run_synchronous(Graph(0, []), MISProtocol(), seed=0)
+        result = Simulation().run_protocol(Graph(0, []), MISProtocol(), seed=0, backend="python")
         assert result.reached_output
         assert result.rounds == 0
 
     def test_total_node_steps_accounting(self):
         graph = path_graph(4)
-        result = run_synchronous(graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1)
+        result = Simulation().run_protocol(
+            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1, backend="python"
+        )
         assert result.total_node_steps == result.rounds * graph.num_nodes
 
-    def test_repeat_synchronous_returns_one_result_per_repetition(self):
-        results = repeat_synchronous(
-            cycle_graph(8), MISProtocol, repetitions=4, base_seed=10
-        )
+    def test_repeat_returns_one_result_per_repetition(self):
+        spec = RunSpec(protocol="mis", graph="cycle", nodes=8, seed=10, backend="python")
+        results = Simulation().repeat(spec, 4)
         assert len(results) == 4
         assert all(result.reached_output for result in results)
 
-    def test_repeat_synchronous_forwards_inputs(self):
-        graph = path_graph(6)
-        results = repeat_synchronous(
-            graph,
-            BroadcastProtocol,
-            repetitions=2,
-            base_seed=3,
-            inputs=broadcast_inputs(2),
+    def test_repeat_forwards_inputs(self):
+        spec = RunSpec(
+            protocol="broadcast",
+            graph="path",
+            nodes=6,
+            seed=3,
+            inputs={"source": 2},
+            backend="python",
         )
+        results = Simulation().repeat(spec, 2)
         # Without the source input every node would stay IDLE forever; the
         # forwarded input makes every repetition terminate and inform all.
         assert all(result.reached_output for result in results)
         assert all(
-            result.rounds == eccentricity(graph, 2) + 1 for result in results
+            result.rounds == eccentricity(path_graph(6), 2) + 1 for result in results
         )
 
-    def test_repeat_synchronous_forwards_raise_on_timeout(self):
-        with pytest.raises(OutputNotReachedError):
-            repeat_synchronous(
-                cycle_graph(9), MISProtocol, repetitions=1, base_seed=1, max_rounds=1
-            )
-        results = repeat_synchronous(
-            cycle_graph(9),
-            MISProtocol,
-            repetitions=2,
-            base_seed=1,
-            max_rounds=1,
-            raise_on_timeout=False,
+    def test_repeat_forwards_raise_on_timeout(self):
+        spec = RunSpec(
+            protocol="mis", graph="cycle", nodes=9, seed=1, max_rounds=1, backend="python"
         )
+        with pytest.raises(OutputNotReachedError):
+            Simulation().repeat(spec, 1)
+        results = Simulation().repeat(spec, 2, raise_on_timeout=False)
         assert all(not result.reached_output for result in results)
 
-    def test_repeat_synchronous_accepts_backend(self):
-        interpreted = repeat_synchronous(
-            cycle_graph(8), MISProtocol, repetitions=2, base_seed=10, backend="python"
-        )
-        vectorized = repeat_synchronous(
-            cycle_graph(8), MISProtocol, repetitions=2, base_seed=10, backend="vectorized"
-        )
+    def test_repeat_accepts_backend(self):
+        spec = RunSpec(protocol="mis", graph="cycle", nodes=8, seed=10, backend="python")
+        interpreted = Simulation().repeat(spec, 2)
+        vectorized = Simulation().repeat(spec.replace(backend="vectorized"), 2)
         for left, right in zip(interpreted, vectorized):
             assert left.summary_fields() == right.summary_fields()
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ExecutionError):
-            run_synchronous(path_graph(2), BroadcastProtocol(), seed=0, backend="gpu")
+            Simulation().run_protocol(path_graph(2), BroadcastProtocol(), seed=0, backend="gpu")
 
     @pytest.mark.parametrize("engine", ["python", "vectorized"])
     def test_warm_start_rejects_a_letter_vector_of_the_wrong_length(self, engine):
@@ -192,7 +188,7 @@ class TestEngineMechanics:
 
 class TestBackendSelection:
     def test_run_records_selection_metadata(self):
-        result = run_synchronous(
+        result = Simulation().run_protocol(
             path_graph(6),
             BroadcastProtocol(),
             seed=0,
@@ -206,7 +202,7 @@ class TestBackendSelection:
     def test_select_backend_matches_the_run(self):
         for backend in ("python", "vectorized", "auto"):
             selection = select_backend(path_graph(6), BroadcastProtocol(), backend)
-            result = run_synchronous(
+            result = Simulation().run_protocol(
                 path_graph(6),
                 BroadcastProtocol(),
                 seed=0,
@@ -244,23 +240,28 @@ class TestBackendSelection:
         assert isinstance(table, LazyExtendedTable)
         assert precompile_tables(MISProtocol(), "python") == ("python", None, None)
 
-    def test_repeat_synchronous_shares_one_warm_lazy_table(self):
+    def test_cache_key_shares_one_warm_lazy_table(self):
         from repro.compilers import compile_to_asynchronous
 
         def factory():
             return compile_to_asynchronous(BroadcastProtocol())
 
-        shared = repeat_synchronous(
-            path_graph(8),
-            factory,
-            repetitions=2,
-            base_seed=5,
-            inputs=broadcast_inputs(0),
-            backend="auto",
-            raise_on_timeout=False,
-        )
+        session = Simulation()
+        shared = [
+            session.run_protocol(
+                path_graph(8),
+                factory(),
+                seed=5 + repetition,
+                inputs=broadcast_inputs(0),
+                backend="auto",
+                raise_on_timeout=False,
+                cache_key="compiled-broadcast",
+            )
+            for repetition in range(2)
+        ]
+        assert session.cache_info() == {"hits": 1, "misses": 1, "entries": 1}
         for repetition, result in enumerate(shared):
-            reference = run_synchronous(
+            reference = Simulation().run_protocol(
                 path_graph(8),
                 factory(),
                 seed=5 + repetition,

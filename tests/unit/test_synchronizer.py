@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.api import Simulation
 from repro.compilers.synchronizer import PAUSE, SIMULATE, SynchronizedProtocol, synchronize
 from repro.core.errors import CompilationError
 from repro.graphs import path_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import DOWN1, MISProtocol
 from repro.scheduling.adversary import UniformRandomAdversary
-from repro.scheduling.async_engine import run_asynchronous
 
 
 class TestCompiledStructure:
@@ -145,13 +145,15 @@ class TestEndToEnd:
     def test_synchronized_broadcast_is_correct_under_an_adversary(self):
         graph = path_graph(5)
         compiled = synchronize(BroadcastProtocol())
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             graph,
             compiled,
+            environment="async",
             inputs=broadcast_inputs(0),
             seed=4,
             adversary=UniformRandomAdversary(),
             adversary_seed=11,
+            backend="python",
         )
         assert result.reached_output
         assert all(result.outputs[node] for node in graph.nodes)

@@ -5,6 +5,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.api import Simulation
 from repro.core.counters import engine_runs
 from repro.core.errors import (
     ExecutionError,
@@ -24,7 +25,6 @@ from repro.scheduling.adversary import (
 from repro.scheduling.async_engine import (
     AUTO_VECTORIZE_MIN_NODES,
     _run_asynchronous,
-    run_asynchronous,
 )
 from repro.scheduling.compiled import LazyStrictTable
 from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
@@ -97,9 +97,10 @@ class TestEngineContract:
             )
 
     def test_auto_backend_downgrades_scalar_only_adversaries(self):
-        result = run_asynchronous(
+        result = Simulation().run_protocol(
             path_graph(4),
             BroadcastProtocol(),
+            environment="async",
             adversary=_ScalarOnlyAdversary(),
             seed=1,
             adversary_seed=2,
@@ -131,9 +132,10 @@ class TestEngineContract:
 
     def test_vectorized_backend_rejects_observers(self):
         with pytest.raises(ExecutionError):
-            run_asynchronous(
+            Simulation().run_protocol(
                 path_graph(3),
                 BroadcastProtocol(),
+                environment="async",
                 inputs=broadcast_inputs(0),
                 backend="vectorized",
                 observer=lambda record: None,
@@ -195,9 +197,10 @@ class TestExecution:
         """Without an explicit adversary_seed both backends derive the same
         deterministic one — so they still agree run-for-run."""
         results = [
-            run_asynchronous(
+            Simulation().run_protocol(
                 path_graph(7),
                 BroadcastProtocol(),
+                environment="async",
                 inputs=broadcast_inputs(0),
                 seed=5,
                 adversary=UniformRandomAdversary(),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Simulation
 from repro.core.errors import (
     ExecutionError,
     OutputNotReachedError,
@@ -13,7 +14,6 @@ from repro.graphs import Graph, cycle_graph, path_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MIS_STATES, MISProtocol
-from repro.scheduling.sync_engine import run_synchronous
 from repro.scheduling.vectorized_engine import (
     VectorizedEngine,
     compile_protocol,
@@ -108,8 +108,8 @@ class TestTabulation:
             tabulate_protocol(LyingProtocol())
         # auto still runs it (interpreted), producing the reference result.
         graph = cycle_graph(10)
-        auto = run_synchronous(graph, LyingProtocol(), seed=2, backend="auto")
-        reference = run_synchronous(graph, MISProtocol(), seed=2)
+        auto = Simulation().run_protocol(graph, LyingProtocol(), seed=2, backend="auto")
+        reference = Simulation().run_protocol(graph, MISProtocol(), seed=2, backend="python")
         assert auto.final_states == reference.final_states
 
     def test_observation_id_matches_enumeration_order(self):
@@ -166,7 +166,9 @@ class TestVectorizedEngine:
             result = VectorizedEngine(
                 cycle_graph(n), MISProtocol(), seed=n, compiled=compiled
             ).run(raise_on_timeout=True)
-            reference = run_synchronous(cycle_graph(n), MISProtocol(), seed=n)
+            reference = Simulation().run_protocol(
+                cycle_graph(n), MISProtocol(), seed=n, backend="python"
+            )
             assert result.summary_fields() == reference.summary_fields()
 
     def test_isolated_nodes_count_messages_like_the_interpreter(self):
@@ -174,11 +176,11 @@ class TestVectorizedEngine:
         # are still counted, exactly as PortTable.broadcast does.
         graph = Graph(4, [(0, 1), (1, 2)])
         vectorized = VectorizedEngine(graph, MISProtocol(), seed=2).run(raise_on_timeout=True)
-        interpreted = run_synchronous(graph, MISProtocol(), seed=2)
+        interpreted = Simulation().run_protocol(graph, MISProtocol(), seed=2, backend="python")
         assert vectorized.summary_fields() == interpreted.summary_fields()
 
     def test_empty_graph_falls_back_on_declared_input_states(self):
-        result = run_synchronous(Graph(0, []), MISProtocol(), seed=0, backend="auto")
+        result = Simulation().run_protocol(Graph(0, []), MISProtocol(), seed=0, backend="auto")
         assert result.reached_output and result.rounds == 0
 
     def test_synchronizer_compiled_protocol_also_vectorizes(self):
@@ -186,7 +188,7 @@ class TestVectorizedEngine:
 
         graph = path_graph(4)
         results = [
-            run_synchronous(
+            Simulation().run_protocol(
                 graph,
                 compile_to_asynchronous(BroadcastProtocol()),
                 seed=1,
@@ -202,13 +204,17 @@ class TestVectorizedEngine:
         protocol = _UnboundedCounterProtocol()
         graph = path_graph(3)
         with pytest.raises(ProtocolNotVectorizableError):
-            run_synchronous(graph, _UnboundedCounterProtocol(), seed=1,
-                            max_rounds=10, backend="vectorized",
-                            raise_on_timeout=False)
-        result = run_synchronous(graph, protocol, seed=1, max_rounds=10,
-                                 backend="auto", raise_on_timeout=False)
-        reference = run_synchronous(graph, _UnboundedCounterProtocol(), seed=1,
-                                    max_rounds=10, raise_on_timeout=False)
+            Simulation().run_protocol(
+                graph, _UnboundedCounterProtocol(), seed=1, max_rounds=10,
+                backend="vectorized", raise_on_timeout=False,
+            )
+        result = Simulation().run_protocol(
+            graph, protocol, seed=1, max_rounds=10, backend="auto", raise_on_timeout=False
+        )
+        reference = Simulation().run_protocol(
+            graph, _UnboundedCounterProtocol(), seed=1, max_rounds=10,
+            raise_on_timeout=False, backend="python",
+        )
         assert result.summary_fields() == reference.summary_fields()
 
     def test_csr_adjacency_shape(self):
