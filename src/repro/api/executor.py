@@ -135,7 +135,7 @@ def budget_workers(workers: int, shards: int | None) -> int:
 
     Pooled sweeps compose across cells (``workers``) with intra-run
     sharding inside each cell (``shards``); unguarded, the product
-    oversubscribes the machine and every barrier wait turns into scheduler
+    oversubscribes the machine and every fence wait turns into scheduler
     thrash.  The guard caps the pool at ``cores // shards`` (but never
     below 1 — serial dispatch with sharded cells is always legal).
     """

@@ -4,28 +4,40 @@
 (:mod:`repro.scheduling.sharded_engine`) and the sharded asynchronous
 engine (:mod:`repro.scheduling.sharded_async_engine`) have in common: the
 BFS partition and the permuted CSR, two POSIX shared-memory segments, the
-fence barriers and the worker processes.  An engine supplies its arrays
+fences and the worker processes.  An engine supplies its arrays
 and its worker loop; the pool does the rest::
 
     ShardPool(graph, shards, fences=k)   checks, BFS partition
     pool.permuted_csr()                  the CSR relabelled by the partition
     pool.allocate(static, dynamic, loop, *args)
                                          segments (released if this fails)
-    pool.wait(fence)                     lazy start, health check, wait
+    pool.gather(fence)                   lazy start, health check, wait
+                                         until every worker is parked there
+    pool.release(fence)                  let the parked workers go on
     pool.close() / pool.abort()          STOP handshake / terminate; unlink
 
 Worker ``s`` runs ``loop(s, lo, hi, tables, dyn, fences, *args)`` over its
 contiguous permuted node range ``lo:hi``, where ``tables`` and ``dyn`` are
-NumPy views over the static and dynamic segments.  Fence 0 is the start
-fence: past it, a worker reads ``dyn["control"][0]`` and returns on
-:data:`STOP`, which is how :meth:`ShardPool.close` retires healthy workers.
+NumPy views over the static and dynamic segments, and meets the parent by
+calling ``fences[k].wait()``.  Fence 0 is the start fence: past it, a
+worker reads ``dyn["control"][0]`` and returns on :data:`STOP`, which is
+how :meth:`ShardPool.close` retires healthy workers.
+
+A fence (:class:`Fence`) is built from one pair of semaphores per worker
+rather than a ``multiprocessing.Barrier``: worker ``s`` posts its own
+arrival and waits for its own release.  The parent gathers every arrival,
+may then read and write the shared arrays while the workers stay parked,
+and releases them, so one fence both ends a phase and starts the next.  No
+lock is shared, so a worker killed inside a fence leaves a missing token,
+never a held lock, and the parent waits in short slices, checking that
+every worker is alive, up to a deadline.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
+import time
 import traceback
 import weakref
 
@@ -54,6 +66,11 @@ STOP = 0
 #: fence means a dead or wedged worker and the pool aborts instead of
 #: hanging.
 DEFAULT_BARRIER_TIMEOUT = 60.0
+
+#: Slice of a parent-side fence wait between two worker health checks.  A
+#: worker's arrival ends the wait at once; the slice only bounds how long a
+#: dead worker goes unnoticed.
+HEALTH_POLL_SECONDS = 0.1
 
 #: Shared-memory segment name prefix; the teardown tests glob for leaks.
 SEGMENT_PREFIX = "repro_shard"
@@ -155,6 +172,40 @@ def _reclaim(workers, segments) -> None:
 
 
 # --------------------------------------------------------------------- #
+# Fences                                                                 #
+# --------------------------------------------------------------------- #
+class Fence:
+    """A rendezvous of the parent and every shard worker.
+
+    Worker ``s`` owns ``arrived[s]`` and ``go[s]``: it posts the first and
+    waits on the second (:class:`WorkerFence`).  The parent takes every
+    arrival (:meth:`ShardPool.gather`) before it posts any release
+    (:meth:`ShardPool.release`), so no worker passes before every worker
+    has arrived — a barrier's guarantee without a barrier's shared lock.
+    """
+
+    def __init__(self, ctx, num_workers: int) -> None:
+        self.arrived = tuple(ctx.Semaphore(0) for _ in range(num_workers))
+        self.go = tuple(ctx.Semaphore(0) for _ in range(num_workers))
+
+    def worker_side(self, worker_id: int) -> "WorkerFence":
+        """The end of this fence that worker *worker_id* waits on."""
+        return WorkerFence(self.arrived[worker_id], self.go[worker_id])
+
+
+class WorkerFence:
+    """One worker's end of a :class:`Fence`: post arrival, await release."""
+
+    def __init__(self, arrived, go) -> None:
+        self.arrived = arrived
+        self.go = go
+
+    def wait(self) -> None:
+        self.arrived.release()
+        self.go.acquire()
+
+
+# --------------------------------------------------------------------- #
 # Worker process                                                         #
 # --------------------------------------------------------------------- #
 def _worker_main(loop, worker_id, lo, hi, segments, fences, args) -> None:
@@ -171,18 +222,11 @@ def _worker_main(loop, worker_id, lo, hi, segments, fences, args) -> None:
             fences,
             *args,
         )
-    except threading.BrokenBarrierError:
-        pass  # the parent aborted the run; exit quietly
     except BaseException:
-        # Unblock the parent (and siblings): a broken fence is the crash
-        # signal the parent's timeout path expects.  Exit without running
-        # interpreter finalizers — the traceback pins shared-memory views,
-        # and a noisy BufferError cascade would bury the real error.
-        for fence in fences:
-            try:
-                fence.abort()
-            except Exception:
-                pass
+        # The parent sees the exit code at its next fence wait.  Exit
+        # without running interpreter finalizers — the traceback pins
+        # shared-memory views, and a noisy BufferError cascade would bury
+        # the real error.
         traceback.print_exc()
         os._exit(1)
     finally:
@@ -224,7 +268,10 @@ class ShardPool:
         self._graph = graph
         self.barrier_timeout = barrier_timeout
         self.ctx = mp_context()
-        self.fences = tuple(self.ctx.Barrier(self.num_shards + 1) for _ in range(fences))
+        self.fences = tuple(Fence(self.ctx, self.num_shards) for _ in range(fences))
+        #: The fence the workers are parked at (gathered, not yet
+        #: released), or ``None`` while they run.
+        self.parked: int | None = None
         self.workers: list = []
         self.dyn = None
         self.closed = False
@@ -265,9 +312,10 @@ class ShardPool:
         loop, segments, args = self._target
         bounds = self.partition.bounds
         for s in range(self.num_shards):
+            fences = tuple(fence.worker_side(s) for fence in self.fences)
             worker = self.ctx.Process(
                 target=_worker_main,
-                args=(loop, s, int(bounds[s]), int(bounds[s + 1]), segments, self.fences, args),
+                args=(loop, s, int(bounds[s]), int(bounds[s + 1]), segments, fences, args),
                 name=f"repro-shard-{s}",
                 daemon=True,
             )
@@ -282,24 +330,61 @@ class ShardPool:
             self.abort()
             raise ExecutionError(f"shard worker(s) died mid-run: {codes}")
 
-    def wait(self, fence: int) -> None:
-        """Meet the workers at fence number *fence*, starting them first if
-        they have not started yet.
+    def gather(self, fence: int) -> None:
+        """Wait until every worker is parked at fence number *fence*,
+        starting them first if they have not started yet.
 
-        Worker health is checked before the wait.  A dead worker or a
-        broken fence aborts the pool and raises :class:`ExecutionError`.
+        The workers stay parked until :meth:`release`, so the parent may
+        read and write the shared arrays in between.  Worker health is
+        checked before the wait and every :data:`HEALTH_POLL_SECONDS`
+        during it.  A dead worker, or one that misses the fence by
+        ``barrier_timeout`` seconds, aborts the pool and raises
+        :class:`ExecutionError`.
         """
         if self.closed:
             raise ExecutionError("engine is closed")
         if not self.workers:
             self._start()
         self.check_health()
-        try:
-            self.fences[fence].wait(timeout=self.barrier_timeout)
-        except threading.BrokenBarrierError:
-            self.check_health()  # raises with exit codes if it can
+        late = self._gather(self.fences[fence], self.barrier_timeout)
+        if late is not None:
+            pid = self.workers[late].pid
             self.abort()
-            raise ExecutionError("shard barrier broke (worker wedged or killed)") from None
+            raise ExecutionError(
+                f"shard worker {late} (pid {pid}) missed fence {fence} "
+                f"after {self.barrier_timeout:g} s"
+            )
+        self.parked = fence
+
+    def release(self, fence: int) -> None:
+        """Let the workers parked at fence number *fence* go on."""
+        if self.parked != fence:
+            raise ExecutionError(f"fence {fence} released before it was gathered")
+        self.parked = None
+        for go in self.fences[fence].go:
+            go.release()
+
+    def wait(self, fence: int) -> None:
+        """Meet the workers at fence number *fence*: gather, then release."""
+        self.gather(fence)
+        self.release(fence)
+
+    def _gather(self, fence: Fence, timeout: float) -> int | None:
+        """Take every worker's arrival at *fence*.
+
+        Returns ``None`` once every worker has arrived, or the id of the
+        first worker that has not arrived within *timeout* seconds.  A
+        worker found dead raises through :meth:`check_health`.
+        """
+        deadline = time.monotonic() + timeout
+        for worker_id, arrived in enumerate(fence.arrived):
+            while not arrived.acquire(
+                True, min(HEALTH_POLL_SECONDS, max(0.0, deadline - time.monotonic()))
+            ):
+                self.check_health()
+                if time.monotonic() >= deadline:
+                    return worker_id
+        return None
 
     def join(self) -> None:
         """Reap workers that are exiting on their own."""
@@ -309,9 +394,8 @@ class ShardPool:
     def abort(self) -> None:
         """Terminate the workers and release the segments.
 
-        Never touches a fence: a worker killed inside a fence wait dies
-        holding the fence's lock, so ``Barrier.abort()`` would block this
-        process forever.
+        Workers are terminated wherever they wait; no fence needs resetting,
+        since a pool never runs again once aborted.
         """
         self.closed = True
         self.dyn = None
@@ -325,10 +409,16 @@ class ShardPool:
         try:
             if self.workers and all(w.exitcode is None for w in self.workers):
                 self.dyn["control"][0] = STOP
-                try:
-                    self.fences[0].wait(timeout=min(5.0, self.barrier_timeout))
-                except threading.BrokenBarrierError:
-                    pass
-                self.join()
+                stopped = self.parked == 0
+                if not stopped:
+                    timeout = min(5.0, self.barrier_timeout)
+                    try:
+                        stopped = self._gather(self.fences[0], timeout) is None
+                    except ExecutionError:  # a worker died; the abort below reaps the rest
+                        pass
+                if stopped:
+                    for go in self.fences[0].go:
+                        go.release()
+                    self.join()
         finally:
             self.abort()

@@ -36,10 +36,11 @@ run (``non_output <= batch size``, the unsharded engine's own criterion)
 runs in **two phases**: workers compute their slice optimistically and
 publish ``(step time, node, output delta)`` triples; the parent merges
 them in the canonical ``(time, original id)`` order, locates the exact
-step that zeroes the non-output counter, and broadcasts the cutoff;
-workers then commit only the steps at or before it.  Ordinary buckets
-(termination impossible — the running counter cannot reach zero) commit
-in one phase with two barriers, exactly like the synchronous shards.
+step that zeroes the non-output counter, and broadcasts the cutoff while
+the workers are parked at the mid-bucket fence; workers then commit only
+the steps at or before it.  Ordinary buckets (termination impossible —
+the running counter cannot reach zero) commit in one phase and meet the
+parent only at the bucket fence, exactly like the synchronous shards.
 
 Determinism contract.  Sharded asynchronous execution is **bitwise
 identical** to the unsharded engines — the vectorized engine and the
@@ -83,13 +84,14 @@ from repro.scheduling.vectorized_async_engine import (
     completing_step,
 )
 
-#: Control words written by the parent before releasing the start fence
+#: Control words written by the parent before releasing the bucket fence
 #: (the pool writes STOP).
 _RUN = 1
 _COLLECT = 2
 
-#: Fence numbers of a bucket.
-_START, _MID, _RESUME, _DONE = range(4)
+#: Fence numbers: workers park at the bucket fence between buckets, and a
+#: two-phase bucket parks them at the mid fence while the parent merges.
+_BUCKET, _MID = 0, 1
 
 #: Bucket modes (control word 1).
 _NORMAL = 0
@@ -172,7 +174,7 @@ def _bucket_loop(
     queue,
 ) -> None:
     """Init, then the bucket loop over permuted nodes ``lo:hi``."""
-    start_fence, mid_fence, resume_fence, done_fence = fences
+    bucket_fence, mid_fence = fences
     control, control_f = dyn["control"], dyn["control_f"]
     table = LazyStrictTable(protocol)
     indptr = tables["indptr"]
@@ -186,9 +188,9 @@ def _bucket_loop(
             dyn[name][worker_id] = getattr(part, name)
 
     publish()
-    done_fence.wait()  # init round: states, margins and stats published
     while True:
-        start_fence.wait()
+        # Parked: the previous bucket (or the init round) is published.
+        bucket_fence.wait()
         command = int(control[0])
         if command == STOP:
             return
@@ -207,13 +209,11 @@ def _bucket_loop(
             dyn["tp_key"][lo : lo + idx.size] = part.keys[idx]
             dyn["tp_delta"][lo : lo + idx.size] = deltas
             mid_fence.wait()
-            resume_fence.wait()
             if control_f[1] != np.inf:
                 cutoff = (float(control_f[1]), int(control[2]))
         part.commit(bucket, cutoff)
         halo.bucket += 1
         publish()
-        done_fence.wait()
 
 
 # --------------------------------------------------------------------- #
@@ -244,7 +244,7 @@ class ShardedAsyncEngine(VectorizedAsynchronousEngine):
         shards: int = 2,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
-        self._pool = ShardPool(graph, shards, fences=4, barrier_timeout=barrier_timeout)
+        self._pool = ShardPool(graph, shards, fences=2, barrier_timeout=barrier_timeout)
         self._ran = False
         super().__init__(
             graph,
@@ -335,7 +335,7 @@ class ShardedAsyncEngine(VectorizedAsynchronousEngine):
         if self._ran:
             raise ExecutionError("a ShardedAsyncEngine is single-run; build a fresh engine")
         self._ran = True
-        self._pool.wait(_DONE)  # init round: states, margins and stats published
+        self._pool.gather(_BUCKET)  # init round: states, margins and stats published
         return super().run(max_events, raise_on_timeout=raise_on_timeout)
 
     def _bucket(self) -> None:
@@ -347,14 +347,14 @@ class ShardedAsyncEngine(VectorizedAsynchronousEngine):
         two_phase = non_output <= int((next_time < horizon).sum())
         dyn["control"][:2] = _RUN, _TWO_PHASE if two_phase else _NORMAL
         dyn["control_f"][0] = horizon
-        pool.wait(_START)
+        pool.release(_BUCKET)
         cutoff = None
         if two_phase:
-            pool.wait(_MID)
+            pool.gather(_MID)
             cutoff = self._merge_cutoff(non_output)
             dyn["control_f"][1], dyn["control"][2] = cutoff or (np.inf, -1)
-            pool.wait(_RESUME)
-        pool.wait(_DONE)
+            pool.release(_MID)
+        pool.gather(_BUCKET)
         self._now = float(dyn["last_time"].max())
         if cutoff is not None:
             self._now = self._output_time = cutoff[0]
@@ -396,7 +396,7 @@ class ShardedAsyncEngine(VectorizedAsynchronousEngine):
         """
         pool = self._pool
         pool.dyn["control"][0] = _COLLECT
-        pool.wait(_START)
+        pool.release(_BUCKET)
         pieces: dict[int, list] = {}
         for _ in range(pool.num_shards):
             try:

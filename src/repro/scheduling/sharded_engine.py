@@ -37,12 +37,13 @@ round's buffer.  The two letter buffers alternate roles every round
 (round ``r`` reads buffer ``r % 2``, writes buffer ``(r+1) % 2``), so
 readers and writers never touch the same buffer and no per-edge copying is
 needed; per round, ``2 · cut_edges`` remote letter reads (8 bytes each)
-cross shard boundaries.  Each round is fenced by two barriers of the
+cross shard boundaries.  Rounds are separated by the one fence of the
 :class:`~repro.scheduling.shard_pool.ShardPool`, which owns the partition,
-the segments and the worker lifecycle::
+the segments and the worker lifecycle.  The workers park at the fence
+between rounds, while the parent reads the round's results::
 
-    parent: start barrier ──▶ done barrier ──▶ aggregate
-    worker: start barrier ──▶ compute slice ──▶ done barrier
+    parent: release ──▶ gather ──▶ aggregate ──▶ release ──▶ ...
+    worker: compute slice ──▶ fence ──────────────▶ compute slice
 
 Determinism contract.  Sharded execution is **bitwise identical** to the
 unsharded engines — the vectorized engine and the interpreter alike — for
@@ -84,8 +85,8 @@ from repro.scheduling.vectorized_engine import (
 #: Control word written once at construction; the pool writes STOP at close.
 _RUN = 1
 
-#: Fence numbers of a round.
-_START, _DONE = 0, 1
+#: The one fence of a round: workers park there between rounds.
+_ROUND = 0
 
 
 # --------------------------------------------------------------------- #
@@ -93,19 +94,18 @@ _START, _DONE = 0, 1
 # --------------------------------------------------------------------- #
 def _round_loop(worker_id, lo, hi, tables, dyn, fences, pick_seed, bounding, width) -> None:
     """The round loop over permuted nodes ``lo:hi``."""
-    start_fence, done_fence = fences
+    (fence,) = fences
     rows = RowRange(tables["indptr"], tables["indices"], lo, hi, tables["node_keys"])
     arrays = tuple(tables[name] for name in TABLE_FIELDS)
     round_index = 0
     while True:
-        start_fence.wait()
+        fence.wait()
         if dyn["control"][0] == STOP:
             return
         dyn["messages"][worker_id] += step_rows(
             rows, round_index, dyn["state"], dyn["letters"], arrays, pick_seed, bounding, width
         )
         round_index += 1
-        done_fence.wait()
 
 
 # --------------------------------------------------------------------- #
@@ -116,7 +116,8 @@ class ShardedVectorizedEngine(VectorizedEngine):
 
     A :class:`~repro.scheduling.vectorized_engine.VectorizedEngine` whose
     buffers live in the pool's dynamic segment, in permuted order, and
-    whose round is the two fence waits while the workers step their ranges.
+    whose round releases the workers parked at the fence and gathers them
+    there again once they have stepped their ranges.
     Only eager tables shard — a lazy table grows under a parent-side lock
     and would serialize every round — so protocols hinting ``"lazy"`` raise
     :class:`~repro.core.errors.ShardingUnavailableError` (callers fall back
@@ -145,7 +146,7 @@ class ShardedVectorizedEngine(VectorizedEngine):
                 "the protocol hints a lazy tabulation; sharding requires "
                 "the eager reachable closure"
             )
-        self._pool = ShardPool(graph, shards, fences=2, barrier_timeout=barrier_timeout)
+        self._pool = ShardPool(graph, shards, fences=1, barrier_timeout=barrier_timeout)
         # Permuted slot p holds original node inv[p], which keeps drawing
         # under its original id.
         super().__init__(
@@ -210,8 +211,11 @@ class ShardedVectorizedEngine(VectorizedEngine):
 
     def _advance(self) -> None:
         """Drive all shards through one synchronous round."""
-        self._pool.wait(_START)
-        self._pool.wait(_DONE)
+        pool = self._pool
+        if pool.parked is None:  # the workers' first arrival
+            pool.gather(_ROUND)
+        pool.release(_ROUND)
+        pool.gather(_ROUND)
 
     # ------------------------------------------------------------------ #
     # Teardown                                                            #

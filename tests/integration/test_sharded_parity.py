@@ -139,14 +139,18 @@ def test_worker_crash_surfaces_and_leaks_nothing():
     assert not _leaked_segments()
 
 
-def _exit_holding(barrier) -> None:
-    barrier._cond.acquire()  # and never release it
+def _exit_holding(fence) -> None:
+    """Take every token *fence* holds and die with them (and never give them
+    back): what a process killed inside a fence wait leaves behind.  With a
+    ``multiprocessing.Barrier`` fence such a process died holding its lock."""
+    for token in fence.arrived + fence.go:
+        token.acquire(False)
     os._exit(0)
 
 
 def test_abort_needs_no_lock_a_dead_worker_held():
-    """A worker killed inside a barrier wait dies holding the barrier's lock;
-    the abort path must still finish (it used to block on that lock)."""
+    """A worker killed inside a fence wait dies holding what it took there;
+    the abort path must still finish (it used to block on a barrier's lock)."""
     engine = ShardedVectorizedEngine(path_graph(16), MISProtocol(), seed=1, shards=2)
     try:
         engine.step_round()
@@ -187,9 +191,10 @@ def _fence_walk(worker_id, lo, hi, tables, dyn, fences) -> None:
     ids=["round-start", "round-done", "bucket-start", "bucket-mid", "bucket-resume", "bucket-done"],
 )
 def test_pool_wait_needs_no_lock_a_dead_worker_held(num_fences, held):
-    """The same hazard on every fence of both engines' fence sets (two per
-    synchronous round, four per asynchronous bucket): the parent's next
-    wait must check worker health before it touches the dead worker's lock."""
+    """The same hazard on every fence of pools with two and four fences
+    (the engines use one per synchronous round, and a bucket and a mid
+    fence per asynchronous bucket): the parent's next wait must notice the
+    dead worker instead of waiting for its tokens."""
     pool = ShardPool(path_graph(16), 2, fences=num_fences)
     pool.allocate({"unused": np.zeros(1)}, {"control": np.zeros(1, dtype=np.int64)}, _fence_walk)
     try:

@@ -199,6 +199,22 @@ class TestCacheAccounting:
         assert s["hits"] + s["misses"] == 5
         assert p["hits"] + p["misses"] == 5
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"environment": "dynamic", "churn": "burst"}, {"environment": "async"}],
+        ids=["sync", "dynamic", "async"],
+    )
+    def test_serial_and_pooled_repeat_look_up_once_per_repetition(self, extra):
+        # Serial repetitions run through the same per-spec path as pooled
+        # ones, in every environment, so both count three lookups.
+        spec = RunSpec(protocol="mis", nodes=10, seed=1, **extra)
+        serial = Simulation()
+        serial.repeat(spec, 3)
+        pooled = Simulation()
+        pooled.repeat(spec, 3, workers=2)
+        s, p = serial.cache_info(), pooled.cache_info()
+        assert s["hits"] + s["misses"] == p["hits"] + p["misses"] == 3
+
     def test_cache_key_reuse_across_object_level_runs(self):
         session = Simulation()
         graph = gnp_random_graph(10, 0.3, seed=1)
@@ -346,6 +362,13 @@ class TestSweep:
             session.sweep(
                 RunSpec(protocol="mis", seed=1), sizes=[8], adversaries=["uniform"]
             )
+
+    def test_inputs_rejected_for_an_input_free_protocol(self):
+        # Sweep cells build their inputs like simulate() and repeat() do, so
+        # a sweep refuses inputs the protocol cannot take.
+        spec = RunSpec(protocol="mis", seed=1, inputs={"source": 1})
+        with pytest.raises(SpecError, match="takes no inputs"):
+            Simulation().sweep(spec, sizes=[6], repetitions=2)
 
 
 class TestSeedDerivation:
