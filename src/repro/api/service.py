@@ -219,6 +219,11 @@ class JobService:
 
     # -- queries -------------------------------------------------------- #
     def job(self, job_id: str) -> dict[str, Any] | None:
+        """A snapshot of one job, result included; ``None`` when unknown.
+
+        An evicted cacheable job is rebuilt from its store entry, so one
+        call reads the store at most once.
+        """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is not None:
@@ -227,12 +232,8 @@ class JobService:
 
     def result_json(self, job_id: str) -> str | None:
         """The canonical result payload of a finished job, or ``None``."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                return job["result_json"] if job["status"] == "done" else None
-        job = self._job_from_store(job_id)
-        return None if job is None else job["result_json"]
+        job = self.job(job_id)
+        return job["result_json"] if job is not None and job["status"] == "done" else None
 
     def _job_from_store(self, job_id: str) -> dict[str, Any] | None:
         """Rebuild an evicted cacheable job's view from the store.
@@ -397,6 +398,10 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-jobs/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply goes out as headers and body in two sends, and
+    # with Nagle's algorithm on the body waits for the client's delayed ACK
+    # of the headers (about 40 ms on Linux) on every keep-alive request.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> JobService:
@@ -452,7 +457,7 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
 
     def _get_job(self, job_id: str, rest: list[str]) -> None:
-        job = self.service.job(job_id)
+        job = self.service.job(job_id)  # the one store read of this request
         if job is None:
             self._send_json(404, {"error": f"unknown job {job_id!r}"})
             return
@@ -467,13 +472,12 @@ class _JobRequestHandler(BaseHTTPRequestHandler):
                 },
             )
         elif rest == ["result"]:
-            payload = self.service.result_json(job_id)
-            if payload is None:
+            if job["status"] != "done":
                 self._send_json(
                     409, {"job": job_id, "status": job["status"], "error": job["error"]}
                 )
             else:
-                self._send(200, payload.encode("utf-8"), "application/json")
+                self._send(200, job["result_json"].encode("utf-8"), "application/json")
         elif rest == ["events"]:
             self._send(
                 200, self.service.ledger.raw(job_id).encode("utf-8"), "text/plain"
@@ -515,8 +519,9 @@ def serve(
     server = make_server(service, host=host, port=port)
     server.verbose = True  # type: ignore[attr-defined]
     bound_host, bound_port = server.server_address[:2]
+    # Flushed: a caller reading the port from a pipe waits for this line.
     print(f"serving spec jobs on http://{bound_host}:{bound_port} "
-          f"(store: {service.store.root})")
+          f"(store: {service.store.root})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -47,6 +47,7 @@ import os
 import tempfile
 import time
 from collections.abc import Mapping
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -83,10 +84,23 @@ from repro.core.results import ExecutionResult
 #: Version 7: payloads store ``final_states`` packed, as a table of the
 #: distinct states plus one table index per node (see
 #: :func:`result_to_payload`); spec semantics are unchanged.
-STORE_SCHEMA_VERSION = 7
+#: Version 8: payloads pack ``outputs`` the same way, with the slot
+#: :data:`NO_OUTPUT` for a node that has no output; spec semantics are
+#: unchanged.
+STORE_SCHEMA_VERSION = 8
+
+#: Slot of a node without an output in a packed ``outputs`` index.
+NO_OUTPUT = -1
 
 #: Reserved tag keys of the canonical payload encoding.
 _TAGS = frozenset({"$t", "$s", "$d", "$f", "$b", "$o"})
+
+#: Exact types that :func:`encode_value` returns unchanged, and the ones
+#: :func:`decode_value` does (a decoded float is always finite or tagged).
+#: A list of only these is copied in one step instead of one call per item,
+#: which is what the per-node index lists of a packed payload are.
+_PLAIN_ENCODED = frozenset({type(None), bool, int, str})
+_PLAIN_DECODED = _PLAIN_ENCODED | {float}
 
 #: Module prefixes from which ``"$o"``-tagged entries may rebuild objects.
 #: Store entries are data, not code: without this gate a tampered entry
@@ -125,6 +139,8 @@ def encode_value(value: Any) -> Any:
             return {"$f": "inf" if value > 0 else "-inf"}
         return value
     if isinstance(value, list):
+        if _PLAIN_ENCODED.issuperset(map(type, value)):
+            return list(value)
         return [encode_value(item) for item in value]
     if isinstance(value, tuple):
         return {"$t": [encode_value(item) for item in value]}
@@ -167,6 +183,8 @@ def encode_value(value: Any) -> Any:
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value`; malformed tags raise ``StorePayloadError``."""
     if isinstance(value, list):
+        if _PLAIN_DECODED.issuperset(map(type, value)):
+            return list(value)
         return [decode_value(item) for item in value]
     if isinstance(value, dict):
         tags = _TAGS.intersection(value)
@@ -350,30 +368,33 @@ _RESULT_FIELDS = (
 )
 
 
+#: Stands for "no value at this node" between the packed tables and Python.
+_NOTHING = object()
+
+
 def result_to_payload(result: ExecutionResult) -> dict[str, Any]:
     """Plain-data form of an :class:`ExecutionResult` (graph omitted).
 
-    ``final_states`` is packed as ``{"states": [...], "index": [...]}``:
-    each distinct state once, in order of first appearance, and one table
-    index per node.  A run has few distinct states and many nodes, so this
-    keeps entries and service answers small.  States are told apart by
-    their canonical encoding, not by Python equality, so ``1``, ``True``
-    and ``1.0`` keep separate table slots.
+    ``final_states`` and ``outputs`` are packed (see :func:`_pack`):
+    ``final_states`` as ``{"states": [...], "index": [...]}`` and
+    ``outputs`` as ``{"values": [...], "index": [...]}``, whose index holds
+    :data:`NO_OUTPUT` for a node without an output, one slot per node of
+    ``result.graph``.  A run has few distinct states and output values and
+    many nodes, so this keeps entries and service answers small.  Outputs
+    keyed by anything but the graph's nodes have no packed form and raise
+    :class:`StorePayloadError`.
     """
     payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
-    table: dict[str, int] = {}
-    slot_of: dict[int, int] = {}  # by id(): engines share state objects
-    states: list[Any] = []
-    index: list[int] = []
-    for state in result.final_states:
-        slot = slot_of.get(id(state))
-        if slot is None:
-            slot = table.setdefault(canonical_json(state), len(states))
-            if slot == len(states):
-                states.append(state)
-            slot_of[id(state)] = slot
-        index.append(slot)
-    payload["final_states"] = {"states": states, "index": index}
+    nodes = result.graph.num_nodes
+    outputs = result.outputs
+    if set(map(type, outputs)) - {int} or (
+        outputs and not 0 <= min(outputs) <= max(outputs) < nodes
+    ):
+        raise StorePayloadError("outputs are not keyed by node index")
+    payload["final_states"] = _pack(result.final_states, "states")
+    payload["outputs"] = _pack(
+        list(map(outputs.get, range(nodes), repeat(_NOTHING))), "values"
+    )
     return payload
 
 
@@ -382,28 +403,63 @@ def payload_to_result(payload: Mapping[str, Any], graph: Any) -> ExecutionResult
     if not isinstance(payload, Mapping) or set(payload) != set(_RESULT_FIELDS):
         raise StorePayloadError("store entry payload does not describe a result")
     data = dict(payload)
-    data["final_states"] = _unpack_states(data["final_states"])
+    data["final_states"] = tuple(_unpack(data["final_states"], "states"))
+    values = _unpack(data["outputs"], "values", missing=True)
+    if len(values) != graph.num_nodes:
+        raise StorePayloadError("outputs index does not hold one slot per node")
+    data["outputs"] = {
+        node: value for node, value in enumerate(values) if value is not _NOTHING
+    }
     return ExecutionResult(graph=graph, **data)
 
 
-def _unpack_states(packed: Any) -> tuple:
-    """The per-node state tuple of a packed ``final_states`` table.
+def _pack(values: list | tuple, name: str) -> dict[str, list]:
+    """``{name: table, "index": slots}``: each distinct value once, one slot per node.
 
-    The table must be exactly what :func:`result_to_payload` writes: every
-    slot used, in order of first appearance.  Anything else raises
-    :class:`StorePayloadError`.
+    The table holds the distinct values in order of first appearance and
+    ``slots[i]`` is the table position of ``values[i]``, or
+    :data:`NO_OUTPUT` where ``values[i]`` is ``_NOTHING``.  Values are told
+    apart by their canonical encoding, not by Python equality, so ``1``,
+    ``True`` and ``1.0`` keep separate slots.
     """
-    if not (isinstance(packed, Mapping) and set(packed) == {"states", "index"}):
-        raise StorePayloadError("final_states is not a packed state table")
-    states, index = packed["states"], packed["index"]
-    if not (isinstance(states, list) and isinstance(index, list)):
-        raise StorePayloadError("final_states table or index is not a list")
-    # Plain ints whose first appearances run 0, 1, 2, ... through the table.
-    if set(map(type, index)) - {int} or list(dict.fromkeys(index)) != list(
-        range(len(states))
-    ):
-        raise StorePayloadError("final_states index does not match its state table")
-    return tuple(map(states.__getitem__, index))
+    by_text: dict[str, int] = {}
+    # By id(): engines share state objects, and the values stay alive here.
+    slot_of: dict[int, int] = {id(_NOTHING): NO_OUTPUT}
+    table: list[Any] = []
+    index: list[int] = []
+    for value in values:
+        slot = slot_of.get(id(value))
+        if slot is None:
+            slot = by_text.setdefault(canonical_json(value), len(table))
+            if slot == len(table):
+                table.append(value)
+            slot_of[id(value)] = slot
+        index.append(slot)
+    return {name: table, "index": index}
+
+
+def _unpack(packed: Any, name: str, *, missing: bool = False) -> list:
+    """The per-node values of a table :func:`_pack` wrote under *name*.
+
+    The table must be exactly what :func:`_pack` writes: plain-int slots,
+    every table entry used, in order of first appearance, and
+    :data:`NO_OUTPUT` only when *missing* allows it (it reads back as
+    ``_NOTHING``).  Anything else raises :class:`StorePayloadError`.
+    """
+    if not (isinstance(packed, Mapping) and set(packed) == {name, "index"}):
+        raise StorePayloadError(f"not a packed {name} table")
+    table, index = packed[name], packed["index"]
+    if not (isinstance(table, list) and isinstance(index, list)):
+        raise StorePayloadError(f"packed {name} table or index is not a list")
+    if set(map(type, index)) - {int}:
+        raise StorePayloadError(f"packed {name} index holds a non-int slot")
+    first = dict.fromkeys(index)
+    if missing:
+        first.pop(NO_OUTPUT, None)
+    # Slots whose first appearances run 0, 1, 2, ... through the table.
+    if list(first) != list(range(len(table))):
+        raise StorePayloadError(f"packed {name} index does not match its table")
+    return list(map([*table, _NOTHING].__getitem__, index))
 
 
 # ---------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ left in the state those loops would have left it in.
 from __future__ import annotations
 
 import random
+import threading
 from collections.abc import Iterable
 
 import numpy as np
@@ -37,19 +38,30 @@ def _rng(seed: int | random.Random | None) -> random.Random:
     return random.Random(seed)
 
 
+#: One Mersenne Twister per thread, reloaded for each draw: constructing
+#: ``np.random.MT19937()`` seeds it from OS entropy, which costs more than
+#: drawing a small graph.
+_THREAD_TWISTER = threading.local()
+
+
 class _ArrayDraws:
     """Array draws from a :class:`random.Random`'s Mersenne Twister state.
 
     Use as a context manager: on exit the advanced state is written back
     into a :class:`random.Random` the caller passed, so scalar draws made
-    afterwards continue the same stream.
+    afterwards continue the same stream.  The generator behind the draws
+    is the calling thread's own, loaded with the caller's state, so one
+    thread's draws must not nest.
     """
 
     def __init__(self, seed: int | random.Random | None) -> None:
         self._caller = seed if isinstance(seed, random.Random) else None
         internal = _rng(seed).getstate()[1]
-        self._bits = np.random.MT19937()
-        self.stream = np.random.RandomState(self._bits)
+        twister = getattr(_THREAD_TWISTER, "pair", None)
+        if twister is None:
+            bits = np.random.MT19937()
+            twister = _THREAD_TWISTER.pair = (bits, np.random.RandomState(bits))
+        self._bits, self.stream = twister
         # The key as a tuple: set_state takes it an order of magnitude
         # faster than as an array.
         self.stream.set_state(("MT19937", internal[:-1], internal[-1]))

@@ -10,11 +10,14 @@ drives the same contract over HTTP: submit, poll, fetch; resubmits are
 deduplicated and answered from the store byte-for-byte.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -382,6 +385,57 @@ def test_finished_jobs_are_evicted_and_reserved_from_store(tmp_path):
         assert json.loads(payload)["reached_output"] is True
     finally:
         service.close()
+
+
+def test_evicted_job_reads_the_store_once_per_request(tmp_path):
+    """GET of an evicted job's status or result is one store read."""
+    from repro.api.service import JobService, make_server
+
+    service = JobService(tmp_path / "store", max_finished_jobs=1)
+    server = make_server(service)
+    host, port = server.server_address[:2]
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    base = f"http://{host}:{port}"
+    try:
+        ids = []
+        for seed in (1, 2):
+            _, submitted = _post(f"{base}/jobs", {"protocol": "mis", "nodes": 16, "seed": seed})
+            ids.append(submitted["job"])
+            _wait_done(base, submitted["job"])
+        assert ids[0] not in service._jobs
+        for path in (f"/jobs/{ids[0]}/result", f"/jobs/{ids[0]}"):
+            hits = service.store.hits
+            code, _ = _get(base + path, raw=True)
+            assert code == 200
+            assert service.store.hits == hits + 1, path
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def test_resubmitted_spec_round_trip_waits_for_no_delayed_ack(service_url):
+    """Replies go out with TCP_NODELAY: on a keep-alive connection a reply
+    whose body follows its headers does not wait for the client's delayed
+    ACK (about 40 ms on Linux) before the body leaves the server."""
+    base, _ = service_url
+    spec = {"protocol": "mis", "nodes": 16, "seed": 8}
+    _, submitted = _post(f"{base}/jobs", spec)
+    _wait_done(base, submitted["job"])
+    parts = urlsplit(base)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    body = json.dumps(spec)
+    round_trips = []
+    try:
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("POST", "/jobs", body=body)
+            response = conn.getresponse()
+            assert json.loads(response.read())["status"] == "done"
+            round_trips.append(time.perf_counter() - start)
+    finally:
+        conn.close()
+    assert statistics.median(round_trips) < 0.020, round_trips
 
 
 def test_service_runs_unseeded_specs_without_caching(service_url):

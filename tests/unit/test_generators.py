@@ -1,6 +1,8 @@
 """Unit tests for the graph generators."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.graphs import (
     star_graph,
     tree_from_pruefer,
 )
+from repro.graphs.generators import random_geometric_graph
 
 
 class TestDeterministicFamilies:
@@ -141,6 +144,46 @@ class TestRandomFamilies:
     def test_random_connected_gnp_is_connected(self):
         graph = random_connected_gnp(40, 0.02, seed=11)
         assert is_connected(graph)
+
+
+class TestConcurrentDraws:
+    @staticmethod
+    def _build(seed):
+        """Every array-drawn family at small n, plus the caller's final state."""
+        rng = random.Random(seed)
+        graphs = [
+            random_tree(33, seed=seed),
+            gnp_random_graph(40, 0.1, seed=seed),
+            random_bipartite_graph(12, 15, 0.3, seed=rng),
+            random_geometric_graph(30, seed=rng),
+        ]
+        return [graph.edges for graph in graphs], rng.getstate()
+
+    def test_concurrent_builds_match_serial_builds(self):
+        """Each thread draws from its own Mersenne Twister, so graphs built
+        from four threads at once equal the same graphs built one by one."""
+        threads = 4
+        seeds = [list(range(thread, 160, threads)) for thread in range(threads)]
+        serial = [[self._build(seed) for seed in part] for part in seeds]
+        built = [None] * threads
+        start = threading.Barrier(threads, timeout=60)
+
+        def worker(thread):
+            start.wait()
+            built[thread] = [self._build(seed) for seed in seeds[thread]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between draws
+        try:
+            workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert built == serial
 
 
 class TestFamilyRegistry:

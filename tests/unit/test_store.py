@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import RunSpec, Simulation
 from repro.api.store import (
+    NO_OUTPUT,
     STORE_SCHEMA_VERSION,
     ResultStore,
     canonical_json,
@@ -285,6 +286,91 @@ def test_malformed_state_table_degrades_to_a_miss(tmp_path):
     store.put(spec_hash(SPEC), payload)
     assert fetch(store, SPEC) is None
     assert store.stats()["corrupt"] == 1
+
+
+def test_payload_stores_each_distinct_output_once():
+    result = Simulation().simulate(SPEC)
+    result.outputs = {3: 1, 0: True, 2: 1.0, 5: 1, 6: True, 7: (1,), 8: (True,)}
+    packed = result_to_payload(result)["outputs"]
+    # One slot per node, NO_OUTPUT where a node has no output; 1, True and
+    # 1.0 (and (1,), (True,)) keep separate slots.
+    assert packed == {
+        "values": [True, 1.0, 1, (1,), (True,)],
+        "index": [0, NO_OUTPUT, 1, 2, NO_OUTPUT, 2, 0, 3, 4]
+        + [NO_OUTPUT] * (SPEC.nodes - 9),
+    }
+    decoded = decode_value(json.loads(canonical_json(result_to_payload(result))))
+    rebuilt = payload_to_result(decoded, result.graph).outputs
+    assert rebuilt == result.outputs
+    assert list(rebuilt) == sorted(result.outputs)
+    assert canonical_json(rebuilt) == canonical_json(result.outputs)
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [{SPEC.nodes: True}, {-1: True}, {"0": True}, {True: True}, {0.0: True}],
+    ids=["past-last-node", "negative", "str-key", "bool-key", "float-key"],
+)
+def test_outputs_not_keyed_by_node_are_bypassed(tmp_path, outputs):
+    result = Simulation().simulate(SPEC)
+    result.outputs = outputs
+    with pytest.raises(StorePayloadError):
+        result_to_payload(result)
+    store = ResultStore(tmp_path / "store")
+    assert not stash(store, SPEC, result)
+    assert store.stats()["bypasses"] == 1
+
+
+def _output_index(*tail):
+    """A full-length outputs index: slot 0 everywhere, then *tail*."""
+    return [0] * (SPEC.nodes - len(tail)) + list(tail)
+
+
+@pytest.mark.parametrize(
+    "packed",
+    [
+        {node: True for node in range(SPEC.nodes)},  # the schema-7 layout
+        {"states": [True], "index": _output_index()},
+        {"values": [True]},
+        {"values": [True], "index": _output_index(), "extra": 1},
+        {"values": True, "index": _output_index()},
+        {"values": [True], "index": tuple(_output_index())},
+        {"values": [True], "index": _output_index(1)},
+        {"values": [True], "index": _output_index(-2)},
+        {"values": [True, False], "index": _output_index()},
+        {"values": [True, False], "index": [1] + _output_index(0)[1:]},
+        {"values": [True], "index": _output_index(0.0)},
+        {"values": [True], "index": _output_index(True)},
+        {"values": [True], "index": _output_index("0")},
+        {"values": [True], "index": _output_index()[1:]},
+        {"values": [True], "index": _output_index(NO_OUTPUT)[1:]},
+    ],
+    ids=[
+        "schema-7-dict", "states-key", "no-index", "extra-key", "values-not-list",
+        "index-not-list", "bad-slot", "negative-slot", "unused-value",
+        "out-of-order", "float-slot", "bool-slot", "str-slot", "short-index",
+        "short-index-with-marker",
+    ],
+)
+def test_malformed_output_table_is_a_payload_error(packed):
+    payload = result_to_payload(Simulation().simulate(SPEC))
+    payload["outputs"] = packed
+    with pytest.raises(StorePayloadError):
+        payload_to_result(payload, SPEC.build_graph())
+
+
+def test_malformed_output_table_degrades_to_a_miss(tmp_path):
+    session = Simulation()
+    store = ResultStore(tmp_path / "store")
+    assert stash(store, SPEC, session.simulate(SPEC))
+    payload = store.get(spec_hash(SPEC))
+    payload["outputs"]["index"][-1] = -2
+    store.put(spec_hash(SPEC), payload)
+    assert fetch(store, SPEC) is None
+    stats = store.stats()
+    assert stats["corrupt"] == 1
+    assert stats["hits"] == 1  # the first get(); the fetch reads as a miss
+    assert not store.path_for(spec_hash(SPEC)).exists()
 
 
 # ---------------------------------------------------------------------- #

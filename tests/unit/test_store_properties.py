@@ -24,11 +24,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from repro.api import RunSpec, spec_hash  # noqa: E402
 from repro.api.store import (  # noqa: E402
     STORE_SCHEMA_VERSION,
+    canonical_json,
     canonical_spec_json,
     canonical_spec_payload,
     decode_value,
     encode_value,
+    payload_to_result,
+    result_to_payload,
 )
+from repro.core.results import ExecutionResult  # noqa: E402
+from repro.graphs.graph import Graph  # noqa: E402
 
 COMMON = settings(
     max_examples=40,
@@ -226,6 +231,49 @@ def test_frozenset_round_trip_is_order_independent(value):
     assert decode_value(encoded_a) == value
 
 
+#: Output and state values a packed table must keep apart: ``1``, ``True``
+#: and ``1.0`` are equal in Python but not in the canonical encoding.
+node_values = st.sampled_from([0, 1, True, False, 0.0, 1.0, None, "in", (1,), (True,)])
+
+
+@st.composite
+def packed_results(draw):
+    """Results whose outputs cover every node, some nodes or none."""
+    nodes = draw(st.integers(min_value=1, max_value=12))
+    outputs = draw(
+        st.just({})
+        | st.dictionaries(st.integers(min_value=0, max_value=nodes - 1), node_values)
+        | st.lists(node_values, min_size=nodes, max_size=nodes).map(
+            lambda values: dict(enumerate(values))
+        )
+    )
+    return ExecutionResult(
+        protocol_name="probe",
+        graph=Graph(nodes),
+        reached_output=draw(st.booleans()),
+        final_states=tuple(draw(st.lists(node_values, min_size=nodes, max_size=nodes))),
+        outputs=outputs,
+        rounds=draw(st.integers(min_value=0, max_value=100)),
+        seed=draw(st.none() | st.integers(min_value=0, max_value=2**31)),
+    )
+
+
+@COMMON
+@given(result=packed_results())
+def test_packed_result_round_trip(result):
+    """result_to_payload -> canonical_json -> decode_value -> payload_to_result
+    restores every output and state with its exact type, and re-encodes to
+    the same bytes."""
+    text = canonical_json(result_to_payload(result))
+    rebuilt = payload_to_result(decode_value(json.loads(text)), result.graph)
+    assert rebuilt == result
+    # The canonical rendering tells 1, True and 1.0 apart; dict order aside.
+    assert canonical_json(rebuilt.outputs) == canonical_json(result.outputs)
+    assert canonical_json(rebuilt.final_states) == canonical_json(result.final_states)
+    assert list(rebuilt.outputs) == sorted(result.outputs)
+    assert canonical_json(result_to_payload(rebuilt)) == text
+
+
 # ---------------------------------------------------------------------- #
 # Golden hashes — the byte-level contract                                 #
 # ---------------------------------------------------------------------- #
@@ -236,15 +284,15 @@ def test_frozenset_round_trip_is_order_independent(value):
 GOLDEN_HASHES = {
     # The shard count canonicalizes away: sharded and unsharded runs of a
     # spec share one address.
-    "d7573c490533395ead18e9cd2c219565b367fc77366227e0e94fc4da881c20a6": (
+    "5d6f8193a10cbb36c57cd281d9fb91f4ce6db6aed02405cbda854382e0266529": (
         RunSpec(protocol="mis", nodes=32, seed=5),
         RunSpec(protocol="mis", nodes=32, seed=5, shards=4),
     ),
-    "8fe3f1bda0d0ac01fb96200efe455778eb66df8da8c2a6ea998b762a6a9f5f3e": (
+    "df04770dfb2970b3f165f1832fe14baa2749c2536237c88809ff0b0e122adda1": (
         RunSpec(protocol="coloring", nodes=16, seed=3, graph="random_tree"),
     ),
     # Async specs shard too; the shard count canonicalizes away here as well.
-    "9b1f50bfd48e812463f71e295171f5db62fd36495bd601f8aa6cb1ea98130954": (
+    "6bfa198ba7a5d68e7e6dd3af26061b5e4f5466f5fa91177cd1a4e547803c6e60": (
         RunSpec(protocol="mis", environment="async", nodes=12, seed=7, adversary="uniform"),
         RunSpec(
             protocol="mis",
@@ -256,7 +304,7 @@ GOLDEN_HASHES = {
         ),
     ),
     # Dynamic spec: the churn fields are part of the canonical rendering.
-    "c9b432142e0a418b7429301df82982a67bbed05ea09f869b28a25d8fb0ad7117": (
+    "7954fa7ffd331198f52fdc40ac5d727bec840d86fccd8bb1fb0ab328ae81f65c": (
         RunSpec(
             protocol="mis",
             nodes=24,
@@ -270,13 +318,15 @@ GOLDEN_HASHES = {
 
 
 def test_schema_version_is_pinned():
-    # Version 7: payloads pack final_states as a table of distinct states
-    # plus one index per node.  Version 6: every engine draws from the one
-    # counter pick stream, so the shard count canonicalizes away like the
-    # backend (version 5 made shards legal for the async and dynamic
-    # environments; version 4 added the dynamic environment's churn fields;
-    # version 3 canonicalized the backend field to "auto").
-    assert STORE_SCHEMA_VERSION == 7
+    # Version 8: payloads pack outputs like final_states, with a marker
+    # slot for nodes without an output.  Version 7: payloads pack
+    # final_states as a table of distinct states plus one index per node.
+    # Version 6: every engine draws from the one counter pick stream, so
+    # the shard count canonicalizes away like the backend (version 5 made
+    # shards legal for the async and dynamic environments; version 4 added
+    # the dynamic environment's churn fields; version 3 canonicalized the
+    # backend field to "auto").
+    assert STORE_SCHEMA_VERSION == 8
 
 
 @pytest.mark.parametrize("digest", sorted(GOLDEN_HASHES))
@@ -288,7 +338,7 @@ def test_golden_hashes(digest):
 def test_golden_canonical_json():
     """The full canonical rendering of one spec, byte for byte."""
     assert canonical_spec_json(RunSpec(protocol="mis", nodes=32, seed=5)) == (
-        '{"schema":7,"spec":{"adversary":null,"adversary_params":{},'
+        '{"schema":8,"spec":{"adversary":null,"adversary_params":{},'
         '"adversary_seed":null,"backend":"auto","churn":null,'
         '"churn_params":{},"churn_seed":null,"environment":"sync",'
         '"graph":null,"graph_params":{},"graph_seed":null,"inputs":{},'
