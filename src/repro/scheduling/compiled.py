@@ -80,6 +80,9 @@ class CompiledProtocol:
     The flat layout is the classic CSR-of-CSR shape: per (state, observation)
     cell an offset/length pair into a flat option pool, with per-state base
     offsets into the cell pool because observation spaces differ per state.
+    ``sink_mask`` marks the states whose every cell holds exactly one option,
+    which keeps the state and emits nothing: once there, a node never
+    changes again, so the synchronous engine stops stepping it.
     """
 
     __slots__ = (
@@ -91,6 +94,7 @@ class CompiledProtocol:
         "option_next",
         "option_emit",
         "output_mask",
+        "sink_mask",
         "initial_letter_id",
         "num_letters",
     )
@@ -108,9 +112,12 @@ class CompiledProtocol:
         cell_count: list[int] = []
         option_next: list[int] = []
         option_emit: list[int] = []
+        sink_mask = np.zeros(num_states, dtype=bool)
         for state_id, (queried, cells) in enumerate(
             zip(tabulation.queried, tabulation.options)
         ):
+            stay = ((state_id, -1),)
+            sink_mask[state_id] = all(choices == stay for choices in cells)
             arity = len(queried)
             for position, letter_id in enumerate(queried):
                 strides[state_id, letter_id] = b1 ** (arity - 1 - position)
@@ -129,6 +136,7 @@ class CompiledProtocol:
         self.option_next = np.asarray(option_next, dtype=np.int64)
         self.option_emit = np.asarray(option_emit, dtype=np.int64)
         self.output_mask = np.asarray(tabulation.output_mask, dtype=bool)
+        self.sink_mask = sink_mask
         self.initial_letter_id = tabulation.initial_letter_id
         self.num_letters = num_letters
 
@@ -315,6 +323,8 @@ class LazyExtendedTable:
         self._queried: list[tuple] = []  # queried letter *values*, per state
         self._state_base = _GrowingArray(np.int64)
         self._output = _GrowingArray(bool)
+        # Cells are evaluated on demand, so no state is known to be a sink.
+        self._sink = _GrowingArray(bool)
         self._strides = _GrowingMatrix(self.alphabet_size)
         # Per-cell pools; -1 in _cell_offset marks an unevaluated cell.
         self._cell_offset = _GrowingArray(np.int64)
@@ -428,6 +438,7 @@ class LazyExtendedTable:
         self._queried.append(queried)
         self._state_base.append(len(self._cell_offset))
         self._output.append(output)
+        self._sink.append(False)
         self._register_queried(queried)
         self._cell_offset.extend_constant(cells, -1)
         self._cell_count.extend_constant(cells, 0)
@@ -521,13 +532,16 @@ class LazyExtendedTable:
     # ------------------------------------------------------------------ #
     def arrays(self) -> tuple:
         """``(strides, state_base, output_mask, cell_offset, cell_count,
-        option_next, option_emit)`` as NumPy views over everything so far.
+        option_next, option_emit, sink_mask)`` as NumPy views over everything
+        so far.
 
         ``strides`` is the ``(num_states, alphabet_size)`` observation-stride
         matrix: the observation id of a node is the dot product of its
-        saturated alphabet counts with its state's stride row.  The views are
-        O(1) and invalidated by table growth, so consumers re-fetch after
-        every :meth:`ensure_cells` / :meth:`state_id` call.
+        saturated alphabet counts with its state's stride row.  ``sink_mask``
+        is all ``False``: a state's cells are not all known, so none is
+        reported a sink and the engine steps every node.  The views are O(1)
+        and invalidated by table growth, so consumers re-fetch after every
+        :meth:`ensure_cells` / :meth:`state_id` call.
         """
         return (
             self._strides.view(),
@@ -537,6 +551,7 @@ class LazyExtendedTable:
             self._cell_count.view(),
             self._option_next.view(),
             self._option_emit.view(),
+            self._sink.view(),
         )
 
 

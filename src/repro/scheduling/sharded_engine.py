@@ -11,7 +11,7 @@ Memory layout (two POSIX shared-memory segments, zero-copy)::
     static segment (read-only after construction)
       indptr / indices   permuted CSR adjacency
       strides, state_base, output_mask, cell_offset,
-      cell_count, option_next, option_emit
+      cell_count, option_next, option_emit, sink_mask
                          the dense CompiledProtocol tables
       node_keys          original node id of each permuted node (pick keys)
 
@@ -44,6 +44,14 @@ between rounds, while the parent reads the round's results::
 
     parent: release ──▶ gather ──▶ aggregate ──▶ release ──▶ ...
     worker: compute slice ──▶ fence ──────────────▶ compute slice
+
+Each worker retires its own rows: its :class:`~repro.scheduling.
+vectorized_engine.RowRange` drops a node once the node has spent one round
+in a sink state (see :mod:`repro.scheduling.vectorized_engine`), so later
+rounds census, draw and write only the range's live nodes.  That last
+round copies the node's letter into both ping-pong buffers, so neighbours
+on any shard keep reading it from the buffers as before.  Retiring is local
+to the worker: no fence, message or halo read is added.
 
 Determinism contract.  Sharded execution is **bitwise identical** to the
 unsharded engines — the vectorized engine and the interpreter alike — for

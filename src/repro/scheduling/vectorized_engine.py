@@ -11,10 +11,10 @@ finite-state protocol is first *tabulated* (:func:`repro.core.interning.
 tabulate_protocol`): every reachable state, letter and transition option is
 interned to a dense integer id.  The tabulation is then packed into NumPy
 arrays and a whole round becomes a short sequence of array operations over
-the CSR adjacency of the graph:
+the CSR rows of the graph's *live* nodes:
 
-1. **Port census** — every node's saturated letter counts are obtained with
-   one ``np.bincount`` over the directed edges (the synchronous engine only
+1. **Port census** — every live node's saturated letter counts are obtained
+   with one ``np.bincount`` over its out-edges (the synchronous engine only
    ever broadcasts, so the port ``ψ_v(u)`` always holds the last letter
    ``u`` transmitted — one value per *sender* suffices);
 2. **Observation indexing** — the counts are folded into a per-node
@@ -30,8 +30,21 @@ the CSR adjacency of the graph:
    message counter advances; output configurations are detected with a
    boolean mask over the state vector.
 
+A node is live until it settles in a *sink*: a state whose every
+observation cell holds exactly one option, which keeps the state and emits
+nothing (``CompiledProtocol.sink_mask``; MIS's ``WIN``/``LOSE``, the
+colouring's ``COLORED`` states).  Once there, the node's state and letter
+never change again, so stepping it is wasted work, except once: a node that
+began a round in a sink is stepped that round, which copies its last
+letter into the other half of the ping-pong letter buffer, and is retired
+before the next round's census.  Both halves then hold its letter for good.
+A sink step draws no pick and changes nothing, so retiring it changes no
+result; ``total_node_steps`` still counts every node in every round.  Lazy
+tables report no sinks and step every node.
+
 The four steps are one function of a contiguous node range,
-:func:`step_rows`.  The engine calls it over ``[0, n)``; each shard worker of
+:func:`step_rows`, which keeps the range's live rows in its
+:class:`RowRange`.  The engine calls it over ``[0, n)``; each shard worker of
 :class:`~repro.scheduling.sharded_engine.ShardedVectorizedEngine` calls the
 same function over its own range, so a sharded round is this round by
 construction.
@@ -98,38 +111,67 @@ TABLE_FIELDS = (
     "cell_count",
     "option_next",
     "option_emit",
+    "sink_mask",
 )
 
 
 class RowRange:
-    """The CSR rows ``lo:hi`` as :func:`step_rows` reads them.
+    """The live CSR rows of ``lo:hi`` as :func:`step_rows` reads them.
 
-    ``edge_src`` holds the range-local row of every out-edge of the range and
-    ``edge_dst`` its global neighbour; ``node_keys`` are the pick-stream keys
-    of the range's nodes.
+    ``live`` indexes the rows still stepped: the slice ``lo:hi`` until a row
+    retires (so a range that never retires one, as under a lazy table, reads
+    and writes views as before), then an array of row ids.  ``edge_src``
+    holds the live-local row of every out-edge of a live row and
+    ``edge_dst`` its global neighbour; ``node_keys`` are the pick-stream
+    keys of the live rows.  ``settled`` marks the live rows whose state was
+    a sink when the last round began.
     """
 
     def __init__(self, indptr, indices, lo: int, hi: int, node_keys) -> None:
-        self.lo, self.hi = lo, hi
+        self.live = slice(lo, hi)
         self.edge_dst = np.asarray(indices[int(indptr[lo]) : int(indptr[hi])], dtype=np.int64)
         degrees = np.diff(np.asarray(indptr[lo : hi + 1], dtype=np.int64))
         self.edge_src = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
         self.node_keys = node_keys[lo:hi]
+        self.settled = None
+
+    def __len__(self) -> int:
+        return len(self.node_keys)
+
+    def retire_settled(self) -> None:
+        """Stop stepping the ``settled`` rows: drop them and their out-edges."""
+        settled, self.settled = self.settled, None
+        if settled is None or not settled.any():
+            return
+        keep = ~settled
+        on_kept = keep[self.edge_src]
+        self.edge_src = (np.cumsum(keep) - 1)[self.edge_src[on_kept]]
+        self.edge_dst = self.edge_dst[on_kept]
+        if isinstance(self.live, slice):
+            self.live = np.arange(self.live.start, self.live.stop, dtype=np.int64)
+        self.live = self.live[keep]
+        self.node_keys = self.node_keys[keep]
 
 
 def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, width, table=None):
-    """One synchronous round of the nodes ``rows.lo:rows.hi``.
+    """One synchronous round of the live rows of *rows*.
 
     Reads every port from ``letters[round_index % 2]`` (the letters last
-    transmitted, by any node) and writes the range's slice of ``state`` and
-    of ``letters[(round_index + 1) % 2]``, so ranges never write what another
+    transmitted, by any node) and writes the live rows of ``state`` and of
+    ``letters[(round_index + 1) % 2]``, so ranges never write what another
     range reads in the same round.  ``arrays`` are the table arrays in
     :data:`TABLE_FIELDS` order and ``width`` the number of letters the census
     counts.  A lazy ``table`` is passed too: it evaluates the cells the round
     reaches first.  Returns the number of transmitting nodes.
+
+    A row whose state was a sink when a round began is stepped that round
+    and retired before the next one's census.  That last step changes no
+    state and emits nothing, so it copies the row's letter into the write
+    buffer: both halves of ``letters`` then hold it for good, as ``state``
+    holds the sink.
     """
-    lo, hi = rows.lo, rows.hi
-    span = hi - lo
+    rows.retire_settled()
+    live = rows.live
     read, write = letters[round_index % 2], letters[(round_index + 1) % 2]
 
     # 1. Port census: counts[v, σ] = |{u ∈ N(v) : last_letter(u) = σ}|.
@@ -143,31 +185,35 @@ def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, wi
         # edges are masked out.
         observable = incoming < width
         keys = rows.edge_src[observable] * width + incoming[observable]
-    counts = np.bincount(keys, minlength=span * width).reshape(span, width)
+    counts = np.bincount(keys, minlength=len(rows) * width).reshape(len(rows), width)
     saturated = np.minimum(counts, bounding)
 
     # 2. Observation ids via the per-state stride matrix.  A lazy table then
     #    evaluates every (state, observation) cell not seen before; a warm
     #    table skips straight through.  Re-fetch the views afterwards
     #    because growth may have moved the pools.
-    local = state[lo:hi]
-    strides, state_base, _, cell_offset, cell_count, option_next, option_emit = arrays
+    local = state[live]
+    strides = arrays[0]
     obs_id = (saturated * strides[local]).sum(axis=1)
     if table is not None:
         table.ensure_cells(local, obs_id)
-        _, state_base, _, cell_offset, cell_count, option_next, option_emit = table.arrays()
+        arrays = table.arrays()
+    _, state_base, _, cell_offset, cell_count, option_next, option_emit, sink_mask = arrays
     cell = state_base[local] + obs_id
 
     # 3. Uniform draws for nodes with more than one option.
     pick = counter_picks(pick_seed, round_index, rows.node_keys, cell_count[cell])
 
     # 4. Apply transitions and deliver emissions (round-t messages become
-    #    visible in round t+1: the census above read the old buffer).
+    #    visible in round t+1: the census above read the old buffer).  The
+    #    sink check reads the states this round began in, so it comes before
+    #    the state write: while ``live`` is a slice, ``local`` is a view.
+    rows.settled = sink_mask[local]
     selected = cell_offset[cell] + pick
     emitted = option_emit[selected]
     transmitting = emitted >= 0
-    write[lo:hi] = np.where(transmitting, emitted, read[lo:hi])
-    state[lo:hi] = option_next[selected]
+    write[live] = np.where(transmitting, emitted, read[live])
+    state[live] = option_next[selected]
     return int(transmitting.sum())
 
 

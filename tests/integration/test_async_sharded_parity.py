@@ -13,7 +13,6 @@ registered adversary policies × shard counts × seeds, and checks that no
 is killed mid-run.
 """
 
-import glob
 import os
 import signal
 import threading
@@ -29,9 +28,10 @@ from repro.compilers import compile_to_asynchronous
 from repro.core.errors import ExecutionError
 from repro.graphs import generators
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.shard_pool import SEGMENT_PREFIX, sharding_supported
+from repro.scheduling.shard_pool import sharding_supported
 from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
 from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
+from shm_segments import leaked_segments
 
 pytestmark = pytest.mark.skipif(
     not sharding_supported(), reason="platform lacks POSIX shared memory"
@@ -61,10 +61,6 @@ NODES = 24
 #: terminated one (both engines count the same per-bucket events), without
 #: paying the full run for every cell.
 MATRIX_MAX_EVENTS = 20_000
-
-
-def _leaked_segments() -> list[str]:
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}_*")
 
 
 def _spec(protocol, adversary, seed, **overrides):
@@ -133,7 +129,7 @@ def test_sharded_matches_unsharded_counter_run(protocol, adversary):
             assert sharded.metadata["halo_bytes_per_bucket"] == (
                 2 * sharded.metadata["cut_edges"] * 16
             )
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_auto_stays_interpreted_on_small_networks_for_every_shard_count():
@@ -184,7 +180,7 @@ def test_shard_count_capped_at_node_count():
     assert _identity(result) == _identity(reference)
     assert result.metadata["backend_mode"] == "sharded"
     assert result.metadata["shard_count"] <= 3
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_engine_direct_parity_and_context_manager():
@@ -197,7 +193,7 @@ def test_engine_direct_parity_and_context_manager():
     with ShardedAsyncEngine(graph, protocol, seed=17, shards=3) as engine:
         sharded = engine.run(max_events=2_000_000, raise_on_timeout=False)
     assert _identity(sharded) == _identity(reference)
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_engine_is_single_run_and_close_is_idempotent():
@@ -209,7 +205,7 @@ def test_engine_is_single_run_and_close_is_idempotent():
         engine.run(max_events=50_000, raise_on_timeout=False)
     engine.close()
     engine.close()  # second close must be a no-op
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_worker_crash_surfaces_and_leaks_nothing():
@@ -235,4 +231,4 @@ def test_worker_crash_surfaces_and_leaks_nothing():
     finally:
         killer.join()
         engine.close()
-    assert not _leaked_segments()
+    assert not leaked_segments()

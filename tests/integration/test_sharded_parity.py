@@ -11,9 +11,10 @@ is killed mid-run.
 """
 
 import errno
-import glob
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from multiprocessing import shared_memory
@@ -32,6 +33,7 @@ from repro.scheduling.shard_pool import SEGMENT_PREFIX, ShardPool, sharding_supp
 from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
 from repro.scheduling.sharded_engine import ShardedVectorizedEngine
 from repro.scheduling.vectorized_engine import VectorizedEngine
+from shm_segments import leaked_segments
 
 pytestmark = pytest.mark.skipif(
     not sharding_supported(), reason="platform lacks POSIX shared memory"
@@ -53,13 +55,24 @@ NODES = 24
 MATRIX_MAX_ROUNDS = 256
 
 
-def _leaked_segments() -> list[str]:
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}_*")
-
-
 def _run(spec: RunSpec, session=None):
     session = session or Simulation()
     return session.simulate(spec, raise_on_timeout=False)
+
+
+def test_leak_check_skips_segments_of_live_foreign_processes(tmp_path):
+    """Another live test process's segments are not this process's leak."""
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait()
+    mine, foreign, orphan, unnamed = (
+        tmp_path / f"{SEGMENT_PREFIX}_{os.getpid()}_1",
+        tmp_path / f"{SEGMENT_PREFIX}_{os.getppid()}_1",
+        tmp_path / f"{SEGMENT_PREFIX}_{finished.pid}_1",
+        tmp_path / f"{SEGMENT_PREFIX}_x_1",
+    )
+    for path in (mine, foreign, orphan, unnamed):
+        path.touch()
+    assert leaked_segments(str(tmp_path)) == sorted(map(str, (mine, orphan, unnamed)))
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SPECS))
@@ -92,7 +105,7 @@ def test_sharded_matches_unsharded_counter_run(protocol, family):
             assert sharded.metadata["halo_bytes_per_round"] == (
                 2 * sharded.metadata["cut_edges"] * 8
             )
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_shard_count_capped_at_node_count():
@@ -100,7 +113,7 @@ def test_shard_count_capped_at_node_count():
     reference = _run(RunSpec(protocol="mis", nodes=3, seed=1, shards=1))
     assert result.summary_fields() == reference.summary_fields()
     assert result.metadata["shard_count"] <= 3
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_sharded_engine_close_is_idempotent_and_clean():
@@ -110,13 +123,13 @@ def test_sharded_engine_close_is_idempotent_and_clean():
     assert result.reached_output
     engine.close()
     engine.close()  # second close must be a no-op
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_context_manager_releases_segments():
     with ShardedVectorizedEngine(path_graph(20), MISProtocol(), seed=5, shards=2) as engine:
         engine.run(max_rounds=1000)
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_worker_crash_surfaces_and_leaks_nothing():
@@ -136,7 +149,7 @@ def test_worker_crash_surfaces_and_leaks_nothing():
                 engine.step_round()
     finally:
         engine.close()
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def _exit_holding(fence) -> None:
@@ -175,7 +188,7 @@ def test_abort_needs_no_lock_a_dead_worker_held():
         assert errors and "shard worker" in str(errors[0])
     finally:
         engine.close()
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def _fence_walk(worker_id, lo, hi, tables, dyn, fences) -> None:
@@ -221,7 +234,7 @@ def test_pool_wait_needs_no_lock_a_dead_worker_held(num_fences, held):
         assert errors and "shard worker" in str(errors[0])
     finally:
         pool.close()
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 @pytest.mark.parametrize(
@@ -252,7 +265,7 @@ def test_failed_construction_leaks_no_segment(monkeypatch, build):
         build(path_graph(16))
     assert info.value.errno == errno.ENOSPC
     assert len(creates) == 2
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_lazy_protocol_falls_back_to_unsharded_counter_run():
@@ -269,7 +282,7 @@ def test_lazy_protocol_falls_back_to_unsharded_counter_run():
     assert result.metadata["shard_count"] == 1
     assert result.metadata["backend_mode"] == "lazy"
     assert "shards=4 requested but" in result.metadata["backend_reason"]
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_sharded_runs_are_deterministic_across_calls():
@@ -277,7 +290,7 @@ def test_sharded_runs_are_deterministic_across_calls():
     first = _run(spec)
     second = _run(spec)
     assert first.summary_fields() == second.summary_fields()
-    assert not _leaked_segments()
+    assert not leaked_segments()
 
 
 def test_sharded_engine_direct_parity_with_vectorized_counter_engine():
@@ -290,4 +303,4 @@ def test_sharded_engine_direct_parity_with_vectorized_counter_engine():
     finally:
         engine.close()
     assert sharded.summary_fields() == reference.summary_fields()
-    assert not _leaked_segments()
+    assert not leaked_segments()

@@ -213,7 +213,9 @@ def test_round_function_steps_row_ranges_like_one_engine(graph, seed, shards):
     CSR, with the inverse permutation as node keys, ``step_rows`` runs over
     each range of the partition in turn.  Round by round the states, the
     letters and the message count equal those of one ``VectorizedEngine``
-    run on the permuted graph.
+    run on the permuted graph, and every range retires its own rows: a round
+    steps exactly the range's rows that were not in a sink when the round
+    before it began.
     """
     p = partition_graph(graph, min(shards, graph.num_nodes))
     permuted_graph = Graph(
@@ -234,10 +236,15 @@ def test_round_function_steps_row_ranges_like_one_engine(graph, seed, shards):
     pick_seed = resolve_pick_seed(seed)
     bounding, width = MISProtocol().bounding.value, compiled.num_letters
     messages = 0
+    settled = np.zeros(graph.num_nodes, dtype=bool)  # in a sink as the last round began
     while engine.round_index < 200 and not engine.in_output_configuration():
         r = engine.round_index
-        for rows in ranges:
+        in_sink = compiled.sink_mask[state]
+        for rows, lo, hi in zip(ranges, p.bounds[:-1], p.bounds[1:]):
             messages += step_rows(rows, r, state, letters, arrays, pick_seed, bounding, width)
+            stepped = np.arange(graph.num_nodes)[rows.live]
+            assert stepped.tolist() == [v for v in range(lo, hi) if not settled[v]]
+        settled = in_sink
         engine.step_round()
         transmitted = letters[(r + 1) % 2]
         assert tuple(compiled.states[i] for i in state) == engine.states
