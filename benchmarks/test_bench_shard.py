@@ -24,7 +24,6 @@ import pytest
 
 from repro.analysis.reporting import ExperimentReport
 from repro.api import RunSpec, Simulation
-from repro.scheduling.shard_pool import sharding_supported
 
 from speedup import soft_assert_speedup
 
@@ -32,11 +31,6 @@ SHARD_SPEEDUP_TARGET = 2.0
 SMOKE_NODES = 512
 LARGE_NODES = 2**17
 HUGE_NODES = 10**6
-
-pytestmark = pytest.mark.skipif(
-    not sharding_supported(), reason="platform lacks POSIX shared memory"
-)
-
 
 def _usable_cpus() -> int:
     try:

@@ -31,7 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import ExecutionError, ProtocolNotVectorizableError
+
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -75,11 +78,7 @@ class BackendSpec:
         """Whether this tier can run on this host, plus a detail string."""
         if self.name == "python":
             return True, "always available (stdlib interpreter)"
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - minimal installs only
-            return False, "NumPy is not installed"
-        return True, f"numpy {numpy.__version__}"
+        return True, f"numpy {np.__version__}"
 
 
 #: The tier registry.  Ordered by rank; ``negotiate_backend`` and the CLI

@@ -64,11 +64,11 @@ from repro.scheduling.sync_engine import _precompile_tables_with_reason
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Environment variable consulted when a spec does not set ``shards=``:
-#: ``REPRO_SHARDS=2 pytest`` runs every shardable spec (sync rounds, async
-#: event buckets, dynamic segments) through intra-run sharded execution,
-#: which is how CI exercises the sharded code paths.  Sharding changes no
-#: result, so every test — golden values and interpreter parity included —
-#: must hold under it.
+#: ``REPRO_SHARDS=2 pytest`` runs every shardable spec (sync rounds and
+#: dynamic segments; an async run is one process) through intra-run sharded
+#: execution, which is how CI exercises the sharded code paths.  Sharding
+#: changes no result, so every test — golden values and interpreter parity
+#: included — must hold under it.
 SHARDS_ENV = "REPRO_SHARDS"
 
 
@@ -116,18 +116,24 @@ def resolve_spec_shards(spec: RunSpec) -> RunSpec:
 
     Resolution happens once, before dispatch, so the core-budget guard and
     every pooled cell see the effective value (the store hash ignores the
-    shard count altogether — sharding changes no result).  All three
-    environments shard (sync rounds, async event buckets, dynamic
-    segments); only specs that cannot shard at all (interpreted backend)
-    are returned unchanged rather than failing the validation the explicit
+    shard count altogether — sharding changes no result).  Sync rounds and
+    dynamic segments shard; asynchronous specs, which run on one process,
+    are returned unchanged, and so are specs that cannot shard at all
+    (interpreted backend) rather than failing the validation the explicit
     field would apply.
     """
     if spec.shards is not None:
         return spec
-    if spec.backend == "python":
+    if spec.backend == "python" or spec.environment == "async":
         return spec
     resolved = effective_shards(None)
     return spec if resolved is None else spec.replace(shards=resolved)
+
+
+def run_shards(spec: RunSpec) -> int | None:
+    """The shard count a run of *spec* starts workers for: its ``shards``,
+    except that an asynchronous run is one process whatever it asks for."""
+    return None if spec.environment == "async" else spec.shards
 
 
 def budget_workers(workers: int, shards: int | None) -> int:
@@ -560,7 +566,7 @@ def run_specs(
     specs = [resolve_spec_shards(spec) for spec in specs]
     count = effective_workers(workers)
     if specs:
-        count = budget_workers(count, max(spec.shards or 1 for spec in specs))
+        count = budget_workers(count, max(run_shards(spec) or 1 for spec in specs))
     if getattr(session, "store", None) is not None and count > 1 and len(specs) > 1:
         return session._run_stored_specs(
             specs,

@@ -345,10 +345,10 @@ class Simulation:
     def _note_shards(self, result: ExecutionResult | None) -> None:
         """Accumulate one result's shard statistics (no-op when unsharded).
 
-        Synchronous shard runs report ``halo_bytes_per_round``; asynchronous
-        ones report ``halo_bytes_per_bucket`` (one exchange per event bucket
-        rather than per round).  Both accumulate into the same counter — it
-        measures boundary traffic per synchronisation step either way.
+        Synchronous shard runs report ``halo_bytes_per_round``; an
+        asynchronous ``shards >= 2`` request runs on one process and reports
+        ``halo_bytes_per_bucket`` of 0.  Both accumulate into the same
+        counter.
         """
         metadata = getattr(result, "metadata", None)
         if not metadata or "shard_count" not in metadata:
@@ -430,10 +430,10 @@ class Simulation:
         by hand).  Explicit ``compiled``/``table`` arguments win over the
         cache.
 
-        ``shards`` splits the run across shard workers without changing
-        its result — synchronous rounds through
-        :mod:`repro.scheduling.sharded_engine`, asynchronous event buckets
-        through :mod:`repro.scheduling.sharded_async_engine`.
+        ``shards`` splits a synchronous run across shard workers (see
+        :mod:`repro.scheduling.sharded_engine`) without changing its
+        result; an asynchronous run is one process, so a ``shards >= 2``
+        request there records why it ran unsharded.
         """
         if environment == "sync":
             reason = None
@@ -618,7 +618,7 @@ class Simulation:
         spec = _executor.resolve_spec_shards(spec)
         specs = _executor.shard_repetition_specs(spec, repetitions)
         count = _executor.budget_workers(
-            _executor.effective_workers(workers), spec.shards
+            _executor.effective_workers(workers), _executor.run_shards(spec)
         )
         if self.store is not None:
             from repro.api import store as _store
@@ -774,7 +774,7 @@ class Simulation:
         if inputs_for is None and entry.inputs_factory is not None:
             inputs_for = _RegistryInputs(spec.protocol, dict(spec.inputs))
         count = _executor.budget_workers(
-            _executor.effective_workers(workers), spec.shards
+            _executor.effective_workers(workers), _executor.run_shards(spec)
         )
         use_store = False
         if self.store is not None:

@@ -83,9 +83,9 @@ class RunSpec:
     shards:
         Intra-run sharded execution: split the graph across this many
         shared-memory workers per run — synchronous rounds (see
-        :mod:`repro.scheduling.sharded_engine`), asynchronous event buckets
-        (:mod:`repro.scheduling.sharded_async_engine`) and the dynamic
-        environment's synchronous segments all shard.  A pure performance
+        :mod:`repro.scheduling.sharded_engine`) and the dynamic
+        environment's synchronous segments shard; an asynchronous run is
+        one process and records why it ran unsharded.  A pure performance
         knob: every engine draws from the same counter pick stream, so
         ``None`` (the default) and ``1`` are the same unsharded run and
         every larger shard count is bitwise identical to it.  ``shards >=

@@ -534,10 +534,10 @@ def _add_run_arguments(
                              "execution (default: $REPRO_WORKERS or serial)")
     parser.add_argument("--shards", type=int, default=None,
                         help="split each run across this many shared-memory "
-                             "shard workers — sync rounds, async event "
-                             "buckets and dynamic segments all shard "
-                             "(identical results for any shard count; "
-                             "composes with --workers "
+                             "shard workers — sync rounds and dynamic "
+                             "segments shard; an async run is one process "
+                             "and reports why (identical results for any "
+                             "shard count; composes with --workers "
                              "under a core budget; default: $REPRO_SHARDS "
                              "or off)")
     parser.add_argument("--store", metavar="DIR", default=None,

@@ -47,14 +47,10 @@ paper's run-time definition.
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.graphs.graph import Graph
@@ -104,7 +100,9 @@ def _u01_np(base: int, a, b, c=None):
     with np.errstate(over="ignore"):
         h = _mix64_np(np.uint64(base) ^ np.asarray(a).astype(np.uint64))
         h = _mix64_np(h ^ np.asarray(b).astype(np.uint64))
-        h = _mix64_np(h ^ (np.zeros(1, dtype=np.uint64) if c is None else np.asarray(c).astype(np.uint64)))
+        h = _mix64_np(
+            h ^ (np.zeros(1, dtype=np.uint64) if c is None else np.asarray(c).astype(np.uint64))
+        )
     return (h >> np.uint64(11)).astype(np.float64) * _U01_SCALE
 
 
@@ -139,15 +137,11 @@ class AdversarySchedule(ABC):
 
     def step_lengths(self, nodes, steps):
         """Step lengths for parallel coordinate arrays (default: scalar loop)."""
-        if np is None:
-            raise ExecutionError("batch sampling requires NumPy")
         values = [self.step_length(int(v), int(t)) for v, t in zip(nodes, steps)]
         return _validated_positive(np.asarray(values, dtype=np.float64), "step length")
 
     def delivery_delays(self, senders, steps, receivers):
         """Delivery delays for parallel coordinate arrays (default: scalar loop)."""
-        if np is None:
-            raise ExecutionError("batch sampling requires NumPy")
         values = [
             self.delivery_delay(int(v), int(t), int(u))
             for v, t, u in zip(senders, steps, receivers)
@@ -273,8 +267,6 @@ class CounterBasedSchedule(AdversarySchedule):
         return value
 
     def step_lengths(self, nodes, steps):
-        if np is None:
-            raise ExecutionError("batch sampling requires NumPy")
         nodes = np.asarray(nodes)
         steps = np.asarray(steps)
         return _validated_positive(
@@ -282,8 +274,6 @@ class CounterBasedSchedule(AdversarySchedule):
         )
 
     def delivery_delays(self, senders, steps, receivers):
-        if np is None:
-            raise ExecutionError("batch sampling requires NumPy")
         senders = np.asarray(senders)
         steps = np.asarray(steps)
         receivers = np.asarray(receivers)
@@ -362,11 +352,8 @@ class UniformRandomAdversary(AdversaryPolicy):
 
 def _log1p(value: float) -> float:
     # The scalar path must match np.log1p bitwise (libm can differ in the
-    # last ulp); fall back to math only when NumPy is absent — parity with
-    # the vectorized engine is moot there anyway.
-    if np is not None:
-        return float(np.log1p(np.float64(value)))
-    return math.log1p(value)
+    # last ulp).
+    return float(np.log1p(np.float64(value)))
 
 
 class _ExponentialSchedule(CounterBasedSchedule):
@@ -401,13 +388,17 @@ class ExponentialAdversary(AdversaryPolicy):
 
     name = "exponential"
 
-    def __init__(self, mean_step: float = 1.0, mean_delay: float = 1.0, floor: float = 1e-3) -> None:
+    def __init__(
+        self, mean_step: float = 1.0, mean_delay: float = 1.0, floor: float = 1e-3
+    ) -> None:
         self.mean_step = float(mean_step)
         self.mean_delay = float(mean_delay)
         self.floor = float(floor)
 
     def start(self, graph: Graph, rng: random.Random) -> AdversarySchedule:
-        return _ExponentialSchedule(rng.getrandbits(64), self.mean_step, self.mean_delay, self.floor)
+        return _ExponentialSchedule(
+            rng.getrandbits(64), self.mean_step, self.mean_delay, self.floor
+        )
 
 
 class _SlowSetSchedule(CounterBasedSchedule):
@@ -461,10 +452,6 @@ class _SlowSetSchedule(CounterBasedSchedule):
         return np.where(slowed, base * self._factor, base)
 
 
-def _bool_array(flags):
-    return np.asarray(flags, dtype=bool) if np is not None else list(flags)
-
-
 class SkewedRatesAdversary(AdversaryPolicy):
     """A random fraction of the nodes runs much slower than the rest.
 
@@ -486,7 +473,7 @@ class SkewedRatesAdversary(AdversaryPolicy):
 
     def start(self, graph: Graph, rng: random.Random) -> AdversarySchedule:
         key = rng.getrandbits(64)
-        slow = _bool_array([rng.random() < self.slow_fraction for _ in graph.nodes])
+        slow = np.asarray([rng.random() < self.slow_fraction for _ in graph.nodes], dtype=bool)
         return _SlowSetSchedule(
             key, slow, self.slow_factor, 0.5, 1.0, slow_senders_only=True
         )
@@ -546,7 +533,7 @@ class BurstyAdversary(AdversaryPolicy):
     def start(self, graph: Graph, rng: random.Random) -> AdversarySchedule:
         key = rng.getrandbits(64)
         offsets = [rng.randrange(2 * self.period) for _ in graph.nodes]
-        offsets = np.asarray(offsets, dtype=np.int64) if np is not None else offsets
+        offsets = np.asarray(offsets, dtype=np.int64)
         return _BurstySchedule(key, offsets, self.period, self.slow_factor)
 
 
@@ -572,7 +559,7 @@ class TargetedLaggardAdversary(AdversaryPolicy):
         key = rng.getrandbits(64)
         by_degree = sorted(graph.nodes, key=lambda v: (-graph.degree(v), v))
         victims = set(by_degree[: self.num_victims])
-        flags = _bool_array([node in victims for node in graph.nodes])
+        flags = np.asarray([node in victims for node in graph.nodes], dtype=bool)
         return _SlowSetSchedule(
             key, flags, self.slow_factor, 0.8, 1.0, slow_senders_only=False
         )

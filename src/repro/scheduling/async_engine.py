@@ -311,16 +311,13 @@ def _run_asynchronous(
     engine — supplying one forces ``backend="python"`` semantics under
     ``"auto"`` (and is rejected by the batched tiers).
 
-    ``shards`` is a pure performance knob: ``None`` and ``1`` are the same
-    run, and ``shards >= 2`` runs the time-bucketed engine sharded (see
-    :mod:`repro.scheduling.sharded_async_engine`) whenever a batched engine
-    is chosen — the choice itself ignores ``shards``, so the size heuristic
-    of ``"auto"`` applies to every shard count.  A ``shards >= 2`` request
-    that runs on one process records why, plus one-shard partition
-    statistics, in ``result.metadata``; ``backend="python"`` with
-    ``shards >= 2`` is an error.  Under ``"auto"``, a batched run whose
-    table refuses the protocol mid-run is rerun on the interpreter; that
-    rerun still counts as one engine run.
+    ``shards`` changes nothing here: an asynchronous run is one process.
+    A ``shards >= 2`` request records why it ran unsharded, plus one-shard
+    partition statistics, in ``result.metadata``; the size heuristic of
+    ``"auto"`` ignores it, and ``backend="python"`` with ``shards >= 2`` is
+    an error.  Under ``"auto"``, a batched run whose table refuses the
+    protocol mid-run is rerun on the interpreter; that rerun still counts as
+    one engine run.
     """
     if shards is not None:
         shards = int(shards)
@@ -342,40 +339,16 @@ def _run_asynchronous(
     common = dict(adversary=adversary, seed=seed, adversary_seed=adversary_seed, inputs=inputs)
     engine = None
     reason = None
-    unsharded = None  # why a shards >= 2 request runs on one process
-    # Partition statistics of a shards >= 2 request that runs on one process.
-    one_process: dict[str, Any] = (
+    # Partition statistics of a shards >= 2 request, which runs on one process.
+    annotation: dict[str, Any] = (
         dict(shard_count=1, cut_edges=0, halo_bytes_per_bucket=0, partition_strategy="none")
         if sharded
         else {}
     )
-    annotation = one_process
     batched = negotiation.chosen != "python" and (
         backend != "auto" or graph.num_nodes >= AUTO_VECTORIZE_MIN_NODES
     )
-    if batched and sharded:
-        from repro.core.errors import ShardingUnavailableError
-        from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
-
-        try:
-            engine = ShardedAsyncEngine(graph, protocol, shards=shards, **common)
-        except ShardingUnavailableError as exc:
-            unsharded = str(exc)
-        except ProtocolNotVectorizableError as exc:
-            if backend != "auto":
-                raise
-            # The unsharded batched engine would refuse the same adversary.
-            batched = False
-            reason = f"auto fell back to the interpreter{dropped}: {exc}"
-        else:
-            info = engine.shard_info
-            annotation = dict(backend_mode="sharded")
-            annotation.update(info)
-            reason = (
-                f"async buckets sharded over {info['shard_count']} workers "
-                f"({info['partition_strategy']} partition, cut={info['cut_edges']})"
-            )
-    if batched and engine is None:
+    if batched:
         from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
 
         try:
@@ -403,8 +376,11 @@ def _run_asynchronous(
     else:
         if note:
             reason += f" ({note})"
-        if unsharded is not None:
-            reason = f"shards={shards} requested but {unsharded}; ran unsharded ({reason})"
+        if sharded:
+            reason = (
+                f"shards={shards} requested but asynchronous runs execute on one "
+                f"process; ran unsharded ({reason})"
+            )
     record_engine_run("async")
 
     def execute(chosen) -> ExecutionResult:
@@ -414,10 +390,6 @@ def _run_asynchronous(
             if exc.result is not None:
                 exc.result.metadata.update(annotation, backend_reason=reason)
             raise
-        finally:
-            close = getattr(chosen, "close", None)
-            if close is not None:  # sharded engines own workers + segments
-                close()
         result.metadata.update(annotation, backend_reason=reason)
         return result
 
@@ -428,6 +400,5 @@ def _run_asynchronous(
         # failing cell evaluation); "auto" then reruns on the interpreter.
         if backend != "auto" or isinstance(engine, AsynchronousEngine):
             raise
-        annotation = one_process
         reason = f"auto fell back to the interpreter{dropped}: {exc}"
         return execute(AsynchronousEngine(graph, protocol, observer=observer, **common))

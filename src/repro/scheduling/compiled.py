@@ -37,10 +37,7 @@ decodes outputs identically.
 
 from __future__ import annotations
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from repro.core.alphabet import is_epsilon
 from repro.core.errors import ProtocolNotVectorizableError
@@ -65,13 +62,6 @@ DEFAULT_MAX_LAZY_STATES = 1 << 19
 #: (cells are evaluated lazily, but the offset pool is dense), so the budget
 #: bounds both memory and runaway per-state observation spaces.
 DEFAULT_MAX_LAZY_CELLS = 1 << 22
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ProtocolNotVectorizableError(
-            "the vectorized backend requires NumPy, which is not installed"
-        )
 
 
 class CompiledProtocol:
@@ -100,7 +90,6 @@ class CompiledProtocol:
     )
 
     def __init__(self, tabulation: ProtocolTabulation) -> None:
-        _require_numpy()
         self.tabulation = tabulation
         b1 = tabulation.bounding + 1
         num_states = tabulation.num_states
@@ -174,9 +163,8 @@ def compile_protocol(
     """Tabulate *protocol* and pack it for the vectorized engine.
 
     Raises :class:`ProtocolNotVectorizableError` when the protocol's state
-    set cannot be enumerated within the limits (or NumPy is unavailable).
+    set cannot be enumerated within the limits.
     """
-    _require_numpy()
     tabulation = tabulate_protocol(
         protocol, roots, max_states=max_states, max_cells=max_cells
     )
@@ -303,7 +291,6 @@ class LazyExtendedTable:
         max_states: int = DEFAULT_MAX_LAZY_STATES,
         max_cells: int = DEFAULT_MAX_LAZY_CELLS,
     ) -> None:
-        _require_numpy()
         if not isinstance(protocol, (ExtendedProtocol, Protocol)):
             raise ProtocolNotVectorizableError(
                 f"cannot tabulate object of type {type(protocol).__name__}"

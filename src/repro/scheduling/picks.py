@@ -28,10 +28,7 @@ from __future__ import annotations
 
 import secrets
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from repro.scheduling.adversary import _MASK64, _mix64_np, mix64
 

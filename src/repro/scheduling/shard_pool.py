@@ -1,33 +1,32 @@
-"""One lifecycle for the shard workers of both sharded engines.
+"""The shard workers of the sharded synchronous engine and their lifecycle.
 
 :class:`ShardPool` owns what the sharded synchronous engine
-(:mod:`repro.scheduling.sharded_engine`) and the sharded asynchronous
-engine (:mod:`repro.scheduling.sharded_async_engine`) have in common: the
-BFS partition and the permuted CSR, two POSIX shared-memory segments, the
-fences and the worker processes.  An engine supplies its arrays
-and its worker loop; the pool does the rest::
+(:mod:`repro.scheduling.sharded_engine`) runs on: the BFS partition and the
+permuted CSR, two POSIX shared-memory segments, the round fence and the
+worker processes.  The engine supplies its arrays and its worker loop; the
+pool does the rest::
 
-    ShardPool(graph, shards, fences=k)   checks, BFS partition
+    ShardPool(graph, shards)             checks, BFS partition
     pool.permuted_csr()                  the CSR relabelled by the partition
     pool.allocate(static, dynamic, loop, *args)
                                          segments (released if this fails)
-    pool.gather(fence)                   lazy start, health check, wait
-                                         until every worker is parked there
-    pool.release(fence)                  let the parked workers go on
+    pool.gather()                        lazy start, health check, wait
+                                         until every worker is parked
+    pool.release()                       let the parked workers go on
     pool.close() / pool.abort()          STOP handshake / terminate; unlink
 
-Worker ``s`` runs ``loop(s, lo, hi, tables, dyn, fences, *args)`` over its
+Worker ``s`` runs ``loop(s, lo, hi, tables, dyn, fence, *args)`` over its
 contiguous permuted node range ``lo:hi``, where ``tables`` and ``dyn`` are
 NumPy views over the static and dynamic segments, and meets the parent by
-calling ``fences[k].wait()``.  Fence 0 is the start fence: past it, a
-worker reads ``dyn["control"][0]`` and returns on :data:`STOP`, which is
-how :meth:`ShardPool.close` retires healthy workers.
+calling ``fence.wait()``.  Past the fence, a worker reads
+``dyn["control"][0]`` and returns on :data:`STOP`, which is how
+:meth:`ShardPool.close` retires healthy workers.
 
-A fence (:class:`Fence`) is built from one pair of semaphores per worker
+The fence (:class:`Fence`) is built from one pair of semaphores per worker
 rather than a ``multiprocessing.Barrier``: worker ``s`` posts its own
 arrival and waits for its own release.  The parent gathers every arrival,
 may then read and write the shared arrays while the workers stay parked,
-and releases them, so one fence both ends a phase and starts the next.  No
+and releases them, so one fence both ends a round and starts the next.  No
 lock is shared, so a worker killed inside a fence leaves a missing token,
 never a held lock, and the parent waits in short slices, checking that
 every worker is alive, up to a deadline.
@@ -36,35 +35,25 @@ every worker is alive, up to a deadline.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import time
 import traceback
 import weakref
+from multiprocessing import resource_tracker, shared_memory
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-
-    from repro.graphs.partition import partition_graph, permute_csr
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
-
-try:
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - platforms without POSIX shm
-    multiprocessing = None
-    shared_memory = None
+import numpy as np
 
 from repro.core.errors import ExecutionError, ShardingUnavailableError
 from repro.graphs.graph import Graph
+from repro.graphs.partition import partition_graph, permute_csr
 
-#: Control word that retires a worker at the start fence.
+#: Control word that retires a worker at the fence.
 STOP = 0
 
-#: Per-wait ceiling on fence synchronisation.  A worker's round or bucket is
-#: a few array ops — seconds, not minutes, even at n = 10^6 — so a stuck
-#: fence means a dead or wedged worker and the pool aborts instead of
-#: hanging.
+#: Per-wait ceiling on fence synchronisation.  A worker's round is a few
+#: array ops — seconds, not minutes, even at n = 10^6 — so a stuck fence
+#: means a dead or wedged worker and the pool aborts instead of hanging.
 DEFAULT_BARRIER_TIMEOUT = 60.0
 
 #: Slice of a parent-side fence wait between two worker health checks.  A
@@ -76,11 +65,6 @@ HEALTH_POLL_SECONDS = 0.1
 SEGMENT_PREFIX = "repro_shard"
 
 _segment_counter = itertools.count()
-
-
-def sharding_supported() -> bool:
-    """Whether this platform can run the sharded backends at all."""
-    return np is not None and shared_memory is not None
 
 
 def mp_context():
@@ -208,7 +192,7 @@ class WorkerFence:
 # --------------------------------------------------------------------- #
 # Worker process                                                         #
 # --------------------------------------------------------------------- #
-def _worker_main(loop, worker_id, lo, hi, segments, fences, args) -> None:
+def _worker_main(loop, worker_id, lo, hi, segments, fence, args) -> None:
     """Worker entry point: attach, run *loop*, detach; crash loudly."""
     attached = [(attach_segment(name), layout) for name, layout in segments]
     try:
@@ -219,7 +203,7 @@ def _worker_main(loop, worker_id, lo, hi, segments, fences, args) -> None:
             lo,
             hi,
             *(_attach_views(shm, layout) for shm, layout in attached),
-            fences,
+            fence,
             *args,
         )
     except BaseException:
@@ -238,7 +222,7 @@ def _worker_main(loop, worker_id, lo, hi, segments, fences, args) -> None:
 # Parent side                                                            #
 # --------------------------------------------------------------------- #
 class ShardPool:
-    """Shard workers, their shared-memory segments and their fences.
+    """Shard workers, their shared-memory segments and their fence.
 
     ``partition`` and ``num_shards`` describe the split, and
     :meth:`permuted_csr` relabels the graph by it; ``dyn`` holds the
@@ -252,13 +236,8 @@ class ShardPool:
         graph: Graph,
         shards: int,
         *,
-        fences: int,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
-        if shared_memory is None:  # pragma: no cover - POSIX-less platforms
-            raise ShardingUnavailableError(
-                "sharded execution requires multiprocessing.shared_memory"
-            )
         if shards < 1:
             raise ExecutionError(f"shards must be >= 1, got {shards}")
         if graph.num_nodes == 0:
@@ -268,10 +247,10 @@ class ShardPool:
         self._graph = graph
         self.barrier_timeout = barrier_timeout
         self.ctx = mp_context()
-        self.fences = tuple(Fence(self.ctx, self.num_shards) for _ in range(fences))
-        #: The fence the workers are parked at (gathered, not yet
-        #: released), or ``None`` while they run.
-        self.parked: int | None = None
+        self.fence = Fence(self.ctx, self.num_shards)
+        #: Whether the workers are parked at the fence (gathered, not yet
+        #: released).
+        self.parked = False
         self.workers: list = []
         self.dyn = None
         self.closed = False
@@ -312,10 +291,10 @@ class ShardPool:
         loop, segments, args = self._target
         bounds = self.partition.bounds
         for s in range(self.num_shards):
-            fences = tuple(fence.worker_side(s) for fence in self.fences)
+            fence = self.fence.worker_side(s)
             worker = self.ctx.Process(
                 target=_worker_main,
-                args=(loop, s, int(bounds[s]), int(bounds[s + 1]), segments, fences, args),
+                args=(loop, s, int(bounds[s]), int(bounds[s + 1]), segments, fence, args),
                 name=f"repro-shard-{s}",
                 daemon=True,
             )
@@ -330,9 +309,9 @@ class ShardPool:
             self.abort()
             raise ExecutionError(f"shard worker(s) died mid-run: {codes}")
 
-    def gather(self, fence: int) -> None:
-        """Wait until every worker is parked at fence number *fence*,
-        starting them first if they have not started yet.
+    def gather(self) -> None:
+        """Wait until every worker is parked at the fence, starting them
+        first if they have not started yet.
 
         The workers stay parked until :meth:`release`, so the parent may
         read and write the shared arrays in between.  Worker health is
@@ -346,38 +325,38 @@ class ShardPool:
         if not self.workers:
             self._start()
         self.check_health()
-        late = self._gather(self.fences[fence], self.barrier_timeout)
+        late = self._gather(self.barrier_timeout)
         if late is not None:
             pid = self.workers[late].pid
             self.abort()
             raise ExecutionError(
-                f"shard worker {late} (pid {pid}) missed fence {fence} "
+                f"shard worker {late} (pid {pid}) missed the fence "
                 f"after {self.barrier_timeout:g} s"
             )
-        self.parked = fence
+        self.parked = True
 
-    def release(self, fence: int) -> None:
-        """Let the workers parked at fence number *fence* go on."""
-        if self.parked != fence:
-            raise ExecutionError(f"fence {fence} released before it was gathered")
-        self.parked = None
-        for go in self.fences[fence].go:
+    def release(self) -> None:
+        """Let the workers parked at the fence go on."""
+        if not self.parked:
+            raise ExecutionError("fence released before it was gathered")
+        self.parked = False
+        for go in self.fence.go:
             go.release()
 
-    def wait(self, fence: int) -> None:
-        """Meet the workers at fence number *fence*: gather, then release."""
-        self.gather(fence)
-        self.release(fence)
+    def wait(self) -> None:
+        """Meet the workers at the fence: gather, then release."""
+        self.gather()
+        self.release()
 
-    def _gather(self, fence: Fence, timeout: float) -> int | None:
-        """Take every worker's arrival at *fence*.
+    def _gather(self, timeout: float) -> int | None:
+        """Take every worker's arrival at the fence.
 
         Returns ``None`` once every worker has arrived, or the id of the
         first worker that has not arrived within *timeout* seconds.  A
         worker found dead raises through :meth:`check_health`.
         """
         deadline = time.monotonic() + timeout
-        for worker_id, arrived in enumerate(fence.arrived):
+        for worker_id, arrived in enumerate(self.fence.arrived):
             while not arrived.acquire(
                 True, min(HEALTH_POLL_SECONDS, max(0.0, deadline - time.monotonic()))
             ):
@@ -385,11 +364,6 @@ class ShardPool:
                 if time.monotonic() >= deadline:
                     return worker_id
         return None
-
-    def join(self) -> None:
-        """Reap workers that are exiting on their own."""
-        for worker in self.workers:
-            worker.join(timeout=5.0)
 
     def abort(self) -> None:
         """Terminate the workers and release the segments.
@@ -409,16 +383,17 @@ class ShardPool:
         try:
             if self.workers and all(w.exitcode is None for w in self.workers):
                 self.dyn["control"][0] = STOP
-                stopped = self.parked == 0
+                stopped = self.parked
                 if not stopped:
                     timeout = min(5.0, self.barrier_timeout)
                     try:
-                        stopped = self._gather(self.fences[0], timeout) is None
+                        stopped = self._gather(timeout) is None
                     except ExecutionError:  # a worker died; the abort below reaps the rest
                         pass
                 if stopped:
-                    for go in self.fences[0].go:
+                    for go in self.fence.go:
                         go.release()
-                    self.join()
+                    for worker in self.workers:
+                        worker.join(timeout=5.0)
         finally:
             self.abort()

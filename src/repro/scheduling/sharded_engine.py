@@ -73,10 +73,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from repro.core.errors import ShardingUnavailableError
 from repro.core.protocol import ExtendedProtocol, Protocol
@@ -93,16 +90,12 @@ from repro.scheduling.vectorized_engine import (
 #: Control word written once at construction; the pool writes STOP at close.
 _RUN = 1
 
-#: The one fence of a round: workers park there between rounds.
-_ROUND = 0
-
 
 # --------------------------------------------------------------------- #
 # Worker process                                                         #
 # --------------------------------------------------------------------- #
-def _round_loop(worker_id, lo, hi, tables, dyn, fences, pick_seed, bounding, width) -> None:
+def _round_loop(worker_id, lo, hi, tables, dyn, fence, pick_seed, bounding, width) -> None:
     """The round loop over permuted nodes ``lo:hi``."""
-    (fence,) = fences
     rows = RowRange(tables["indptr"], tables["indices"], lo, hi, tables["node_keys"])
     arrays = tuple(tables[name] for name in TABLE_FIELDS)
     round_index = 0
@@ -154,7 +147,7 @@ class ShardedVectorizedEngine(VectorizedEngine):
                 "the protocol hints a lazy tabulation; sharding requires "
                 "the eager reachable closure"
             )
-        self._pool = ShardPool(graph, shards, fences=1, barrier_timeout=barrier_timeout)
+        self._pool = ShardPool(graph, shards, barrier_timeout=barrier_timeout)
         # Permuted slot p holds original node inv[p], which keeps drawing
         # under its original id.
         super().__init__(
@@ -220,10 +213,10 @@ class ShardedVectorizedEngine(VectorizedEngine):
     def _advance(self) -> None:
         """Drive all shards through one synchronous round."""
         pool = self._pool
-        if pool.parked is None:  # the workers' first arrival
-            pool.gather(_ROUND)
-        pool.release(_ROUND)
-        pool.gather(_ROUND)
+        if not pool.parked:  # the workers' first arrival
+            pool.gather()
+        pool.release()
+        pool.gather()
 
     # ------------------------------------------------------------------ #
     # Teardown                                                            #

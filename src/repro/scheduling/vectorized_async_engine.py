@@ -37,19 +37,17 @@ canonical event order exactly:
    engine draws one step at a time.  Together with the pure adversary
    schedules this makes terminating runs **identical** between the two
    backends — same outputs, same final states, same step/message counts,
-   same normalised run-time — and, since the draws need no shared
-   generator, intra-run sharding (:mod:`repro.scheduling.
-   sharded_async_engine`) changes nothing either.
+   same normalised run-time.
 
 The bucket work — ragged gather, lookahead refresh, delivery drain, census
-and transition, commit and emit — is one class, :class:`BucketSlice`, over a
-contiguous node range.  This engine drives one in-process slice over
-``[0, n)``; every shard worker of :class:`~repro.scheduling.
-sharded_async_engine.ShardedAsyncEngine` drives one over its own range, so
-a sharded bucket is this bucket by construction.  Only tiny buckets take a
-second, scalar path (:meth:`VectorizedAsynchronousEngine._run_scalar_bucket`)
-over the same slice: it implements the same semantics step by step, and on
-small or near-continuous workloads it is what keeps the engine fast.
+and transition, commit and emit — is one class, :class:`BucketSlice`, over
+the run's nodes.  Only tiny buckets take a second, scalar path
+(:meth:`VectorizedAsynchronousEngine._run_scalar_bucket`) over the same
+state: it implements the same semantics step by step, and on small or
+near-continuous workloads it is what keeps the engine fast.  An
+asynchronous run is one process: a ``shards >= 2`` request runs this engine
+unsharded and records why (see :func:`repro.scheduling.async_engine.
+_run_asynchronous`).
 
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
@@ -64,10 +62,7 @@ from collections import deque
 from collections.abc import Mapping
 from typing import Any
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from repro.core.budgets import DEFAULT_MAX_EVENTS
 from repro.core.errors import (
@@ -83,7 +78,7 @@ from repro.scheduling.adversary import (
     SynchronousAdversary,
     derive_adversary_seed,
 )
-from repro.scheduling.compiled import LazyStrictTable, _require_numpy
+from repro.scheduling.compiled import LazyStrictTable
 from repro.scheduling.picks import (
     async_counter_pick,
     async_counter_picks,
@@ -97,50 +92,14 @@ from repro.scheduling.picks import (
 SCALAR_BUCKET_CUTOFF = 12
 
 
-def bucket_tables(indptr, indices, keys) -> dict:
-    """The static arrays a :class:`BucketSlice` reads, for any node order.
-
-    ``reverse[e]`` maps a sender-major out-edge to the receiver-major port
-    slot it writes (the slot of the opposite direction).  Rows need not be
-    column-sorted — a permuted CSR keeps the original intra-row neighbour
-    order — so the (row, col)-sorted edge sequence is paired with the (col,
-    row)-sorted one: they coincide with directions swapped, because both
-    directions of every edge exist.  ``node_keys`` are the original node ids.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    row = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-    reverse = np.empty(len(indices), dtype=np.int64)
-    reverse[np.lexsort((indices, row))] = np.lexsort((row, indices))
-    node_keys = np.asarray(keys, dtype=np.uint64)
-    return {"indptr": indptr, "indices": indices, "reverse": reverse, "node_keys": node_keys}
-
-
-def completing_step(non_output: int, times, keys, deltas):
-    """``(time, key)`` of the step that completes the output configuration.
-
-    The steps of a bucket come in the canonical ``(step time, original node
-    id)`` order — the unsharded engine's sorted bucket — and ``deltas`` are
-    their changes of the non-output count; the first step that brings
-    *non_output* to zero completes the run.  ``None`` when none does.
-    """
-    completing = np.flatnonzero(non_output + np.cumsum(deltas) == 0)
-    if completing.size == 0:
-        return None
-    first = int(completing[0])
-    return float(times[first]), int(keys[first])
-
-
 class BucketSlice:
-    """The bucketed engine state of the contiguous node range ``lo:hi``.
+    """The bucketed engine state of every node of one run.
 
-    Node indices are local (``0..hi-lo``) and edge slots local to the
-    range's CSR rows; ``keys`` hold each node's original id — the coordinate
-    of its adversary draws and picks — and ``peer`` that of each out-edge's
-    receiver.  ``next_time`` and ``margin`` are this range's views of the
-    run-wide arrays the bucket horizon is taken over.  A ``halo`` sink takes
-    the deliveries whose receiver lies outside the range; with one slice
-    over ``[0, n)`` there is none.
+    ``keys`` hold each node's id — the coordinate of its adversary draws
+    and picks — and ``peer`` that of each out-edge's receiver; ``target``
+    maps a sender-major out-edge to the receiver-major port slot it writes
+    (the slot of the opposite direction).  ``next_time`` and ``margin`` are
+    the engine's arrays the bucket horizon is taken over.
 
     A bucket is :meth:`select`, :meth:`compute` (delivery drain, census,
     transition — nothing committed) and :meth:`commit` (states, emissions,
@@ -150,31 +109,30 @@ class BucketSlice:
 
     def __init__(
         self,
-        lo,
-        hi,
-        tables,
-        clock,
+        graph,
+        next_time,
+        margin,
         table,
         protocol,
         inputs,
         schedule,
         static_bound,
         pick_base,
-        halo=None,
     ) -> None:
-        indptr = tables["indptr"]
-        edge_lo, edge_hi = int(indptr[lo]), int(indptr[hi])
-        self.indptr = (indptr[lo : hi + 1] - edge_lo).astype(np.int64)
+        self.indptr, self.peer = graph.csr_adjacency()
         self.degrees = np.diff(self.indptr)
-        self.target = tables["reverse"][edge_lo:edge_hi] - edge_lo
-        self.node_keys = tables["node_keys"][lo:hi]  # uint64, the pick coordinates
-        keys = tables["node_keys"].astype(np.int64)
-        self.keys = keys[lo:hi]  # adversary coordinates
+        n = len(self.degrees)
+        # The (row, col)-sorted edge sequence paired with the (col,
+        # row)-sorted one: they coincide with directions swapped, because
+        # both directions of every edge exist.
+        row = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        self.target = np.empty(len(self.peer), dtype=np.int64)
+        self.target[np.lexsort((self.peer, row))] = np.lexsort((row, self.peer))
+        self.keys = np.arange(n, dtype=np.int64)  # adversary coordinates
+        self.node_keys = self.keys.astype(np.uint64)  # the pick coordinates
         self.key_list = self.keys.tolist()
-        self.peer = keys[tables["indices"][edge_lo:edge_hi]]
-        self.next_time = clock["next_time"][lo:hi]
-        self.margin = clock["margin"][lo:hi]
-        self.halo = halo
+        self.next_time = next_time
+        self.margin = margin
 
         self.table = table
         self.schedule = schedule
@@ -186,7 +144,7 @@ class BucketSlice:
         _, output_mask, *_ = table.arrays()
         self.non_output = int(len(self.state) - output_mask[self.state].sum())
 
-        m = edge_hi - edge_lo
+        m = len(self.peer)
         self.port = np.full(m, table.initial_letter_id, dtype=np.int64)
         # Pending deliveries per receiver-major edge: FIFO of (arrival, letter)
         # with non-decreasing arrivals; pend_head caches the earliest arrival
@@ -197,14 +155,14 @@ class BucketSlice:
         self.last_arrival = np.zeros(m)
         self.pending_delay = np.zeros(m)
 
-        self.step = np.ones(hi - lo, dtype=np.int64)
-        self.next_length = np.zeros(hi - lo)
+        self.step = np.ones(n, dtype=np.int64)
+        self.next_length = np.zeros(n)
         self.steps_taken = 0
         self.messages = 0
         self.events = 0
         self.max_parameter = 0.0
         self.last_time = -np.inf
-        self.refresh(np.arange(hi - lo, dtype=np.int64))
+        self.refresh(np.arange(n, dtype=np.int64))
 
     def ragged(self, idx, lens):
         """Segment ids and edge slots of the CSR rows of *idx*, concatenated."""
@@ -374,9 +332,6 @@ class BucketSlice:
         self.last_arrival[edges] = arrivals
         letters = letters[seg]
         targets = self.target[edges]
-        if self.halo is not None:
-            local = self.halo.send(edges, arrivals, letters)
-            targets, arrivals, letters = targets[local], arrivals[local], letters[local]
         pending = self.pending
         pend_head = self.pend_head
         for target, arrival, letter in zip(targets.tolist(), arrivals.tolist(), letters.tolist()):
@@ -399,8 +354,8 @@ class VectorizedAsynchronousEngine:
     the same protocol; the caller must guarantee it was built from an
     equivalent protocol.
 
-    Raises :class:`ProtocolNotVectorizableError` when NumPy is missing or
-    the adversary's schedule does not support pure batch sampling
+    Raises :class:`ProtocolNotVectorizableError` when the adversary's
+    schedule does not support pure batch sampling
     (:attr:`~repro.scheduling.adversary.AdversarySchedule.batch_capable`).
     """
 
@@ -415,7 +370,6 @@ class VectorizedAsynchronousEngine:
         inputs: Mapping[int, Any] | None = None,
         table: LazyStrictTable | None = None,
     ) -> None:
-        _require_numpy()
         if not isinstance(protocol, Protocol):
             raise ExecutionError(
                 "the asynchronous engine executes strict protocols only; "
@@ -440,14 +394,13 @@ class VectorizedAsynchronousEngine:
         self._now = 0.0
         self._output_time: float | None = None
 
-        # The initial step times and the margin mode are pure counter draws
-        # over original ids, made once here whatever the shard count (min
-        # and median are exact over any ordering of the same multiset).
+        # The initial step times are pure counter draws over the node ids.
         n = graph.num_nodes
-        keys = self._keys()
         lengths = np.zeros(0)
         if n:
-            lengths = schedule.step_lengths(keys, np.ones(n, dtype=np.int64)).astype(np.float64)
+            lengths = schedule.step_lengths(
+                np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+            ).astype(np.float64)
         self._max_parameter = float(lengths.max()) if n else 0.0
         # Margin mode: with a useful static delay lower bound the engine
         # never samples delays for steps that end up transmitting nothing
@@ -460,26 +413,17 @@ class VectorizedAsynchronousEngine:
         self._static_bound: float | None = None
         if bound is not None and n and 8.0 * bound >= float(np.median(lengths)):
             self._static_bound = float(bound)
-        self._allocate(keys, lengths, dict(inputs or {}), table)
-
-    def _keys(self):
-        """Original node id of every slot of the run's arrays."""
-        return np.arange(self._graph.num_nodes, dtype=np.int64)
-
-    def _allocate(self, keys, lengths, inputs, table) -> None:
-        """One in-process slice over every node, ``[0, n)``."""
-        self._table = table if table is not None else LazyStrictTable(self._protocol)
+        self._table = table if table is not None else LazyStrictTable(protocol)
         self._next_time = lengths
-        self._margin = np.zeros(len(lengths))
+        self._margin = np.zeros(n)
         self._slice = BucketSlice(
-            0,
-            len(lengths),
-            bucket_tables(*self._graph.csr_adjacency(), keys),
-            {"next_time": self._next_time, "margin": self._margin},
+            graph,
+            self._next_time,
+            self._margin,
             self._table,
-            self._protocol,
-            inputs,
-            self._schedule,
+            protocol,
+            dict(inputs or {}),
+            schedule,
             self._static_bound,
             self._pick_base,
         )
@@ -541,7 +485,10 @@ class VectorizedAsynchronousEngine:
         # scan locates the exact step completing the configuration.
         cutoff = None
         if part.non_output <= len(batch):
-            cutoff = completing_step(part.non_output, batch_times, part.keys[batch], bucket[-1])
+            completing = np.flatnonzero(part.non_output + np.cumsum(bucket[-1]) == 0)
+            if completing.size:
+                first = int(completing[0])
+                cutoff = float(batch_times[first]), int(part.keys[batch[first]])
         part.commit(bucket, cutoff)
         self._now = part.last_time
         if cutoff is not None:
@@ -554,8 +501,8 @@ class VectorizedAsynchronousEngine:
         dominates, so tiny buckets (small networks, or near-continuous timing
         policies whose minimum delays shrink the safe window) run through
         plain indexing instead.  The semantics — event order, draws,
-        accounting — are identical to the array path.  The in-process slice
-        is unpermuted: node ``v`` is its own adversary coordinate.
+        accounting — are identical to the array path.  Node ``v`` is its
+        own adversary coordinate.
         """
         part = self._slice
         table = self._table
@@ -634,17 +581,6 @@ class VectorizedAsynchronousEngine:
         part.events += events
         part.max_parameter = max_parameter
 
-    def _events(self) -> int:
-        return self._slice.events
-
-    def _totals(self) -> tuple[int, int, float]:
-        """Run-wide ``(node steps, messages, largest bucket-time parameter)``."""
-        part = self._slice
-        return part.steps_taken, part.messages, part.max_parameter
-
-    def _final_states(self) -> tuple:
-        return self.states
-
     def run(
         self,
         max_events: int = DEFAULT_MAX_EVENTS,
@@ -652,21 +588,21 @@ class VectorizedAsynchronousEngine:
         raise_on_timeout: bool = False,
     ) -> ExecutionResult:
         """Process event buckets until the first output configuration."""
+        part = self._slice
         while self._graph.num_nodes and self._output_time is None:
-            if self._events() >= max_events:
+            if part.events >= max_events:
                 break
             self._bucket()
         reached = self._output_time is not None
-        steps, messages, max_parameter = self._totals()
         result = build_asynchronous_result(
             self._protocol,
             self._graph,
-            self._final_states(),
+            self.states,
             reached=reached,
             elapsed=self._output_time if reached else self._now,
-            max_parameter=max(self._max_parameter, max_parameter),
-            total_node_steps=int(steps),
-            total_messages=int(messages),
+            max_parameter=max(self._max_parameter, part.max_parameter),
+            total_node_steps=part.steps_taken,
+            total_messages=part.messages,
             seed=self._seed,
             adversary_name=self._adversary_name,
             backend="vectorized",

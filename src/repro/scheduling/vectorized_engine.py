@@ -77,10 +77,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-try:  # NumPy is an optional dependency of the library as a whole.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.errors import (
@@ -97,7 +94,6 @@ from repro.graphs.graph import Graph
 from repro.scheduling.compiled import (  # noqa: F401
     CompiledProtocol,
     LazyExtendedTable,
-    _require_numpy,
     compile_protocol,
 )
 from repro.scheduling.picks import counter_picks, resolve_pick_seed
@@ -244,7 +240,6 @@ class VectorizedEngine:
         initial_states=None,
         initial_letters=None,
     ) -> None:
-        _require_numpy()
         if not isinstance(protocol, (ExtendedProtocol, Protocol)):
             raise ExecutionError(
                 f"cannot execute object of type {type(protocol).__name__}"

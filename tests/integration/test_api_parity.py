@@ -19,8 +19,6 @@ from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.adversary import UniformRandomAdversary
 
-pytest.importorskip("numpy")
-
 #: (registry name, protocol class, graph family, inputs-dict, legacy inputs)
 PROTOCOL_CASES = [
     ("mis", MISProtocol, "gnp_dense", {}, None),

@@ -13,11 +13,14 @@ that contract over the full adversary suite × {MIS, coloring, broadcast} ×
 The synchronizer-compiled MIS and coloring protocols exercise the lazy
 table (their eager reachable closures run to 10^5–10^6 states); one table
 per protocol is shared across the whole matrix, as real sweeps do.
+
+An asynchronous run is one process, so ``shards=`` changes nothing here: a
+``shards >= 2`` request runs the unsharded engine and says so.
 """
 
 import pytest
 
-from repro.api import Simulation
+from repro.api import RunSpec, Simulation
 from repro.compilers import compile_to_asynchronous
 from repro.graphs import generators
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
@@ -183,3 +186,73 @@ def test_synchronized_coloring_parity_on_gnp(seed):
         protocol, table, graph, ADVERSARIES[1], seed, max_events=120_000
     )
     _assert_parity(interpreted, vectorized)
+
+
+#: protocol -> (graph family, extra spec fields) of the spec-driven runs.
+#: Broadcast and coloring need connected/tree topologies to make progress.
+SPEC_PROTOCOLS = {
+    "mis": ("gnp_sparse", {}),
+    "coloring": ("random_tree", {}),
+    "broadcast": ("random_tree", {"inputs": {"source": 0}}),
+}
+
+
+def _spec(protocol, **overrides):
+    """A 24-node async spec, truncated at 20,000 events: parity on a
+    truncated run is as strong a check as parity on a terminated one."""
+    family, extra = SPEC_PROTOCOLS[protocol]
+    fields = dict(
+        protocol=protocol,
+        graph=family,
+        nodes=24,
+        environment="async",
+        adversary="uniform",
+        max_events=20_000,
+        **extra,
+    )
+    fields.update(overrides)
+    return RunSpec(**fields)
+
+
+def _identity(result) -> tuple:
+    """Everything two parity-locked async runs must agree on, bitwise."""
+    return (
+        result.summary_fields(),
+        result.time_units,
+        result.total_node_steps,
+        result.total_messages,
+        result.metadata.get("max_parameter"),
+    )
+
+
+@pytest.mark.parametrize("adversary", [policy.name for policy in ADVERSARIES])
+@pytest.mark.parametrize("protocol", sorted(SPEC_PROTOCOLS))
+def test_vectorized_runs_are_unchanged_by_the_shard_count(protocol, adversary):
+    """Every ``shards`` value gives the unsharded batched run, and a
+    ``shards >= 2`` request reports one shard and why it ran unsharded."""
+    session = Simulation()
+    base = _spec(protocol, adversary=adversary, seed=7, backend="vectorized")
+    reference = session.simulate(base, raise_on_timeout=False)
+    for shards in (1, 2, 4):
+        result = session.simulate(base.replace(shards=shards), raise_on_timeout=False)
+        assert _identity(result) == _identity(reference), f"shards={shards}"
+        if shards >= 2:
+            assert result.metadata["backend"] == "vectorized"
+            assert result.metadata["shard_count"] == 1
+            reason = result.metadata["backend_reason"]
+            assert f"shards={shards} requested but" in reason
+            assert "ran unsharded" in reason
+
+
+def test_auto_stays_interpreted_on_small_networks_for_every_shard_count():
+    """A truncated ``"auto"`` run below the batching threshold is the same
+    interpreted run with or without ``shards=``."""
+    session = Simulation()
+    spec = _spec("mis", seed=11, max_events=500)
+    unsharded = session.simulate(spec.replace(shards=None), raise_on_timeout=False)
+    sharded = session.simulate(spec.replace(shards=2), raise_on_timeout=False)
+    assert not unsharded.reached_output
+    assert _identity(sharded) == _identity(unsharded)
+    assert sharded.metadata["backend"] == "python"
+    assert sharded.metadata["shard_count"] == 1
+    assert "shards=2 dropped" in sharded.metadata["backend_reason"]

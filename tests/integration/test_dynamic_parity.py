@@ -10,7 +10,6 @@ import pytest
 
 from repro.api import RunSpec, Simulation
 from repro.core import counters
-from repro.scheduling.shard_pool import sharding_supported
 from repro.protocols.coloring import coloring_from_result
 from repro.protocols.mis import mis_from_result
 from repro.verification.checkers import (
@@ -157,9 +156,6 @@ class TestStoreReplay:
         )
 
 
-@pytest.mark.skipif(
-    not sharding_supported(), reason="platform lacks POSIX shared memory"
-)
 class TestShardedDynamicParity:
     """shards= composes with churn: every segment runs sharded, warm starts
     are carried into the shard workers, and the result is bitwise identical

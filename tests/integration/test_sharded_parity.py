@@ -22,22 +22,14 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-np_available = np  # imported eagerly; engines require numpy anyway
-
 from repro.api import RunSpec, Simulation
-from repro.compilers import compile_to_asynchronous
 from repro.core.errors import ExecutionError
 from repro.graphs.generators import path_graph
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.shard_pool import SEGMENT_PREFIX, ShardPool, sharding_supported
-from repro.scheduling.sharded_async_engine import ShardedAsyncEngine
+from repro.scheduling.shard_pool import SEGMENT_PREFIX, ShardPool
 from repro.scheduling.sharded_engine import ShardedVectorizedEngine
 from repro.scheduling.vectorized_engine import VectorizedEngine
 from shm_segments import leaked_segments
-
-pytestmark = pytest.mark.skipif(
-    not sharding_supported(), reason="platform lacks POSIX shared memory"
-)
 
 PROTOCOL_SPECS = {
     "mis": {},
@@ -167,7 +159,7 @@ def test_abort_needs_no_lock_a_dead_worker_held():
     engine = ShardedVectorizedEngine(path_graph(16), MISProtocol(), seed=1, shards=2)
     try:
         engine.step_round()
-        holder = engine._pool.ctx.Process(target=_exit_holding, args=(engine._pool.fences[0],))
+        holder = engine._pool.ctx.Process(target=_exit_holding, args=(engine._pool.fence,))
         holder.start()
         holder.join(timeout=10.0)
         assert holder.exitcode == 0
@@ -191,29 +183,20 @@ def test_abort_needs_no_lock_a_dead_worker_held():
     assert not leaked_segments()
 
 
-def _fence_walk(worker_id, lo, hi, tables, dyn, fences) -> None:
-    """A worker loop that meets the parent at every fence in turn, forever."""
+def _fence_walk(worker_id, lo, hi, tables, dyn, fence) -> None:
+    """A worker loop that meets the parent at the fence, forever."""
     while True:
-        for fence in fences:
-            fence.wait()
+        fence.wait()
 
 
-@pytest.mark.parametrize(
-    "num_fences,held",
-    [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2), (4, 3)],
-    ids=["round-start", "round-done", "bucket-start", "bucket-mid", "bucket-resume", "bucket-done"],
-)
-def test_pool_wait_needs_no_lock_a_dead_worker_held(num_fences, held):
-    """The same hazard on every fence of pools with two and four fences
-    (the engines use one per synchronous round, and a bucket and a mid
-    fence per asynchronous bucket): the parent's next wait must notice the
-    dead worker instead of waiting for its tokens."""
-    pool = ShardPool(path_graph(16), 2, fences=num_fences)
+def test_pool_wait_needs_no_lock_a_dead_worker_held():
+    """The same hazard on the pool's fence itself: the parent's next wait
+    must notice the dead worker instead of waiting for its tokens."""
+    pool = ShardPool(path_graph(16), 2)
     pool.allocate({"unused": np.zeros(1)}, {"control": np.zeros(1, dtype=np.int64)}, _fence_walk)
     try:
-        for fence in range(num_fences + held):  # workers now wait at fence `held`
-            pool.wait(fence % num_fences)
-        holder = pool.ctx.Process(target=_exit_holding, args=(pool.fences[held],))
+        pool.wait()  # the workers now wait at the fence again
+        holder = pool.ctx.Process(target=_exit_holding, args=(pool.fence,))
         holder.start()
         holder.join(timeout=10.0)
         assert holder.exitcode == 0
@@ -223,7 +206,7 @@ def test_pool_wait_needs_no_lock_a_dead_worker_held(num_fences, held):
 
         def wait():
             try:
-                pool.wait(held)
+                pool.wait()
             except ExecutionError as exc:
                 errors.append(exc)
 
@@ -237,17 +220,7 @@ def test_pool_wait_needs_no_lock_a_dead_worker_held(num_fences, held):
     assert not leaked_segments()
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda graph: ShardedVectorizedEngine(graph, MISProtocol(), seed=1, shards=2),
-        lambda graph: ShardedAsyncEngine(
-            graph, compile_to_asynchronous(MISProtocol()), seed=1, shards=2
-        ),
-    ],
-    ids=["sync", "async"],
-)
-def test_failed_construction_leaks_no_segment(monkeypatch, build):
+def test_failed_construction_leaks_no_segment(monkeypatch):
     """Creating the second (dynamic) segment fails after the first exists:
     the error propagates and the first segment is released with it."""
     real = shared_memory.SharedMemory
@@ -262,7 +235,7 @@ def test_failed_construction_leaks_no_segment(monkeypatch, build):
 
     monkeypatch.setattr(shared_memory, "SharedMemory", second_create_fails)
     with pytest.raises(OSError) as info:
-        build(path_graph(16))
+        ShardedVectorizedEngine(path_graph(16), MISProtocol(), seed=1, shards=2)
     assert info.value.errno == errno.ENOSPC
     assert len(creates) == 2
     assert not leaked_segments()

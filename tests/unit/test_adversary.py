@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ExecutionError
@@ -131,7 +132,6 @@ class TestSuite:
     def test_default_suite_is_deterministic_under_a_fixed_seed(self):
         """Re-binding any suite policy with an equally seeded rng reproduces
         the schedule draw-for-draw (experiments depend on this)."""
-        np = pytest.importorskip("numpy")
         graph = complete_graph(5)
         nodes = np.repeat(np.arange(5), 10)
         steps = np.tile(np.arange(1, 11), 5)
@@ -153,7 +153,7 @@ class TestExponentialBaseline:
     """Named baseline for the future time-warp optimisation (ROADMAP).
 
     The exponential policy is the one shipped adversary stuck at ~1×
-    vectorized/sharded speedup: its delay floor is the only safe lower
+    vectorized speedup: its delay floor is the only safe lower
     bound on in-flight deliveries, so the time-bucket margin collapses to
     the floor and a bucket rarely holds more than one node step.  Pin
     (a) bitwise scalar-vs-batch equality of the draws and (b) the
@@ -162,7 +162,6 @@ class TestExponentialBaseline:
     """
 
     def test_scalar_and_batch_draws_agree_bitwise(self):
-        np = pytest.importorskip("numpy")
         schedule = ExponentialAdversary().start(complete_graph(16), random.Random(29))
         assert schedule.batch_capable
         nodes = np.repeat(np.arange(16), 40)
@@ -180,7 +179,6 @@ class TestExponentialBaseline:
         )
 
     def test_delay_floor_collapses_the_bucket_margin(self):
-        np = pytest.importorskip("numpy")
         policy = ExponentialAdversary()
         schedule = policy.start(complete_graph(64), random.Random(7))
         # The floor is the only safe margin once messages are in flight.
@@ -209,7 +207,6 @@ class TestBatchSampling:
     """The batch interface of every shipped policy (satellite of PR 2)."""
 
     def _schedule(self, policy):
-        pytest.importorskip("numpy")
         return policy.start(complete_graph(8), random.Random(3))
 
     def test_scalar_and_batch_sampling_agree_bitwise(self, policy):
@@ -257,7 +254,6 @@ class TestBatchSampling:
 
 class TestBatchValidation:
     def test_default_batch_fallback_loops_over_scalars(self):
-        np = pytest.importorskip("numpy")
         from repro.scheduling.adversary import AdversarySchedule
 
         class Doubling(AdversarySchedule):
@@ -275,7 +271,6 @@ class TestBatchValidation:
         assert delays.tolist() == [8.0]
 
     def test_batch_fallback_validates_positivity(self):
-        np = pytest.importorskip("numpy")
         from repro.scheduling.adversary import AdversarySchedule
 
         class Broken(AdversarySchedule):

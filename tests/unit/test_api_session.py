@@ -9,7 +9,6 @@ from repro.core.errors import SpecError
 from repro.graphs.generators import gnp_random_graph, path_graph
 from repro.protocols.broadcast import BroadcastProtocol
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.shard_pool import sharding_supported
 
 
 class TestTableCache:
@@ -255,8 +254,6 @@ class TestRepeat:
         # Every repetition reports the selection a simulate() of its own
         # derived spec reports — a sharded run keeps the sharded engine's
         # reason instead of the session's precompile label.
-        if not sharding_supported():
-            pytest.skip("platform lacks POSIX shared memory")
         spec = RunSpec(
             protocol="mis", graph="random_tree", nodes=256, seed=3, shards=2,
             backend="vectorized",

@@ -13,8 +13,6 @@ import pytest
 
 from repro.api import (
     GRAPH_FAMILIES,
-    PROTOCOLS,
-    ProtocolEntry,
     RunSpec,
     SeedPolicy,
     Simulation,
@@ -22,6 +20,8 @@ from repro.api import (
     run_specs,
     shard_repetition_specs,
 )
+from repro.api import executor
+from repro.api.executor import budget_workers
 from repro.core.errors import (
     ExecutorError,
     OutputNotReachedError,
@@ -50,6 +50,43 @@ class TestEffectiveWorkers:
     def test_floor_at_one(self):
         assert effective_workers(0) == 1
         assert effective_workers(-4) == 1
+
+
+class TestBudgetWorkers:
+    """The core-budget guard of ``workers= × shards=`` composition, on a
+    two-core affinity mask."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_pool_capped_at_cores_per_shard_count(self):
+        assert budget_workers(4, 2) == 1
+
+    @pytest.mark.parametrize("shards", [None, 1])
+    def test_unsharded_cells_leave_the_pool_unchanged(self, shards):
+        assert budget_workers(4, shards) == 4
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["explicit", "env"])
+    def test_pooled_async_sweep_keeps_both_workers(self, monkeypatch, from_env):
+        """An async run is one process whatever its ``shards``, so the
+        guard leaves the sweep both of its workers."""
+        pool_sizes = []
+        execute_pooled = executor._execute_pooled
+
+        def spy(tasks, workers, session):
+            pool_sizes.append(workers)
+            return execute_pooled(tasks, workers, session)
+
+        monkeypatch.setattr(executor, "_execute_pooled", spy)
+        if from_env:
+            monkeypatch.setenv("REPRO_SHARDS", "2")
+        spec = RunSpec(
+            protocol="mis", seed=1, environment="async", shards=None if from_env else 2
+        )
+        result = Simulation().sweep(spec, sizes=[8], repetitions=2, workers=2)
+        assert pool_sizes == [2]
+        assert len(result.records) == 2
 
 
 class TestShardRepetitionSpecs:

@@ -22,7 +22,6 @@ from repro.protocols.coloring import COLORED, TreeColoringProtocol
 from repro.protocols.mis import LOSE, MIS_STATES, WIN, MISProtocol
 from repro.scheduling import vectorized_engine
 from repro.scheduling.compiled import LazyExtendedTable, compile_protocol
-from repro.scheduling.shard_pool import sharding_supported
 from repro.scheduling.sharded_engine import ShardedVectorizedEngine
 from repro.scheduling.sync_engine import SynchronousEngine
 from repro.scheduling.vectorized_engine import TABLE_FIELDS, VectorizedEngine
@@ -164,7 +163,6 @@ class TestRetirementParity:
         assert not result.reached_output and result.total_messages == 0
         assert stepped_rows == [graph.num_nodes, 0, 0]
 
-    @pytest.mark.skipif(not sharding_supported(), reason="platform lacks POSIX shared memory")
     def test_sharded_run_with_sinks_matches_the_interpreter(self):
         graph = gnp_random_graph(60, 0.06, seed=3)
         protocol = _hand_built()

@@ -64,8 +64,8 @@ def specs_strategy(draw):
     else:
         adversary = None
         adversary_seed = None
-    # Every environment shards (sync rounds, async event buckets, dynamic
-    # segments) since schema version 5.
+    # Every environment takes shards= since schema version 5 (an async run
+    # stays on one process).
     shards = draw(st.none() | st.integers(min_value=1, max_value=8))
     params = st.dictionaries(st.text(min_size=1, max_size=6), json_values, max_size=3)
     return RunSpec(
@@ -156,8 +156,8 @@ def test_hash_is_shard_count_invariant(spec, shards_a, shards_b):
 
     Every engine draws from the one counter pick stream, so ``None``, ``1``
     and every larger shard count are the same run and one cache entry
-    serves them all — in every environment, since async event buckets and
-    dynamic segments shard under the same contract.
+    serves them all — in every environment, since dynamic segments shard
+    under the same contract and an async run stays on one process.
     """
     assert spec_hash(spec.replace(shards=shards_a)) == spec_hash(
         spec.replace(shards=shards_b)
@@ -291,7 +291,7 @@ GOLDEN_HASHES = {
     "df04770dfb2970b3f165f1832fe14baa2749c2536237c88809ff0b0e122adda1": (
         RunSpec(protocol="coloring", nodes=16, seed=3, graph="random_tree"),
     ),
-    # Async specs shard too; the shard count canonicalizes away here as well.
+    # Async specs take a shard count too; it canonicalizes away here as well.
     "6bfa198ba7a5d68e7e6dd3af26061b5e4f5466f5fa91177cd1a4e547803c6e60": (
         RunSpec(protocol="mis", environment="async", nodes=12, seed=7, adversary="uniform"),
         RunSpec(

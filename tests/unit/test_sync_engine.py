@@ -177,7 +177,6 @@ class TestEngineMechanics:
         if engine == "python":
             engine_cls = SynchronousEngine
         else:
-            pytest.importorskip("numpy")
             from repro.scheduling.vectorized_engine import VectorizedEngine as engine_cls
         protocol = MISProtocol()
         with pytest.raises(ExecutionError, match="initial_letters must hold one letter per node"):

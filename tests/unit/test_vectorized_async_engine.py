@@ -1,9 +1,7 @@
 """Unit tests for the vectorized asynchronous engine and the lazy table."""
 
-
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.api import Simulation
 from repro.core.counters import engine_runs
