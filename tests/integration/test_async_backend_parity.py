@@ -22,11 +22,13 @@ import pytest
 
 from repro.api import RunSpec, Simulation
 from repro.compilers import compile_to_asynchronous
+from repro.core.errors import ExecutionError, OutputNotReachedError
 from repro.graphs import generators
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.adversary import default_adversary_suite
+from repro.scheduling.async_engine import AUTO_VECTORIZE_MIN_NODES
 from repro.scheduling.compiled import LazyStrictTable
 
 SEEDS = (0, 1, 2)
@@ -256,3 +258,109 @@ def test_auto_stays_interpreted_on_small_networks_for_every_shard_count():
     assert sharded.metadata["backend"] == "python"
     assert sharded.metadata["shard_count"] == 1
     assert "shards=2 dropped" in sharded.metadata["backend_reason"]
+
+
+def test_deterministic_protocol_matches_the_interpreter_bitwise():
+    """Where the protocol never draws (single-option transitions), a
+    ``shards=2`` batched run equals the *interpreter* too."""
+    session = Simulation()
+    base = _spec("broadcast", seed=3, max_events=2_000_000)
+    interpreted = session.simulate(base.replace(backend="python"), raise_on_timeout=False)
+    batched = session.simulate(base.replace(backend="vectorized", shards=2), raise_on_timeout=False)
+    assert interpreted.reached_output and batched.reached_output
+    assert _identity(batched) == _identity(interpreted)
+
+
+@pytest.mark.parametrize("adversary", ["synchronous", "uniform"])
+def test_draw_bearing_protocol_matches_the_interpreter_bitwise(adversary):
+    """Compiled MIS draws a coin on most steps; with one pick stream in every
+    engine a terminating run equals the interpreter for every shards value."""
+    session = Simulation()
+    base = _spec("mis", adversary=adversary, seed=7, nodes=8, max_events=2_000_000)
+    interpreted = session.simulate(base.replace(backend="python"))
+    assert interpreted.reached_output
+    for shards in (None, 1, 2):
+        batched = session.simulate(base.replace(backend="vectorized", shards=shards))
+        assert _identity(batched) == _identity(interpreted), f"shards={shards}"
+
+
+def test_shard_count_capped_at_node_count():
+    """More shards than nodes is the same one-process run as ``shards=1``."""
+    session = Simulation()
+    small = _spec("mis", seed=1, nodes=3, max_events=100_000, backend="vectorized")
+    result = session.simulate(small.replace(shards=16), raise_on_timeout=False)
+    reference = session.simulate(small.replace(shards=1), raise_on_timeout=False)
+    assert _identity(result) == _identity(reference)
+    assert result.metadata["shard_count"] == 1
+    assert "shards=16 requested but" in result.metadata["backend_reason"]
+
+
+def test_auto_batches_large_networks_whatever_the_shard_count():
+    """The size heuristic of ``"auto"`` ignores ``shards``: at the batching
+    threshold both runs are batched, and the ``shards=2`` one says it ran
+    unsharded."""
+    session = Simulation()
+    spec = _spec("mis", seed=3, nodes=AUTO_VECTORIZE_MIN_NODES)
+    unsharded = session.simulate(spec, raise_on_timeout=False)
+    sharded = session.simulate(spec.replace(shards=2), raise_on_timeout=False)
+    assert _identity(sharded) == _identity(unsharded)
+    assert unsharded.metadata["backend"] == sharded.metadata["backend"] == "vectorized"
+    assert "shard_count" not in unsharded.metadata
+    assert sharded.metadata["shard_count"] == 1
+    assert "ran unsharded" in sharded.metadata["backend_reason"]
+
+
+def test_truncated_run_keeps_the_unsharded_annotation():
+    """A ``shards=2`` run cut at its event budget raises with a partial
+    result that still records the one-shard split and its reason."""
+    spec = _spec("mis", seed=7, max_events=100, backend="vectorized", shards=2)
+    with pytest.raises(OutputNotReachedError) as info:
+        Simulation().simulate(spec)
+    metadata = info.value.result.metadata
+    assert metadata["shard_count"] == 1
+    assert metadata["halo_bytes_per_bucket"] == 0
+    assert "ran unsharded" in metadata["backend_reason"]
+
+
+def test_observer_keeps_a_sharded_request_interpreted():
+    """A per-transition observer needs the interpreter under ``"auto"``;
+    the ``shards=2`` request is dropped and the reason says so."""
+    records = []
+    result = Simulation().run_protocol(
+        generators.path_graph(8),
+        compile_to_asynchronous(MISProtocol()),
+        environment="async",
+        seed=1,
+        observer=records.append,
+        shards=2,
+    )
+    assert records
+    assert result.metadata["backend"] == "python"
+    assert result.metadata["shard_count"] == 1
+    reason = result.metadata["backend_reason"]
+    assert "observers require the interpreted engine (shards=2 dropped)" in reason
+
+
+def test_python_backend_refuses_shards():
+    """``backend="python"`` with ``shards >= 2`` is an error, as it is for
+    synchronous runs, not a silently unsharded run."""
+    with pytest.raises(ExecutionError, match="cannot shard"):
+        Simulation().run_protocol(
+            generators.path_graph(8),
+            compile_to_asynchronous(MISProtocol()),
+            environment="async",
+            backend="python",
+            shards=2,
+        )
+
+
+def test_session_counts_a_sharded_request_with_no_halo():
+    """The session's shard statistics count a ``shards=2`` async run as one
+    run that cut no edge and exchanged no halo."""
+    session = Simulation()
+    session.simulate(_spec("mis", seed=7, backend="vectorized", shards=2), raise_on_timeout=False)
+    assert session.cache_info()["sharding"] == {
+        "runs": 1,
+        "cut_edges": 0,
+        "halo_bytes_per_round": 0,
+    }

@@ -220,6 +220,24 @@ class TestGenericRunCommand:
         assert payload["adversary"] == "bursty"
         assert "time units" in payload["cost"]
 
+    def test_asynchronous_run_is_unchanged_by_shards(self, capsys):
+        """An async run is one process: ``--shards 2`` changes only the
+        fields that name the backend, its reason and the shard split."""
+        args = ["run", "broadcast", "--nodes", "256", "--seed", "5", "--asynchronous", "--json"]
+        runs = []
+        for extra in ([], ["--shards", "2"]):
+            assert main(args + extra) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        unsharded, sharded = runs
+        assert sharded["backend"] == unsharded["backend"] == "vectorized"
+        assert "ran unsharded" in sharded["backend reason"]
+        assert sharded["shards"].startswith("1 ")
+        for run in runs:
+            assert run["valid"] is True
+            for field in ("backend", "backend reason", "shards"):
+                run.pop(field, None)
+        assert sharded == unsharded
+
 
 class TestLBACommand:
     def test_palindrome_word(self, capsys):

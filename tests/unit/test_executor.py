@@ -21,7 +21,7 @@ from repro.api import (
     shard_repetition_specs,
 )
 from repro.api import executor
-from repro.api.executor import budget_workers
+from repro.api.executor import budget_workers, resolve_spec_shards, run_shards
 from repro.core.errors import (
     ExecutorError,
     OutputNotReachedError,
@@ -81,12 +81,43 @@ class TestBudgetWorkers:
         monkeypatch.setattr(executor, "_execute_pooled", spy)
         if from_env:
             monkeypatch.setenv("REPRO_SHARDS", "2")
-        spec = RunSpec(
-            protocol="mis", seed=1, environment="async", shards=None if from_env else 2
-        )
+        spec = RunSpec(protocol="mis", seed=1, environment="async", shards=None if from_env else 2)
         result = Simulation().sweep(spec, sizes=[8], repetitions=2, workers=2)
         assert pool_sizes == [2]
         assert len(result.records) == 2
+
+
+class TestResolveSpecShards:
+    """``REPRO_SHARDS`` fills an unset ``shards`` of a spec whose run can
+    start shard workers, and only of such a spec."""
+
+    SPECS = {
+        "sync": RunSpec(protocol="mis", nodes=16, seed=1),
+        "dynamic": RunSpec(protocol="mis", nodes=16, seed=1, environment="dynamic", churn="burst"),
+        "async": RunSpec(protocol="mis", nodes=16, seed=1, environment="async"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def two_shards(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+
+    @pytest.mark.parametrize("environment", ["sync", "dynamic"])
+    def test_env_fills_unset_shards(self, environment):
+        resolved = resolve_spec_shards(self.SPECS[environment])
+        assert resolved.shards == 2
+        assert run_shards(resolved) == 2
+
+    def test_async_spec_stays_unsharded(self):
+        assert resolve_spec_shards(self.SPECS["async"]).shards is None
+        assert run_shards(self.SPECS["async"].replace(shards=2)) is None
+
+    def test_interpreted_spec_stays_unsharded(self):
+        spec = self.SPECS["sync"].replace(backend="python")
+        assert resolve_spec_shards(spec).shards is None
+
+    def test_explicit_shards_win_over_the_env(self):
+        spec = self.SPECS["sync"].replace(shards=3)
+        assert resolve_spec_shards(spec) is spec
 
 
 class TestShardRepetitionSpecs:
