@@ -96,10 +96,10 @@ def test_bench_pooled_tables_are_published_not_rebuilt():
 
     Before publication every pool worker re-compiled each distinct
     workload's tables on first use — a k x build cost for k workers.  Now
-    the parent compiles each workload once, publishes the bundles through
-    a shared-memory segment, and the pool initializer seeds every worker's
-    session cache — so *all* worker-side lookups are cache hits, which the
-    merged cache counters make directly observable.
+    the parent compiles each workload once and hands the bundles to the
+    pool initializer, which seeds every worker's session cache — so *all*
+    worker-side lookups are cache hits, which the merged cache counters
+    make directly observable.
     """
     session = Simulation()
     sweep = session.sweep(

@@ -28,14 +28,7 @@ It is built from three concepts:
   decorators — see docs/API.md for the extension guide.
 """
 
-from repro.api.backends import (
-    BACKEND_TOKENS,
-    BackendNegotiation,
-    BackendSpec,
-    Workload,
-    backend_census,
-    negotiate_backend,
-)
+from repro.api.backends import BACKEND_TOKENS, backend_census
 from repro.api.executor import (
     WORKERS_ENV,
     effective_workers,
@@ -75,8 +68,6 @@ __all__ = [
     "PROTOCOLS",
     "STORE_SCHEMA_VERSION",
     "WORKERS_ENV",
-    "BackendNegotiation",
-    "BackendSpec",
     "CellSeeds",
     "ProtocolEntry",
     "Registry",
@@ -84,11 +75,9 @@ __all__ = [
     "RunSpec",
     "SeedPolicy",
     "Simulation",
-    "Workload",
     "backend_census",
     "canonical_spec_json",
     "effective_workers",
-    "negotiate_backend",
     "register_adversary",
     "register_churn",
     "register_graph_family",

@@ -16,19 +16,21 @@ Three contracts govern this module:
   which worker ran it or in which order tasks completed.  Locked by
   ``tests/integration/test_executor_parity.py``.
 * **Serialization boundary** — task payloads contain spec dictionaries,
-  registry names and (optionally) picklable callables; nothing else crosses
-  the process boundary on the way in, and :class:`TaskOutcome` (result or a
-  structured error, plus the worker's cache-counter delta) is the only thing
-  that crosses it on the way out.  Unpicklable workloads are detected *up
-  front*: an explicit ``workers=`` request raises
-  :class:`~repro.core.errors.ExecutorError`, while the opportunistic
-  ``REPRO_WORKERS`` environment default silently stays serial.
-* **Worker cache lifecycle** — every worker process owns one long-lived
-  :class:`~repro.api.Simulation` whose compiled-table cache stays warm
-  across all tasks of the pool, so a 100-cell sweep pays at most one
-  compile per worker.  Each outcome reports the hit/miss delta its task
-  produced; the parent aggregates the deltas into the dispatching session's
-  counters (:meth:`Simulation.absorb_worker_cache`), keeping
+  registry names and (optionally) picklable callables; besides them only
+  the parent's compiled-table bundles cross the process boundary on the way
+  in, and :class:`TaskOutcome` (result or a structured error, plus the
+  worker's cache-counter delta) is the only thing that crosses it on the
+  way out.  Unpicklable workloads are detected *up front*: an explicit
+  ``workers=`` request raises :class:`~repro.core.errors.ExecutorError`,
+  while the opportunistic ``REPRO_WORKERS`` environment default silently
+  stays serial.
+* **Worker cache lifecycle** — the parent compiles each distinct workload
+  of a pool once and hands the bundles to the pool initializer (a fork
+  start inherits them, a spawn start pickles them), so every worker's
+  long-lived :class:`~repro.api.Simulation` starts warm and a sweep pays
+  one compile per workload in all.  Each outcome reports the hit/miss delta
+  its task produced; the parent aggregates the deltas into the dispatching
+  session's counters (:meth:`Simulation.absorb_worker_cache`), keeping
   ``session.cache_info()`` meaningful across serial and pooled calls alike.
 
 Worker failures never hang the pool: an exception inside a task comes back
@@ -56,7 +58,6 @@ from repro.core.errors import (
     OutputNotReachedError,
     WorkerCrashError,
 )
-from repro.scheduling.sync_engine import _precompile_tables_with_reason
 
 #: Environment variable consulted when a call does not pass ``workers=``:
 #: ``REPRO_WORKERS=2 pytest`` runs every pool-safe repeat/sweep through a
@@ -254,23 +255,23 @@ def _worker_session():
 
 
 # ---------------------------------------------------------------------- #
-# Shared-memory compiled-table publication                                 #
+# Compiled-table publication                                              #
 # ---------------------------------------------------------------------- #
-def _published_sync_bundles(tasks: Sequence[SpecTask], session) -> dict:
-    """Compile each distinct sync or dynamic workload of *tasks* once, parent-side.
+def _published_bundles(tasks: Sequence[SpecTask], session) -> dict:
+    """Compile each distinct workload of *tasks* once, parent-side.
 
     Returns the ``{cache_key: bundle}`` mapping to publish to the pool,
-    keyed by :func:`repro.api.session.table_key` — the key the workers'
-    lookups use.  Without publication every worker re-ran the same compile
-    for the same workload — the k× table-build cost the session cache
-    counters expose; compiling here warms the dispatching session's own
-    cache too, so the parent pays each tabulation exactly once for the
-    whole pool.  Dynamic runs use the synchronous bundle and are published
-    with it; asynchronous bundles are not published.
+    keyed by :func:`repro.api.session.table_key` and built by
+    :func:`repro.api.session.table_bundle` — the key and the code of the
+    workers' own lookups.  Without publication every worker re-ran the same
+    compile for the same workload — the k× table-build cost the session
+    cache counters expose; compiling here warms the dispatching session's
+    own cache too, so the parent pays each tabulation exactly once for the
+    whole pool.
     """
     if session is None:
         return {}
-    from repro.api.session import table_key
+    from repro.api.session import table_bundle, table_key
 
     bundles: dict = {}
     for task in tasks:
@@ -278,79 +279,54 @@ def _published_sync_bundles(tasks: Sequence[SpecTask], session) -> dict:
             spec = RunSpec.from_dict(task.spec)
         except Exception:  # malformed specs fail later, in the worker
             continue
-        if spec.environment == "async":
-            continue
         key = table_key(spec)
         if key in bundles:
             continue
-        cached = session._tables.get(key)
-        if cached is not None:
-            bundles[key] = cached
-            continue
-        try:
-            # Bypass ``_sync_bundle`` deliberately: the hit/miss counters
-            # track per-task lookups, and this pre-pass is not a task.  The
-            # built bundle still lands in the parent cache so later parent
-            # lookups of the same workload are hits.
-            bundle = _precompile_tables_with_reason(
-                spec.build_protocol(), spec.backend
-            )
-        except Exception:
-            # Compile-time failures (including strict-backend rejections)
-            # must surface from the executing side with the task attached,
-            # not from this opportunistic pre-pass.
-            continue
-        session._tables[key] = bundle
+        bundle = session._tables.get(key)
+        if bundle is None:
+            try:
+                # Bypass ``Simulation._cached`` deliberately: the hit/miss
+                # counters track per-task lookups, and this pre-pass is not
+                # a task.  The built bundle still lands in the parent cache
+                # so later parent lookups of the same workload are hits.
+                bundle = table_bundle(spec)
+            except Exception:
+                # Compile-time failures (including strict-backend rejections)
+                # must surface from the executing side with the task
+                # attached, not from this opportunistic pre-pass.
+                continue
+            session._tables[key] = bundle
         bundles[key] = bundle
     return bundles
 
 
-def _publish_tables(bundles: dict):
-    """Pickle *bundles* into a read-only shared-memory segment.
+def _portable_bundles(bundles: dict, context) -> dict:
+    """The bundles that can reach the workers of *context*.
 
-    Returns the live segment (the parent closes and unlinks it after the
-    pool shuts down) or ``None`` when there is nothing to publish or the
-    platform/payload cannot carry it — publication is a pure optimization,
-    so every failure degrades to the legacy per-worker compile.
+    A fork start inherits the parent's memory, so every bundle goes; any
+    other start pickles the initializer's arguments, so a bundle that does
+    not pickle is left for the worker to build — publication is a pure
+    optimization and never fails the pool.
     """
-    if not bundles:
-        return None
-    try:
-        from multiprocessing import shared_memory
-
-        payload = pickle.dumps(bundles, protocol=pickle.HIGHEST_PROTOCOL)
-        shm = shared_memory.SharedMemory(
-            name=f"repro_tables_{os.getpid()}_{id(bundles) & 0xFFFF:x}",
-            create=True,
-            size=len(payload) + 8,
-        )
-        shm.buf[:8] = len(payload).to_bytes(8, "little")
-        shm.buf[8 : 8 + len(payload)] = payload
-        return shm
-    except Exception:  # noqa: BLE001 — optimization only, never fatal
-        return None
-
-
-def _worker_adopt_tables(segment_name: str) -> None:
-    """Pool initializer: map the published tables into this worker's session.
-
-    Workers attach the parent's segment read-only, unpickle their own copy
-    of the bundles and seed the long-lived worker session's table cache, so
-    the first task of every workload is a cache *hit* instead of a rebuild.
-    Any failure leaves the worker on the legacy compile-on-first-use path.
-    """
-    try:
-        from repro.scheduling.shard_pool import attach_segment
-
-        shm = attach_segment(segment_name)
+    if context.get_start_method() == "fork":
+        return bundles
+    portable = {}
+    for key, bundle in bundles.items():
         try:
-            size = int.from_bytes(bytes(shm.buf[:8]), "little")
-            bundles = pickle.loads(bytes(shm.buf[8 : 8 + size]))
-        finally:
-            shm.close()
-        _worker_session().adopt_published_tables(bundles)
-    except Exception:  # noqa: BLE001 — optimization only, never fatal
-        pass
+            pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 — optimization only, never fatal
+            continue
+        portable[key] = bundle
+    return portable
+
+
+def _worker_adopt_tables(bundles: dict) -> None:
+    """Pool initializer: seed this worker's session with the parent's bundles.
+
+    The first task of every published workload is then a cache *hit*
+    instead of a rebuild.
+    """
+    _worker_session().adopt_published_tables(bundles)
 
 
 def _execute_task(task: SpecTask, session) -> Any:
@@ -471,17 +447,14 @@ def _execute_pooled(tasks: Sequence[SpecTask], workers: int, session) -> list[An
 
     from repro.scheduling.shard_pool import mp_context
 
-    shm = _publish_tables(_published_sync_bundles(tasks, session))
-    pool_kwargs: dict[str, Any] = {}
-    if shm is not None:
-        pool_kwargs = dict(
-            initializer=_worker_adopt_tables, initargs=(shm.name,)
-        )
+    context = mp_context()
+    bundles = _portable_bundles(_published_bundles(tasks, session), context)
     try:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
-            mp_context=mp_context(),
-            **pool_kwargs,
+            mp_context=context,
+            initializer=_worker_adopt_tables,
+            initargs=(bundles,),
         ) as pool:
             outcomes = list(pool.map(run_task, tasks))
     except BrokenProcessPool as exc:
@@ -490,13 +463,6 @@ def _execute_pooled(tasks: Sequence[SpecTask], workers: int, session) -> list[An
             "(killed, out of memory, or crashed in native code); "
             "the pool was shut down cleanly"
         ) from exc
-    finally:
-        if shm is not None:
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:  # noqa: BLE001 — cleanup must never mask results
-                pass
     return _merge_outcomes(outcomes, session=session)
 
 

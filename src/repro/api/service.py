@@ -349,9 +349,12 @@ class JobService:
                     self._fail(job, f"{type(result).__name__}: {result}")
                     continue
                 payload = canonical_json(result_to_payload(result))
+                # Finish and evict in one critical section: a poller that
+                # sees this job done never sees an older one past the cap.
                 with self._lock:
                     job["status"] = "done"
                     job["result_json"] = payload
+                    self._evict_finished()
                 self.ledger.append(
                     job["id"], "finished", reached_output=bool(result.reached_output)
                 )
@@ -360,12 +363,12 @@ class JobService:
                 # ledger OSError fails this one job, not the drain thread —
                 # which would leave every later submission queued forever.
                 self._fail(job, f"{type(exc).__name__}: {exc}")
-        self._evict_finished()
 
     def _fail(self, job: dict[str, Any], error: str) -> None:
         with self._lock:
             job["status"] = "failed"
             job["error"] = error
+            self._evict_finished()
         try:
             self.ledger.append(job["id"], "failed", error=error)
         except OSError:

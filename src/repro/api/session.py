@@ -3,14 +3,17 @@
 A session owns three concerns every execution shares:
 
 * **backend selection** — specs say
-  ``"python" | "vectorized" | "auto"`` once; the engines
-  negotiate the tier through :func:`repro.api.backends.negotiate_backend`
-  and record what actually ran (and why) in ``result.metadata``;
+  ``"python" | "vectorized" | "auto"`` once; the engines select the tier
+  where they are built and record what actually ran (and why) in
+  ``result.metadata``;
 * **compiled-table caching** — the synchronizer/multiquery compile step and
   the dense/lazy transition tables are built once per workload and stay
   warm across :meth:`Simulation.simulate`, :meth:`Simulation.repeat` and
   :meth:`Simulation.sweep` calls on the same session (observable through
-  :attr:`Simulation.cache_hits`);
+  :attr:`Simulation.cache_hits`).  A cached bundle records what the
+  compile step found — the tables, or why the vectorized tier cannot take
+  the protocol — and leaves the selection itself to the engine, so a run
+  selects its tier once, exactly as it would without a session;
 * **seed derivation** — every multi-run method derives its per-run seeds
   through one :class:`~repro.api.seeds.SeedPolicy`.
 
@@ -43,43 +46,7 @@ from repro.core.results import ExecutionResult
 from repro.graphs.graph import Graph
 from repro.scheduling.async_engine import _run_asynchronous
 from repro.scheduling.dynamic_engine import _run_dynamic
-from repro.scheduling.sync_engine import (
-    _precompile_tables_with_reason,
-    _run_synchronous,
-)
-
-
-def _annotated_sync_run(
-    reason: str | None, *args, runner=None, **kwargs
-) -> ExecutionResult:
-    """Run the sync primitive and stamp the precompile-time selection reason.
-
-    The engine labels tables it did not build as ``caller-supplied``; when
-    the session did the precompiling, the reason captured at that moment
-    (eager/lazy choice, or an ``"auto"`` downgrade) is the authoritative one
-    and replaces the engine's label — on timeout errors' partial results too.
-    A ``shards >= 2`` request keeps the engine's reason: it explains the
-    partitioning (or why the run stayed on one process), which the
-    precompile-time label knows nothing about.  ``runner`` swaps the
-    execution primitive (the dynamic environment passes
-    :func:`~repro.scheduling.dynamic_engine._run_dynamic`).
-    """
-    if runner is None:
-        runner = _run_synchronous
-    sharded = (kwargs.get("shards") or 1) >= 2
-
-    def _stamp(metadata) -> None:
-        if reason is not None and not sharded:
-            metadata["backend_reason"] = reason
-
-    try:
-        result = runner(*args, **kwargs)
-    except OutputNotReachedError as exc:
-        if exc.result is not None:
-            _stamp(exc.result.metadata)
-        raise
-    _stamp(result.metadata)
-    return result
+from repro.scheduling.sync_engine import _run_synchronous, build_table_bundle
 
 
 def table_key(spec: RunSpec) -> tuple:
@@ -93,6 +60,25 @@ def table_key(spec: RunSpec) -> tuple:
     """
     engine = "async" if spec.environment == "async" else "sync"
     return (engine,) + spec.workload_key()
+
+
+def table_bundle(spec: RunSpec):
+    """Build the bundle the table cache files under :func:`table_key`.
+
+    Synchronous and dynamic specs get a
+    :class:`~repro.scheduling.sync_engine.TableBundle`.  Asynchronous specs
+    get ``(compiled_protocol, table)``: the synchronizer-compiled protocol
+    beside its incremental :class:`~repro.scheduling.compiled.
+    LazyStrictTable`, or ``None`` for the table when it cannot be built (or
+    ``backend="python"``), so the downgrade is discovered once.  The
+    executor builds the bundles it publishes to pool workers here too.
+    """
+    if spec.environment == "async":
+        from repro.compilers import compile_to_asynchronous
+
+        compiled = compile_to_asynchronous(spec.build_protocol())
+        return compiled, _lazy_strict_table(compiled, spec.backend)
+    return build_table_bundle(spec.build_protocol(), spec.backend)
 
 
 @dataclass
@@ -230,7 +216,7 @@ class Simulation:
         store: "Any | None" = None,
         cache_dir: "str | None" = None,
     ) -> None:
-        self._tables: dict[tuple, tuple] = {}
+        self._tables: dict[tuple, Any] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._adopted_tables = 0
@@ -295,13 +281,13 @@ class Simulation:
             info["adopted_tables"] = self._adopted_tables
         return info
 
-    def adopt_published_tables(self, tables: Mapping[tuple, tuple]) -> int:
+    def adopt_published_tables(self, tables: Mapping[tuple, Any]) -> int:
         """Seed the table cache with bundles published by a pool parent.
 
-        The shared-memory publication path of :mod:`repro.api.executor`
-        hands every worker the parent's precompiled bundles so the first
-        task of each workload is a cache hit instead of a rebuild —
-        eliminating the k× table-build cost pooled sweeps used to pay.
+        The pool initializer of :mod:`repro.api.executor` hands every worker
+        the parent's precompiled bundles so the first task of each workload
+        is a cache hit instead of a rebuild — eliminating the k× table-build
+        cost pooled sweeps used to pay.
         Adopted entries do not touch the hit/miss counters (nothing was
         looked up); the count is reported by :meth:`cache_info` under
         ``"adopted_tables"`` when nonzero.  Existing keys are kept — a
@@ -361,7 +347,7 @@ class Simulation:
             )
         )
 
-    def _cached(self, key: tuple, build: Callable[[], tuple]) -> tuple:
+    def _cached(self, key: tuple, build: Callable[[], Any]) -> Any:
         bundle = self._tables.get(key)
         if bundle is not None:
             self._cache_hits += 1
@@ -370,29 +356,6 @@ class Simulation:
         bundle = build()
         self._tables[key] = bundle
         return bundle
-
-    def _sync_bundle(self, key: tuple, protocol_factory, backend: str) -> tuple:
-        """``(effective_backend, compiled, table, reason)`` cached under *key*."""
-        return self._cached(
-            key, lambda: _precompile_tables_with_reason(protocol_factory(), backend)
-        )
-
-    def _async_bundle(self, key: tuple, protocol_factory, backend: str) -> tuple:
-        """``(compiled_protocol, table)`` for an asynchronous workload.
-
-        The synchronizer-compiled protocol itself is cached alongside its
-        incremental :class:`~repro.scheduling.compiled.LazyStrictTable`;
-        protocols whose table cannot be built (or ``backend="python"``)
-        cache ``(compiled, None)`` so the downgrade is only discovered once.
-        """
-
-        def build() -> tuple:
-            from repro.compilers import compile_to_asynchronous
-
-            compiled = compile_to_asynchronous(protocol_factory())
-            return compiled, _lazy_strict_table(compiled, backend)
-
-        return self._cached(key, build)
 
     # ------------------------------------------------------------------ #
     # Object-level execution                                              #
@@ -436,13 +399,13 @@ class Simulation:
         request there records why it ran unsharded.
         """
         if environment == "sync":
-            reason = None
+            bundle = None
             if cache_key is not None and compiled is None and table is None:
-                backend, compiled, table, reason = self._sync_bundle(
-                    ("sync", cache_key, backend), lambda: protocol, backend
+                bundle = self._cached(
+                    ("sync", cache_key, backend),
+                    lambda: build_table_bundle(protocol, backend),
                 )
-            result = _annotated_sync_run(
-                reason,
+            result = _run_synchronous(
                 graph,
                 protocol,
                 seed=seed,
@@ -453,6 +416,7 @@ class Simulation:
                 backend=backend,
                 compiled=compiled,
                 table=table,
+                bundle=bundle,
                 shards=shards,
             )
             self._note_shards(result)
@@ -550,10 +514,9 @@ class Simulation:
             raise_on_timeout=raise_on_timeout,
             shards=spec.shards,
         )
+        bundle = self._cached(table_key(spec), lambda: table_bundle(spec))
         if spec.environment == "async":
-            compiled, table = self._async_bundle(
-                table_key(spec), spec.build_protocol, spec.backend
-            )
+            compiled, table = bundle
             result = _run_asynchronous(
                 graph,
                 compiled,
@@ -565,23 +528,16 @@ class Simulation:
                 **common,
             )
         else:
-            backend, compiled, table, reason = self._sync_bundle(
-                table_key(spec), spec.build_protocol, spec.backend
-            )
+            run = _run_synchronous
             if spec.environment == "dynamic":
-                common.update(
-                    runner=_run_dynamic,
-                    churn=spec.build_churn(),
-                    churn_seed=spec.churn_seed,
-                )
-            result = _annotated_sync_run(
-                reason,
+                run = _run_dynamic
+                common.update(churn=spec.build_churn(), churn_seed=spec.churn_seed)
+            result = run(
                 graph,
                 spec.build_protocol(),
                 max_rounds=spec.max_rounds,
-                backend=backend,
-                compiled=compiled,
-                table=table,
+                backend=spec.backend,
+                bundle=bundle,
                 **common,
             )
         self._note_shards(result)

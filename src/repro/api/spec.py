@@ -57,8 +57,8 @@ class RunSpec:
     backend:
         One of :data:`repro.api.backends.BACKEND_TOKENS` (``"python"``,
         ``"vectorized"`` or ``"auto"``) — forwarded to the engines, which
-        negotiate the tier (see :mod:`repro.api.backends`) and record the
-        selection and its reason in ``result.metadata``.
+        select the tier where they are built and record the selection and
+        its reason in ``result.metadata``.
     seed:
         Protocol seed of a single :meth:`~repro.api.Simulation.simulate`
         run, and the *base* seed :class:`~repro.api.SeedPolicy` derives

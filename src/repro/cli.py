@@ -12,7 +12,7 @@ flags and executes it through a :class:`repro.api.Simulation` session::
     python -m repro run luby --nodes 64           # LOCAL-model baseline
     python -m repro run mis --repetitions 8 --workers 4   # pooled repeats
     python -m repro run --list                    # registry census
-    python -m repro run --list-backends           # backend tier ladder
+    python -m repro run --list-backends           # the two backend tiers
     python -m repro run --spec workload.json      # serialized RunSpec
     python -m repro run mis -r 6 --store cache/   # content-addressed results
     python -m repro experiment E1 --quick --workers 4
@@ -181,7 +181,7 @@ def _print_registry_list(as_json: bool) -> int:
 
 
 def _print_backend_list(as_json: bool) -> int:
-    """``run --list-backends``: the capability census of the tier ladder."""
+    """``run --list-backends``: the two backend tiers and what each takes."""
     from repro.api.backends import backend_census
 
     census = backend_census()
@@ -586,8 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="list registered protocols, graph families, "
                           "adversaries and churn policies")
     run.add_argument("--list-backends", action="store_true",
-                     help="list the backend tier ladder with availability "
-                          "and capabilities, then exit")
+                     help="list the two backend tiers (python, vectorized) "
+                          "and what each takes, then exit")
     _add_run_arguments(run)
     run.set_defaults(handler=_cmd_run)
 

@@ -6,7 +6,7 @@ testable if engine executions are counted somewhere the harness can read.
 Every synchronous and asynchronous execution funnels through exactly one
 primitive (``_run_synchronous`` / ``_run_asynchronous`` / ``_run_dynamic``),
 and each primitive records itself here once it has built an engine — a
-request refused during backend negotiation counts nothing — so
+request refused by the backend checks counts nothing — so
 ``engine_runs()`` deltas measure real engine work regardless of backend,
 session, or entry point.
 

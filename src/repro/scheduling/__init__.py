@@ -14,9 +14,8 @@ Both environments take ``backend="python" | "vectorized" | "auto"``
 (on a :class:`~repro.api.RunSpec` or
 :meth:`repro.api.Simulation.run_protocol`); for any given seed every
 backend of an environment produces identical results (terminating runs).
-``auto`` resolves the ladder through
-:func:`repro.api.backends.negotiate_backend` and degrades loudly (the
-skipped tier and reason land in ``metadata["backend_reason"]``).
+``auto`` picks the tier where the engine is built and degrades loudly (an
+interpreter fallback and its reason land in ``metadata["backend_reason"]``).
 
 Runs go through a :class:`repro.api.Simulation` session: ``simulate()`` /
 ``repeat()`` / ``sweep()`` for registry-described workloads and

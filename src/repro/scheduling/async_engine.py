@@ -59,6 +59,7 @@ from repro.scheduling.adversary import (
     derive_adversary_seed,
 )
 from repro.scheduling.picks import async_counter_pick, async_pick_base, resolve_pick_seed
+from repro.scheduling.sync_engine import _check_backend
 
 TransitionObserver = Callable[[TransitionRecord], None]
 """Callback invoked after every applied node transition."""
@@ -299,17 +300,16 @@ def _run_asynchronous(
     vectorized_async_engine`) or ``"auto"`` (the batched engine when the
     protocol and the adversary support it *and* the network has at least
     :data:`AUTO_VECTORIZE_MIN_NODES` nodes — below that the interpreter is
-    faster; interpreted otherwise).  The attempt order comes from one
-    :func:`repro.api.backends.negotiate_backend` call, which also rejects
-    an unknown token.  Terminating runs produce identical results for the
-    same seeds on every backend.
+    faster; interpreted otherwise).  An unknown token raises
+    :class:`ExecutionError`.  Terminating runs produce identical results for
+    the same seeds on every backend.
 
     ``table`` optionally supplies a pre-warmed
     :class:`~repro.scheduling.compiled.LazyStrictTable` so repeated runs of
     the same protocol share one incremental tabulation; it is ignored by the
     ``"python"`` backend.  Observers are only supported by the interpreted
     engine — supplying one forces ``backend="python"`` semantics under
-    ``"auto"`` (and is rejected by the batched tiers).
+    ``"auto"`` and is an error under ``"vectorized"``.
 
     ``shards`` changes nothing here: an asynchronous run is one process.
     A ``shards >= 2`` request records why it ran unsharded, plus one-shard
@@ -319,22 +319,22 @@ def _run_asynchronous(
     protocol mid-run is rerun on the interpreter; that rerun still counts as
     one engine run.
     """
+    _check_backend(backend)
     if shards is not None:
         shards = int(shards)
         if shards < 1:
             raise ExecutionError(f"shards must be >= 1, got {shards}")
     sharded = shards is not None and shards >= 2
-    from repro.api.backends import Workload, negotiate_backend
-
-    negotiation = negotiate_backend(
-        Workload(
-            environment="async",
-            observer=observer is not None,
-            shards=shards if sharded else None,
-        ),
-        backend,
-    )
-    note = negotiation.rejection_note()
+    if sharded and backend == "python":
+        raise ExecutionError(
+            "shards= requires the vectorized backend; backend='python' "
+            "interprets nodes serially and cannot shard"
+        )
+    if observer is not None and backend == "vectorized":
+        raise ExecutionError(
+            "the vectorized asynchronous backend does not support "
+            "per-transition observers; use backend='python'"
+        )
     dropped = f" (shards={shards} dropped)" if sharded else ""
     common = dict(adversary=adversary, seed=seed, adversary_seed=adversary_seed, inputs=inputs)
     engine = None
@@ -345,8 +345,8 @@ def _run_asynchronous(
         if sharded
         else {}
     )
-    batched = negotiation.chosen != "python" and (
-        backend != "auto" or graph.num_nodes >= AUTO_VECTORIZE_MIN_NODES
+    batched = backend == "vectorized" or (
+        backend == "auto" and observer is None and graph.num_nodes >= AUTO_VECTORIZE_MIN_NODES
     )
     if batched:
         from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
@@ -365,22 +365,17 @@ def _run_asynchronous(
                 reason = "backend='python' requested"
             elif observer is not None:
                 reason = f"per-transition observers require the interpreted engine{dropped}"
-            elif negotiation.chosen == "python":
-                reason = f"auto stayed interpreted{dropped}: {note}"
             else:
                 reason = (
                     f"auto stayed interpreted{dropped}: n < {AUTO_VECTORIZE_MIN_NODES} "
                     "(batching overhead dominates on small networks)"
                 )
         engine = AsynchronousEngine(graph, protocol, observer=observer, **common)
-    else:
-        if note:
-            reason += f" ({note})"
-        if sharded:
-            reason = (
-                f"shards={shards} requested but asynchronous runs execute on one "
-                f"process; ran unsharded ({reason})"
-            )
+    elif sharded:
+        reason = (
+            f"shards={shards} requested but asynchronous runs execute on one "
+            f"process; ran unsharded ({reason})"
+        )
     record_engine_run("async")
 
     def execute(chosen) -> ExecutionResult:

@@ -7,7 +7,7 @@ over a :class:`~repro.graphs.dynamic.DynamicGraph`:
 
 1. run the protocol on the current snapshot until it reaches an output
    configuration (an ordinary synchronous execution, on whichever backend
-   the capability negotiation selects);
+   the request selects);
 2. apply the next disturbance of the churn schedule, producing a new
    versioned snapshot;
 3. carry every node's ``(state, last transmitted letter)`` across the
@@ -47,7 +47,7 @@ from repro.core.protocol import ExtendedProtocol, Protocol
 from repro.core.results import ExecutionResult, build_synchronous_result
 from repro.graphs.dynamic import ChurnPolicy, DynamicGraph, derive_churn_seed, derive_segment_seed
 from repro.graphs.graph import Graph
-from repro.scheduling.sync_engine import _make_engine, _precompile_tables_with_reason
+from repro.scheduling.sync_engine import TableBundle, _make_engine, build_table_bundle
 
 
 def _run_dynamic(
@@ -62,8 +62,7 @@ def _run_dynamic(
     observer=None,
     raise_on_timeout: bool = True,
     backend: str = "auto",
-    compiled=None,
-    table=None,
+    bundle: TableBundle | None = None,
     shards: int | None = None,
 ) -> ExecutionResult:
     """Run *protocol* on *graph* under the churn of *churn* (internal primitive).
@@ -75,6 +74,8 @@ def _run_dynamic(
     (:func:`~repro.graphs.dynamic.derive_churn_seed`), so a seeded spec is
     fully deterministic without extra fields.  ``observer`` receives
     segment-local round indices (each segment is its own synchronous run).
+    Every segment runs from one :class:`~repro.scheduling.sync_engine.
+    TableBundle`: the session's ``bundle``, else one compiled here.
 
     The result is built on the **final** snapshot; ``rounds`` is the total
     across segments and ``metadata`` carries the dynamic measurement:
@@ -104,12 +105,9 @@ def _run_dynamic(
     inputs = dict(inputs or {})
 
     # One compile step shared by every segment (the session supplies its
-    # bundle tables here; direct callers get the same amortisation).
-    reason_override = None
-    if compiled is None and table is None:
-        backend, compiled, table, reason_override = _precompile_tables_with_reason(
-            protocol, backend
-        )
+    # bundle here; direct callers get the same amortisation).
+    if bundle is None:
+        bundle = build_table_bundle(protocol, backend)
 
     states: list | None = None
     letters: list | None = None
@@ -130,8 +128,7 @@ def _run_dynamic(
             seed=derive_segment_seed(seed, segment),
             inputs=inputs,
             observer=observer,
-            compiled=compiled,
-            table=table,
+            bundle=bundle,
             shards=shards,
             initial_states=states,
             initial_letters=letters,
@@ -141,9 +138,7 @@ def _run_dynamic(
             annotation = dict(
                 backend=selection.backend,
                 backend_mode=selection.mode,
-                backend_reason=(
-                    selection.reason if reason_override is None else reason_override
-                ),
+                backend_reason=selection.reason,
             )
             annotation.update(engine.shard_info)
         try:

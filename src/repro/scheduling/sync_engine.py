@@ -245,21 +245,44 @@ class BackendSelection:
     mode:
         How the transition relation is evaluated: ``"interpreted"`` (the
         object-level protocol API), ``"eager"`` (full reachable closure
-        packed up front) or ``"lazy"`` (states/cells discovered on demand —
-        how synchronizer- and multiquery-compiled protocols vectorize).
+        packed up front), ``"lazy"`` (states/cells discovered on demand —
+        how synchronizer- and multiquery-compiled protocols vectorize) or
+        ``"sharded"`` (an eager table stepped by shard workers).
     reason:
         One human-readable sentence explaining the choice.
-    rejected:
-        ``(tier, reason)`` pairs for every higher tier that was ruled out
-        or failed its attempt — how an ``"auto"`` climb that stopped short
-        of the vectorized tier stays loud instead of silent.
     """
 
     requested: str
     backend: str
     mode: str
     reason: str
-    rejected: tuple[tuple[str, str], ...] = ()
+
+
+@dataclass(frozen=True)
+class TableBundle:
+    """What one compile step found for a synchronous workload.
+
+    A :class:`repro.api.Simulation` session builds one per workload and
+    hands it to every run of that workload: ``compiled`` holds an eager
+    :class:`~repro.scheduling.vectorized_engine.CompiledProtocol`, ``table``
+    a :class:`~repro.scheduling.compiled.LazyExtendedTable` (its cells
+    accumulate across the runs), and ``refusal`` says why the vectorized
+    tier cannot take the protocol under ``"auto"`` — so a doomed tabulation
+    runs once per workload, not once per run.  All three are ``None`` for
+    ``backend="python"``.
+    """
+
+    compiled: Any = None
+    table: Any = None
+    refusal: str | None = None
+
+
+def _check_backend(backend: str) -> None:
+    """Raise :class:`ExecutionError` for a token that names no tier."""
+    from repro.api.backends import BACKEND_TOKENS
+
+    if backend not in BACKEND_TOKENS:
+        raise ExecutionError(f"unknown backend {backend!r}; expected one of {BACKEND_TOKENS}")
 
 
 def _make_engine(
@@ -272,6 +295,7 @@ def _make_engine(
     observer: RoundObserver | None,
     compiled=None,
     table=None,
+    bundle: TableBundle | None = None,
     shards: int | None = None,
     initial_states: Sequence[State] | None = None,
     initial_letters: Sequence[Any] | None = None,
@@ -279,49 +303,46 @@ def _make_engine(
     """Instantiate the engine selected by *backend*.
 
     Returns ``(engine, selection)`` where *selection* is the
-    :class:`BackendSelection` explaining the choice.  The attempt order
-    comes from one :func:`repro.api.backends.negotiate_backend` call:
-    ``"python"`` always interprets; ``"vectorized"`` compiles the protocol
-    to dense tables (eager or lazy, per the protocol's
-    ``tabulation_hint``) and raises :class:`ProtocolNotVectorizableError`
-    when it cannot; ``"auto"`` climbs python → vectorized, settling on the
-    best tier that takes the workload and recording why each skipped tier
-    was ruled out.  An unknown token raises :class:`ExecutionError` from
-    the negotiation.  All paths produce bitwise-identical results for the
-    same seed.
+    :class:`BackendSelection` explaining the choice.  ``"python"`` always
+    interprets; ``"vectorized"`` runs the protocol off dense tables (eager
+    or lazy, per the protocol's ``tabulation_hint``) and raises
+    :class:`ProtocolNotVectorizableError` when it cannot; ``"auto"`` runs
+    vectorized when it can and falls back to the interpreter otherwise,
+    recording why.  An unknown token raises :class:`ExecutionError`.  All
+    paths produce bitwise-identical results for the same seed.
+
+    ``compiled``/``table`` are caller-supplied tables; ``bundle`` is the
+    :class:`TableBundle` a session (or the dynamic environment) compiled on
+    the caller's behalf, and its ``refusal`` sends an ``"auto"`` run
+    straight to the interpreter.
 
     ``shards`` is a pure performance knob: ``None`` and ``1`` are the same
     run, and ``shards >= 2`` first tries a :class:`~repro.scheduling.
-    sharded_engine.ShardedVectorizedEngine` on the negotiated table tier.
-    Workloads it cannot take (lazy tables, empty graphs) run unsharded with
-    the reason recorded.  The interpreter is serial by construction, so
-    ``backend="python"`` with ``shards >= 2`` is an error and ``"auto"``
-    drops the request when it falls back to it.  The engine of a
-    ``shards >= 2`` request carries a ``shard_info`` dict for the result
-    metadata (one shard when it runs on one process).
+    sharded_engine.ShardedVectorizedEngine`.  Workloads it cannot take
+    (lazy tables, empty graphs) run unsharded with the reason recorded.
+    The interpreter is serial by construction, so ``backend="python"`` with
+    ``shards >= 2`` is an error and ``"auto"`` drops the request when it
+    falls back to it.  The engine of a ``shards >= 2`` request carries a
+    ``shard_info`` dict for the result metadata (one shard when it runs on
+    one process).
     """
+    _check_backend(backend)
     if shards is not None:
         shards = int(shards)
         if shards < 1:
             raise ExecutionError(f"shards must be >= 1, got {shards}")
     sharded = shards is not None and shards >= 2
-    from repro.api.backends import Workload, negotiate_backend
-
-    if table is not None:
-        tabulation = "lazy"
-    elif compiled is not None:
-        tabulation = "eager"
-    else:
-        tabulation = getattr(protocol, "tabulation_hint", lambda: "eager")()
-    negotiation = negotiate_backend(
-        Workload(
-            environment="sync",
-            tabulation=tabulation,
-            shards=shards if sharded else None,
-            observer=observer is not None,
-        ),
-        backend,
-    )
+    if sharded and backend == "python":
+        raise ExecutionError(
+            "shards= requires the vectorized backend; backend='python' "
+            "interprets nodes serially and cannot shard"
+        )
+    origin = None  # None: the engine compiles its own table
+    if compiled is not None or table is not None:
+        origin = "caller-supplied"
+    refusal = None  # why the vectorized tier cannot take the protocol
+    if bundle is not None:
+        compiled, table, refusal = bundle.compiled, bundle.table, bundle.refusal
     common = dict(
         seed=seed,
         inputs=inputs,
@@ -329,11 +350,9 @@ def _make_engine(
         initial_states=initial_states,
         initial_letters=initial_letters,
     )
-    tiers = negotiation.tiers
-    rejected = list(negotiation.rejected)
     engine = None
     unsharded = None  # why a shards >= 2 request runs on one process
-    if sharded and tiers[0] != "python":
+    if sharded and refusal is None:
         if table is not None:
             unsharded = "a lazy table was supplied (sharding requires the eager closure)"
         else:
@@ -353,12 +372,9 @@ def _make_engine(
             except ProtocolNotVectorizableError as exc:
                 if backend != "auto":
                     raise
-                # Every table tier needs the same closure: fall straight
-                # through to the interpreter instead of compiling again.
-                rejected.append((tiers[0], str(exc)))
-                tiers = ("python",)
+                refusal = str(exc)
             else:
-                tier, mode = tiers[0], "sharded"
+                mode = "sharded"
                 info = engine.shard_info
                 reason = (
                     f"eager table sharded over {info['shard_count']} workers "
@@ -366,48 +382,42 @@ def _make_engine(
                     f"cut={info['cut_edges']})"
                 )
 
-    if engine is None:
+    if engine is None and backend != "python" and refusal is None:
         from repro.scheduling.vectorized_engine import VectorizedEngine
 
-        for tier in tiers:
-            if tier == "python":  # the unconditional last resort
-                engine = SynchronousEngine(graph, protocol, **common)
-                mode = "interpreted"
-                if backend == "python":
-                    reason = "backend='python' requested"
-                else:
-                    dropped = f" (shards={shards} dropped)" if sharded else ""
-                    reason = f"auto fell back to the interpreter{dropped}: {rejected[-1][1]}"
-                break
-            try:
-                engine = VectorizedEngine(
-                    graph, protocol, compiled=compiled, table=table, **common
-                )
-            except ProtocolNotVectorizableError as exc:
-                if backend != "auto":
-                    raise
-                rejected.append((tier, str(exc)))
-                continue
+        try:
+            engine = VectorizedEngine(graph, protocol, compiled=compiled, table=table, **common)
+        except ProtocolNotVectorizableError as exc:
+            if backend != "auto":
+                raise
+            refusal = str(exc)
+        else:
             mode = engine.tabulation_mode
-            if table is not None or compiled is not None:
-                origin = "caller-supplied"
-            elif mode == "lazy":
-                origin = "protocol hints a lazy tabulation"
-            else:
-                origin = "reachable closure enumerated"
+            if origin is None:
+                origin = (
+                    "protocol hints a lazy tabulation"
+                    if mode == "lazy"
+                    else "reachable closure enumerated"
+                )
             reason = f"{origin}; {mode} table"
-            break
-    if mode != "interpreted":
-        skipped = "; ".join(f"{name} tier skipped: {why}" for name, why in rejected)
-        if skipped:
-            reason = f"{reason} ({skipped})"
+            if bundle is not None:
+                reason += " (session-precompiled)"
+    if engine is None:
+        engine = SynchronousEngine(graph, protocol, **common)
+        mode = "interpreted"
+        if backend == "python":
+            reason = "backend='python' requested"
+        else:
+            dropped = f" (shards={shards} dropped)" if sharded else ""
+            reason = f"auto fell back to the interpreter{dropped}: {refusal}"
     if unsharded is not None:
         reason = f"shards={shards} requested but {unsharded}; ran unsharded ({reason})"
     if sharded and mode != "sharded":
         engine.shard_info = dict(
             shard_count=1, cut_edges=0, halo_bytes_per_round=0, partition_strategy="none"
         )
-    return engine, BackendSelection(backend, tier, mode, reason, tuple(rejected))
+    tier = "python" if mode == "interpreted" else "vectorized"
+    return engine, BackendSelection(backend, tier, mode, reason)
 
 
 def select_backend(
@@ -462,52 +472,39 @@ def precompile_tables(
     under ``"vectorized"``.  Callers reusing the result across runs assert
     that those runs execute equivalent protocols.
     """
-    backend, compiled, table, _ = _precompile_tables_with_reason(protocol, backend)
-    return backend, compiled, table
+    bundle = build_table_bundle(protocol, backend)
+    effective = "python" if bundle.refusal is not None else backend
+    return effective, bundle.compiled, bundle.table
 
 
-def _precompile_tables_with_reason(
+def build_table_bundle(
     protocol: ExtendedProtocol | Protocol,
     backend: str,
-):
-    """:func:`precompile_tables` plus the selection reason as a fourth field.
+) -> TableBundle:
+    """Compile *protocol* once for every run of one workload.
 
-    The engine labels caller-supplied tables as exactly that; a
-    :class:`repro.api.Simulation` session precompiles on the caller's
-    behalf, so it threads this reason into ``result.metadata`` instead —
-    keeping the no-silent-fallback contract: an ``"auto"`` downgrade at
-    precompile time is reported on every run that used the bundle.
-    ``None`` means the engine's own reason is already accurate.
+    An eager closure for protocols that enumerate, a cold lazy table for
+    protocols hinting a lazy tabulation, nothing for ``backend="python"``.
+    A protocol the vectorized tier cannot take raises under
+    ``"vectorized"`` and is recorded as the bundle's ``refusal`` under
+    ``"auto"``.
     """
+    _check_backend(backend)
     if backend == "python":
-        return backend, None, None, None
-    from repro.api.backends import Workload, negotiate_backend
+        return TableBundle()
     from repro.scheduling.vectorized_engine import (
         LazyExtendedTable,
         compile_protocol,
     )
 
-    hint = getattr(protocol, "tabulation_hint", lambda: "eager")()
-    # Strict impossibilities (an unknown token, a tier that cannot take the
-    # protocol's tabulation) raise here, before any table is built.
-    negotiation = negotiate_backend(
-        Workload(environment="sync", tabulation=hint), backend
-    )
-    note = negotiation.rejection_note()
-    suffix = f" ({note})" if note else ""
     try:
-        if hint == "lazy":
-            return backend, None, LazyExtendedTable(protocol), (
-                "protocol hints a lazy tabulation; lazy table (session-precompiled)"
-                + suffix
-            )
-        return backend, compile_protocol(protocol), None, (
-            "reachable closure enumerated; eager table (session-precompiled)" + suffix
-        )
+        if getattr(protocol, "tabulation_hint", lambda: "eager")() == "lazy":
+            return TableBundle(table=LazyExtendedTable(protocol))
+        return TableBundle(compiled=compile_protocol(protocol))
     except ProtocolNotVectorizableError as exc:
         if backend != "auto":
             raise
-        return "python", None, None, f"auto fell back to the interpreter: {exc}"
+        return TableBundle(refusal=str(exc))
 
 
 def _run_synchronous(
@@ -522,6 +519,7 @@ def _run_synchronous(
     backend: str = "python",
     compiled=None,
     table=None,
+    bundle: TableBundle | None = None,
     shards: int | None = None,
 ) -> ExecutionResult:
     """Build the selected engine and run it (internal primitive).
@@ -546,7 +544,8 @@ def _run_synchronous(
     the same protocol skip the compile step (the sweep runners use this);
     both are ignored by the ``"python"`` backend.  The caller must guarantee
     the table was built from an equivalent protocol — the engine only
-    cross-checks that the initial states are present.
+    cross-checks that the initial states are present.  ``bundle`` is the
+    same for tables a session compiled (see :func:`build_table_bundle`).
 
     ``shards`` splits the run across shard workers (see
     :mod:`repro.scheduling.sharded_engine`) without changing its result; the
@@ -562,6 +561,7 @@ def _run_synchronous(
         observer=observer,
         compiled=compiled,
         table=table,
+        bundle=bundle,
         shards=shards,
     )
     record_engine_run("sync")

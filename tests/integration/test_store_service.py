@@ -414,6 +414,35 @@ def test_evicted_job_reads_the_store_once_per_request(tmp_path):
         service.close()
 
 
+def test_a_finished_job_evicts_the_older_one_before_it_reports(tmp_path):
+    """With room for one finished job, job 1 has left the table by the time
+    job 2's ``finished`` line is written: finishing and evicting are one
+    step, so no poller sees job 2 done beside job 1."""
+    from repro.api.service import JobService
+
+    service = JobService(tmp_path / "store", max_finished_jobs=1)
+    try:
+        first = service.submit({"protocol": "mis", "nodes": 16, "seed": 1})["job"]
+        _wait_service_done(service, first)
+        seen = {}
+        append = service.ledger.append
+
+        def watch(job_id, event, **fields):
+            if event == "finished":
+                seen[job_id] = first in service._jobs
+            append(job_id, event, **fields)
+
+        service.ledger.append = watch
+        second = service.submit({"protocol": "mis", "nodes": 16, "seed": 2})["job"]
+        _wait_service_done(service, second)
+        deadline = time.monotonic() + 30
+        while second not in seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert seen == {second: False}
+    finally:
+        service.close()
+
+
 def test_resubmitted_spec_round_trip_waits_for_no_delayed_ack(service_url):
     """Replies go out with TCP_NODELAY: on a keep-alive connection a reply
     whose body follows its headers does not wait for the client's delayed

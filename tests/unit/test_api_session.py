@@ -137,8 +137,8 @@ class TestCacheAccounting:
         session.repeat(spec, 4, workers=2)
         info = session.cache_info()
         assert info["hits"] + info["misses"] == 4
-        # The executor publishes the parent-compiled table to the pool via
-        # shared memory, so the workers adopt it instead of re-compiling:
+        # The executor hands the parent-compiled table to the pool
+        # initializer, so the workers adopt it instead of re-compiling:
         # every per-task lookup is a hit, and the bundle is parent-resident.
         assert info["misses"] == 0
         assert info["entries"] == 1
@@ -171,6 +171,28 @@ class TestCacheAccounting:
         assert info["hits"] + info["misses"] == len(sweep.records) == 4
         assert info["misses"] == 0
         assert info["entries"] == 1
+
+    def test_pooled_async_sweep_adopts_the_published_bundle(self):
+        # Asynchronous cells look up the async bundle (the synchronizer-
+        # compiled protocol and its lazy table); the parent publishes it
+        # too, so no worker compiles its own.
+        session = Simulation()
+        sweep = session.sweep(
+            RunSpec(protocol="coloring", graph="random_tree", seed=1, environment="async"),
+            sizes=[8, 10],
+            repetitions=2,
+            workers=2,
+        )
+        assert len(sweep.records) == 4
+        assert session.cache_info() == {"hits": 4, "misses": 0, "entries": 1}
+
+    def test_pooled_async_repeat_adopts_the_published_bundle(self):
+        session = Simulation()
+        spec = RunSpec(protocol="mis", nodes=10, seed=1, environment="async")
+        pooled = session.repeat(spec, 3, workers=2)
+        serial = Simulation().repeat(spec, 3)
+        assert [r.summary_fields() for r in pooled] == [r.summary_fields() for r in serial]
+        assert session.cache_info() == {"hits": 3, "misses": 0, "entries": 1}
 
     def test_serial_async_sweep_counts_one_lookup_per_cell(self):
         session = Simulation()

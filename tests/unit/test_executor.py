@@ -190,6 +190,64 @@ class TestRunSpecs:
         assert info["entries"] == 1
 
 
+class TestTablePublication:
+    """The parent hands its compiled bundles to the pool initializer."""
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_a_fork_start_inherits_every_bundle(self):
+        import multiprocessing
+
+        bundles = {("sync", "a"): (lambda: None,), ("sync", "b"): (1, 2)}
+        context = multiprocessing.get_context("fork")
+        assert executor._portable_bundles(bundles, context) is bundles
+
+    def test_a_spawn_start_leaves_an_unpicklable_bundle_to_the_worker(self):
+        import multiprocessing
+
+        bundles = {("sync", "a"): (lambda: None,), ("sync", "b"): (1, 2)}
+        context = multiprocessing.get_context("spawn")
+        assert executor._portable_bundles(bundles, context) == {("sync", "b"): (1, 2)}
+
+    def test_a_pool_creates_no_shared_memory(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        created = []
+
+        class Recording(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("name"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
+        session = Simulation()
+        specs = [RunSpec(protocol="mis", nodes=8, seed=seed) for seed in range(2)]
+        run_specs(specs, workers=2, session=session)
+        assert created == []
+        assert session.cache_info()["misses"] == 0
+
+    def test_a_bundle_that_fails_to_build_is_left_to_the_task(self):
+        # The strict request fails in the task, with the spec attached,
+        # not in the parent's publication pre-pass.
+        session = Simulation()
+        specs = [
+            RunSpec(
+                protocol="mis",
+                nodes=8,
+                seed=seed,
+                backend="vectorized",
+                protocol_params={"bogus": 1},
+            )
+            for seed in range(2)
+        ]
+        with pytest.raises(WorkerCrashError) as info:
+            run_specs(specs, workers=2, session=session)
+        assert info.value.spec["protocol_params"] == {"bogus": 1}
+        assert session.cache_info()["entries"] == 0
+
+
 @pytest.mark.skipif(
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
     reason="worker-death injection needs the fork start method",
