@@ -10,8 +10,6 @@ which tier ran and why in ``result.metadata``.
 
 from __future__ import annotations
 
-import numpy as np
-
 #: Every value the ``backend=`` execution parameter accepts.
 BACKEND_TOKENS = ("python", "vectorized", "auto")
 
@@ -21,9 +19,6 @@ def backend_census() -> list[dict]:
     return [
         {
             "name": "python",
-            "rank": 0,
-            "available": True,
-            "detail": "always available (stdlib interpreter)",
             "description": "object-level interpreter; the bitwise reference engine",
             "environments": ["sync", "async", "dynamic"],
             "tabulation_modes": ["interpreted"],
@@ -31,9 +26,6 @@ def backend_census() -> list[dict]:
         },
         {
             "name": "vectorized",
-            "rank": 1,
-            "available": True,
-            "detail": f"numpy {np.__version__}",
             "description": "NumPy dense-table array rounds / time-bucketed events",
             "environments": ["sync", "async", "dynamic"],
             "tabulation_modes": ["eager", "lazy"],

@@ -19,8 +19,8 @@ Three contracts govern this module:
   registry names and (optionally) picklable callables; besides them only
   the parent's compiled-table bundles cross the process boundary on the way
   in, and :class:`TaskOutcome` (result or a structured error, plus the
-  worker's cache-counter delta) is the only thing that crosses it on the
-  way out.  Unpicklable workloads are detected *up front*: an explicit
+  worker's counter deltas) is the only thing that crosses it on the way
+  out.  Unpicklable workloads are detected *up front*: an explicit
   ``workers=`` request raises :class:`~repro.core.errors.ExecutorError`,
   while the opportunistic ``REPRO_WORKERS`` environment default silently
   stays serial.
@@ -32,6 +32,8 @@ Three contracts govern this module:
   its task produced; the parent aggregates the deltas into the dispatching
   session's counters (:meth:`Simulation.absorb_worker_cache`), keeping
   ``session.cache_info()`` meaningful across serial and pooled calls alike.
+  The engine runs each task counted are folded into the dispatching
+  process's :mod:`repro.core.counters` the same way.
 
 Worker failures never hang the pool: an exception inside a task comes back
 as a structured error payload and is re-raised in the parent as
@@ -53,6 +55,7 @@ from typing import Any
 
 from repro.api.seeds import SeedPolicy
 from repro.api.spec import RunSpec
+from repro.core.counters import absorb_engine_runs, engine_run_snapshot, engine_runs_since
 from repro.core.errors import (
     ExecutorError,
     OutputNotReachedError,
@@ -200,7 +203,9 @@ class TaskOutcome:
     ``cache_hits``/``cache_misses`` are the *delta* the task produced on the
     worker session's compiled-table counters, and the ``shard_*`` fields the
     delta on its sharded-execution counters (runs that used ``shards=``,
-    their summed cut edges and per-round halo traffic).
+    their summed cut edges and per-round halo traffic).  ``engine_runs``
+    is the delta on the worker process's engine-run counters, per
+    environment (see :mod:`repro.core.counters`).
     """
 
     value: Any = None
@@ -212,6 +217,7 @@ class TaskOutcome:
     shard_runs: int = 0
     shard_cut_edges: int = 0
     shard_halo_bytes: int = 0
+    engine_runs: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -366,8 +372,9 @@ def run_task(task: SpecTask, session=None) -> TaskOutcome:
     store = getattr(session, "store", None)
     writes = store.writes if store is not None else 0
     shard_base = _shard_snapshot(session)
+    engine_base = engine_run_snapshot()
 
-    def _stat_fields() -> dict[str, int]:
+    def _stat_fields() -> dict[str, Any]:
         shard_now = _shard_snapshot(session)
         return dict(
             cache_hits=session.cache_hits - hits,
@@ -376,6 +383,7 @@ def run_task(task: SpecTask, session=None) -> TaskOutcome:
             shard_runs=shard_now[0] - shard_base[0],
             shard_cut_edges=shard_now[1] - shard_base[1],
             shard_halo_bytes=shard_now[2] - shard_base[2],
+            engine_runs=engine_runs_since(engine_base),
         )
 
     try:
@@ -468,6 +476,8 @@ def _execute_pooled(tasks: Sequence[SpecTask], workers: int, session) -> list[An
 
 def _merge_outcomes(outcomes: list[TaskOutcome], session) -> list[Any]:
     """Deterministically merge outcomes: aggregate stats, surface errors."""
+    for outcome in outcomes:
+        absorb_engine_runs(outcome.engine_runs)
     if session is not None:
         session.absorb_worker_cache(
             sum(outcome.cache_hits for outcome in outcomes),

@@ -188,11 +188,9 @@ def _print_backend_list(as_json: bool) -> int:
     if as_json:
         print(json.dumps(census, indent=2))
         return 0
-    print("backends (rank = auto-selection preference, highest available wins):")
+    print("backends (auto runs vectorized when the run qualifies, else python, and says why):")
     for row in census:
-        status = "available" if row["available"] else "UNAVAILABLE"
-        print(f"  [{row['rank']}] {row['name']:<11} {status:<12} {row['detail']}")
-        print(f"      {row['description']}")
+        print(f"  {row['name']:<11} {row['description']}")
         print(
             f"      environments={','.join(row['environments'])} "
             f"tables={','.join(row['tabulation_modes'])} "

@@ -10,15 +10,20 @@ request refused by the backend checks counts nothing — so
 ``engine_runs()`` deltas measure real engine work regardless of backend,
 session, or entry point.
 
-The counters are per-process: pooled workers count their own executions and
-those counts die with the pool.  That is the right scope for the store's
-determinism harness — a fully warm workload dispatches *no* tasks at all, so
-the dispatching process's delta is zero exactly when no engine ran anywhere.
+Pool workers count into their own process's counters, and every task sends
+its per-environment delta back with its outcome
+(:attr:`repro.api.executor.TaskOutcome.engine_runs`); the executor folds it
+into the dispatching process with :func:`absorb_engine_runs`.  So the
+dispatching process's counters cover every engine its calls ran, serial or
+pooled.  That is the store's determinism harness: a fully warm workload
+dispatches *no* tasks at all, and its delta is zero exactly when no engine
+ran anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 
 _ENGINE_RUNS: Counter[str] = Counter()
 
@@ -38,3 +43,17 @@ def engine_runs(environment: str | None = None) -> int:
 def engine_run_snapshot() -> dict[str, int]:
     """A copy of the per-environment engine-run counters."""
     return dict(_ENGINE_RUNS)
+
+
+def engine_runs_since(snapshot: Mapping[str, int]) -> dict[str, int]:
+    """Per-environment engine executions since :func:`engine_run_snapshot` gave *snapshot*."""
+    return {
+        environment: count - snapshot.get(environment, 0)
+        for environment, count in _ENGINE_RUNS.items()
+        if count != snapshot.get(environment, 0)
+    }
+
+
+def absorb_engine_runs(delta: Mapping[str, int]) -> None:
+    """Count the executions another process reported, per environment."""
+    _ENGINE_RUNS.update(delta)

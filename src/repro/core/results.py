@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.core.protocol import State
 from repro.graphs.graph import Graph
 
@@ -174,6 +176,7 @@ def build_synchronous_result(
     total_node_steps: int,
     total_messages: int,
     seed: int | None,
+    state_table=None,
 ) -> ExecutionResult:
     """Assemble the :class:`ExecutionResult` of a synchronous execution.
 
@@ -181,13 +184,25 @@ def build_synchronous_result(
     outputs identically (nodes in ascending order, only output states
     contribute an entry) — the backend-parity guarantee depends on the two
     engines funnelling through this single code path.
+
+    The interpreter passes one protocol state per node and asks the protocol
+    about each node: that is the reference.  An engine running off a state
+    table (a :class:`~repro.scheduling.compiled.CompiledProtocol` or a
+    :class:`~repro.scheduling.compiled.LazyExtendedTable`) passes the
+    per-node state ids as ``final_states`` and the table as
+    ``state_table``.  An output depends on the state alone, so the table's
+    ``output_mask`` picks the output nodes and ``output_value`` runs once
+    per output state present.
     """
-    final_states = tuple(final_states)
-    outputs = {
-        node: protocol.output_value(state)
-        for node, state in enumerate(final_states)
-        if protocol.is_output_state(state)
-    }
+    if state_table is None:
+        final_states = tuple(final_states)
+        outputs = {
+            node: protocol.output_value(state)
+            for node, state in enumerate(final_states)
+            if protocol.is_output_state(state)
+        }
+    else:
+        final_states, outputs = _decode_table_states(protocol, final_states, state_table)
     return ExecutionResult(
         protocol_name=protocol.name,
         graph=graph,
@@ -199,3 +214,14 @@ def build_synchronous_result(
         total_messages=total_messages,
         seed=seed,
     )
+
+
+def _decode_table_states(protocol, state_ids, state_table) -> tuple[tuple, dict]:
+    """``(final_states, outputs)`` of per-node ids into *state_table*."""
+    states = state_table.states
+    final_states = tuple(map(states.__getitem__, state_ids.tolist()))
+    nodes = np.flatnonzero(state_table.output_mask[state_ids])
+    held = state_ids[nodes]
+    present = np.flatnonzero(np.bincount(held, minlength=len(states)))
+    value = {ident: protocol.output_value(states[ident]) for ident in present.tolist()}
+    return final_states, dict(zip(nodes.tolist(), map(value.__getitem__, held.tolist())))

@@ -131,7 +131,13 @@ class CompiledProtocol:
 
     @property
     def states(self) -> tuple[State, ...]:
+        """Every state in id order."""
         return self.tabulation.states
+
+    @property
+    def letters(self) -> tuple:
+        """Every letter in id order."""
+        return self.tabulation.letters
 
     def state_id(self, state: State) -> int:
         return self.tabulation.state_ids[state]
@@ -344,6 +350,21 @@ class LazyExtendedTable:
     def num_cells(self) -> int:
         """Number of (state, observation) cells evaluated so far."""
         return int((self._cell_offset.view() >= 0).sum())
+
+    @property
+    def states(self) -> tuple[State, ...]:
+        """The states interned so far, in id order."""
+        return self._states.values
+
+    @property
+    def letters(self) -> tuple:
+        """The letters interned so far, in id order."""
+        return self._letters.values
+
+    @property
+    def output_mask(self):
+        """Whether each state interned so far is an output state (a view)."""
+        return self._output.view()
 
     def state_value(self, state_id: int) -> State:
         return self._states.value_of(state_id)

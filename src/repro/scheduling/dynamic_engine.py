@@ -145,9 +145,9 @@ def _run_dynamic(
             result = engine.run(
                 max_rounds=max_rounds - total_rounds, raise_on_timeout=False
             )
-            # Decode before close(): a sharded engine's state/letter views
+            # Decode the letters before close(): a sharded engine's views
             # live in shared memory that close() releases.
-            states = list(engine.states)
+            states = list(result.final_states)
             letters = list(engine.last_letters)
         finally:
             close = getattr(engine, "close", None)

@@ -13,13 +13,16 @@ interned to a dense integer id.  The tabulation is then packed into NumPy
 arrays and a whole round becomes a short sequence of array operations over
 the CSR rows of the graph's *live* nodes:
 
-1. **Port census** — every live node's saturated letter counts are obtained
-   with one ``np.bincount`` over its out-edges (the synchronous engine only
-   ever broadcasts, so the port ``ψ_v(u)`` always holds the last letter
-   ``u`` transmitted — one value per *sender* suffices);
-2. **Observation indexing** — the counts are folded into a per-node
-   observation id with a per-state stride matrix (states only pay for the
-   letters they actually query, see ``queried_letters``);
+1. **Port census** — every live node's letter counts are obtained with one
+   ``np.bincount`` over its out-edges, keyed ``row * |Σ| + letter`` (the
+   synchronous engine only ever broadcasts, so the port ``ψ_v(u)`` always
+   holds the last letter ``u`` transmitted — one value per *sender*
+   suffices), and saturated at the bounding parameter in place;
+2. **Observation indexing** — each row of saturated counts is folded into
+   an observation id by one ``np.einsum`` against its state's row of the
+   stride matrix, in exact int64 (states only pay for the letters they
+   actually query, see ``queried_letters``), so a round holds two
+   live × |Σ| matrices: the counts and the gathered stride rows;
 3. **Option selection** — nodes whose option set has a single element take
    it; the remaining nodes draw uniformly from the counter pick stream of
    :mod:`repro.scheduling.picks` — a pure hash of ``(seed, round, node
@@ -75,6 +78,7 @@ _run_synchronous` catches it and falls back to the interpreted engine
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -130,15 +134,26 @@ class RowRange:
         self.edge_src = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
         self.node_keys = node_keys[lo:hi]
         self.settled = None
+        self._key_base = None
 
     def __len__(self) -> int:
         return len(self.node_keys)
+
+    def key_base(self, width: int):
+        """``edge_src * width``: each out-edge's census key before its letter.
+
+        Kept until the next retirement changes the live rows.
+        """
+        if self._key_base is None:
+            self._key_base = self.edge_src * width
+        return self._key_base
 
     def retire_settled(self) -> None:
         """Stop stepping the ``settled`` rows: drop them and their out-edges."""
         settled, self.settled = self.settled, None
         if settled is None or not settled.any():
             return
+        self._key_base = None
         keep = ~settled
         on_kept = keep[self.edge_src]
         self.edge_src = (np.cumsum(keep) - 1)[self.edge_src[on_kept]]
@@ -170,27 +185,28 @@ def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, wi
     live = rows.live
     read, write = letters[round_index % 2], letters[(round_index + 1) % 2]
 
-    # 1. Port census: counts[v, σ] = |{u ∈ N(v) : last_letter(u) = σ}|.
+    # 1. Port census: counts[v, σ] = min(b, |{u ∈ N(v) : last_letter(u) = σ}|).
+    #    The gathered letters are a fresh array, so the keys are built in it.
     incoming = read[rows.edge_dst]
     if table is None:
-        keys = rows.edge_src * width + incoming
+        incoming += rows.key_base(width)
+        keys = incoming
     else:
         # A lazily defined protocol may transmit letters outside its
         # declared alphabet; they sit in ports but are invisible to
         # observations (mirroring Observation.from_port_contents), so those
         # edges are masked out.
         observable = incoming < width
-        keys = rows.edge_src[observable] * width + incoming[observable]
+        keys = rows.key_base(width)[observable] + incoming[observable]
     counts = np.bincount(keys, minlength=len(rows) * width).reshape(len(rows), width)
-    saturated = np.minimum(counts, bounding)
+    np.minimum(counts, bounding, out=counts)
 
-    # 2. Observation ids via the per-state stride matrix.  A lazy table then
-    #    evaluates every (state, observation) cell not seen before; a warm
-    #    table skips straight through.  Re-fetch the views afterwards
-    #    because growth may have moved the pools.
+    # 2. Observation ids: each row of counts dotted with its state's stride
+    #    row.  A lazy table then evaluates every (state, observation) cell
+    #    not seen before; a warm table skips straight through.  Re-fetch the
+    #    views afterwards because growth may have moved the pools.
     local = state[live]
-    strides = arrays[0]
-    obs_id = (saturated * strides[local]).sum(axis=1)
+    obs_id = np.einsum("ij,ij->i", counts, np.take(arrays[0], local, axis=0))
     if table is not None:
         table.ensure_cells(local, obs_id)
         arrays = table.arrays()
@@ -211,6 +227,57 @@ def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, wi
     write[live] = np.where(transmitting, emitted, read[live])
     state[live] = option_next[selected]
     return int(transmitting.sum())
+
+
+def _input_node(key, num_nodes: int) -> int | None:
+    """The node whose ``inputs.get(node)`` finds *key*, or ``None`` off the graph."""
+    try:
+        node = int(key)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return node if node == key and 0 <= node < num_nodes else None
+
+
+def _initial_states(protocol, inputs: dict, num_nodes: int):
+    """The distinct initial states and each node's index into them.
+
+    ``protocol.initial_state`` runs once for all the nodes without an input
+    and once for each node with one.  The distinct states come in the order
+    of the first node holding each: the order of the compile step's roots.
+    """
+    placed = {}
+    for key, value in inputs.items():
+        node = _input_node(key, num_nodes)
+        if node is not None and value is not None:
+            placed[node] = protocol.initial_state(value)
+    default = None
+    if len(placed) < num_nodes:
+        first = next(node for node in range(num_nodes) if node not in placed)
+        default = protocol.initial_state(None)
+        placed[first] = default
+    nodes = sorted(placed)
+    index: dict = {}
+    for node in nodes:
+        index.setdefault(placed[node], len(index))
+    spread = np.full(num_nodes, index.get(default, 0), dtype=np.intp)
+    spread[nodes] = [index[placed[node]] for node in nodes]
+    return list(index), spread
+
+
+def _encode(values: list, table_values: tuple, encode):
+    """The table id of each of *values*, as an int64 array.
+
+    A value the engine decoded is the table's own object (one of
+    *table_values*, in id order), so it is found by identity, without
+    hashing; *encode* looks up (or interns) the rest.
+    """
+    by_identity = {id(value): ident for ident, value in enumerate(table_values)}
+    ids = np.fromiter(
+        map(by_identity.get, map(id, values), repeat(-1)), dtype=np.int64, count=len(values)
+    )
+    for node in np.flatnonzero(ids < 0).tolist():
+        ids[node] = encode(values[node])
+    return ids
 
 
 class VectorizedEngine:
@@ -269,11 +336,8 @@ class VectorizedEngine:
         #: Partition fields for the result metadata; set on a shards >= 2 request.
         self.shard_info: dict[str, Any] = {}
 
-        inputs = dict(inputs or {})
         if initial_states is None:
-            initial_states = [
-                protocol.initial_state(inputs.get(node)) for node in graph.nodes
-            ]
+            distinct, spread = _initial_states(protocol, dict(inputs or {}), graph.num_nodes)
         else:
             initial_states = list(initial_states)
             if len(initial_states) != graph.num_nodes:
@@ -292,27 +356,30 @@ class VectorizedEngine:
             else:
                 # Fall back to the declared input states on empty graphs so
                 # the compile step still has roots to close over.
-                roots = dict.fromkeys(initial_states) or None
-                compiled = compile_protocol(protocol, roots=roots)
+                roots = dict.fromkeys(distinct if initial_states is None else initial_states)
+                compiled = compile_protocol(protocol, roots=roots or None)
         self._compiled = compiled
         self._table = table
+        self._codec = codec = table if table is not None else compiled
         self._bounding = protocol.bounding.value
-
         if table is not None:
-            state_vector = [table.state_id(state) for state in initial_states]
             self._eager_arrays = None
             self._width = table.alphabet_size
         else:
-            try:
-                state_vector = [compiled.state_id(state) for state in initial_states]
-            except KeyError as exc:
-                raise ProtocolNotVectorizableError(
-                    f"initial state {exc.args[0]!r} is missing from the compiled "
-                    "table; compile with roots covering all initial states"
-                ) from None
             self._eager_arrays = tuple(getattr(compiled, name) for name in TABLE_FIELDS)
             self._width = compiled.num_letters
-        codec = table if table is not None else compiled
+
+        try:
+            if initial_states is None:
+                ids = [codec.state_id(state) for state in distinct]
+                state_vector = np.asarray(ids, dtype=np.int64)[spread]
+            else:
+                state_vector = _encode(initial_states, codec.states, codec.state_id)
+        except KeyError as exc:
+            raise ProtocolNotVectorizableError(
+                f"initial state {exc.args[0]!r} is missing from the compiled "
+                "table; compile with roots covering all initial states"
+            ) from None
         # One slot per *sender*: the synchronous engine only broadcasts, so
         # every port of a node's neighbours holds the same letter — the last
         # one the node transmitted (initially σ0, or the carried letter of a
@@ -321,17 +388,14 @@ class VectorizedEngine:
             letter_vector = np.full(graph.num_nodes, codec.initial_letter_id, dtype=np.int64)
         else:
             try:
-                letter_vector = [codec.letter_id(letter) for letter in initial_letters]
+                letter_vector = _encode(list(initial_letters), codec.letters, codec.letter_id)
             except KeyError as exc:
                 raise ProtocolNotVectorizableError(
                     f"carried letter {exc.args[0]!r} is missing from the "
                     "compiled table"
                 ) from None
         self._round = 0
-        self._allocate(
-            np.asarray(state_vector, dtype=np.int64),
-            np.asarray(letter_vector, dtype=np.int64),
-        )
+        self._allocate(state_vector, letter_vector)
 
     def _allocate(self, state, letters) -> None:
         """Hold the run's buffers in process; rounds step the rows ``[0, n)``.
@@ -398,8 +462,7 @@ class VectorizedEngine:
         # After r rounds the ping-pong buffer r % 2 holds the letters the
         # next round would read — the last ones transmitted.
         current = self._ordered(self._buffers["letters"][self._round % 2])
-        decode = (self._table if self._table is not None else self._compiled).letter_value
-        return tuple(decode(int(i)) for i in current)
+        return tuple(map(self._codec.letters.__getitem__, current.tolist()))
 
     def _arrays(self) -> tuple:
         return self._table.arrays() if self._table is not None else self._eager_arrays
@@ -411,11 +474,7 @@ class VectorizedEngine:
 
     def _decode_states(self) -> tuple[State, ...]:
         ordered = self._ordered(self._buffers["state"])
-        if self._table is not None:
-            decode = self._table.state_value
-            return tuple(decode(int(i)) for i in ordered)
-        table = self._compiled.states
-        return tuple(table[i] for i in ordered)
+        return tuple(map(self._codec.states.__getitem__, ordered.tolist()))
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
@@ -462,7 +521,8 @@ class VectorizedEngine:
         return build_synchronous_result(
             self._protocol,
             self._graph,
-            self._decode_states(),
+            self._ordered(self._buffers["state"]),
+            state_table=self._codec,
             reached=reached,
             rounds=self._round,
             # Every node takes one step per round in the synchronous setting.

@@ -72,11 +72,7 @@ class TestTokens:
 
     def test_the_census_has_one_row_per_tier(self):
         rows = backend_census()
-        assert [(row["name"], row["rank"]) for row in rows] == [
-            ("python", 0),
-            ("vectorized", 1),
-        ]
-        assert all(row["available"] for row in rows)
+        assert [row["name"] for row in rows] == ["python", "vectorized"]
         assert [row["tabulation_modes"] for row in rows] == [
             ["interpreted"],
             ["eager", "lazy"],

@@ -22,6 +22,7 @@ from repro.api import (
 )
 from repro.api import executor
 from repro.api.executor import budget_workers, resolve_spec_shards, run_shards
+from repro.core.counters import engine_runs
 from repro.core.errors import (
     ExecutorError,
     OutputNotReachedError,
@@ -188,6 +189,21 @@ class TestRunSpecs:
         assert info["hits"] + info["misses"] == 4
         assert info["misses"] == 0
         assert info["entries"] == 1
+
+    def test_pooled_engine_runs_count_in_the_dispatching_process(self, tmp_path):
+        """Each task sends its worker's engine-run delta back, so a pooled
+        sweep counts its engines where it was called; a warm pass runs none."""
+        spec = RunSpec(protocol="mis", graph="random_tree", seed=3)
+        cells = dict(sizes=[8, 12], repetitions=2, workers=2)
+        before, before_sync = engine_runs(), engine_runs("sync")
+        Simulation(store=tmp_path / "store").sweep(spec, **cells)
+        assert engine_runs() - before == 4
+        assert engine_runs("sync") - before_sync == 4
+        before = engine_runs()
+        warm = Simulation(store=tmp_path / "store")
+        warm.sweep(spec, **cells)
+        assert engine_runs() == before
+        assert warm.store.stats()["hits"] == 4
 
 
 class TestTablePublication:

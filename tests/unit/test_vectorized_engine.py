@@ -1,5 +1,7 @@
 """Unit tests for state/letter interning and the vectorized batch engine."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.core.errors import (
     ProtocolNotVectorizableError,
 )
 from repro.core.interning import Interner, tabulate_protocol
-from repro.graphs import Graph, cycle_graph, path_graph
+from repro.graphs import Graph, cycle_graph, path_graph, random_tree
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MIS_STATES, MISProtocol
@@ -234,3 +236,104 @@ class TestVectorizedEngine:
         assert not indptr.flags.writeable and not indices.flags.writeable
         with pytest.raises(ValueError):
             indices[0] = 99
+
+
+class _CountingMIS(MISProtocol):
+    """MIS counting its per-node hooks; a node given an input starts in ``DOWN2``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: Counter = Counter()
+
+    def initial_state(self, input_value=None) -> str:
+        self.calls["initial_state"] += 1
+        return "DOWN2" if input_value is not None else super().initial_state()
+
+    def is_output_state(self, state) -> bool:
+        self.calls["is_output_state"] += 1
+        return super().is_output_state(state)
+
+    def output_value(self, state) -> bool:
+        self.calls["output_value"] += 1
+        return super().output_value(state)
+
+
+class TestPerNodeWork:
+    """Init and result assembly cost array operations, not protocol calls per node."""
+
+    N = 4096
+    INPUTS = {5: "in", 17: "in", 4000: "in"}
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_tree(self.N, seed=11)
+
+    def _interpreted(self, graph, **kwargs):
+        return Simulation().run_protocol(
+            graph, _CountingMIS(), seed=3, backend="python", **kwargs
+        )
+
+    def test_initial_state_runs_once_per_input_and_once_for_the_rest(self, graph):
+        protocol = _CountingMIS()
+        engine = VectorizedEngine(graph, protocol, seed=3, inputs=self.INPUTS)
+        assert protocol.calls["initial_state"] <= 4
+        states = engine.states
+        assert [states[node] for node in self.INPUTS] == ["DOWN2"] * 3
+        assert states.count("DOWN1") == self.N - 3
+        result = engine.run(raise_on_timeout=True)
+        reference = self._interpreted(graph, inputs=self.INPUTS)
+        assert result.summary_fields() == reference.summary_fields()
+
+    def test_outputs_are_read_once_per_table_state(self, graph):
+        protocol = _CountingMIS()
+        engine = VectorizedEngine(graph, protocol, seed=3, inputs=self.INPUTS)
+        result = engine.run(raise_on_timeout=True)
+        table_states = len(engine.compiled.states)
+        assert protocol.calls["is_output_state"] <= table_states
+        assert protocol.calls["output_value"] <= table_states
+        reference = self._interpreted(graph, inputs=self.INPUTS)
+        assert result.final_states == reference.final_states
+        assert list(result.outputs.items()) == list(reference.outputs.items())
+
+    def test_a_warm_start_from_equal_copies_maps_to_the_same_ids(self, graph):
+        compiled = compile_protocol(MISProtocol())
+        first = VectorizedEngine(graph, MISProtocol(), seed=3, compiled=compiled)
+        for _ in range(4):
+            first.step_round()
+        states, letters = list(first.states), list(first.last_letters)
+        assert len(set(states)) > 2  # a mixed configuration
+        copies = ["".join(state) for state in states]
+        assert copies == states
+        assert not any(copy is state for copy, state in zip(copies, states))
+        warm = [
+            VectorizedEngine(
+                graph, MISProtocol(), seed=9, compiled=compiled,
+                initial_states=start, initial_letters=letters,
+            )
+            for start in (states, copies)
+        ]
+        assert np.array_equal(warm[0]._buffers["state"], warm[1]._buffers["state"])
+        results = [engine.run(raise_on_timeout=True) for engine in warm]
+        assert results[0].summary_fields() == results[1].summary_fields()
+
+    def test_inputs_keyed_outside_the_graph_are_ignored(self, graph):
+        protocol = _CountingMIS()
+        outside = {-1: "in", self.N: "in", 10**30: "in", "7": "in", 2.5: "in"}
+        result = VectorizedEngine(graph, protocol, seed=3, inputs=outside).run()
+        assert protocol.calls["initial_state"] == 1
+        plain = VectorizedEngine(graph, _CountingMIS(), seed=3).run()
+        assert result.summary_fields() == plain.summary_fields()
+        reference = self._interpreted(graph, inputs=outside)
+        assert result.summary_fields() == reference.summary_fields()
+
+    def test_a_warm_start_state_missing_from_the_table_is_refused(self):
+        graph = path_graph(3)
+        with pytest.raises(ProtocolNotVectorizableError) as excinfo:
+            VectorizedEngine(
+                graph, MISProtocol(), compiled=compile_protocol(MISProtocol()),
+                initial_states=["DOWN1", "BOGUS", "DOWN1"],
+            )
+        assert str(excinfo.value) == (
+            "initial state 'BOGUS' is missing from the compiled table; "
+            "compile with roots covering all initial states"
+        )
