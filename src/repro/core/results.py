@@ -180,19 +180,20 @@ def build_synchronous_result(
 ) -> ExecutionResult:
     """Assemble the :class:`ExecutionResult` of a synchronous execution.
 
-    Shared by the interpreted and the vectorized backend so that both decode
-    outputs identically (nodes in ascending order, only output states
-    contribute an entry) — the backend-parity guarantee depends on the two
-    engines funnelling through this single code path.
+    Both backends assemble their results here, on one of two branches that
+    keep the same rule: nodes in ascending order, and only a node in an
+    output state gets an entry in ``outputs``.
 
-    The interpreter passes one protocol state per node and asks the protocol
-    about each node: that is the reference.  An engine running off a state
-    table (a :class:`~repro.scheduling.compiled.CompiledProtocol` or a
-    :class:`~repro.scheduling.compiled.LazyExtendedTable`) passes the
-    per-node state ids as ``final_states`` and the table as
-    ``state_table``.  An output depends on the state alone, so the table's
-    ``output_mask`` picks the output nodes and ``output_value`` runs once
-    per output state present.
+    The interpreter passes one protocol state per node, and the protocol is
+    asked about each node: that branch is the reference.  An engine running
+    off a state table (a :class:`~repro.scheduling.compiled.CompiledProtocol`
+    or a :class:`~repro.scheduling.compiled.LazyExtendedTable`) passes the
+    per-node state ids as ``final_states`` and the table as ``state_table``.
+    An output depends on the state alone, so the table's ``output_mask``
+    picks the output nodes and ``output_value`` runs once per output state
+    present.  That branch matches the reference only as far as
+    ``output_mask`` matches ``is_output_state``; the backend-parity suites
+    check it against the interpreter.
     """
     if state_table is None:
         final_states = tuple(final_states)
@@ -202,7 +203,8 @@ def build_synchronous_result(
             if protocol.is_output_state(state)
         }
     else:
-        final_states, outputs = _decode_table_states(protocol, final_states, state_table)
+        outputs = _table_outputs(protocol, final_states, state_table)
+        final_states = decode_states(state_table, final_states)
     return ExecutionResult(
         protocol_name=protocol.name,
         graph=graph,
@@ -216,12 +218,16 @@ def build_synchronous_result(
     )
 
 
-def _decode_table_states(protocol, state_ids, state_table) -> tuple[tuple, dict]:
-    """``(final_states, outputs)`` of per-node ids into *state_table*."""
-    states = state_table.states
-    final_states = tuple(map(states.__getitem__, state_ids.tolist()))
+def decode_states(state_table, state_ids) -> tuple:
+    """The state object of *state_table* behind each of *state_ids*."""
+    return tuple(map(state_table.states.__getitem__, state_ids.tolist()))
+
+
+def _table_outputs(protocol, state_ids, state_table) -> dict[int, Any]:
+    """The outputs of the nodes holding *state_ids* into *state_table*, by node."""
     nodes = np.flatnonzero(state_table.output_mask[state_ids])
     held = state_ids[nodes]
+    states = state_table.states
     present = np.flatnonzero(np.bincount(held, minlength=len(states)))
     value = {ident: protocol.output_value(states[ident]) for ident in present.tolist()}
-    return final_states, dict(zip(nodes.tolist(), map(value.__getitem__, held.tolist())))
+    return dict(zip(nodes.tolist(), map(value.__getitem__, held.tolist())))

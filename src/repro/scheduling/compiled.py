@@ -154,10 +154,6 @@ class CompiledProtocol:
         except ValueError:
             raise KeyError(letter) from None
 
-    def letter_value(self, letter_id: int):
-        """The protocol-level letter behind an interned id."""
-        return self.tabulation.letters[letter_id]
-
 
 def compile_protocol(
     protocol: ExtendedProtocol | Protocol,
@@ -365,12 +361,6 @@ class LazyExtendedTable:
     def output_mask(self):
         """Whether each state interned so far is an output state (a view)."""
         return self._output.view()
-
-    def state_value(self, state_id: int) -> State:
-        return self._states.value_of(state_id)
-
-    def letter_value(self, letter_id: int):
-        return self._letters.value_of(letter_id)
 
     def letter_id(self, letter) -> int:
         """The interned id of *letter*, interning it when unseen.

@@ -38,13 +38,14 @@ counts) is identical on every backend.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import replace
 from typing import Any
 
 from repro.core.budgets import DEFAULT_MAX_ROUNDS
 from repro.core.counters import record_engine_run
 from repro.core.errors import ExecutionError, OutputNotReachedError
 from repro.core.protocol import ExtendedProtocol, Protocol
-from repro.core.results import ExecutionResult, build_synchronous_result
+from repro.core.results import ExecutionResult
 from repro.graphs.dynamic import ChurnPolicy, DynamicGraph, derive_churn_seed, derive_segment_seed
 from repro.graphs.graph import Graph
 from repro.scheduling.sync_engine import TableBundle, _make_engine, build_table_bundle
@@ -118,7 +119,6 @@ def _run_dynamic(
     total_rounds = 0
     total_node_steps = 0
     total_messages = 0
-    reached = True
 
     for segment in range(dynamic.num_disturbances + 1):
         engine, selection = _make_engine(
@@ -160,10 +160,7 @@ def _run_dynamic(
         # actually reports instead of multiplying the original size.
         total_node_steps += result.total_node_steps
         total_messages += result.total_messages
-        if not result.reached_output:
-            reached = False
-            break
-        if segment == dynamic.num_disturbances:
+        if not result.reached_output or segment == dynamic.num_disturbances:
             break
         # Disturb, then carry the configuration across the boundary.
         dynamic.advance()
@@ -176,17 +173,16 @@ def _run_dynamic(
         churn_events.append([list(e.to_tuple()) for e in dynamic.last_events])
         restart_counts.append(len(restart))
 
-    final = build_synchronous_result(
-        protocol,
-        dynamic.snapshot,
-        states,
-        reached=reached,
+    # No churn follows the last segment, so its result already holds the
+    # final configuration and outputs on the final snapshot.
+    final = replace(
+        result,
         rounds=total_rounds,
         total_node_steps=total_node_steps,
         total_messages=total_messages,
         seed=seed,
+        metadata=annotation,
     )
-    final.metadata.update(annotation)
     final.metadata.update(
         churn_policy=churn.name,
         disturbances=dynamic.version,
@@ -195,7 +191,7 @@ def _run_dynamic(
         churn_events=churn_events,
         restart_counts=restart_counts,
     )
-    if not reached and raise_on_timeout:
+    if not final.reached_output and raise_on_timeout:
         raise OutputNotReachedError(
             f"no output configuration within {max_rounds} rounds", final
         )

@@ -96,7 +96,7 @@ _RUN = 1
 # --------------------------------------------------------------------- #
 def _round_loop(worker_id, lo, hi, tables, dyn, fence, pick_seed, bounding, width) -> None:
     """The round loop over permuted nodes ``lo:hi``."""
-    rows = RowRange(tables["indptr"], tables["indices"], lo, hi, tables["node_keys"])
+    rows = RowRange(tables["indptr"], tables["indices"], lo, hi, tables["node_keys"], width)
     arrays = tuple(tables[name] for name in TABLE_FIELDS)
     round_index = 0
     while True:
@@ -104,7 +104,7 @@ def _round_loop(worker_id, lo, hi, tables, dyn, fence, pick_seed, bounding, widt
         if dyn["control"][0] == STOP:
             return
         dyn["messages"][worker_id] += step_rows(
-            rows, round_index, dyn["state"], dyn["letters"], arrays, pick_seed, bounding, width
+            rows, round_index, dyn["state"], dyn["letters"], arrays, pick_seed, bounding
         )
         round_index += 1
 

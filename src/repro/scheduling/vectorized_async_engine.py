@@ -340,8 +340,7 @@ class BucketSlice:
                 pend_head[target] = arrival
 
     def decoded_states(self) -> list:
-        decode = self.table.state_value
-        return [decode(int(ident)) for ident in self.state]
+        return list(map(self.table.states.__getitem__, self.state.tolist()))
 
 
 class VectorizedAsynchronousEngine:

@@ -78,7 +78,6 @@ _run_synchronous` catches it and falls back to the interpreted engine
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -90,7 +89,7 @@ from repro.core.errors import (
     ProtocolNotVectorizableError,
 )
 from repro.core.protocol import ExtendedProtocol, Protocol, State
-from repro.core.results import ExecutionResult, build_synchronous_result
+from repro.core.results import ExecutionResult, build_synchronous_result, decode_states
 from repro.graphs.graph import Graph
 
 # The table machinery lives in the shared compiled-execution core; the
@@ -123,40 +122,34 @@ class RowRange:
     and writes views as before), then an array of row ids.  ``edge_src``
     holds the live-local row of every out-edge of a live row and
     ``edge_dst`` its global neighbour; ``node_keys`` are the pick-stream
-    keys of the live rows.  ``settled`` marks the live rows whose state was
-    a sink when the last round began.
+    keys of the live rows.  ``width`` is the number of letters the census
+    counts and ``key_base`` each out-edge's census key before its letter,
+    ``edge_src * width``, rebuilt only when rows retire.  ``settled`` marks
+    the live rows whose state was a sink when the last round began.
     """
 
-    def __init__(self, indptr, indices, lo: int, hi: int, node_keys) -> None:
+    def __init__(self, indptr, indices, lo: int, hi: int, node_keys, width: int) -> None:
         self.live = slice(lo, hi)
+        self.width = width
         self.edge_dst = np.asarray(indices[int(indptr[lo]) : int(indptr[hi])], dtype=np.int64)
         degrees = np.diff(np.asarray(indptr[lo : hi + 1], dtype=np.int64))
         self.edge_src = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
+        self.key_base = self.edge_src * width
         self.node_keys = node_keys[lo:hi]
         self.settled = None
-        self._key_base = None
 
     def __len__(self) -> int:
         return len(self.node_keys)
-
-    def key_base(self, width: int):
-        """``edge_src * width``: each out-edge's census key before its letter.
-
-        Kept until the next retirement changes the live rows.
-        """
-        if self._key_base is None:
-            self._key_base = self.edge_src * width
-        return self._key_base
 
     def retire_settled(self) -> None:
         """Stop stepping the ``settled`` rows: drop them and their out-edges."""
         settled, self.settled = self.settled, None
         if settled is None or not settled.any():
             return
-        self._key_base = None
         keep = ~settled
         on_kept = keep[self.edge_src]
         self.edge_src = (np.cumsum(keep) - 1)[self.edge_src[on_kept]]
+        self.key_base = self.edge_src * self.width
         self.edge_dst = self.edge_dst[on_kept]
         if isinstance(self.live, slice):
             self.live = np.arange(self.live.start, self.live.stop, dtype=np.int64)
@@ -164,16 +157,16 @@ class RowRange:
         self.node_keys = self.node_keys[keep]
 
 
-def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, width, table=None):
+def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, table=None):
     """One synchronous round of the live rows of *rows*.
 
     Reads every port from ``letters[round_index % 2]`` (the letters last
     transmitted, by any node) and writes the live rows of ``state`` and of
     ``letters[(round_index + 1) % 2]``, so ranges never write what another
     range reads in the same round.  ``arrays`` are the table arrays in
-    :data:`TABLE_FIELDS` order and ``width`` the number of letters the census
-    counts.  A lazy ``table`` is passed too: it evaluates the cells the round
-    reaches first.  Returns the number of transmitting nodes.
+    :data:`TABLE_FIELDS` order.  A lazy ``table`` is passed too: it
+    evaluates the cells the round reaches first.  Returns the number of
+    transmitting nodes.
 
     A row whose state was a sink when a round began is stepped that round
     and retired before the next one's census.  That last step changes no
@@ -182,14 +175,14 @@ def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, wi
     holds the sink.
     """
     rows.retire_settled()
-    live = rows.live
+    live, width = rows.live, rows.width
     read, write = letters[round_index % 2], letters[(round_index + 1) % 2]
 
     # 1. Port census: counts[v, σ] = min(b, |{u ∈ N(v) : last_letter(u) = σ}|).
     #    The gathered letters are a fresh array, so the keys are built in it.
     incoming = read[rows.edge_dst]
     if table is None:
-        incoming += rows.key_base(width)
+        incoming += rows.key_base
         keys = incoming
     else:
         # A lazily defined protocol may transmit letters outside its
@@ -197,7 +190,7 @@ def step_rows(rows, round_index, state, letters, arrays, pick_seed, bounding, wi
         # observations (mirroring Observation.from_port_contents), so those
         # edges are masked out.
         observable = incoming < width
-        keys = rows.key_base(width)[observable] + incoming[observable]
+        keys = rows.key_base[observable] + incoming[observable]
     counts = np.bincount(keys, minlength=len(rows) * width).reshape(len(rows), width)
     np.minimum(counts, bounding, out=counts)
 
@@ -262,22 +255,6 @@ def _initial_states(protocol, inputs: dict, num_nodes: int):
     spread = np.full(num_nodes, index.get(default, 0), dtype=np.intp)
     spread[nodes] = [index[placed[node]] for node in nodes]
     return list(index), spread
-
-
-def _encode(values: list, table_values: tuple, encode):
-    """The table id of each of *values*, as an int64 array.
-
-    A value the engine decoded is the table's own object (one of
-    *table_values*, in id order), so it is found by identity, without
-    hashing; *encode* looks up (or interns) the rest.
-    """
-    by_identity = {id(value): ident for ident, value in enumerate(table_values)}
-    ids = np.fromiter(
-        map(by_identity.get, map(id, values), repeat(-1)), dtype=np.int64, count=len(values)
-    )
-    for node in np.flatnonzero(ids < 0).tolist():
-        ids[node] = encode(values[node])
-    return ids
 
 
 class VectorizedEngine:
@@ -374,7 +351,9 @@ class VectorizedEngine:
                 ids = [codec.state_id(state) for state in distinct]
                 state_vector = np.asarray(ids, dtype=np.int64)[spread]
             else:
-                state_vector = _encode(initial_states, codec.states, codec.state_id)
+                state_vector = np.fromiter(
+                    map(codec.state_id, initial_states), np.int64, count=graph.num_nodes
+                )
         except KeyError as exc:
             raise ProtocolNotVectorizableError(
                 f"initial state {exc.args[0]!r} is missing from the compiled "
@@ -388,7 +367,9 @@ class VectorizedEngine:
             letter_vector = np.full(graph.num_nodes, codec.initial_letter_id, dtype=np.int64)
         else:
             try:
-                letter_vector = _encode(list(initial_letters), codec.letters, codec.letter_id)
+                letter_vector = np.fromiter(
+                    map(codec.letter_id, initial_letters), np.int64, count=graph.num_nodes
+                )
             except KeyError as exc:
                 raise ProtocolNotVectorizableError(
                     f"carried letter {exc.args[0]!r} is missing from the "
@@ -404,7 +385,9 @@ class VectorizedEngine:
         both halves start from the initial letters.
         """
         indptr, indices = self._graph.csr_adjacency()
-        self._rows = RowRange(indptr, indices, 0, self._graph.num_nodes, self._node_keys)
+        self._rows = RowRange(
+            indptr, indices, 0, self._graph.num_nodes, self._node_keys, self._width
+        )
         self._buffers = {
             "state": state,
             "letters": np.stack([letters, letters]),
@@ -473,8 +456,7 @@ class VectorizedEngine:
         return bool(output_mask[self._buffers["state"]].all())
 
     def _decode_states(self) -> tuple[State, ...]:
-        ordered = self._ordered(self._buffers["state"])
-        return tuple(map(self._codec.states.__getitem__, ordered.tolist()))
+        return decode_states(self._codec, self._ordered(self._buffers["state"]))
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
@@ -496,7 +478,6 @@ class VectorizedEngine:
             self._arrays(),
             self._pick_seed,
             self._bounding,
-            self._width,
             self._table,
         )
 

@@ -35,7 +35,7 @@ class TestConstruction:
         table = LazyExtendedTable(protocol)
         assert table.alphabet_size == len(protocol.alphabet)
         for position, letter in enumerate(protocol.alphabet.letters):
-            assert table.letter_value(position) == letter
+            assert table.letters[position] == letter
         assert table.initial_letter_id == protocol.alphabet.index(protocol.initial_letter)
 
 
@@ -69,7 +69,7 @@ class TestOnDemandGrowth:
         queried = table.queried_letter_ids(state_id)
         assert queried == table.queried_letter_ids(state_id)  # stable across calls
         assert len(queried) == 1
-        assert table.letter_value(queried[0]) == protocol.query_letter(protocol.initial_state())
+        assert table.letters[queried[0]] == protocol.query_letter(protocol.initial_state())
 
     def test_state_budget_is_enforced(self):
         protocol = compile_to_asynchronous(MISProtocol())
@@ -120,11 +120,11 @@ class TestObservationEncoding:
             assert count == len(reference)
             for position, choice in enumerate(reference):
                 next_id, emit_id = table.option(offset + position)
-                assert table.state_value(next_id) == choice.state
+                assert table.states[next_id] == choice.state
                 if is_epsilon(choice.emit):
                     assert emit_id == -1
                 else:
-                    assert table.letter_value(emit_id) == choice.emit
+                    assert table.letters[emit_id] == choice.emit
 
     def test_under_declared_queried_letters_are_rejected(self):
         class LyingProtocol(MISProtocol):
@@ -154,8 +154,7 @@ class TestDeterminismAndSharing:
         first, second = build(), build()
         assert first.num_states == second.num_states
         assert first.num_cells == second.num_cells
-        for ident in range(first.num_states):
-            assert first.state_value(ident) == second.state_value(ident)
+        assert first.states == second.states
 
     def test_shared_table_starts_later_runs_warm(self):
         protocol = compile_to_asynchronous(BroadcastProtocol())

@@ -227,26 +227,26 @@ def test_round_function_steps_row_ranges_like_one_engine(graph, seed, shards):
     compiled = engine.compiled
     arrays = tuple(getattr(compiled, name) for name in TABLE_FIELDS)
     indptr, indices = permute_csr(*graph.csr_adjacency(), p.perm, p.inv)
+    bounding, width = MISProtocol().bounding.value, compiled.num_letters
     ranges = [
-        RowRange(indptr, indices, int(lo), int(hi), node_keys)
+        RowRange(indptr, indices, int(lo), int(hi), node_keys, width)
         for lo, hi in zip(p.bounds[:-1], p.bounds[1:])
     ]
     state = np.asarray([compiled.state_id(s) for s in engine.states], dtype=np.int64)
     letters = np.full((2, graph.num_nodes), compiled.initial_letter_id, dtype=np.int64)
     pick_seed = resolve_pick_seed(seed)
-    bounding, width = MISProtocol().bounding.value, compiled.num_letters
     messages = 0
     settled = np.zeros(graph.num_nodes, dtype=bool)  # in a sink as the last round began
     while engine.round_index < 200 and not engine.in_output_configuration():
         r = engine.round_index
         in_sink = compiled.sink_mask[state]
         for rows, lo, hi in zip(ranges, p.bounds[:-1], p.bounds[1:]):
-            messages += step_rows(rows, r, state, letters, arrays, pick_seed, bounding, width)
+            messages += step_rows(rows, r, state, letters, arrays, pick_seed, bounding)
             stepped = np.arange(graph.num_nodes)[rows.live]
             assert stepped.tolist() == [v for v in range(lo, hi) if not settled[v]]
         settled = in_sink
         engine.step_round()
         transmitted = letters[(r + 1) % 2]
         assert tuple(compiled.states[i] for i in state) == engine.states
-        assert tuple(compiled.letter_value(i) for i in transmitted) == engine.last_letters
+        assert tuple(compiled.letters[i] for i in transmitted) == engine.last_letters
         assert messages == engine.run(max_rounds=engine.round_index).total_messages
