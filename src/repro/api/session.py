@@ -54,12 +54,17 @@ def table_key(spec: RunSpec) -> tuple:
 
     Dynamic runs execute on the synchronous engines segment by segment, so
     they share the synchronous bundle shape; only asynchronous specs file
-    under ``"async"``.  The executor's publication pre-pass keys the bundles
-    it hands to pool workers through this function too, so every published
-    bundle is found by the lookup it was published for.
+    under ``"async"``.  An asynchronous ``"auto"`` and ``"vectorized"``
+    spec build the same bundle, so they share one key (and one warm
+    table); only ``"python"`` builds none.  The executor's publication
+    pre-pass keys the bundles it hands to pool workers through this
+    function too, so every published bundle is found by the lookup it was
+    published for.
     """
-    engine = "async" if spec.environment == "async" else "sync"
-    return (engine,) + spec.workload_key()
+    if spec.environment != "async":
+        return ("sync",) + spec.workload_key()
+    *workload, backend = spec.workload_key()
+    return ("async", *workload, "python" if backend == "python" else "batched")
 
 
 def table_bundle(spec: RunSpec):

@@ -53,11 +53,13 @@ class Interner:
     range ``0 .. |Σ|-1``.
     """
 
-    __slots__ = ("_ids", "_values")
+    __slots__ = ("_ids", "_values", "_frozen")
 
     def __init__(self, values: Iterable[Any] = ()) -> None:
         self._ids: dict[Any, int] = {}
         self._values: list[Any] = []
+        # The tuple :attr:`values` last returned, until a fresh intern.
+        self._frozen: tuple[Any, ...] | None = None
         for value in values:
             self.intern(value)
 
@@ -69,6 +71,7 @@ class Interner:
         fresh = len(self._values)
         self._ids[value] = fresh
         self._values.append(value)
+        self._frozen = None
         return fresh
 
     def id_of(self, value: Any) -> int:
@@ -81,8 +84,10 @@ class Interner:
 
     @property
     def values(self) -> tuple[Any, ...]:
-        """All interned values in id order."""
-        return tuple(self._values)
+        """All interned values in id order (copied once per growth)."""
+        if self._frozen is None:
+            self._frozen = tuple(self._values)
+        return self._frozen
 
     def __contains__(self, value: Any) -> bool:
         return value in self._ids

@@ -208,6 +208,14 @@ class CounterBasedSchedule(AdversarySchedule):
     and batch layers then agree bitwise by construction.  ``start`` draws the
     64-bit ``key`` from the adversary's random stream, so distinct
     ``adversary_seed`` values still realise distinct schedules.
+
+    A batch-capable schedule must be valid (positive and finite) at every
+    coordinate, not only at those a run consumes: the vectorized engine
+    draws a node's timings a block of
+    :data:`~repro.scheduling.vectorized_async_engine.DRAW_BLOCK` steps at a
+    time, so it can draw up to ``DRAW_BLOCK - 1`` steps past the last step
+    a run takes, and a batch draw rejects an invalid value wherever it
+    falls in the block.
     """
 
     batch_capable = True

@@ -49,6 +49,19 @@ asynchronous run is one process: a ``shards >= 2`` request runs this engine
 unsharded and records why (see :func:`repro.scheduling.async_engine.
 _run_asynchronous`).
 
+The lookahead of a few nodes at a time (every tiny bucket's, and any
+refresh of at most :data:`SCALAR_REFRESH_CUTOFF` nodes) reads per-node
+*draw blocks* instead of hashing one coordinate per call: a node's block is
+one batch draw of its next :data:`DRAW_BLOCK` step lengths and, with
+sampled margins, of those steps' margins (each step's smallest delivery
+delay, capped by the next length), drawn on its first such refresh and
+again whenever its step leaves the block.  Blocks are ``array('d')``, 8 B a
+value: one run holds at most one block of lengths per node plus one of
+margins per node with a neighbour, so at most ``(n + m) × DRAW_BLOCK``
+values for ``m`` directed edges.  An emitting step draws its delays when
+it emits.  Draws are pure, so reading a value early changes nothing, and
+``max_parameter`` counts only the lengths and delays a run consumes.
+
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
 (timed-out) executions are not guaranteed to match the interpreted engine
@@ -58,8 +71,10 @@ event for event — terminating runs are.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from collections.abc import Mapping
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -90,6 +105,14 @@ from repro.scheduling.picks import (
 #: the fixed cost of an array operation needs roughly this many elements to
 #: amortise.  Both paths implement the same canonical semantics.
 SCALAR_BUCKET_CUTOFF = 12
+
+#: Refreshes of at most this many nodes read the per-node draw blocks
+#: (:meth:`BucketSlice.refresh_scalar`): one array lookahead costs about as
+#: much as 40 block reads, the block draws included.
+SCALAR_REFRESH_CUTOFF = 32
+
+#: Pending steps per draw block of the scalar lookahead.
+DRAW_BLOCK = 64
 
 
 class BucketSlice:
@@ -130,7 +153,11 @@ class BucketSlice:
         self.target[np.lexsort((self.peer, row))] = np.lexsort((row, self.peer))
         self.keys = np.arange(n, dtype=np.int64)  # adversary coordinates
         self.node_keys = self.keys.astype(np.uint64)  # the pick coordinates
-        self.key_list = self.keys.tolist()
+        # List twins of the CSR for the scalar path: list reads are several
+        # times cheaper than NumPy scalar indexing.
+        self.indptr_list = self.indptr.tolist()
+        self.peer_list = self.peer.tolist()
+        self.target_list = self.target.tolist()
         self.next_time = next_time
         self.margin = margin
 
@@ -139,7 +166,7 @@ class BucketSlice:
         self.static_bound = static_bound
         self.pick_base = pick_base
         self.b = protocol.bounding.value
-        states = [protocol.initial_state(inputs.get(key)) for key in self.key_list]
+        states = [protocol.initial_state(inputs.get(key)) for key in range(n)]
         self.state = np.asarray([table.state_id(state) for state in states], dtype=np.int64)
         _, output_mask, *_ = table.arrays()
         self.non_output = int(len(self.state) - output_mask[self.state].sum())
@@ -153,10 +180,15 @@ class BucketSlice:
         self.pend_head = np.full(m, np.inf)
         # Sender-major per-edge bookkeeping.
         self.last_arrival = np.zeros(m)
-        self.pending_delay = np.zeros(m)
 
         self.step = np.ones(n, dtype=np.int64)
         self.next_length = np.zeros(n)
+        # Per-node draw blocks of the scalar lookahead (see refresh_scalar):
+        # the first pending step a block covers, its next lengths and, with
+        # sampled margins, its margins.  No node starts with a block.
+        self.block_start = [-DRAW_BLOCK] * n
+        self.block_lengths: list = [None] * n
+        self.block_margins: list = [None] * n
         self.steps_taken = 0
         self.messages = 0
         self.events = 0
@@ -173,62 +205,77 @@ class BucketSlice:
         edges = np.repeat(self.indptr[idx], lens) + offsets
         return seg, edges
 
-    def refresh(self, idx) -> None:
-        """Recompute the batching lookahead after *idx* scheduled new steps.
+    def lookahead(self, idx, steps):
+        """``(next_lengths, margins)`` of nodes *idx* pending at *steps*.
 
-        Samples (purely, without accounting) the pending step's delivery
-        delays — cached for reuse when the step actually emits — and the
-        following step's length, and stores ``margin[v]`` such that
-        ``next_time[v] + margin[v]`` lower-bounds the earliest instant any
-        *future* action of ``v`` can influence another node.
+        Samples purely, without accounting: each pending step's following
+        step length, and a margin such that the pending step's time plus
+        the margin lower-bounds the earliest instant any *future* action of
+        the node can influence another node.  With sampled margins that is
+        the smaller of the next length and the pending step's smallest
+        delivery delay; the delays themselves are drawn again if the step
+        emits.
         """
-        if idx.size == 0:
-            return
-        steps = self.step[idx]
-        lens = self.degrees[idx]
-        scalar_cutoff = 48 if self.static_bound is not None else 32
-        if idx.size + int(lens.sum()) <= scalar_cutoff:
-            # Tiny batches: the scalar sampling path is bitwise-identical
-            # and dodges the array-call overhead.
-            self.refresh_scalar(idx.tolist(), steps.tolist())
-            return
         next_lengths = self.schedule.step_lengths(self.keys[idx], steps + 1)
-        self.next_length[idx] = next_lengths
         if self.static_bound is not None:
-            self.margin[idx] = np.minimum(next_lengths, self.static_bound)
-            return
+            return next_lengths, np.minimum(next_lengths, self.static_bound)
+        lens = self.degrees[idx]
         min_delay = np.full(idx.size, np.inf)
         if int(lens.sum()):
-            seg, edges = self.ragged(idx, lens)
+            _, edges = self.ragged(idx, lens)
             delays = self.schedule.delivery_delays(
                 np.repeat(self.keys[idx], lens), np.repeat(steps, lens), self.peer[edges]
             )
-            self.pending_delay[edges] = delays
             has_edges = lens > 0
             starts = (np.cumsum(lens) - lens)[has_edges]
             min_delay[has_edges] = np.minimum.reduceat(delays, starts)
-        self.margin[idx] = np.minimum(min_delay, next_lengths)
+        return next_lengths, np.minimum(min_delay, next_lengths)
 
-    def refresh_scalar(self, idx_list, step_list) -> None:
-        schedule = self.schedule
+    def refresh(self, idx) -> None:
+        """Recompute the batching lookahead after *idx* scheduled new steps."""
+        if idx.size == 0:
+            return
+        steps = self.step[idx]
+        if idx.size <= SCALAR_REFRESH_CUTOFF:
+            # Small batches read the draw blocks (the same draws, bitwise)
+            # and dodge the array-call overhead.
+            for i, step in zip(idx.tolist(), steps.tolist()):
+                self.refresh_scalar(i, step)
+            return
+        self.next_length[idx], self.margin[idx] = self.lookahead(idx, steps)
+
+    def refresh_scalar(self, i: int, step: int) -> None:
+        """:meth:`refresh` of node *i*, pending at *step*, from its draw block.
+
+        A block is one :meth:`lookahead` over the node's pending steps
+        ``start .. start + DRAW_BLOCK - 1``, drawn when *step* leaves the
+        node's current block (or it has none yet), so a scalar refresh
+        costs a list read instead of a hash chain per coordinate.
+        """
+        k = step - self.block_start[i]
+        if not 0 <= k < DRAW_BLOCK:
+            self.draw_block(i, step)
+            k = 0
+        length = self.block_lengths[i][k]
+        self.next_length[i] = length
         bound = self.static_bound
-        indptr = self.indptr
-        peer = self.peer
-        pending_delay = self.pending_delay
-        for i, step in zip(idx_list, step_list):
-            key = self.key_list[i]
-            next_length = schedule.step_length(key, step + 1)
-            self.next_length[i] = next_length
-            if bound is not None:
-                self.margin[i] = next_length if next_length < bound else bound
-                continue
-            margin = next_length
-            for edge in range(int(indptr[i]), int(indptr[i + 1])):
-                delay = schedule.delivery_delay(key, step, int(peer[edge]))
-                pending_delay[edge] = delay
-                if delay < margin:
-                    margin = delay
-            self.margin[i] = margin
+        if bound is None:
+            self.margin[i] = self.block_margins[i][k]
+        else:
+            self.margin[i] = length if length < bound else bound
+
+    def draw_block(self, i: int, step: int) -> None:
+        """Draw node *i*'s block for pending steps from *step* on."""
+        lengths, margins = self.lookahead(
+            np.full(DRAW_BLOCK, i, dtype=np.int64),
+            np.arange(step, step + DRAW_BLOCK, dtype=np.int64),
+        )
+        block = array("d", lengths.tolist())
+        self.block_start[i] = step
+        self.block_lengths[i] = block
+        if self.static_bound is None:
+            # An isolated node's margins are its lengths: one copy holds both.
+            self.block_margins[i] = array("d", margins.tolist()) if self.degrees[i] else block
 
     def select(self, horizon):
         """The pending steps before *horizon*, sorted by (time, node)."""
@@ -321,12 +368,9 @@ class BucketSlice:
         if not int(lens.sum()):
             return
         seg, edges = self.ragged(senders, lens)
-        if self.static_bound is not None:
-            delays = self.schedule.delivery_delays(
-                np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
-            )
-        else:
-            delays = self.pending_delay[edges]
+        delays = self.schedule.delivery_delays(
+            np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
+        )
         self.max_parameter = max(self.max_parameter, float(delays.max()))
         arrivals = np.maximum(times[seg] + delays, self.last_arrival[edges])
         self.last_arrival[edges] = arrivals
@@ -443,6 +487,16 @@ class VectorizedAsynchronousEngine:
     def table(self) -> LazyStrictTable:
         return self._table
 
+    @property
+    def adversary_name(self) -> str:
+        return self._adversary_name
+
+    @property
+    def sampled_margins(self) -> bool:
+        """Whether bucket margins come from sampled delays: the adversary
+        has no delay lower bound useful against its step lengths."""
+        return self._static_bound is None
+
     def in_output_configuration(self) -> bool:
         return self._slice.non_output == 0
 
@@ -458,18 +512,21 @@ class VectorizedAsynchronousEngine:
         fire at, an instant another batch member still has to observe.  The
         node attaining the minimum step time always qualifies (margins are
         strictly positive), so progress is guaranteed; selection is O(n)
-        plus a sort of the batch itself.
+        plus a sort of the batch itself.  A tiny bucket, and every bucket
+        of a network of at most 64 nodes, comes as Python lists.
         """
         times = self._next_time
         if len(times) <= 64:
             time_list = times.tolist()
-            horizon_min = min(t + m for t, m in zip(time_list, self._margin.tolist()))
+            horizon_min = min(map(add, time_list, self._margin.tolist()))
             batch = [v for v, t in enumerate(time_list) if t < horizon_min]
             if len(batch) > 1:
                 batch.sort(key=time_list.__getitem__)  # stable: ties stay by node
-            batch = np.asarray(batch, dtype=np.int64)
-            return batch, times[batch]
-        return self._slice.select((times + self._margin).min())
+            return batch, [time_list[v] for v in batch]
+        batch, batch_times = self._slice.select((times + self._margin).min())
+        if batch.size <= SCALAR_BUCKET_CUTOFF:
+            return batch.tolist(), batch_times.tolist()
+        return batch, batch_times
 
     def _bucket(self) -> None:
         """Process one bucket; stop the clock at the completing step."""
@@ -478,6 +535,7 @@ class VectorizedAsynchronousEngine:
         if len(batch) <= SCALAR_BUCKET_CUTOFF:
             self._run_scalar_bucket(batch, batch_times)
             return
+        batch, batch_times = np.asarray(batch, dtype=np.int64), np.asarray(batch_times)
         bucket = part.compute(batch, batch_times)
         # Termination is possible only when the non-output count fits inside
         # the bucket; in that rare case (at most once per run) the prefix
@@ -493,7 +551,7 @@ class VectorizedAsynchronousEngine:
         if cutoff is not None:
             self._output_time = self._now
 
-    def _run_scalar_bucket(self, batch, batch_times) -> None:
+    def _run_scalar_bucket(self, batch: list, batch_times: list) -> None:
         """Process a small bucket step-by-step through the scalar table API.
 
         Below :data:`SCALAR_BUCKET_CUTOFF` steps the fixed per-array-op cost
@@ -507,22 +565,18 @@ class VectorizedAsynchronousEngine:
         table = self._table
         pick_base = self._pick_base
         schedule = self._schedule
-        static = self._static_bound is not None
-        indptr = part.indptr
-        peer = part.peer
+        indptr = part.indptr_list
+        peer = part.peer_list
+        target = part.target_list
         port = part.port
         pending = part.pending
         pend_head = part.pend_head
         last_arrival = part.last_arrival
-        pending_delay = part.pending_delay
-        target = part.target
         bounding = part.b
         max_parameter = part.max_parameter
         events = 0
-        for i in range(len(batch)):
-            node = int(batch[i])
-            step_time = float(batch_times[i])
-            low, high = int(indptr[node]), int(indptr[node + 1])
+        for node, step_time in zip(batch, batch_times):
+            low, high = indptr[node], indptr[node + 1]
             state_id = int(part.state[node])
             query = table.query_letter_id(state_id)
             count = 0
@@ -553,17 +607,14 @@ class VectorizedAsynchronousEngine:
             if emit >= 0:
                 part.messages += 1
                 for edge in range(low, high):
-                    if static:
-                        delay = schedule.delivery_delay(node, step_executed, int(peer[edge]))
-                    else:
-                        delay = float(pending_delay[edge])
+                    delay = schedule.delivery_delay(node, step_executed, peer[edge])
                     if delay > max_parameter:
                         max_parameter = delay
                     arrival = step_time + delay
                     if arrival < last_arrival[edge]:
                         arrival = float(last_arrival[edge])
                     last_arrival[edge] = arrival
-                    slot = int(target[edge])
+                    slot = target[edge]
                     pending[slot].append((arrival, emit))
                     if arrival < pend_head[slot]:
                         pend_head[slot] = arrival
@@ -571,8 +622,8 @@ class VectorizedAsynchronousEngine:
             if next_length > max_parameter:
                 max_parameter = next_length
             part.next_time[node] = step_time + next_length
-            part.step[node] += 1
-            part.refresh_scalar([node], [int(part.step[node])])
+            part.step[node] = step_executed + 1
+            part.refresh_scalar(node, step_executed + 1)
             self._now = step_time
             if part.non_output == 0:
                 self._output_time = self._now

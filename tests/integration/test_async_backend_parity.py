@@ -30,6 +30,7 @@ from repro.protocols.mis import MISProtocol
 from repro.scheduling.adversary import default_adversary_suite
 from repro.scheduling.async_engine import AUTO_VECTORIZE_MIN_NODES
 from repro.scheduling.compiled import LazyStrictTable
+from repro.scheduling.vectorized_async_engine import DRAW_BLOCK
 
 SEEDS = (0, 1, 2)
 ADVERSARIES = default_adversary_suite()
@@ -308,6 +309,45 @@ def test_auto_batches_large_networks_whatever_the_shard_count():
     assert "shard_count" not in unsharded.metadata
     assert sharded.metadata["shard_count"] == 1
     assert "ran unsharded" in sharded.metadata["backend_reason"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exponential_runs_long_enough_to_refill_draw_blocks(seed):
+    """Compiled MIS under ``exponential`` at n=33 runs almost every step
+    through the tiny-bucket path; its nodes take many draw blocks each."""
+    session = Simulation()
+    spec = RunSpec(
+        protocol="mis", graph="random_tree", nodes=33, environment="async",
+        adversary="exponential", seed=seed,
+    )
+    interpreted = session.simulate(spec.replace(backend="python"))
+    batched = session.simulate(spec.replace(backend="vectorized"))
+    assert batched.metadata["backend"] == "vectorized"
+    assert _identity(batched) == _identity(interpreted)
+    assert batched.final_states == interpreted.final_states
+    assert batched.total_node_steps / spec.nodes > 2 * DRAW_BLOCK
+
+
+@pytest.mark.parametrize(
+    "adversary, backend, reason",
+    [
+        ("uniform", "vectorized", "protocol and adversary support event batching"),
+        ("exponential", "python", "auto stayed interpreted: adversary 'exponential' "
+         "has no usable delay lower bound"),
+    ],
+)
+def test_auto_batches_only_adversaries_with_a_delay_bound(adversary, backend, reason):
+    """At the batching threshold ``"auto"`` batches ``uniform`` but keeps
+    ``exponential`` on the interpreter, whose sampled margins leave the
+    batched engine a few steps per bucket.  The truncated run is the one
+    the chosen backend gives when named."""
+    session = Simulation()
+    spec = _spec("mis", seed=3, nodes=AUTO_VECTORIZE_MIN_NODES, adversary=adversary)
+    chosen = session.simulate(spec, raise_on_timeout=False)
+    assert chosen.metadata["backend"] == backend
+    assert chosen.metadata["backend_reason"] == reason
+    named = session.simulate(spec.replace(backend=backend), raise_on_timeout=False)
+    assert _identity(chosen) == _identity(named)
 
 
 def test_truncated_run_keeps_the_unsharded_annotation():

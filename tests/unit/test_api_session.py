@@ -11,6 +11,16 @@ from repro.protocols.broadcast import BroadcastProtocol
 from repro.protocols.mis import MISProtocol
 
 
+def _identity(result) -> tuple:
+    """Everything two runs of one async spec must agree on, bitwise."""
+    return (
+        result.summary_fields(),
+        result.final_states,
+        result.time_units,
+        result.metadata["max_parameter"],
+    )
+
+
 class TestTableCache:
     def test_simulate_twice_hits_the_cache(self):
         session = Simulation()
@@ -37,6 +47,23 @@ class TestTableCache:
         session.simulate(RunSpec(protocol="mis", nodes=8, seed=1))
         session.simulate(RunSpec(protocol="coloring", nodes=8, graph="path", seed=1))
         assert session.cache_info() == {"hits": 0, "misses": 2, "entries": 2}
+
+    def test_batched_async_backends_share_one_table(self):
+        """``auto`` and ``vectorized`` build the same async bundle, so a
+        session keeps one table for both; results match fresh sessions."""
+        base = dict(protocol="mis", graph="random_tree", environment="async", nodes=12, seed=4)
+        specs = [
+            RunSpec(**base, adversary="uniform", backend="auto"),
+            RunSpec(**base, adversary="exponential", backend="vectorized"),
+        ]
+        session = Simulation()
+        shared = [session.simulate(spec) for spec in specs]
+        assert session.cache_info() == {"hits": 1, "misses": 1, "entries": 1}
+        for spec, result in zip(specs, shared):
+            fresh = Simulation().simulate(spec)
+            assert _identity(result) == _identity(fresh)
+        session.simulate(RunSpec(**base, adversary="uniform", backend="python"))
+        assert session.cache_info()["entries"] == 2  # the interpreter builds no table
 
     def test_object_path_cache_key(self):
         session = Simulation()

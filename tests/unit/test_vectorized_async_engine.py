@@ -10,12 +10,13 @@ from repro.core.errors import (
     OutputNotReachedError,
     ProtocolNotVectorizableError,
 )
-from repro.graphs import path_graph, star_graph
+from repro.graphs import Graph, path_graph, star_graph
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import MISProtocol
 from repro.scheduling.adversary import (
     AdversaryPolicy,
     AdversarySchedule,
+    ExponentialAdversary,
     SynchronousAdversary,
     UniformRandomAdversary,
     default_adversary_suite,
@@ -25,7 +26,10 @@ from repro.scheduling.async_engine import (
     _run_asynchronous,
 )
 from repro.scheduling.compiled import LazyStrictTable
-from repro.scheduling.vectorized_async_engine import VectorizedAsynchronousEngine
+from repro.scheduling.vectorized_async_engine import (
+    DRAW_BLOCK,
+    VectorizedAsynchronousEngine,
+)
 
 
 class _ScalarOnlyAdversary(AdversaryPolicy):
@@ -222,3 +226,52 @@ class TestExecution:
         ).run(raise_on_timeout=True)
         assert table.num_cells == cells_after_first
         assert first.time_units == second.time_units
+
+
+class TestDrawBlocks:
+    """A scalar refresh reads the node's draw block; every value it stores
+    equals the scalar draw of the same coordinate."""
+
+    @pytest.mark.parametrize(
+        "adversary, sampled",
+        [(ExponentialAdversary(), True), (UniformRandomAdversary(), False)],
+        ids=["exponential", "uniform"],
+    )
+    def test_refreshes_across_block_edges_equal_scalar_draws(self, adversary, sampled):
+        graph = star_graph(4)
+        engine = VectorizedAsynchronousEngine(
+            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=3,
+            adversary=adversary, adversary_seed=11,
+        )
+        assert engine.sampled_margins is sampled
+        part = engine._slice
+        schedule = part.schedule
+        node = 0  # the hub: every other node is its neighbour
+        K = DRAW_BLOCK
+        crossings = [(1, 1), (K - 1, 1), (K, 1), (K + 1, K + 1), (3 * K + 5, 3 * K + 5)]
+        for step, block_start in crossings:
+            part.refresh_scalar(node, step)
+            assert part.block_start[node] == block_start, step
+            length = schedule.step_length(node, step + 1)
+            if sampled:
+                peers = graph.neighbors(node)
+                floor = min(schedule.delivery_delay(node, step, peer) for peer in peers)
+            else:
+                floor = schedule.delay_lower_bound()
+            assert part.next_length[node] == length, step
+            assert part.margin[node] == min(length, floor), step
+
+    def test_blocks_hold_at_most_n_plus_m_values_per_step(self):
+        """Blocks are float64 arrays; an isolated node keeps one copy."""
+        graph = Graph(6, [(0, 1)])
+        engine = VectorizedAsynchronousEngine(
+            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1,
+            adversary=ExponentialAdversary(),
+        )
+        engine.run(max_events=2_000)
+        part = engine._slice
+        drawn = part.block_lengths + part.block_margins
+        blocks = {id(block): block for block in drawn if block is not None}
+        assert all(block.typecode == "d" for block in blocks.values())
+        directed_edges = 2 * graph.num_edges
+        assert sum(map(len, blocks.values())) <= (graph.num_nodes + directed_edges) * DRAW_BLOCK

@@ -61,6 +61,16 @@ class TestInterner:
         ident = interner.intern(("tuple", 1))
         assert interner.value_of(ident) == ("tuple", 1)
 
+    def test_values_are_copied_once_per_growth(self):
+        interner = Interner(["a", "b"])
+        first = interner.values
+        assert interner.values is first
+        interner.intern("a")  # already interned: the tuple stands
+        assert interner.values is first
+        interner.intern("c")
+        assert interner.values == ("a", "b", "c")
+        assert first == ("a", "b")
+
 
 class TestTabulation:
     def test_mis_tabulates_to_its_seven_states(self):
