@@ -49,18 +49,24 @@ asynchronous run is one process: a ``shards >= 2`` request runs this engine
 unsharded and records why (see :func:`repro.scheduling.async_engine.
 _run_asynchronous`).
 
-The lookahead of a few nodes at a time (every tiny bucket's, and any
-refresh of at most :data:`SCALAR_REFRESH_CUTOFF` nodes) reads per-node
-*draw blocks* instead of hashing one coordinate per call: a node's block is
-one batch draw of its next :data:`DRAW_BLOCK` step lengths and, with
-sampled margins, of those steps' margins (each step's smallest delivery
-delay, capped by the next length), drawn on its first such refresh and
-again whenever its step leaves the block.  Blocks are ``array('d')``, 8 B a
-value: one run holds at most one block of lengths per node plus one of
-margins per node with a neighbour, so at most ``(n + m) × DRAW_BLOCK``
-values for ``m`` directed edges.  An emitting step draws its delays when
-it emits.  Draws are pure, so reading a value early changes nothing, and
-``max_parameter`` counts only the lengths and delays a run consumes.
+A small lookahead refresh (a tiny bucket's nodes, refreshed together once
+the bucket is done, or any refresh of at most :data:`SCALAR_REFRESH_CUTOFF`
+nodes) reads per-node *draw blocks* instead of hashing one coordinate per
+call, as long as small refreshes have served at least as many nodes of the
+run as large ones.  A node's block is one batch draw of its next
+:data:`DRAW_BLOCK` step lengths and, with sampled margins, of those steps'
+margins (each step's smallest delivery delay, capped by the next length),
+drawn on its first such refresh and again whenever its step leaves the
+block.  Where large refreshes are the majority (big networks under
+``exponential``) a node would leave its block mostly unread, so small
+refreshes take one array lookahead instead.  Blocks are ``array('d')``,
+8 B a value: one run holds at most one block of lengths per node plus one
+of margins per node with a neighbour, so at most ``(n + m) × DRAW_BLOCK``
+values for ``m`` directed edges.  An array lookahead with sampled margins
+keeps the pending step's delays for its emission; a step refreshed from a
+block draws them when it emits.  Draws are pure, so reading a value early
+changes nothing, and ``max_parameter`` counts only the lengths and delays
+a run consumes.
 
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
@@ -106,9 +112,10 @@ from repro.scheduling.picks import (
 #: amortise.  Both paths implement the same canonical semantics.
 SCALAR_BUCKET_CUTOFF = 12
 
-#: Refreshes of at most this many nodes read the per-node draw blocks
-#: (:meth:`BucketSlice.refresh_scalar`): one array lookahead costs about as
-#: much as 40 block reads, the block draws included.
+#: Refreshes of at most this many nodes are small
+#: (:meth:`BucketSlice.refresh_scalar`) and may read the per-node draw
+#: blocks: one array lookahead costs about as much as 40 block reads, the
+#: block draws included.
 SCALAR_REFRESH_CUTOFF = 32
 
 #: Pending steps per draw block of the scalar lookahead.
@@ -180,6 +187,11 @@ class BucketSlice:
         self.pend_head = np.full(m, np.inf)
         # Sender-major per-edge bookkeeping.
         self.last_arrival = np.zeros(m)
+        # The pending step's delivery delays as an array lookahead drew them
+        # with sampled margins, reused if the step emits; delay_step[v] is
+        # the step whose delays v's edges hold (0: none).
+        self.pending_delay = np.zeros(m)
+        self.delay_step = np.zeros(n, dtype=np.int64)
 
         self.step = np.ones(n, dtype=np.int64)
         self.next_length = np.zeros(n)
@@ -189,6 +201,10 @@ class BucketSlice:
         self.block_start = [-DRAW_BLOCK] * n
         self.block_lengths: list = [None] * n
         self.block_margins: list = [None] * n
+        # Nodes served by small and by large refreshes so far (see
+        # refresh_scalar).
+        self.small_refreshes = 0
+        self.large_refreshes = 0
         self.steps_taken = 0
         self.messages = 0
         self.events = 0
@@ -205,7 +221,7 @@ class BucketSlice:
         edges = np.repeat(self.indptr[idx], lens) + offsets
         return seg, edges
 
-    def lookahead(self, idx, steps):
+    def lookahead(self, idx, steps, keep_delays=False):
         """``(next_lengths, margins)`` of nodes *idx* pending at *steps*.
 
         Samples purely, without accounting: each pending step's following
@@ -213,8 +229,8 @@ class BucketSlice:
         the margin lower-bounds the earliest instant any *future* action of
         the node can influence another node.  With sampled margins that is
         the smaller of the next length and the pending step's smallest
-        delivery delay; the delays themselves are drawn again if the step
-        emits.
+        delivery delay; *keep_delays* (one step per node) keeps the delays
+        for :meth:`emit`.
         """
         next_lengths = self.schedule.step_lengths(self.keys[idx], steps + 1)
         if self.static_bound is not None:
@@ -226,6 +242,9 @@ class BucketSlice:
             delays = self.schedule.delivery_delays(
                 np.repeat(self.keys[idx], lens), np.repeat(steps, lens), self.peer[edges]
             )
+            if keep_delays:
+                self.pending_delay[edges] = delays
+                self.delay_step[idx] = steps
             has_edges = lens > 0
             starts = (np.cumsum(lens) - lens)[has_edges]
             min_delay[has_edges] = np.minimum.reduceat(delays, starts)
@@ -235,34 +254,44 @@ class BucketSlice:
         """Recompute the batching lookahead after *idx* scheduled new steps."""
         if idx.size == 0:
             return
-        steps = self.step[idx]
         if idx.size <= SCALAR_REFRESH_CUTOFF:
-            # Small batches read the draw blocks (the same draws, bitwise)
-            # and dodge the array-call overhead.
-            for i, step in zip(idx.tolist(), steps.tolist()):
-                self.refresh_scalar(i, step)
+            self.refresh_scalar(idx.tolist(), self.step[idx].tolist())
             return
-        self.next_length[idx], self.margin[idx] = self.lookahead(idx, steps)
+        self.large_refreshes += idx.size
+        self.next_length[idx], self.margin[idx] = self.lookahead(
+            idx, self.step[idx], keep_delays=True
+        )
 
-    def refresh_scalar(self, i: int, step: int) -> None:
-        """:meth:`refresh` of node *i*, pending at *step*, from its draw block.
+    def refresh_scalar(self, nodes: list, steps: list) -> None:
+        """:meth:`refresh` of a few *nodes*, pending at *steps*.
 
-        A block is one :meth:`lookahead` over the node's pending steps
-        ``start .. start + DRAW_BLOCK - 1``, drawn when *step* leaves the
-        node's current block (or it has none yet), so a scalar refresh
+        While small refreshes have served at least as many nodes of the run
+        as large ones, each node reads its draw block: one :meth:`lookahead`
+        over its pending steps ``start .. start + DRAW_BLOCK - 1``, drawn
+        when its step leaves the block (or it has none yet), so a refresh
         costs a list read instead of a hash chain per coordinate.
+        Otherwise most steps are refreshed in large batches and a block
+        would be left mostly unread, so the nodes take one array lookahead.
         """
-        k = step - self.block_start[i]
-        if not 0 <= k < DRAW_BLOCK:
-            self.draw_block(i, step)
-            k = 0
-        length = self.block_lengths[i][k]
-        self.next_length[i] = length
+        self.small_refreshes += len(nodes)
+        if self.small_refreshes < self.large_refreshes:
+            idx = np.asarray(nodes, dtype=np.int64)
+            self.next_length[idx], self.margin[idx] = self.lookahead(
+                idx, np.asarray(steps, dtype=np.int64), keep_delays=True
+            )
+            return
         bound = self.static_bound
-        if bound is None:
-            self.margin[i] = self.block_margins[i][k]
-        else:
-            self.margin[i] = length if length < bound else bound
+        for i, step in zip(nodes, steps):
+            k = step - self.block_start[i]
+            if not 0 <= k < DRAW_BLOCK:
+                self.draw_block(i, step)
+                k = 0
+            length = self.block_lengths[i][k]
+            self.next_length[i] = length
+            if bound is None:
+                self.margin[i] = self.block_margins[i][k]
+            else:
+                self.margin[i] = length if length < bound else bound
 
     def draw_block(self, i: int, step: int) -> None:
         """Draw node *i*'s block for pending steps from *step* on."""
@@ -368,9 +397,13 @@ class BucketSlice:
         if not int(lens.sum()):
             return
         seg, edges = self.ragged(senders, lens)
-        delays = self.schedule.delivery_delays(
-            np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
-        )
+        # Delays kept for these very steps are reused; the rest are drawn.
+        delays = self.pending_delay[edges]
+        drawn = (self.delay_step[senders] != steps)[seg]
+        if drawn.any():
+            delays[drawn] = self.schedule.delivery_delays(
+                self.keys[senders][seg[drawn]], steps[seg[drawn]], self.peer[edges[drawn]]
+            )
         self.max_parameter = max(self.max_parameter, float(delays.max()))
         arrivals = np.maximum(times[seg] + delays, self.last_arrival[edges])
         self.last_arrival[edges] = arrivals
@@ -572,9 +605,13 @@ class VectorizedAsynchronousEngine:
         pending = part.pending
         pend_head = part.pend_head
         last_arrival = part.last_arrival
+        pending_delay = part.pending_delay
+        delay_step = part.delay_step
         bounding = part.b
         max_parameter = part.max_parameter
         events = 0
+        stepped: list = []
+        new_steps: list = []
         for node, step_time in zip(batch, batch_times):
             low, high = indptr[node], indptr[node + 1]
             state_id = int(part.state[node])
@@ -606,8 +643,12 @@ class VectorizedAsynchronousEngine:
             events += 1
             if emit >= 0:
                 part.messages += 1
+                kept = delay_step[node] == step_executed
                 for edge in range(low, high):
-                    delay = schedule.delivery_delay(node, step_executed, peer[edge])
+                    if kept:
+                        delay = float(pending_delay[edge])
+                    else:
+                        delay = schedule.delivery_delay(node, step_executed, peer[edge])
                     if delay > max_parameter:
                         max_parameter = delay
                     arrival = step_time + delay
@@ -623,11 +664,15 @@ class VectorizedAsynchronousEngine:
                 max_parameter = next_length
             part.next_time[node] = step_time + next_length
             part.step[node] = step_executed + 1
-            part.refresh_scalar(node, step_executed + 1)
+            stepped.append(node)
+            new_steps.append(step_executed + 1)
             self._now = step_time
             if part.non_output == 0:
                 self._output_time = self._now
                 break
+        # A node steps at most once per bucket and the next selection is the
+        # first to read its new lookahead, so one refresh serves the bucket.
+        part.refresh_scalar(stepped, new_steps)
         part.events += events
         part.max_parameter = max_parameter
 

@@ -317,8 +317,12 @@ def test_exponential_runs_long_enough_to_refill_draw_blocks(seed):
     through the tiny-bucket path; its nodes take many draw blocks each."""
     session = Simulation()
     spec = RunSpec(
-        protocol="mis", graph="random_tree", nodes=33, environment="async",
-        adversary="exponential", seed=seed,
+        protocol="mis",
+        graph="random_tree",
+        nodes=33,
+        environment="async",
+        adversary="exponential",
+        seed=seed,
     )
     interpreted = session.simulate(spec.replace(backend="python"))
     batched = session.simulate(spec.replace(backend="vectorized"))
@@ -332,8 +336,11 @@ def test_exponential_runs_long_enough_to_refill_draw_blocks(seed):
     "adversary, backend, reason",
     [
         ("uniform", "vectorized", "protocol and adversary support event batching"),
-        ("exponential", "python", "auto stayed interpreted: adversary 'exponential' "
-         "has no usable delay lower bound"),
+        (
+            "exponential",
+            "python",
+            "auto stayed interpreted: adversary 'exponential' has no usable delay lower bound",
+        ),
     ],
 )
 def test_auto_batches_only_adversaries_with_a_delay_bound(adversary, backend, reason):

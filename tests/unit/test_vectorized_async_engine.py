@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import Simulation
+from repro.compilers import compile_to_asynchronous
 from repro.core.counters import engine_runs
 from repro.core.errors import (
     ExecutionError,
@@ -23,6 +24,7 @@ from repro.scheduling.adversary import (
 )
 from repro.scheduling.async_engine import (
     AUTO_VECTORIZE_MIN_NODES,
+    AsynchronousEngine,
     _run_asynchronous,
 )
 from repro.scheduling.compiled import LazyStrictTable
@@ -229,8 +231,9 @@ class TestExecution:
 
 
 class TestDrawBlocks:
-    """A scalar refresh reads the node's draw block; every value it stores
-    equals the scalar draw of the same coordinate."""
+    """A small refresh reads the node's draw block while small refreshes
+    are the majority, and takes one array lookahead otherwise; every value
+    it stores equals the scalar draw of the same coordinate."""
 
     @pytest.mark.parametrize(
         "adversary, sampled",
@@ -240,8 +243,12 @@ class TestDrawBlocks:
     def test_refreshes_across_block_edges_equal_scalar_draws(self, adversary, sampled):
         graph = star_graph(4)
         engine = VectorizedAsynchronousEngine(
-            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=3,
-            adversary=adversary, adversary_seed=11,
+            graph,
+            BroadcastProtocol(),
+            inputs=broadcast_inputs(0),
+            seed=3,
+            adversary=adversary,
+            adversary_seed=11,
         )
         assert engine.sampled_margins is sampled
         part = engine._slice
@@ -250,7 +257,7 @@ class TestDrawBlocks:
         K = DRAW_BLOCK
         crossings = [(1, 1), (K - 1, 1), (K, 1), (K + 1, K + 1), (3 * K + 5, 3 * K + 5)]
         for step, block_start in crossings:
-            part.refresh_scalar(node, step)
+            part.refresh_scalar([node], [step])
             assert part.block_start[node] == block_start, step
             length = schedule.step_length(node, step + 1)
             if sampled:
@@ -261,11 +268,64 @@ class TestDrawBlocks:
             assert part.next_length[node] == length, step
             assert part.margin[node] == min(length, floor), step
 
+    def test_small_refreshes_in_the_minority_draw_no_block(self):
+        """Construction refreshes all 41 nodes in one large batch, so the
+        next small refresh is an array lookahead that keeps the pending
+        step's delays for its emission."""
+        graph = star_graph(40)
+        engine = VectorizedAsynchronousEngine(
+            graph,
+            BroadcastProtocol(),
+            inputs=broadcast_inputs(0),
+            seed=3,
+            adversary=ExponentialAdversary(),
+        )
+        part = engine._slice
+        schedule = part.schedule
+        node, step = 0, 5
+        part.refresh_scalar([node], [step])
+        assert (part.small_refreshes, part.large_refreshes) == (1, graph.num_nodes)
+        assert part.block_lengths[node] is None
+        delays = [schedule.delivery_delay(node, step, peer) for peer in graph.neighbors(node)]
+        length = schedule.step_length(node, step + 1)
+        assert part.next_length[node] == length
+        assert part.margin[node] == min(length, *delays)
+        assert part.delay_step[node] == step
+        low, high = part.indptr_list[node], part.indptr_list[node + 1]
+        assert part.pending_delay[low:high].tolist() == delays
+
+    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "array-lookahead"])
+    def test_exponential_runs_equal_the_interpreter_either_way(self, blocks):
+        """Small refreshes read draw blocks or, when large refreshes are
+        forced into the majority, take array lookaheads whose kept delays
+        emitting steps reuse: both runs are the interpreter's."""
+        graph = path_graph(12)
+        protocol = compile_to_asynchronous(MISProtocol())
+        run = dict(adversary=ExponentialAdversary(), seed=4)
+        engine = VectorizedAsynchronousEngine(graph, protocol, **run)
+        part = engine._slice
+        if not blocks:
+            part.large_refreshes = 10**9
+        drawn_at_start = list(part.block_start)
+        batched = engine.run(raise_on_timeout=True)
+        interpreted = AsynchronousEngine(graph, protocol, **run).run(raise_on_timeout=True)
+        assert (part.block_start != drawn_at_start) is blocks
+        assert part.small_refreshes > 0
+        assert batched.total_messages > 0
+        assert batched.final_states == interpreted.final_states
+        assert batched.time_units == interpreted.time_units
+        assert batched.total_node_steps == interpreted.total_node_steps
+        assert batched.total_messages == interpreted.total_messages
+        assert batched.metadata["max_parameter"] == interpreted.metadata["max_parameter"]
+
     def test_blocks_hold_at_most_n_plus_m_values_per_step(self):
         """Blocks are float64 arrays; an isolated node keeps one copy."""
         graph = Graph(6, [(0, 1)])
         engine = VectorizedAsynchronousEngine(
-            graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1,
+            graph,
+            BroadcastProtocol(),
+            inputs=broadcast_inputs(0),
+            seed=1,
             adversary=ExponentialAdversary(),
         )
         engine.run(max_events=2_000)
