@@ -298,10 +298,9 @@ def _run_asynchronous(
     interpreted reference engine), ``"vectorized"`` (time-bucketed event
     batches over lazily compiled tables, see :mod:`repro.scheduling.
     vectorized_async_engine`) or ``"auto"`` (the batched engine when the
-    protocol and the adversary support it, the network has at least
-    :data:`AUTO_VECTORIZE_MIN_NODES` nodes *and* the adversary has a usable
-    delay lower bound — otherwise the interpreter is faster; interpreted
-    otherwise).  An unknown token raises
+    protocol and the adversary support it *and* the network has at least
+    :data:`AUTO_VECTORIZE_MIN_NODES` nodes — below that the interpreter is
+    faster; interpreted otherwise).  An unknown token raises
     :class:`ExecutionError`.  Terminating runs produce identical results for
     the same seeds on every backend.
 
@@ -360,14 +359,6 @@ def _run_asynchronous(
             reason = f"auto fell back to the interpreter{dropped}: {exc}"
         else:
             reason = "protocol and adversary support event batching"
-            if backend == "auto" and engine.sampled_margins:
-                # Buckets sized by sampled delays hold a few steps each, and
-                # the interpreter runs such schedules faster.
-                reason = (
-                    f"auto stayed interpreted{dropped}: adversary "
-                    f"{engine.adversary_name!r} has no usable delay lower bound"
-                )
-                engine = None
     if engine is None:
         if reason is None:  # chosen up front, not fallen back to
             if backend == "python":

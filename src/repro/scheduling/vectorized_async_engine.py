@@ -49,24 +49,24 @@ asynchronous run is one process: a ``shards >= 2`` request runs this engine
 unsharded and records why (see :func:`repro.scheduling.async_engine.
 _run_asynchronous`).
 
-A small lookahead refresh (a tiny bucket's nodes, refreshed together once
-the bucket is done, or any refresh of at most :data:`SCALAR_REFRESH_CUTOFF`
+On networks of at most :data:`DRAW_BLOCK_MAX_NODES` nodes a small
+lookahead refresh (a tiny bucket's nodes, refreshed together once the
+bucket is done, or any refresh of at most :data:`SCALAR_REFRESH_CUTOFF`
 nodes) reads per-node *draw blocks* instead of hashing one coordinate per
-call, as long as small refreshes have served at least as many nodes of the
-run as large ones.  A node's block is one batch draw of its next
-:data:`DRAW_BLOCK` step lengths and, with sampled margins, of those steps'
-margins (each step's smallest delivery delay, capped by the next length),
-drawn on its first such refresh and again whenever its step leaves the
-block.  Where large refreshes are the majority (big networks under
-``exponential``) a node would leave its block mostly unread, so small
-refreshes take one array lookahead instead.  Blocks are ``array('d')``,
-8 B a value: one run holds at most one block of lengths per node plus one
-of margins per node with a neighbour, so at most ``(n + m) × DRAW_BLOCK``
-values for ``m`` directed edges.  An array lookahead with sampled margins
-keeps the pending step's delays for its emission; a step refreshed from a
-block draws them when it emits.  Draws are pure, so reading a value early
-changes nothing, and ``max_parameter`` counts only the lengths and delays
-a run consumes.
+call.  A node's block is one batch draw of its next :data:`DRAW_BLOCK`
+step lengths and, with sampled margins, of those steps' margins (each
+step's smallest delivery delay, capped by the next length), drawn on its
+first small refresh and again whenever its step leaves the block; a step
+that emits draws its delays then.  On larger networks most node refreshes
+are large, so a block would go mostly unread, and every refresh is one
+array lookahead, which with sampled margins keeps the pending step's delays
+for its emission.  Blocks are ``array('d')``, 8 B a value: one run holds at
+most one block of lengths per node plus one of margins per node with a
+neighbour, so at most ``(n + m) × DRAW_BLOCK`` values for ``m`` directed
+edges, and one block draw covers at most ``DRAW_BLOCK ×
+DRAW_BLOCK_MAX_NODES`` coordinates (per step, a length plus one delay per
+neighbour).  Draws are pure, so reading a value early changes nothing, and
+``max_parameter`` counts only the lengths and delays a run consumes.
 
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
@@ -112,14 +112,19 @@ from repro.scheduling.picks import (
 #: amortise.  Both paths implement the same canonical semantics.
 SCALAR_BUCKET_CUTOFF = 12
 
-#: Refreshes of at most this many nodes are small
-#: (:meth:`BucketSlice.refresh_scalar`) and may read the per-node draw
-#: blocks: one array lookahead costs about as much as 40 block reads, the
-#: block draws included.
+#: Refreshes of at most this many nodes are small and read the per-node
+#: draw blocks (:meth:`BucketSlice.refresh_scalar`).
 SCALAR_REFRESH_CUTOFF = 32
 
 #: Pending steps per draw block of the scalar lookahead.
 DRAW_BLOCK = 64
+
+#: Networks of at most this many nodes read draw blocks.  The larger the
+#: network, the larger its buckets and the fewer of its node refreshes are
+#: small (MIS on ``random_tree`` under ``exponential``: 99% at n=257, 62% at
+#: n=1025), so past this size a block would go mostly unread and every
+#: refresh is one array lookahead instead.
+DRAW_BLOCK_MAX_NODES = 1536
 
 
 class BucketSlice:
@@ -187,11 +192,12 @@ class BucketSlice:
         self.pend_head = np.full(m, np.inf)
         # Sender-major per-edge bookkeeping.
         self.last_arrival = np.zeros(m)
-        # The pending step's delivery delays as an array lookahead drew them
-        # with sampled margins, reused if the step emits; delay_step[v] is
-        # the step whose delays v's edges hold (0: none).
+        # Small refreshes read draw blocks on networks up to
+        # DRAW_BLOCK_MAX_NODES; on larger ones, with sampled margins, every
+        # lookahead keeps the pending step's delivery delays for its emission.
+        self.blocks = n <= DRAW_BLOCK_MAX_NODES
+        self.keep_delays = static_bound is None and not self.blocks
         self.pending_delay = np.zeros(m)
-        self.delay_step = np.zeros(n, dtype=np.int64)
 
         self.step = np.ones(n, dtype=np.int64)
         self.next_length = np.zeros(n)
@@ -201,10 +207,6 @@ class BucketSlice:
         self.block_start = [-DRAW_BLOCK] * n
         self.block_lengths: list = [None] * n
         self.block_margins: list = [None] * n
-        # Nodes served by small and by large refreshes so far (see
-        # refresh_scalar).
-        self.small_refreshes = 0
-        self.large_refreshes = 0
         self.steps_taken = 0
         self.messages = 0
         self.events = 0
@@ -221,7 +223,7 @@ class BucketSlice:
         edges = np.repeat(self.indptr[idx], lens) + offsets
         return seg, edges
 
-    def lookahead(self, idx, steps, keep_delays=False):
+    def lookahead(self, idx, steps):
         """``(next_lengths, margins)`` of nodes *idx* pending at *steps*.
 
         Samples purely, without accounting: each pending step's following
@@ -229,8 +231,9 @@ class BucketSlice:
         the margin lower-bounds the earliest instant any *future* action of
         the node can influence another node.  With sampled margins that is
         the smaller of the next length and the pending step's smallest
-        delivery delay; *keep_delays* (one step per node) keeps the delays
-        for :meth:`emit`.
+        delivery delay; the delays are kept for :meth:`emit` when
+        ``keep_delays`` is set (then there are no blocks, and *steps* hold
+        one step per node).
         """
         next_lengths = self.schedule.step_lengths(self.keys[idx], steps + 1)
         if self.static_bound is not None:
@@ -242,9 +245,8 @@ class BucketSlice:
             delays = self.schedule.delivery_delays(
                 np.repeat(self.keys[idx], lens), np.repeat(steps, lens), self.peer[edges]
             )
-            if keep_delays:
+            if self.keep_delays:
                 self.pending_delay[edges] = delays
-                self.delay_step[idx] = steps
             has_edges = lens > 0
             starts = (np.cumsum(lens) - lens)[has_edges]
             min_delay[has_edges] = np.minimum.reduceat(delays, starts)
@@ -254,32 +256,20 @@ class BucketSlice:
         """Recompute the batching lookahead after *idx* scheduled new steps."""
         if idx.size == 0:
             return
-        if idx.size <= SCALAR_REFRESH_CUTOFF:
-            self.refresh_scalar(idx.tolist(), self.step[idx].tolist())
+        steps = self.step[idx]
+        if self.blocks and idx.size <= SCALAR_REFRESH_CUTOFF:
+            self.refresh_scalar(idx.tolist(), steps.tolist())
             return
-        self.large_refreshes += idx.size
-        self.next_length[idx], self.margin[idx] = self.lookahead(
-            idx, self.step[idx], keep_delays=True
-        )
+        self.next_length[idx], self.margin[idx] = self.lookahead(idx, steps)
 
     def refresh_scalar(self, nodes: list, steps: list) -> None:
-        """:meth:`refresh` of a few *nodes*, pending at *steps*.
+        """:meth:`refresh` of a few *nodes*, pending at *steps*, from blocks.
 
-        While small refreshes have served at least as many nodes of the run
-        as large ones, each node reads its draw block: one :meth:`lookahead`
-        over its pending steps ``start .. start + DRAW_BLOCK - 1``, drawn
-        when its step leaves the block (or it has none yet), so a refresh
-        costs a list read instead of a hash chain per coordinate.
-        Otherwise most steps are refreshed in large batches and a block
-        would be left mostly unread, so the nodes take one array lookahead.
+        Each node reads its draw block: one :meth:`lookahead` over its
+        pending steps ``start .. start + DRAW_BLOCK - 1``, drawn when its
+        step leaves the block (or it has none yet), so a refresh costs a
+        list read instead of a hash chain per coordinate.
         """
-        self.small_refreshes += len(nodes)
-        if self.small_refreshes < self.large_refreshes:
-            idx = np.asarray(nodes, dtype=np.int64)
-            self.next_length[idx], self.margin[idx] = self.lookahead(
-                idx, np.asarray(steps, dtype=np.int64), keep_delays=True
-            )
-            return
         bound = self.static_bound
         for i, step in zip(nodes, steps):
             k = step - self.block_start[i]
@@ -397,12 +387,11 @@ class BucketSlice:
         if not int(lens.sum()):
             return
         seg, edges = self.ragged(senders, lens)
-        # Delays kept for these very steps are reused; the rest are drawn.
-        delays = self.pending_delay[edges]
-        drawn = (self.delay_step[senders] != steps)[seg]
-        if drawn.any():
-            delays[drawn] = self.schedule.delivery_delays(
-                self.keys[senders][seg[drawn]], steps[seg[drawn]], self.peer[edges[drawn]]
+        if self.keep_delays:
+            delays = self.pending_delay[edges]
+        else:
+            delays = self.schedule.delivery_delays(
+                np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
             )
         self.max_parameter = max(self.max_parameter, float(delays.max()))
         arrivals = np.maximum(times[seg] + delays, self.last_arrival[edges])
@@ -520,16 +509,6 @@ class VectorizedAsynchronousEngine:
     def table(self) -> LazyStrictTable:
         return self._table
 
-    @property
-    def adversary_name(self) -> str:
-        return self._adversary_name
-
-    @property
-    def sampled_margins(self) -> bool:
-        """Whether bucket margins come from sampled delays: the adversary
-        has no delay lower bound useful against its step lengths."""
-        return self._static_bound is None
-
     def in_output_configuration(self) -> bool:
         return self._slice.non_output == 0
 
@@ -606,7 +585,7 @@ class VectorizedAsynchronousEngine:
         pend_head = part.pend_head
         last_arrival = part.last_arrival
         pending_delay = part.pending_delay
-        delay_step = part.delay_step
+        kept = part.keep_delays
         bounding = part.b
         max_parameter = part.max_parameter
         events = 0
@@ -643,7 +622,6 @@ class VectorizedAsynchronousEngine:
             events += 1
             if emit >= 0:
                 part.messages += 1
-                kept = delay_step[node] == step_executed
                 for edge in range(low, high):
                     if kept:
                         delay = float(pending_delay[edge])
@@ -672,7 +650,10 @@ class VectorizedAsynchronousEngine:
                 break
         # A node steps at most once per bucket and the next selection is the
         # first to read its new lookahead, so one refresh serves the bucket.
-        part.refresh_scalar(stepped, new_steps)
+        if part.blocks:
+            part.refresh_scalar(stepped, new_steps)
+        else:
+            part.refresh(np.asarray(stepped, dtype=np.int64))
         part.events += events
         part.max_parameter = max_parameter
 

@@ -332,31 +332,6 @@ def test_exponential_runs_long_enough_to_refill_draw_blocks(seed):
     assert batched.total_node_steps / spec.nodes > 2 * DRAW_BLOCK
 
 
-@pytest.mark.parametrize(
-    "adversary, backend, reason",
-    [
-        ("uniform", "vectorized", "protocol and adversary support event batching"),
-        (
-            "exponential",
-            "python",
-            "auto stayed interpreted: adversary 'exponential' has no usable delay lower bound",
-        ),
-    ],
-)
-def test_auto_batches_only_adversaries_with_a_delay_bound(adversary, backend, reason):
-    """At the batching threshold ``"auto"`` batches ``uniform`` but keeps
-    ``exponential`` on the interpreter, whose sampled margins leave the
-    batched engine a few steps per bucket.  The truncated run is the one
-    the chosen backend gives when named."""
-    session = Simulation()
-    spec = _spec("mis", seed=3, nodes=AUTO_VECTORIZE_MIN_NODES, adversary=adversary)
-    chosen = session.simulate(spec, raise_on_timeout=False)
-    assert chosen.metadata["backend"] == backend
-    assert chosen.metadata["backend_reason"] == reason
-    named = session.simulate(spec.replace(backend=backend), raise_on_timeout=False)
-    assert _identity(chosen) == _identity(named)
-
-
 def test_truncated_run_keeps_the_unsharded_annotation():
     """A ``shards=2`` run cut at its event budget raises with a partial
     result that still records the one-shard split and its reason."""

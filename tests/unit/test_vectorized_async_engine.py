@@ -28,8 +28,10 @@ from repro.scheduling.async_engine import (
     _run_asynchronous,
 )
 from repro.scheduling.compiled import LazyStrictTable
+from repro.scheduling import vectorized_async_engine
 from repro.scheduling.vectorized_async_engine import (
     DRAW_BLOCK,
+    DRAW_BLOCK_MAX_NODES,
     VectorizedAsynchronousEngine,
 )
 
@@ -231,9 +233,10 @@ class TestExecution:
 
 
 class TestDrawBlocks:
-    """A small refresh reads the node's draw block while small refreshes
-    are the majority, and takes one array lookahead otherwise; every value
-    it stores equals the scalar draw of the same coordinate."""
+    """On networks of at most ``DRAW_BLOCK_MAX_NODES`` nodes a small refresh
+    reads the node's draw block, on larger ones every refresh is one array
+    lookahead; every value either stores equals the scalar draw of the same
+    coordinate."""
 
     @pytest.mark.parametrize(
         "adversary, sampled",
@@ -250,8 +253,8 @@ class TestDrawBlocks:
             adversary=adversary,
             adversary_seed=11,
         )
-        assert engine.sampled_margins is sampled
         part = engine._slice
+        assert (part.static_bound is None) is sampled
         schedule = part.schedule
         node = 0  # the hub: every other node is its neighbour
         K = DRAW_BLOCK
@@ -268,11 +271,14 @@ class TestDrawBlocks:
             assert part.next_length[node] == length, step
             assert part.margin[node] == min(length, floor), step
 
-    def test_small_refreshes_in_the_minority_draw_no_block(self):
-        """Construction refreshes all 41 nodes in one large batch, so the
-        next small refresh is an array lookahead that keeps the pending
+    @pytest.mark.parametrize("leaves", [DRAW_BLOCK_MAX_NODES - 1, DRAW_BLOCK_MAX_NODES])
+    def test_a_star_hub_draws_at_most_a_block_per_node_of_the_limit(self, leaves):
+        """A hub's block draw covers ``DRAW_BLOCK`` steps of its length and
+        its delays to every leaf, so the size limit bounds it at
+        ``DRAW_BLOCK * DRAW_BLOCK_MAX_NODES`` coordinates.  One more leaf
+        and the hub takes one array lookahead, which keeps the pending
         step's delays for its emission."""
-        graph = star_graph(40)
+        graph = star_graph(leaves)
         engine = VectorizedAsynchronousEngine(
             graph,
             BroadcastProtocol(),
@@ -281,36 +287,52 @@ class TestDrawBlocks:
             adversary=ExponentialAdversary(),
         )
         part = engine._slice
-        schedule = part.schedule
+        blocks = graph.num_nodes <= DRAW_BLOCK_MAX_NODES
+        assert (part.blocks, part.keep_delays) == (blocks, not blocks)
+        drawn = []
+        lookahead = part.lookahead
+
+        def counted(idx, steps):
+            drawn.append(int(idx.size + part.degrees[idx].sum()))
+            return lookahead(idx, steps)
+
+        part.lookahead = counted
         node, step = 0, 5
-        part.refresh_scalar([node], [step])
-        assert (part.small_refreshes, part.large_refreshes) == (1, graph.num_nodes)
-        assert part.block_lengths[node] is None
+        part.step[node] = step
+        part.refresh(np.asarray([node]))
+        if blocks:
+            assert drawn == [DRAW_BLOCK * graph.num_nodes]
+            assert drawn[0] <= DRAW_BLOCK * DRAW_BLOCK_MAX_NODES
+            assert part.block_start[node] == step
+        else:
+            assert drawn == [graph.num_nodes]
+            assert part.block_lengths[node] is None
+        schedule = part.schedule
         delays = [schedule.delivery_delay(node, step, peer) for peer in graph.neighbors(node)]
         length = schedule.step_length(node, step + 1)
         assert part.next_length[node] == length
         assert part.margin[node] == min(length, *delays)
-        assert part.delay_step[node] == step
-        low, high = part.indptr_list[node], part.indptr_list[node + 1]
-        assert part.pending_delay[low:high].tolist() == delays
+        if not blocks:
+            low, high = part.indptr_list[node], part.indptr_list[node + 1]
+            assert part.pending_delay[low:high].tolist() == delays
 
     @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "array-lookahead"])
-    def test_exponential_runs_equal_the_interpreter_either_way(self, blocks):
-        """Small refreshes read draw blocks or, when large refreshes are
-        forced into the majority, take array lookaheads whose kept delays
-        emitting steps reuse: both runs are the interpreter's."""
+    def test_exponential_runs_equal_the_interpreter_either_way(self, blocks, monkeypatch):
+        """Small refreshes read draw blocks and emitting steps draw their
+        delays or, with blocks off, every refresh is an array lookahead
+        whose kept delays emitting steps reuse: both runs are the
+        interpreter's."""
+        if not blocks:
+            monkeypatch.setattr(vectorized_async_engine, "DRAW_BLOCK_MAX_NODES", 0)
         graph = path_graph(12)
         protocol = compile_to_asynchronous(MISProtocol())
         run = dict(adversary=ExponentialAdversary(), seed=4)
         engine = VectorizedAsynchronousEngine(graph, protocol, **run)
         part = engine._slice
-        if not blocks:
-            part.large_refreshes = 10**9
-        drawn_at_start = list(part.block_start)
+        assert (part.blocks, part.keep_delays) == (blocks, not blocks)
         batched = engine.run(raise_on_timeout=True)
         interpreted = AsynchronousEngine(graph, protocol, **run).run(raise_on_timeout=True)
-        assert (part.block_start != drawn_at_start) is blocks
-        assert part.small_refreshes > 0
+        assert any(block is not None for block in part.block_lengths) is blocks
         assert batched.total_messages > 0
         assert batched.final_states == interpreted.final_states
         assert batched.time_units == interpreted.time_units
