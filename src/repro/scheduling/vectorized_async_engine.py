@@ -56,11 +56,10 @@ nodes) reads per-node *draw blocks* instead of hashing one coordinate per
 call.  A node's block is one batch draw of its next :data:`DRAW_BLOCK`
 step lengths and, with sampled margins, of those steps' margins (each
 step's smallest delivery delay, capped by the next length), drawn on its
-first small refresh and again whenever its step leaves the block; a step
-that emits draws its delays then.  On larger networks most node refreshes
-are large, so a block would go mostly unread, and every refresh is one
-array lookahead, which with sampled margins keeps the pending step's delays
-for its emission.  Blocks are ``array('d')``, 8 B a value: one run holds at
+first small refresh and again whenever its step leaves the block.  On
+larger networks most node refreshes are large, so a block would go mostly
+unread, and every refresh is one array lookahead.  A step that emits draws
+its delivery delays then, whichever way it was refreshed.  Blocks are ``array('d')``, 8 B a value: one run holds at
 most one block of lengths per node plus one of margins per node with a
 neighbour, so at most ``(n + m) × DRAW_BLOCK`` values for ``m`` directed
 edges, and one block draw covers at most ``DRAW_BLOCK ×
@@ -192,18 +191,14 @@ class BucketSlice:
         self.pend_head = np.full(m, np.inf)
         # Sender-major per-edge bookkeeping.
         self.last_arrival = np.zeros(m)
-        # Small refreshes read draw blocks on networks up to
-        # DRAW_BLOCK_MAX_NODES; on larger ones, with sampled margins, every
-        # lookahead keeps the pending step's delivery delays for its emission.
-        self.blocks = n <= DRAW_BLOCK_MAX_NODES
-        self.keep_delays = static_bound is None and not self.blocks
-        self.pending_delay = np.zeros(m)
 
         self.step = np.ones(n, dtype=np.int64)
         self.next_length = np.zeros(n)
-        # Per-node draw blocks of the scalar lookahead (see refresh_scalar):
-        # the first pending step a block covers, its next lengths and, with
-        # sampled margins, its margins.  No node starts with a block.
+        # Per-node draw blocks of the scalar lookahead (see refresh_scalar),
+        # read on networks of at most DRAW_BLOCK_MAX_NODES nodes: the first
+        # pending step a block covers, its next lengths and, with sampled
+        # margins, its margins.  No node starts with a block.
+        self.blocks = n <= DRAW_BLOCK_MAX_NODES
         self.block_start = [-DRAW_BLOCK] * n
         self.block_lengths: list = [None] * n
         self.block_margins: list = [None] * n
@@ -231,9 +226,8 @@ class BucketSlice:
         the margin lower-bounds the earliest instant any *future* action of
         the node can influence another node.  With sampled margins that is
         the smaller of the next length and the pending step's smallest
-        delivery delay; the delays are kept for :meth:`emit` when
-        ``keep_delays`` is set (then there are no blocks, and *steps* hold
-        one step per node).
+        delivery delay.  A step that emits draws its delays again
+        (:meth:`emit`).
         """
         next_lengths = self.schedule.step_lengths(self.keys[idx], steps + 1)
         if self.static_bound is not None:
@@ -245,8 +239,6 @@ class BucketSlice:
             delays = self.schedule.delivery_delays(
                 np.repeat(self.keys[idx], lens), np.repeat(steps, lens), self.peer[edges]
             )
-            if self.keep_delays:
-                self.pending_delay[edges] = delays
             has_edges = lens > 0
             starts = (np.cumsum(lens) - lens)[has_edges]
             min_delay[has_edges] = np.minimum.reduceat(delays, starts)
@@ -387,12 +379,9 @@ class BucketSlice:
         if not int(lens.sum()):
             return
         seg, edges = self.ragged(senders, lens)
-        if self.keep_delays:
-            delays = self.pending_delay[edges]
-        else:
-            delays = self.schedule.delivery_delays(
-                np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
-            )
+        delays = self.schedule.delivery_delays(
+            np.repeat(self.keys[senders], lens), np.repeat(steps, lens), self.peer[edges]
+        )
         self.max_parameter = max(self.max_parameter, float(delays.max()))
         arrivals = np.maximum(times[seg] + delays, self.last_arrival[edges])
         self.last_arrival[edges] = arrivals
@@ -584,8 +573,6 @@ class VectorizedAsynchronousEngine:
         pending = part.pending
         pend_head = part.pend_head
         last_arrival = part.last_arrival
-        pending_delay = part.pending_delay
-        kept = part.keep_delays
         bounding = part.b
         max_parameter = part.max_parameter
         events = 0
@@ -623,10 +610,7 @@ class VectorizedAsynchronousEngine:
             if emit >= 0:
                 part.messages += 1
                 for edge in range(low, high):
-                    if kept:
-                        delay = float(pending_delay[edge])
-                    else:
-                        delay = schedule.delivery_delay(node, step_executed, peer[edge])
+                    delay = schedule.delivery_delay(node, step_executed, peer[edge])
                     if delay > max_parameter:
                         max_parameter = delay
                     arrival = step_time + delay

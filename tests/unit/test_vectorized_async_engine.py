@@ -276,8 +276,7 @@ class TestDrawBlocks:
         """A hub's block draw covers ``DRAW_BLOCK`` steps of its length and
         its delays to every leaf, so the size limit bounds it at
         ``DRAW_BLOCK * DRAW_BLOCK_MAX_NODES`` coordinates.  One more leaf
-        and the hub takes one array lookahead, which keeps the pending
-        step's delays for its emission."""
+        and the hub takes one array lookahead of one step."""
         graph = star_graph(leaves)
         engine = VectorizedAsynchronousEngine(
             graph,
@@ -288,7 +287,7 @@ class TestDrawBlocks:
         )
         part = engine._slice
         blocks = graph.num_nodes <= DRAW_BLOCK_MAX_NODES
-        assert (part.blocks, part.keep_delays) == (blocks, not blocks)
+        assert part.blocks is blocks
         drawn = []
         lookahead = part.lookahead
 
@@ -312,16 +311,11 @@ class TestDrawBlocks:
         length = schedule.step_length(node, step + 1)
         assert part.next_length[node] == length
         assert part.margin[node] == min(length, *delays)
-        if not blocks:
-            low, high = part.indptr_list[node], part.indptr_list[node + 1]
-            assert part.pending_delay[low:high].tolist() == delays
 
     @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "array-lookahead"])
     def test_exponential_runs_equal_the_interpreter_either_way(self, blocks, monkeypatch):
-        """Small refreshes read draw blocks and emitting steps draw their
-        delays or, with blocks off, every refresh is an array lookahead
-        whose kept delays emitting steps reuse: both runs are the
-        interpreter's."""
+        """Small refreshes read draw blocks or, with blocks off, every
+        refresh is an array lookahead: both runs are the interpreter's."""
         if not blocks:
             monkeypatch.setattr(vectorized_async_engine, "DRAW_BLOCK_MAX_NODES", 0)
         graph = path_graph(12)
@@ -329,7 +323,7 @@ class TestDrawBlocks:
         run = dict(adversary=ExponentialAdversary(), seed=4)
         engine = VectorizedAsynchronousEngine(graph, protocol, **run)
         part = engine._slice
-        assert (part.blocks, part.keep_delays) == (blocks, not blocks)
+        assert part.blocks is blocks
         batched = engine.run(raise_on_timeout=True)
         interpreted = AsynchronousEngine(graph, protocol, **run).run(raise_on_timeout=True)
         assert any(block is not None for block in part.block_lengths) is blocks
