@@ -59,13 +59,14 @@ step's smallest delivery delay, capped by the next length), drawn on its
 first small refresh and again whenever its step leaves the block.  On
 larger networks most node refreshes are large, so a block would go mostly
 unread, and every refresh is one array lookahead.  A step that emits draws
-its delivery delays then, whichever way it was refreshed.  Blocks are ``array('d')``, 8 B a value: one run holds at
-most one block of lengths per node plus one of margins per node with a
-neighbour, so at most ``(n + m) × DRAW_BLOCK`` values for ``m`` directed
-edges, and one block draw covers at most ``DRAW_BLOCK ×
-DRAW_BLOCK_MAX_NODES`` coordinates (per step, a length plus one delay per
-neighbour).  Draws are pure, so reading a value early changes nothing, and
-``max_parameter`` counts only the lengths and delays a run consumes.
+its delivery delays then, whichever way it was refreshed.  Blocks are
+``array('d')``, 8 B a value: one run holds at most one block of lengths
+per node plus one of margins per node with a neighbour, so at most
+``(n + m) × DRAW_BLOCK`` values for ``m`` directed edges, and one block
+draw covers at most ``DRAW_BLOCK × DRAW_BLOCK_MAX_NODES`` coordinates (per
+step, a length plus one delay per neighbour).  Draws are pure, so reading
+a value early changes nothing, and ``max_parameter`` counts only the
+lengths and delays a run consumes.
 
 The ``max_events`` budget is honoured at bucket granularity: a run may
 process up to one bucket past the budget before stopping, so partial
@@ -111,8 +112,8 @@ from repro.scheduling.picks import (
 #: amortise.  Both paths implement the same canonical semantics.
 SCALAR_BUCKET_CUTOFF = 12
 
-#: Refreshes of at most this many nodes are small and read the per-node
-#: draw blocks (:meth:`BucketSlice.refresh_scalar`).
+#: Refreshes of at most this many nodes are small: they read the per-node
+#: draw blocks (:meth:`BucketSlice.refresh_scalar`) where there are blocks.
 SCALAR_REFRESH_CUTOFF = 32
 
 #: Pending steps per draw block of the scalar lookahead.
@@ -120,8 +121,8 @@ DRAW_BLOCK = 64
 
 #: Networks of at most this many nodes read draw blocks.  The larger the
 #: network, the larger its buckets and the fewer of its node refreshes are
-#: small (MIS on ``random_tree`` under ``exponential``: 99% at n=257, 62% at
-#: n=1025), so past this size a block would go mostly unread and every
+#: small (MIS on ``random_tree`` under ``exponential``: 62% at n=1025, 43%
+#: at n=1537); past this size a block would go mostly unread, so every
 #: refresh is one array lookahead instead.
 DRAW_BLOCK_MAX_NODES = 1536
 
@@ -245,7 +246,9 @@ class BucketSlice:
         return next_lengths, np.minimum(min_delay, next_lengths)
 
     def refresh(self, idx) -> None:
-        """Recompute the batching lookahead after *idx* scheduled new steps."""
+        """Recompute the batching lookahead after *idx* scheduled new steps:
+        from the draw blocks for a small refresh on a network with blocks,
+        else by one array :meth:`lookahead`."""
         if idx.size == 0:
             return
         steps = self.step[idx]
