@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Mini scaling study: regenerate the headline growth curves on your laptop.
 
-This is a lighter-weight version of the benchmark harness (see
-``benchmarks/`` and EXPERIMENTS.md): it sweeps the Stone Age MIS and the tree
-3-coloring protocols over doubling network sizes, prints rounds alongside the
-log-normalised columns the theorems predict, and reports which growth
-function fits the measurements best.
+This is a lighter-weight version of experiments E1 and E2 (``python -m
+repro experiment E1`` prints the full report): it sweeps the Stone Age MIS
+and the tree 3-coloring protocols over doubling network sizes, prints rounds
+alongside the log-normalised columns the theorems predict, and reports which
+growth function fits the measurements best.
 
 Both sweeps run through one :class:`repro.api.Simulation` session, so the
 compiled transition tables stay warm across them, and each workload is a

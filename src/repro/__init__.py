@@ -16,7 +16,7 @@ everything the paper builds on top of it:
   baselines plus centralized references;
 * :mod:`repro.verification` — solution checkers;
 * :mod:`repro.analysis` — sweeps, statistics and the experiment harness
-  behind EXPERIMENTS.md;
+  behind ``repro experiment``;
 * :mod:`repro.api` — the unified :class:`Simulation` session,
   :class:`RunSpec` experiment descriptions and the named registries.
 

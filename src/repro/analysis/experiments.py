@@ -1,12 +1,11 @@
-"""The reproduction experiments (E1–E14; E1–E12 in DESIGN.md).
+"""The reproduction experiments (E1–E14, and the ablations A1 and A2).
 
 Each function reproduces one quantitative claim of the paper and returns an
 :class:`~repro.analysis.reporting.ExperimentReport` whose rows are the series
 the claim is about, plus a ``passed`` verdict for the *shape* of the result
-(who wins, what the growth looks like, where the constants land).  The
-benchmark suite calls these functions with small default workloads and prints
-the reports into ``bench_output.txt``; EXPERIMENTS.md summarises the
-outcomes.
+(who wins, what the growth looks like, where the constants land).
+``repro experiment <id>`` runs one and prints its report (``--quick`` picks
+small workloads); the integration tests assert each verdict.
 """
 
 from __future__ import annotations

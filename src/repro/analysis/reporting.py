@@ -1,10 +1,8 @@
 """Plain-text tables and experiment reports.
 
-The benchmark harness prints, next to pytest-benchmark's timing output, the
-series the paper's claims are about (rounds vs ``n``, overhead ratios, decay
-factors, ...).  These helpers render them as aligned ASCII tables so that
-``bench_output.txt`` doubles as the reproduction record referenced by
-EXPERIMENTS.md.
+``repro experiment`` prints the series the paper's claims are about (rounds
+vs ``n``, overhead ratios, decay factors, ...).  These helpers render them
+as aligned ASCII tables.
 """
 
 from __future__ import annotations

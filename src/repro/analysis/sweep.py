@@ -1,7 +1,7 @@
 """Parameter sweeps: run a protocol across graph families, sizes and seeds.
 
-The experiment harness (and the benchmarks regenerating the paper's claims)
-all funnel through one sweep implementation,
+The experiment harness and perfbench's sweep legs all funnel through one
+sweep implementation,
 :meth:`repro.api.Simulation.sweep`: given a spec, a set of graph families
 and a list of sizes, it produces one :class:`SweepRecord` per cell
 containing the measured cost and the verified solution quality.  This module

@@ -206,21 +206,16 @@ class Simulation:
     True
 
     ``store=`` (a :class:`~repro.api.store.ResultStore` or a directory
-    path; ``cache_dir=`` is the path-only spelling) attaches a persistent
-    content-addressable result cache: every seeded spec executed through
-    ``simulate()`` / ``repeat()`` / ``sweep()`` is first looked up by its
-    canonical hash and only runs the engines on a miss — a fully warm
-    store replays a whole sweep with *zero* engine executions, returning
-    results bitwise-identical to the cold run.  Unseeded specs always
-    bypass the store (their results are not content-addressable).
+    path) attaches a persistent content-addressable result cache: every
+    seeded spec executed through ``simulate()`` / ``repeat()`` /
+    ``sweep()`` is first looked up by its canonical hash and only runs
+    the engines on a miss — a fully warm store replays a whole sweep with
+    *zero* engine executions, returning results bitwise-identical to the
+    cold run.  Unseeded specs always bypass the store (their results are
+    not content-addressable).
     """
 
-    def __init__(
-        self,
-        *,
-        store: "Any | None" = None,
-        cache_dir: "str | None" = None,
-    ) -> None:
+    def __init__(self, *, store: "Any | None" = None) -> None:
         self._tables: dict[tuple, Any] = {}
         self._cache_hits = 0
         self._cache_misses = 0
@@ -230,8 +225,6 @@ class Simulation:
             "cut_edges": 0,
             "halo_bytes_per_round": 0,
         }
-        if store is None and cache_dir is not None:
-            store = cache_dir
         if store is not None and isinstance(store, (str, os.PathLike)):
             from repro.api.store import ResultStore
 

@@ -23,7 +23,7 @@ lemma.  The finite control of the rLBA is represented by ordinary local
 variables ranging over constant-size domains; locating the reverse port cell
 of an edge uses a precomputed offset table, standing in for the id-matching
 scan a literal rLBA would perform (this affects only the step count, not the
-space bound — the substitution is recorded in DESIGN.md).  The class exposes
+space bound).  The class exposes
 :meth:`space_report` so the experiments can verify the O(1)-cells-per-entry
 claim, and its executions are bit-for-bit identical to the synchronous
 engine's when given the same seed — both draw their coins from the counter

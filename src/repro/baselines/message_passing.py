@@ -6,7 +6,7 @@ live in the standard message passing model: in every round a node may send a
 messages addressed to it, and perform unbounded local computation.  This is
 exactly the power the nFSM model strips away, so having both substrates side
 by side lets the experiments quantify what the Stone Age restrictions cost
-(experiment E10/E11 in DESIGN.md).
+(experiments E10 and E11; ``repro experiment E10`` prints one).
 
 The engine is deliberately simple: an algorithm is an object with three
 callbacks (``initialize`` / ``send`` / ``receive``); the engine drives

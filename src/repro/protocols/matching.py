@@ -19,7 +19,7 @@ matching of ``G``.  Running the Stone Age MIS protocol of Section 4 on the
 line graph stays entirely inside the unmodified nFSM model and inherits the
 ``O(log² m)`` run-time; the model modification the paper alludes to is only
 needed when the *physical* network is ``G`` itself and edges cannot host
-their own finite state machines.  This substitution is recorded in DESIGN.md.
+their own finite state machines.
 """
 
 from __future__ import annotations

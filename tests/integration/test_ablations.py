@@ -7,8 +7,10 @@ from repro.analysis.experiments import (
     experiment_coin_bias_ablation,
 )
 from repro.api import Simulation
+from repro.compilers import compile_to_asynchronous
 from repro.graphs import cycle_graph, gnp_random_graph
 from repro.protocols.mis import MISProtocol, mis_from_result
+from repro.scheduling.adversary import SkewedRatesAdversary
 from repro.verification import is_maximal_independent_set
 
 
@@ -18,6 +20,12 @@ class TestBiasedCoinProtocol:
         graph = gnp_random_graph(40, 0.12, seed=climb * 10 + decide)
         protocol = MISProtocol(climb_weight=climb, decide_weight=decide)
         result = Simulation().run_protocol(graph, protocol, seed=3, backend="python")
+        assert is_maximal_independent_set(graph, mis_from_result(result))
+
+    def test_climb_biased_mis_is_correct_at_n_256(self):
+        graph = gnp_random_graph(256, 4.0 / 256, seed=21)
+        protocol = MISProtocol(climb_weight=3, decide_weight=1)
+        result = Simulation().run_protocol(graph, protocol, seed=22, backend="python")
         assert is_maximal_independent_set(graph, mis_from_result(result))
 
     def test_bias_is_reflected_in_the_protocol_name(self):
@@ -56,15 +64,44 @@ class TestBiasedCoinProtocol:
 
 
 class TestAblationExperiments:
-    def test_a1_coin_bias(self):
-        report = experiment_coin_bias_ablation(sizes=(48,), repetitions=2)
+    # Each report runs at a small workload and at the sizes it was first
+    # published at (the ``suite`` parameter set).
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"sizes": (48,), "repetitions": 2}, {"sizes": (128,), "repetitions": 3}],
+        ids=["small", "suite"],
+    )
+    def test_a1_coin_bias(self, kwargs):
+        report = experiment_coin_bias_ablation(**kwargs)
         assert report.rows
         assert report.passed is True
 
-    def test_a2_adversary_severity(self):
-        report = experiment_adversary_severity(slow_factors=(1.0, 8.0), size=7)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slow_factors": (1.0, 8.0), "size": 7},
+            {"slow_factors": (1.0, 4.0, 16.0, 64.0), "size": 8},
+        ],
+        ids=["small", "suite"],
+    )
+    def test_a2_adversary_severity(self, kwargs):
+        report = experiment_adversary_severity(**kwargs)
         assert report.rows
         assert report.passed is True
+
+    def test_synchronized_mis_finishes_under_a_severe_adversary(self):
+        graph = gnp_random_graph(8, 0.4, seed=22)
+        result = Simulation().run_protocol(
+            graph,
+            compile_to_asynchronous(MISProtocol()),
+            environment="async",
+            seed=23,
+            adversary=SkewedRatesAdversary(slow_fraction=0.3, slow_factor=32.0),
+            adversary_seed=24,
+            max_events=6_000_000,
+            backend="python",
+        )
+        assert result.reached_output
 
     def test_a2_normalised_run_time_is_insensitive_to_severity(self):
         report = experiment_adversary_severity(slow_factors=(1.0, 32.0), size=7)

@@ -27,7 +27,7 @@ from repro.graphs import generators
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MISProtocol
-from repro.scheduling.adversary import default_adversary_suite
+from repro.scheduling.adversary import SkewedRatesAdversary, default_adversary_suite
 from repro.scheduling.async_engine import AUTO_VECTORIZE_MIN_NODES
 from repro.scheduling.compiled import LazyStrictTable
 from repro.scheduling.vectorized_async_engine import DRAW_BLOCK
@@ -176,6 +176,45 @@ def test_array_path_parity_with_data_driven_margins():
     assert interpreted.reached_output
     assert interpreted.metadata["adversary"] == "exponential"
     _assert_parity(interpreted, vectorized)
+
+
+#: The n = 1025 runs behind the E3 and A2 backend comparisons: synchronized
+#: broadcast on a binary tree under skewed rates, mild and severe.
+LARGE_SKEWED_RUNS = {
+    "E3": {"seed": 1, "adversary": SkewedRatesAdversary(), "adversary_seed": 2},
+    "A2": {
+        "seed": 3,
+        "adversary": SkewedRatesAdversary(slow_fraction=0.3, slow_factor=8.0),
+        "adversary_seed": 4,
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(LARGE_SKEWED_RUNS))
+def test_synchronized_broadcast_parity_at_n_1025(experiment):
+    """A cold and then a warm pass over one lazy table both equal the
+    interpreter."""
+    protocol = compile_to_asynchronous(BroadcastProtocol())
+    table = LazyStrictTable(protocol)
+    graph = generators.binary_tree(1025)
+
+    def run(backend):
+        return Simulation().run_protocol(
+            graph,
+            protocol,
+            environment="async",
+            inputs=broadcast_inputs(0),
+            max_events=50_000_000,
+            raise_on_timeout=False,
+            backend=backend,
+            table=table,
+            **LARGE_SKEWED_RUNS[experiment],
+        )
+
+    interpreted = run("python")
+    assert interpreted.reached_output
+    for vectorized in (run("vectorized"), run("vectorized")):
+        _assert_parity(interpreted, vectorized)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

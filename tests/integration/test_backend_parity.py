@@ -10,6 +10,8 @@ module pins it across the paper's protocols and the graph families of the
 scaling experiments.
 """
 
+import time
+
 import pytest
 
 from repro.api import Simulation
@@ -18,6 +20,7 @@ from repro.graphs import generators
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol, coloring_from_result
 from repro.protocols.mis import MISProtocol, mis_from_result
+from repro.scheduling.compiled import LazyExtendedTable
 from repro.verification import (
     is_maximal_independent_set,
     is_proper_coloring,
@@ -125,6 +128,55 @@ def test_timeout_parity(seed):
     assert interpreted.summary_fields() == vectorized.summary_fields()
 
 
+# The representative single runs of experiments E1 and E2, at the sizes of
+# their reports.
+def test_mis_parity_at_n_512():
+    graph = generators.gnp_random_graph(512, 4.0 / 512, seed=1)
+    interpreted, vectorized = _run_both(graph, MISProtocol, 7)
+    assert interpreted.summary_fields() == vectorized.summary_fields()
+    assert is_maximal_independent_set(graph, mis_from_result(vectorized))
+
+
+def test_coloring_parity_at_n_1024():
+    tree = generators.random_tree(1024, seed=2)
+    interpreted, vectorized = _run_both(tree, TreeColoringProtocol, 5, max_rounds=50_000)
+    assert interpreted.summary_fields() == vectorized.summary_fields()
+    assert is_proper_coloring(tree, coloring_from_result(vectorized))
+
+
+def _best_of(repeats: int, fn) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_vectorized_mis_is_5x_faster_than_the_interpreter_at_n_1024():
+    graph = generators.gnp_random_graph(1024, 4.0 / 1024, seed=1)
+
+    def run(backend):
+        return Simulation().run_protocol(graph, MISProtocol(), seed=7, backend=backend)
+
+    assert run("python").summary_fields() == run("vectorized").summary_fields()
+
+    # Wall-clock assertions are noise-sensitive on shared CI runners, so
+    # measure best-of-k and allow a few attempts before failing; the real
+    # ratio is ~25×, leaving a wide margin over the asserted 5×.
+    ratios = []
+    for _ in range(3):
+        python_time = _best_of(2, lambda: run("python"))
+        vectorized_time = _best_of(3, lambda: run("vectorized"))
+        ratios.append(python_time / vectorized_time)
+        if ratios[-1] >= 5.0:
+            break
+    assert ratios[-1] >= 5.0, (
+        f"expected ≥ 5× speedup at n=1024, measured ratios {ratios} "
+        f"(last: python {python_time:.3f}s, vectorized {vectorized_time:.3f}s)"
+    )
+
+
 # Synchronizer- and multiquery-compiled protocols: their reachable closures
 # are far too large for the eager tabulation, so the vectorized backend runs
 # them off a LazyExtendedTable — the parity contract is identical.
@@ -165,6 +217,32 @@ def test_compiled_coloring_parity(seed):
     )
     assert interpreted.summary_fields() == vectorized.summary_fields()
     assert interpreted.reached_output
+
+
+def test_synchronized_broadcast_parity_at_n_1025_off_one_lazy_table():
+    """The run behind E3's synchronous backend comparison: a cold and then a
+    warm pass over one shared lazy table both equal the interpreter."""
+    graph = generators.binary_tree(1025)
+    table = LazyExtendedTable(compile_to_asynchronous(BroadcastProtocol()))
+
+    def run(backend):
+        return Simulation().run_protocol(
+            graph,
+            compile_to_asynchronous(BroadcastProtocol()),
+            seed=1,
+            inputs=broadcast_inputs(0),
+            max_rounds=1_000_000,
+            raise_on_timeout=False,
+            backend=backend,
+            table=table,
+        )
+
+    interpreted = run("python")
+    assert interpreted.reached_output
+    for vectorized in (run("vectorized"), run("vectorized")):
+        assert vectorized.reached_output
+        assert vectorized.summary_fields() == interpreted.summary_fields()
+        assert vectorized.metadata["backend_mode"] == "lazy"
 
 
 def test_compiled_protocols_vectorize_under_auto():

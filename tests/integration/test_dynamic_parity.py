@@ -86,6 +86,20 @@ class TestBackendParity:
         assert is_proper_coloring(result.graph, colors)
         assert len(set(colors.values())) <= 3
 
+    def test_burst_runs_at_n_1025_reach_output(self):
+        session = Simulation()
+        for seed in (1, 2):
+            spec = RunSpec(
+                protocol="mis",
+                graph="gnp_sparse",
+                nodes=1025,
+                seed=seed,
+                environment="dynamic",
+                churn="burst",
+                churn_params={"flips": 8, "disturbances": 3},
+            )
+            assert session.simulate(spec).reached_output
+
     def test_zero_disturbance_run_equals_static_run(self):
         session = Simulation()
         static = session.simulate(

@@ -82,6 +82,19 @@ def test_pooled_sweep_matches_serial_bitwise(environment, backend, protocol):
         assert pooled.protocol_name == serial.protocol_name
 
 
+def test_pooled_e1_style_sweep_matches_serial():
+    """Two families × three sizes up to n = 256 × two repetitions on the
+    interpreter, serial against four workers."""
+    spec = RunSpec(protocol="mis", seed=1, backend="python")
+    kwargs = dict(families=["gnp_sparse", "random_tree"], sizes=[64, 128, 256], repetitions=2)
+    # workers=1 pins the serial baseline explicitly — passing None would
+    # consult REPRO_WORKERS and silently pool the baseline too.
+    serial = Simulation().sweep(spec, workers=1, **kwargs)
+    pooled = Simulation().sweep(spec, workers=4, **kwargs)
+    assert pooled.records == serial.records
+    assert serial.all_valid()
+
+
 def test_sweep_builds_graph_params_on_every_path(tmp_path):
     """Serial, pooled and stored cells all build the spec's parametrised graph."""
     spec = RunSpec(

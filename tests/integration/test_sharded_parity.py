@@ -258,6 +258,19 @@ def test_lazy_protocol_falls_back_to_unsharded_counter_run():
     assert not leaked_segments()
 
 
+def test_sharded_run_at_n_512_matches_the_unsharded_run():
+    def run(shards):
+        return Simulation().simulate(
+            RunSpec(protocol="mis", nodes=512, graph="gnp_sparse", seed=1, shards=shards)
+        )
+
+    reference = run(1)
+    result = run(2)
+    assert result.summary_fields() == reference.summary_fields()
+    assert result.metadata["backend_mode"] == "sharded"
+    assert not leaked_segments()
+
+
 def test_sharded_runs_are_deterministic_across_calls():
     spec = RunSpec(protocol="mis", nodes=NODES, graph="gnp_sparse", seed=42, shards=4)
     first = _run(spec)

@@ -1,10 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.experiments import ALL_EXPERIMENTS
+from repro.cli import _QUICK_EXPERIMENT_ARGS, build_parser, main
 
 #: The fields of one ``run --list-backends --json`` row.
 CENSUS_FIELDS = {"name", "description", "environments", "tabulation_modes", "supports_sharding"}
@@ -270,6 +272,12 @@ class TestExperimentCommands:
     def test_quick_e4(self, capsys):
         exit_code = main(["experiment", "E4", "--quick"])
         assert exit_code == 0
+
+    def test_quick_table_names_only_parameters_each_runner_accepts(self):
+        assert set(_QUICK_EXPERIMENT_ARGS) == set(ALL_EXPERIMENTS)
+        for identifier, kwargs in _QUICK_EXPERIMENT_ARGS.items():
+            parameters = inspect.signature(ALL_EXPERIMENTS[identifier]).parameters
+            assert set(kwargs) <= set(parameters), identifier
 
     def test_census_command(self, capsys):
         exit_code = main(["census"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.automata.lba import LEFT_MARKER, RIGHT_MARKER
-from repro.automata.languages import parity_lba, palindrome_lba
+from repro.automata.languages import palindrome_lba, palindrome_reference, parity_lba
 from repro.automata.lba_to_nfsm import (
     ACTIVE,
     HALTED,
@@ -141,6 +141,11 @@ class TestDecisionDriver:
         machine = palindrome_lba()
         assert decide_word_on_path(machine, "abba", seed=2)[0] is True
         assert decide_word_on_path(machine, "abab", seed=2)[0] is False
+
+    def test_a_twelve_letter_word_is_decided_like_the_reference(self):
+        word = list("abbaab" * 2)
+        verdict, _ = decide_word_on_path(palindrome_lba(), word, seed=3)
+        assert verdict == palindrome_reference(word)
 
     def test_every_node_reaches_an_output_state(self):
         verdict, result = decide_word_on_path(parity_lba(), "11", seed=3)

@@ -69,3 +69,9 @@ class TestFaithfulness:
     def test_metadata_carries_the_space_report(self):
         result = simulate_with_linear_space(path_graph(4), MISProtocol(), seed=1)
         assert result.metadata["space_report"].num_nodes == 4
+
+    def test_mis_at_n_256_needs_at_most_two_extra_cells_per_entry(self):
+        graph = gnp_random_graph(256, 4.0 / 256, seed=5)
+        result = simulate_with_linear_space(graph, MISProtocol(), seed=8)
+        assert result.reached_output
+        assert result.metadata["space_report"].extra_cells_per_entry <= 2.0

@@ -118,6 +118,11 @@ class TestLuby:
         assert result.reached_output
         assert is_maximal_independent_set(graph, selected)
 
+    def test_luby_at_n_512_produces_a_maximal_independent_set(self):
+        graph = gnp_random_graph(512, 4.0 / 512, seed=10)
+        selected, _ = luby_mis(graph, seed=12)
+        assert is_maximal_independent_set(graph, selected)
+
     def test_luby_on_a_cycle(self):
         graph = cycle_graph(20)
         selected, _ = luby_mis(graph, seed=3)

@@ -89,3 +89,14 @@ class TestLoweredExecution:
         assert remainder == 0
         assert lowered_result.rounds == base_rounds * sigma
         assert lowered_result.outputs == base_result.outputs
+
+    def test_lowered_mis_reaches_output_at_n_48(self):
+        graph = gnp_random_graph(48, 0.12, seed=4)
+        result = Simulation().run_protocol(
+            graph,
+            lower_to_single_query(MISProtocol()),
+            seed=6,
+            max_rounds=500_000,
+            backend="python",
+        )
+        assert result.reached_output

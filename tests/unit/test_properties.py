@@ -113,6 +113,10 @@ class TestGoodNodes:
             good = good_nodes_tree(tree)
             assert len(good) >= tree.num_nodes / 5
 
+    def test_good_nodes_tree_fraction_bound_at_n_2048(self):
+        tree = random_tree(2048, seed=9)
+        assert len(good_nodes_tree(tree)) >= tree.num_nodes / 5
+
     def test_good_nodes_tree_on_a_path(self):
         path = path_graph(6)
         assert good_nodes_tree(path) == list(path.nodes)

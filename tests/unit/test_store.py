@@ -512,7 +512,7 @@ def test_cache_info_exposes_store_counters(tmp_path):
 
 def test_store_accepts_path_and_string(tmp_path):
     by_path = Simulation(store=tmp_path / "a")
-    by_string = Simulation(cache_dir=str(tmp_path / "b"))
+    by_string = Simulation(store=str(tmp_path / "b"))
     assert isinstance(by_path.store, ResultStore)
     assert isinstance(by_string.store, ResultStore)
 

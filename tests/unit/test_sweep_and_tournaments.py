@@ -100,6 +100,16 @@ class TestMISTrace:
     def test_nodes_reaching_tournament_one_is_everyone(self):
         assert self.trace.nodes_reaching_tournament(1) == set(self.graph.nodes)
 
+    def test_a_run_at_n_128_has_tournaments(self):
+        trace, _ = trace_mis_execution(gnp_random_graph(128, 0.06, seed=7), seed=11)
+        assert trace.tournament_lengths()
+
+    def test_edge_decay_at_n_192_runs_from_every_edge_to_none(self):
+        graph = gnp_random_graph(192, 4.0 / 192, seed=8)
+        trace, _ = trace_mis_execution(graph, seed=13)
+        decay = trace.edge_decay()
+        assert decay[0] == graph.num_edges and decay[-1] == 0
+
 
 class TestReporting:
     def test_format_table_aligns_columns(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import RunSpec, Simulation
 from repro.core.errors import ExecutionError, OutputNotReachedError
-from repro.graphs import cycle_graph, path_graph, star_graph
+from repro.graphs import cycle_graph, gnp_random_graph, path_graph, star_graph
 from repro.graphs.properties import eccentricity
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.mis import MISProtocol
@@ -128,6 +128,11 @@ class TestEngineMechanics:
             graph, BroadcastProtocol(), inputs=broadcast_inputs(0), seed=1, backend="python"
         )
         assert result.total_node_steps == result.rounds * graph.num_nodes
+
+    def test_mis_at_n_256_counts_its_messages(self):
+        graph = gnp_random_graph(256, 4.0 / 256, seed=11)
+        result = Simulation().run_protocol(graph, MISProtocol(), seed=14, backend="python")
+        assert result.total_messages > 0
 
     def test_repeat_returns_one_result_per_repetition(self):
         spec = RunSpec(protocol="mis", graph="cycle", nodes=8, seed=10, backend="python")
