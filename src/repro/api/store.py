@@ -571,7 +571,9 @@ class ResultStore:
             with os.fdopen(handle, "w", encoding="utf-8") as tmp:
                 tmp.write(text)
             os.replace(tmp_name, path)
-        except OSError:
+        except BaseException:
+            # Any failure, an interrupt too, leaves no temp file behind:
+            # gc() only sees finished entries.
             try:
                 os.unlink(tmp_name)
             except OSError:

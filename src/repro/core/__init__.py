@@ -20,7 +20,7 @@ from repro.core.errors import (
     StoneAgeError,
     VerificationError,
 )
-from repro.core.interning import Interner, ProtocolTabulation, tabulate_protocol
+from repro.core.interning import Interner
 from repro.core.network import NetworkState, PortTable
 from repro.core.protocol import (
     ExtendedProtocol,
@@ -59,7 +59,6 @@ __all__ = [
     "ProtocolCensus",
     "ProtocolNotVectorizableError",
     "ProtocolSpecificationError",
-    "ProtocolTabulation",
     "State",
     "StoneAgeError",
     "TableExtendedProtocol",
@@ -70,5 +69,4 @@ __all__ = [
     "build_synchronous_result",
     "is_epsilon",
     "tabulate_extended",
-    "tabulate_protocol",
 ]

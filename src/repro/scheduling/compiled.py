@@ -4,13 +4,10 @@ Both batch backends — the synchronous :class:`~repro.scheduling.
 vectorized_engine.VectorizedEngine` and the asynchronous
 :class:`~repro.scheduling.vectorized_async_engine.VectorizedAsynchronousEngine`
 — execute protocols through *dense integer tables* instead of the
-object-level protocol API.  This module holds the table machinery they
-share:
+object-level protocol API.  One tabulator builds them all:
+:meth:`LazyExtendedTable._evaluate_cell` turns one (state, observation) cell
+of a protocol into table entries, for eager and lazy tables alike.
 
-* :class:`CompiledProtocol` — an **eager** packing of a full
-  :class:`~repro.core.interning.ProtocolTabulation` (reachable-state closure
-  up front).  The synchronous engine uses it: rounds touch every node, so
-  the closure is paid once and every round is pure array indexing.
 * :class:`LazyExtendedTable` — an **incremental** multi-letter table.  Each
   state declares the letters its transition relation reads
   (:meth:`~repro.core.protocol.ExtendedProtocol.queried_letters`; a single
@@ -19,9 +16,14 @@ share:
   :class:`~repro.scheduling.vectorized_engine.VectorizedEngine` uses it to
   run synchronizer- and multiquery-compiled protocols — whose reachable
   closures of :math:`10^5`–:math:`10^6` states dwarf the few thousand one
-  execution visits (eager tabulation would overflow the enumeration limits
-  outright, as it does for the compiled tree-coloring protocol) — as pure
-  array rounds, bitwise seed-identical to the interpreter.
+  execution visits (the eager closure would overflow its budgets outright,
+  as it does for the compiled tree-coloring protocol) — as pure array
+  rounds, bitwise seed-identical to the interpreter.
+* :class:`CompiledProtocol` — the **eager** table: :func:`compile_protocol`
+  evaluates every cell of every state reachable from the roots in a
+  :class:`LazyExtendedTable` and freezes the result.  The synchronous
+  engine uses it for protocols without a lazy hint: rounds touch every
+  node, so the closure is paid once and every round is pure array indexing.
 * :class:`LazyStrictTable` — the strict (single-query-letter, ``k = 1``)
   specialisation of :class:`LazyExtendedTable`, consumed by the vectorized
   asynchronous engine: uniform ``b+1``-cell blocks, a per-state query-letter
@@ -39,19 +41,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.alphabet import is_epsilon
+from repro.core.alphabet import Observation, is_epsilon
 from repro.core.errors import ProtocolNotVectorizableError
-from repro.core.interning import (
-    DEFAULT_MAX_CELLS,
-    DEFAULT_MAX_STATES,
-    Interner,
-    ProtocolTabulation,
-    _evaluate_options,
-    _probe_queried_letters_contract,
-    _queried_letters,
-    tabulate_protocol,
-)
+from repro.core.interning import Interner
 from repro.core.protocol import ExtendedProtocol, Protocol, State
+
+#: Ceiling on the number of reachable states of an eager table.
+DEFAULT_MAX_STATES = 8_192
+
+#: Ceiling on the number of cells (state × observation) of an eager table.
+DEFAULT_MAX_CELLS = 1 << 22
 
 #: Ceiling on the number of *visited* states a lazy table may intern.  Far
 #: above what any shipped execution reaches, it bounds runaway protocols.
@@ -64,113 +63,14 @@ DEFAULT_MAX_LAZY_STATES = 1 << 19
 DEFAULT_MAX_LAZY_CELLS = 1 << 22
 
 
-class CompiledProtocol:
-    """A :class:`ProtocolTabulation` packed into dense NumPy arrays.
+def wants_lazy_table(protocol) -> bool:
+    """Whether *protocol* hints a lazy table through ``tabulation_hint()``.
 
-    The flat layout is the classic CSR-of-CSR shape: per (state, observation)
-    cell an offset/length pair into a flat option pool, with per-state base
-    offsets into the cell pool because observation spaces differ per state.
-    ``sink_mask`` marks the states whose every cell holds exactly one option,
-    which keeps the state and emits nothing: once there, a node never
-    changes again, so the synchronous engine stops stepping it.
+    The synchronous vectorized tier runs such a protocol off a
+    :class:`LazyExtendedTable` and every other one off the eager closure,
+    :func:`compile_protocol`.
     """
-
-    __slots__ = (
-        "tabulation",
-        "strides",
-        "state_base",
-        "cell_offset",
-        "cell_count",
-        "option_next",
-        "option_emit",
-        "output_mask",
-        "sink_mask",
-        "initial_letter_id",
-        "num_letters",
-    )
-
-    def __init__(self, tabulation: ProtocolTabulation) -> None:
-        self.tabulation = tabulation
-        b1 = tabulation.bounding + 1
-        num_states = tabulation.num_states
-        num_letters = tabulation.num_letters
-
-        strides = np.zeros((num_states, num_letters), dtype=np.int64)
-        state_base = np.zeros(num_states, dtype=np.int64)
-        cell_offset: list[int] = []
-        cell_count: list[int] = []
-        option_next: list[int] = []
-        option_emit: list[int] = []
-        sink_mask = np.zeros(num_states, dtype=bool)
-        for state_id, (queried, cells) in enumerate(
-            zip(tabulation.queried, tabulation.options)
-        ):
-            stay = ((state_id, -1),)
-            sink_mask[state_id] = all(choices == stay for choices in cells)
-            arity = len(queried)
-            for position, letter_id in enumerate(queried):
-                strides[state_id, letter_id] = b1 ** (arity - 1 - position)
-            state_base[state_id] = len(cell_offset)
-            for choices in cells:
-                cell_offset.append(len(option_next))
-                cell_count.append(len(choices))
-                for next_id, emit_id in choices:
-                    option_next.append(next_id)
-                    option_emit.append(emit_id)
-
-        self.strides = strides
-        self.state_base = state_base
-        self.cell_offset = np.asarray(cell_offset, dtype=np.int64)
-        self.cell_count = np.asarray(cell_count, dtype=np.int64)
-        self.option_next = np.asarray(option_next, dtype=np.int64)
-        self.option_emit = np.asarray(option_emit, dtype=np.int64)
-        self.output_mask = np.asarray(tabulation.output_mask, dtype=bool)
-        self.sink_mask = sink_mask
-        self.initial_letter_id = tabulation.initial_letter_id
-        self.num_letters = num_letters
-
-    @property
-    def states(self) -> tuple[State, ...]:
-        """Every state in id order."""
-        return self.tabulation.states
-
-    @property
-    def letters(self) -> tuple:
-        """Every letter in id order."""
-        return self.tabulation.letters
-
-    def state_id(self, state: State) -> int:
-        return self.tabulation.state_ids[state]
-
-    def letter_id(self, letter) -> int:
-        """The interned id of *letter* (``KeyError`` when unknown).
-
-        The eager tabulation closes over every reachable letter, so a letter
-        carried from an earlier run of the same protocol is always present;
-        a miss means the caller is warm-starting across protocols.
-        """
-        try:
-            return self.tabulation.letters.index(letter)
-        except ValueError:
-            raise KeyError(letter) from None
-
-
-def compile_protocol(
-    protocol: ExtendedProtocol | Protocol,
-    roots=None,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> CompiledProtocol:
-    """Tabulate *protocol* and pack it for the vectorized engine.
-
-    Raises :class:`ProtocolNotVectorizableError` when the protocol's state
-    set cannot be enumerated within the limits.
-    """
-    tabulation = tabulate_protocol(
-        protocol, roots, max_states=max_states, max_cells=max_cells
-    )
-    return CompiledProtocol(tabulation)
+    return getattr(protocol, "tabulation_hint", lambda: "eager")() == "lazy"
 
 
 class _GrowingArray:
@@ -259,6 +159,14 @@ class _GrowingMatrix:
         return self._buffer[: self._rows]
 
 
+def _fingerprint(choices) -> tuple:
+    """A comparable summary of an option tuple (state, emit-or-None pairs)."""
+    return tuple(
+        (choice.state, None if is_epsilon(choice.emit) else choice.emit)
+        for choice in choices
+    )
+
+
 class LazyExtendedTable:
     """Incrementally tabulated transition tables with multi-letter observations.
 
@@ -270,18 +178,18 @@ class LazyExtendedTable:
     and allocates a dense block of ``(b+1)^k`` observation cells, each
     evaluated through the object-level protocol API on first use.  The
     observation id of saturated counts ``(c_0, …, c_{k-1})`` over the queried
-    letters is ``Σ_j c_j · (b+1)^{k-1-j}`` — the same encoding as the eager
-    :class:`CompiledProtocol`, so the synchronous engine computes it with one
-    stride-matrix multiply per round.
+    letters is ``Σ_j c_j · (b+1)^{k-1-j}``, so the synchronous engine
+    computes it with one stride-matrix multiply per round.  The eager
+    :class:`CompiledProtocol` is this table with its reachable closure
+    evaluated, so the two agree id for id.
 
     The contract mirrors :class:`LazyStrictTable`: executions driven through
     this table are bitwise seed-identical to the interpreter, one table can
     (and should) be shared across many runs of the same protocol, and
     :class:`~repro.core.errors.ProtocolNotVectorizableError` is raised when
     the visited state set or the allocated cell pool outgrows the budgets.
-    Like the eager tabulation, every evaluated cell of an extended protocol
-    is re-probed with the undeclared letters saturated (see
-    :func:`repro.core.interning._probe_queried_letters_contract`) so an
+    Every evaluated cell of an extended protocol is re-probed with the
+    undeclared letters saturated (see :meth:`_extended_options`) so an
     under-declared ``queried_letters`` override cannot silently compile into
     a diverging table.
     """
@@ -388,7 +296,10 @@ class LazyExtendedTable:
         querying outside the alphabet is a declaration error here.  The
         strict subclass overrides this: its census compares raw port ids.
         """
-        queried = _queried_letters(self._protocol, state)
+        if self._extended:
+            queried = tuple(dict.fromkeys(self._protocol.queried_letters(state)))
+        else:
+            queried = (self._protocol.query_letter(state),)
         for letter in queried:
             if letter not in self._alphabet:
                 raise ProtocolNotVectorizableError(
@@ -455,7 +366,46 @@ class LazyExtendedTable:
             ident = ident * self._b1 + int(count)
         return ident
 
+    def _extended_options(self, state: State, queried: tuple, counts: tuple):
+        """The options of *state* on *counts*, probed for undeclared letters.
+
+        Cells enumerate observations over ``queried_letters`` only; a
+        protocol whose ``options`` secretly reads an undeclared letter would
+        compile into a table that silently diverges from the interpreter.
+        So the transition is evaluated again with every *undeclared* letter
+        saturated at ``b`` and must give the same option set.  This is a
+        best-effort guard, not an exhaustive proof: a protocol that reacts
+        only to intermediate undeclared counts (strictly between 0 and
+        ``b``) can still slip through — ``queried_letters`` overrides remain
+        responsible for listing every letter ``options`` reads.
+        """
+        protocol = self._protocol
+        observed = dict(zip(queried, counts))
+        choices = protocol.validate_option_set(
+            protocol.options(state, Observation(self._alphabet, observed))
+        )
+        undeclared = [letter for letter in self._alphabet if letter not in queried]
+        if undeclared:
+            probe = dict(observed)
+            probe.update(dict.fromkeys(undeclared, self._b))
+            probed = protocol.validate_option_set(
+                protocol.options(state, Observation(self._alphabet, probe))
+            )
+            if _fingerprint(probed) != _fingerprint(choices):
+                raise ProtocolNotVectorizableError(
+                    f"state {state!r} of protocol {protocol.name!r} reacts to "
+                    f"letters not listed in queried_letters() ({queried!r}); the "
+                    "vectorized backend requires queried_letters to cover every "
+                    "letter the transition relation reads"
+                )
+        return choices
+
     def _evaluate_cell(self, state_id: int, obs_id: int) -> None:
+        """Turn one cell of the protocol into table entries.
+
+        Successor states are interned (appended) as they are found, and the
+        cell's options land at the end of the option pool.
+        """
         state = self._states.value_of(state_id)
         protocol = self._protocol
         queried = self._queried[state_id]
@@ -467,15 +417,10 @@ class LazyExtendedTable:
             remaining //= b1
         counts = tuple(reversed(digits))
         try:
-            choices = _evaluate_options(protocol, state, queried, counts)
             if self._extended:
-                undeclared = [
-                    letter for letter in self._alphabet if letter not in queried
-                ]
-                if undeclared:
-                    _probe_queried_letters_contract(
-                        protocol, state, queried, undeclared, counts, choices
-                    )
+                choices = self._extended_options(state, queried, counts)
+            else:
+                choices = protocol.validate_option_set(protocol.options(state, counts[0]))
         except ProtocolNotVectorizableError:
             raise
         except Exception as exc:
@@ -551,6 +496,139 @@ class LazyExtendedTable:
             self._option_emit.view(),
             self._sink.view(),
         )
+
+
+class CompiledProtocol:
+    """The reachable closure of a :class:`LazyExtendedTable`, frozen.
+
+    :func:`compile_protocol` builds it.  The flat layout is CSR-of-CSR: per
+    (state, observation) cell an offset/length pair into a flat option pool,
+    with per-state base offsets into the cell pool because observation
+    spaces differ per state.  It holds the same eight arrays as
+    :meth:`LazyExtendedTable.arrays`, read-only and in the same order, with
+    ``strides`` widened to one column per letter: the eager round counts
+    every letter id, and a letter emitted outside the alphabet has stride 0.
+    Its :meth:`state_id` and :meth:`letter_id` raise ``KeyError`` outside
+    the closure.  Nothing grows it, so a round reads its arrays without
+    :meth:`~LazyExtendedTable.ensure_cells` or masking the letters outside
+    the alphabet.
+
+    ``sink_mask`` marks the states whose every cell holds exactly one option,
+    which keeps the state and emits nothing: once there, a node never
+    changes again, so the synchronous engine stops stepping it.
+    """
+
+    __slots__ = (
+        "states",
+        "letters",
+        "num_letters",
+        "initial_letter_id",
+        "strides",
+        "state_base",
+        "output_mask",
+        "cell_offset",
+        "cell_count",
+        "option_next",
+        "option_emit",
+        "sink_mask",
+        "_state_ids",
+        "_letter_ids",
+    )
+
+    def __init__(self, table: LazyExtendedTable) -> None:
+        strides, *pools, _ = table.arrays()
+        self.states = table.states
+        self.letters = table.letters
+        self.num_letters = len(self.letters)
+        self.initial_letter_id = table.initial_letter_id
+        # The table is dropped, so its interners are the closure's id maps.
+        self._state_ids = table._states
+        self._letter_ids = table._letters
+        self.strides = np.zeros((len(self.states), self.num_letters), dtype=np.int64)
+        self.strides[:, : table.alphabet_size] = strides
+        (
+            self.state_base,
+            self.output_mask,
+            self.cell_offset,
+            self.cell_count,
+            self.option_next,
+            self.option_emit,
+        ) = (pool.copy() for pool in pools)
+        self.sink_mask = self._sinks()
+        for array in self.arrays():
+            array.flags.writeable = False
+
+    def _sinks(self):
+        """Whether every cell of each state is one silent option that stays."""
+        cells_per_state = np.diff(self.state_base, append=len(self.cell_offset))
+        owner = np.repeat(np.arange(len(self.states)), cells_per_state)
+        stays = (
+            (self.cell_count == 1)
+            & (self.option_next[self.cell_offset] == owner)
+            & (self.option_emit[self.cell_offset] == -1)
+        )
+        return np.logical_and.reduceat(stays, self.state_base)
+
+    def arrays(self) -> tuple:
+        """The eight arrays in the order of :meth:`LazyExtendedTable.arrays`."""
+        return (
+            self.strides,
+            self.state_base,
+            self.output_mask,
+            self.cell_offset,
+            self.cell_count,
+            self.option_next,
+            self.option_emit,
+            self.sink_mask,
+        )
+
+    def state_id(self, state: State) -> int:
+        """The id of *state* (``KeyError`` outside the closure)."""
+        return self._state_ids.id_of(state)
+
+    def letter_id(self, letter) -> int:
+        """The id of *letter* (``KeyError`` outside the closure).
+
+        The closure holds every letter its states emit, so a letter carried
+        from an earlier run of the same protocol is always present; a miss
+        means the caller is warm-starting across protocols.
+        """
+        return self._letter_ids.id_of(letter)
+
+
+def compile_protocol(
+    protocol: ExtendedProtocol | Protocol,
+    roots=None,
+    *,
+    max_states: int = DEFAULT_MAX_STATES,
+    max_cells: int = DEFAULT_MAX_CELLS,
+) -> CompiledProtocol:
+    """Evaluate every cell reachable from *roots* and freeze the table.
+
+    ``roots`` defaults to the protocol's declared input states; engines pass
+    the actual initial states of the execution.  The closure is a
+    :class:`LazyExtendedTable` under the eager budgets with every cell of
+    every interned state evaluated.  Interning appends, so evaluating the
+    states in id order walks the closure breadth first.
+
+    Raises :class:`ProtocolNotVectorizableError` when the closure outgrows
+    *max_states* states or *max_cells* cells, or the protocol misbehaves on
+    one of its cells (a lazy protocol may reject observations that never
+    occur in a real execution; such protocols run on the interpreter).
+    """
+    table = LazyExtendedTable(protocol, max_states=max_states, max_cells=max_cells)
+    for state in protocol.input_states if roots is None else roots:
+        table.state_id(state)
+    if table.num_states == 0:
+        raise ProtocolNotVectorizableError(
+            f"protocol {protocol.name!r} has no root states to tabulate from"
+        )
+    state_id = 0
+    while state_id < table.num_states:
+        for obs_id in range(table._b1 ** len(table._queried[state_id])):
+            table._evaluate_cell(state_id, obs_id)
+        state_id += 1
+    return CompiledProtocol(table)
 
 
 class LazyStrictTable(LazyExtendedTable):

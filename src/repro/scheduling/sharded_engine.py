@@ -78,7 +78,7 @@ import numpy as np
 from repro.core.errors import ShardingUnavailableError
 from repro.core.protocol import ExtendedProtocol, Protocol
 from repro.graphs.graph import Graph
-from repro.scheduling.compiled import CompiledProtocol
+from repro.scheduling.compiled import CompiledProtocol, wants_lazy_table
 from repro.scheduling.shard_pool import DEFAULT_BARRIER_TIMEOUT, STOP, ShardPool
 from repro.scheduling.vectorized_engine import (
     TABLE_FIELDS,
@@ -142,7 +142,7 @@ class ShardedVectorizedEngine(VectorizedEngine):
         initial_letters=None,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
-        if compiled is None and getattr(protocol, "tabulation_hint", lambda: "eager")() == "lazy":
+        if compiled is None and wants_lazy_table(protocol):
             raise ShardingUnavailableError(
                 "the protocol hints a lazy tabulation; sharding requires "
                 "the eager reachable closure"
@@ -175,7 +175,7 @@ class ShardedVectorizedEngine(VectorizedEngine):
         pool = self._pool
         inv = np.asarray(pool.partition.inv)
         indptr, indices = pool.permuted_csr()
-        static_arrays = dict(zip(TABLE_FIELDS, self._eager_arrays))
+        static_arrays = dict(zip(TABLE_FIELDS, self._compiled.arrays()))
         static_arrays.update(indptr=indptr, indices=indices, node_keys=self._node_keys)
         # A warm start carries each node's last-transmitted letter across a
         # churn boundary; both ping-pong buffers start from it.

@@ -264,7 +264,7 @@ class TableBundle:
 
     A :class:`repro.api.Simulation` session builds one per workload and
     hands it to every run of that workload: ``compiled`` holds an eager
-    :class:`~repro.scheduling.vectorized_engine.CompiledProtocol`, ``table``
+    :class:`~repro.scheduling.compiled.CompiledProtocol`, ``table``
     a :class:`~repro.scheduling.compiled.LazyExtendedTable` (its cells
     accumulate across the runs), and ``refusal`` says why the vectorized
     tier cannot take the protocol under ``"auto"`` — so a doomed tabulation
@@ -492,13 +492,14 @@ def build_table_bundle(
     _check_backend(backend)
     if backend == "python":
         return TableBundle()
-    from repro.scheduling.vectorized_engine import (
+    from repro.scheduling.compiled import (
         LazyExtendedTable,
         compile_protocol,
+        wants_lazy_table,
     )
 
     try:
-        if getattr(protocol, "tabulation_hint", lambda: "eager")() == "lazy":
+        if wants_lazy_table(protocol):
             return TableBundle(table=LazyExtendedTable(protocol))
         return TableBundle(compiled=compile_protocol(protocol))
     except ProtocolNotVectorizableError as exc:
@@ -538,7 +539,7 @@ def _run_synchronous(
     ``"backend_reason"`` — an ``"auto"`` fallback is reported, not silent.
 
     ``compiled`` optionally supplies a pre-built
-    :class:`~repro.scheduling.vectorized_engine.CompiledProtocol` and
+    :class:`~repro.scheduling.compiled.CompiledProtocol` and
     ``table`` a pre-built (possibly warm)
     :class:`~repro.scheduling.compiled.LazyExtendedTable` so many runs of
     the same protocol skip the compile step (the sweep runners use this);

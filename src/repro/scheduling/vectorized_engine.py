@@ -7,11 +7,11 @@ API.  That is faithful and flexible, but it caps the scaling experiments
 ``Observation`` construction plus a handful of dictionary lookups per node.
 
 This module trades a small compile step for large per-round wins.  A
-finite-state protocol is first *tabulated* (:func:`repro.core.interning.
-tabulate_protocol`): every reachable state, letter and transition option is
-interned to a dense integer id.  The tabulation is then packed into NumPy
-arrays and a whole round becomes a short sequence of array operations over
-the CSR rows of the graph's *live* nodes:
+finite-state protocol is first *tabulated* into a table of
+:mod:`repro.scheduling.compiled`: every state, letter and transition option
+it reaches is interned to a dense integer id and stored in NumPy arrays, so
+a whole round becomes a short sequence of array operations over the CSR
+rows of the graph's *live* nodes:
 
 1. **Port census** — every live node's letter counts are obtained with one
    ``np.bincount`` over its out-edges, keyed ``row * |Σ| + letter`` (the
@@ -55,11 +55,13 @@ construction.
 The compile step comes in two flavours, selected by the protocol's
 :meth:`~repro.core.protocol._ProtocolBase.tabulation_hint`:
 
-* **eager** (the default) — the full reachable closure is tabulated up front
+* **eager** (the default) — every cell of the reachable closure is evaluated
+  up front and the table frozen
   (:class:`~repro.scheduling.compiled.CompiledProtocol`).  Right for the
   paper's hand-written protocols, whose closures are tiny and fully visited.
 * **lazy** — states and observation cells are discovered on demand through a
-  :class:`~repro.scheduling.compiled.LazyExtendedTable`.  Right for
+  :class:`~repro.scheduling.compiled.LazyExtendedTable`, the same tabulator
+  before its closure is complete.  Right for
   synchronizer- and multiquery-compiled protocols, whose reachable closures
   (:math:`10^5`–:math:`10^6` states) dwarf the few thousand states one
   execution actually visits; eager tabulation would overflow the enumeration
@@ -91,17 +93,15 @@ from repro.core.errors import (
 from repro.core.protocol import ExtendedProtocol, Protocol, State
 from repro.core.results import ExecutionResult, build_synchronous_result, decode_states
 from repro.graphs.graph import Graph
-
-# The table machinery lives in the shared compiled-execution core; the
-# re-exports keep the historical import path working.
-from repro.scheduling.compiled import (  # noqa: F401
+from repro.scheduling.compiled import (
     CompiledProtocol,
     LazyExtendedTable,
     compile_protocol,
+    wants_lazy_table,
 )
 from repro.scheduling.picks import counter_picks, resolve_pick_seed
 
-#: The table arrays a round reads, in the order of ``LazyExtendedTable.arrays()``.
+#: The table arrays a round reads, in the order of ``arrays()`` of both tables.
 TABLE_FIELDS = (
     "strides",
     "state_base",
@@ -265,9 +265,9 @@ class VectorizedEngine:
     pre-built table is supplied — :class:`CompiledProtocol` via ``compiled``
     (eager) or :class:`~repro.scheduling.compiled.LazyExtendedTable` via
     ``table`` (lazy, shareable across runs for warm starts).  With neither
-    supplied the engine consults ``protocol.tabulation_hint()``: protocols
-    hinting ``"lazy"`` (the compiler outputs) get an incremental table, all
-    others the eager closure.
+    supplied the engine asks :func:`~repro.scheduling.compiled.
+    wants_lazy_table`: protocols hinting ``"lazy"`` (the compiler outputs)
+    get an incremental table, all others the eager closure.
     """
 
     def __init__(
@@ -328,7 +328,7 @@ class VectorizedEngine:
                 f"(expected {graph.num_nodes}, got {len(initial_letters)})"
             )
         if compiled is None and table is None:
-            if getattr(protocol, "tabulation_hint", lambda: "eager")() == "lazy":
+            if wants_lazy_table(protocol):
                 table = LazyExtendedTable(protocol)
             else:
                 # Fall back to the declared input states on empty graphs so
@@ -339,12 +339,9 @@ class VectorizedEngine:
         self._table = table
         self._codec = codec = table if table is not None else compiled
         self._bounding = protocol.bounding.value
-        if table is not None:
-            self._eager_arrays = None
-            self._width = table.alphabet_size
-        else:
-            self._eager_arrays = tuple(getattr(compiled, name) for name in TABLE_FIELDS)
-            self._width = compiled.num_letters
+        # The census counts one column per stride column: the alphabet on a
+        # lazy table, every letter on the eager one.
+        self._width = codec.arrays()[0].shape[1]
 
         try:
             if initial_states is None:
@@ -447,13 +444,9 @@ class VectorizedEngine:
         current = self._ordered(self._buffers["letters"][self._round % 2])
         return tuple(map(self._codec.letters.__getitem__, current.tolist()))
 
-    def _arrays(self) -> tuple:
-        return self._table.arrays() if self._table is not None else self._eager_arrays
-
     def in_output_configuration(self) -> bool:
         """Whether every node currently resides in an output state."""
-        output_mask = self._arrays()[2]
-        return bool(output_mask[self._buffers["state"]].all())
+        return bool(self._codec.output_mask[self._buffers["state"]].all())
 
     def _decode_states(self) -> tuple[State, ...]:
         return decode_states(self._codec, self._ordered(self._buffers["state"]))
@@ -475,7 +468,7 @@ class VectorizedEngine:
             self._round,
             buffers["state"],
             buffers["letters"],
-            self._arrays(),
+            self._codec.arrays(),
             self._pick_seed,
             self._bounding,
             self._table,

@@ -411,6 +411,23 @@ def test_concurrent_writers_leave_exactly_one_valid_entry(tmp_path):
     assert leftovers == []
 
 
+def test_interrupted_write_leaves_no_temp_file(store, monkeypatch):
+    """An interrupt between the temp file and the rename propagates and
+    takes the temp file with it, so no entry or temp file is left."""
+    digest = spec_hash(SPEC)
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        store.put(digest, {"rounds": 7})
+    monkeypatch.undo()
+    assert list(store.root.rglob("*.tmp")) == []
+    assert store.entry_count() == 0 and store.writes == 0
+    assert store.get(digest) is None
+
+
 # ---------------------------------------------------------------------- #
 # Session integration: bypasses, timeouts, counters                       #
 # ---------------------------------------------------------------------- #

@@ -11,15 +11,13 @@ from repro.core.errors import (
     OutputNotReachedError,
     ProtocolNotVectorizableError,
 )
-from repro.core.interning import Interner, tabulate_protocol
+from repro.core.interning import Interner
 from repro.graphs import Graph, cycle_graph, path_graph, random_tree
 from repro.protocols.broadcast import BroadcastProtocol, broadcast_inputs
 from repro.protocols.coloring import TreeColoringProtocol
 from repro.protocols.mis import MIS_STATES, MISProtocol
-from repro.scheduling.vectorized_engine import (
-    VectorizedEngine,
-    compile_protocol,
-)
+from repro.scheduling.compiled import compile_protocol
+from repro.scheduling.vectorized_engine import VectorizedEngine
 
 
 class _UnboundedCounterProtocol(BroadcastProtocol):
@@ -74,37 +72,37 @@ class TestInterner:
 
 class TestTabulation:
     def test_mis_tabulates_to_its_seven_states(self):
-        tabulation = tabulate_protocol(MISProtocol())
-        assert set(tabulation.states) <= set(MIS_STATES)
+        compiled = compile_protocol(MISProtocol())
+        assert set(compiled.states) <= set(MIS_STATES)
         # DOWN1 is the only root; every state it can reach is included.
-        assert tabulation.states[0] == "DOWN1"
-        assert tabulation.num_states == len(MIS_STATES)
+        assert compiled.states[0] == "DOWN1"
+        assert len(compiled.states) == len(MIS_STATES)
         # Alphabet letters keep their fixed order and ids 0..|Σ|-1.
-        assert tabulation.letters[: tabulation.alphabet_size] == MIS_STATES
+        assert compiled.letters[: len(MISProtocol().alphabet)] == MIS_STATES
 
     def test_output_mask_matches_protocol(self):
         protocol = MISProtocol()
-        tabulation = tabulate_protocol(protocol)
-        for state, flag in zip(tabulation.states, tabulation.output_mask):
+        compiled = compile_protocol(protocol)
+        for state, flag in zip(compiled.states, compiled.output_mask):
             assert flag == protocol.is_output_state(state)
 
     def test_broadcast_strict_protocol_tabulates(self):
-        tabulation = tabulate_protocol(BroadcastProtocol())
-        assert set(tabulation.states) == {"IDLE", "SOURCE", "INFORMED"}
+        compiled = compile_protocol(BroadcastProtocol())
+        assert set(compiled.states) == {"IDLE", "SOURCE", "INFORMED"}
         # Strict protocols query exactly one letter per state.
-        assert all(len(queried) == 1 for queried in tabulation.queried)
+        assert ((compiled.strides != 0).sum(axis=1) == 1).all()
 
     def test_state_budget_is_enforced(self):
         with pytest.raises(ProtocolNotVectorizableError):
-            tabulate_protocol(TreeColoringProtocol(), max_states=5)
+            compile_protocol(TreeColoringProtocol(), max_states=5)
 
     def test_cell_budget_is_enforced(self):
         with pytest.raises(ProtocolNotVectorizableError):
-            tabulate_protocol(TreeColoringProtocol(), max_cells=10)
+            compile_protocol(TreeColoringProtocol(), max_cells=10)
 
     def test_non_protocol_objects_are_rejected(self):
         with pytest.raises(ProtocolNotVectorizableError):
-            tabulate_protocol(object())
+            compile_protocol(object())
 
     def test_under_declared_queried_letters_are_rejected(self):
         """A protocol whose options() reads an undeclared letter must not
@@ -117,22 +115,12 @@ class TestTabulation:
                 return ()
 
         with pytest.raises(ProtocolNotVectorizableError):
-            tabulate_protocol(LyingProtocol())
+            compile_protocol(LyingProtocol())
         # auto still runs it (interpreted), producing the reference result.
         graph = cycle_graph(10)
         auto = Simulation().run_protocol(graph, LyingProtocol(), seed=2, backend="auto")
         reference = Simulation().run_protocol(graph, MISProtocol(), seed=2, backend="python")
         assert auto.final_states == reference.final_states
-
-    def test_observation_id_matches_enumeration_order(self):
-        tabulation = tabulate_protocol(TreeColoringProtocol())
-        b1 = tabulation.bounding + 1
-        state_id = next(
-            i for i, queried in enumerate(tabulation.queried) if len(queried) == 3
-        )
-        assert tabulation.observation_id(state_id, (1, 2, 3)) == (1 * b1 + 2) * b1 + 3
-        with pytest.raises(ValueError):
-            tabulation.observation_id(state_id, (1,))
 
 
 class TestVectorizedEngine:
@@ -347,3 +335,9 @@ class TestPerNodeWork:
             "initial state 'BOGUS' is missing from the compiled table; "
             "compile with roots covering all initial states"
         )
+        with pytest.raises(ProtocolNotVectorizableError) as excinfo:
+            VectorizedEngine(
+                graph, MISProtocol(), compiled=compile_protocol(MISProtocol()),
+                initial_letters=["DOWN1", "BOGUS", "DOWN1"],
+            )
+        assert str(excinfo.value) == "carried letter 'BOGUS' is missing from the compiled table"
